@@ -13,7 +13,7 @@
 
 #include "core/store_bridge.h"
 #include "obs/obs.h"
-#include "store/reader.h"
+#include "store/shards.h"
 #include "util/parallel.h"
 
 namespace storsubsim::bench {
@@ -84,13 +84,15 @@ const core::SimulationDataset& standard_dataset(const Options& options) {
     static std::unique_ptr<core::SimulationDataset> store_dataset;
     std::lock_guard<std::mutex> lock(store_mutex);
     if (!store_dataset || store_path != options.store) {
-      store::EventStore es;
-      if (const auto err = es.open(options.store); !err.ok()) {
+      store::ShardStore shards;
+      store::Error err = shards.open(options.store);
+      if (err.ok()) err = shards.open_all();
+      if (!err.ok()) {
         std::cerr << "cannot open store " << options.store << ": " << err.describe() << "\n";
         std::exit(1);
       }
       store_dataset = std::make_unique<core::SimulationDataset>(
-          core::simulation_dataset_from_store(es));
+          core::simulation_dataset_from_shards(shards));
       store_path = options.store;
     }
     return *store_dataset;

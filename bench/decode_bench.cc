@@ -273,7 +273,7 @@ int main(int argc, char** argv) {
     double best = 0.0;
     for (int r = 0; r < repeat; ++r) {
       const double t0 = now_seconds();
-      store::EventStore cold;
+      store::ShardStore cold;
       if (const auto err = cold.open(store_path); !err.ok()) {
         std::cerr << "FAIL: cold open: " << err.describe() << "\n";
         std::exit(1);

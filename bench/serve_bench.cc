@@ -39,7 +39,7 @@
 #include "serve/daemon.h"
 #include "serve/protocol.h"
 #include "store/query.h"
-#include "store/reader.h"
+#include "store/shards.h"
 #include "util/parallel.h"
 #include "util/rss.h"
 
@@ -152,12 +152,12 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  store::EventStore reference;
+  store::ShardStore reference;
   if (const auto err = reference.open(store_path); !err.ok()) {
     std::cerr << "FAIL: cannot open store: " << err.describe() << "\n";
     return 1;
   }
-  std::cout << "serving " << store_path << ": " << reference.event_count()
+  std::cout << "serving " << store_path << ": " << reference.manifest().events
             << " events\n";
 
   // Steady-state request mix and the offline answers it must reproduce.
@@ -225,7 +225,7 @@ int main(int argc, char** argv) {
   out << "{\n  \"benchmark\": \"serve_qps\",\n"
       << "  \"scale\": " << options.scale << ",\n  \"seed\": " << options.seed
       << ",\n  \"requests_per_client\": " << per_client << ",\n"
-      << "  \"events\": " << reference.event_count() << ",\n"
+      << "  \"events\": " << reference.manifest().events << ",\n"
       << "  \"mismatches\": " << mismatches << ",\n"
       << "  \"peak_rss_bytes\": " << peak_rss << ",\n"
       << "  \"ladder\": [\n";

@@ -43,7 +43,6 @@
 #include "core/store_bridge.h"
 #include "model/fleet_config.h"
 #include "store/query.h"
-#include "store/reader.h"
 #include "store/shards.h"
 #include "util/parallel.h"
 #include "util/rss.h"
@@ -151,57 +150,38 @@ int main(int argc, char** argv) {
     }
   }
   std::uint64_t file_bytes = 0;
-  if (sharded) {
+  {
     store::ShardStore probe;
     if (const auto err = probe.open(store_path); !err.ok()) {
-      std::cerr << "FAIL: cannot open shard directory: " << err.describe() << "\n";
+      std::cerr << "FAIL: cannot open store: " << err.describe() << "\n";
       return 1;
     }
     for (std::size_t s = 0; s < probe.shard_count(); ++s) {
       file_bytes += probe.info(s).file_size;
     }
-  } else {
-    std::ifstream in(store_path, std::ios::binary | std::ios::ate);
-    file_bytes = static_cast<std::uint64_t>(in.tellg());
   }
 
   // Rerun cost (paid per reanalysis): cold open + the whole-fleet AFR
-  // breakdown + a grouped full-scan query. Each repeat re-opens the file so
-  // header/footer validation, CRCs and time-column decoding are all counted;
-  // in sharded mode each repeat is a fresh ShardStore whose analysis crosses
-  // every shard (manifest parse + N lazy shard validations included).
+  // breakdown + a grouped full-scan query. Each repeat is a fresh ShardStore
+  // (a single file opens as one shard), so header/footer validation, CRCs
+  // and time-column decoding are all counted — in sharded mode the manifest
+  // parse and every shard's validation too.
   double rerun_seconds = 0.0;
   std::vector<core::AfrBreakdown> store_breakdown;
   store::QueryResult grouped;
   for (int r = 0; r < repeat; ++r) {
-    std::vector<core::AfrBreakdown> breakdown;
-    store::QueryResult result;
-    if (sharded) {
-      t0 = now_seconds();
-      store::ShardStore shards;
-      if (const auto err = shards.open(store_path); !err.ok()) {
-        std::cerr << "FAIL: cannot open shard directory: " << err.describe() << "\n";
-        return 1;
-      }
-      breakdown = core::afr_by_class(core::Source(shards));
-      store::Query query;
-      query.group_by = store::Query::GroupBy::kSystemClass;
-      if (const auto err = store::run_query(shards, query, &result); !err.ok()) {
-        std::cerr << "FAIL: sharded query: " << err.describe() << "\n";
-        return 1;
-      }
-    } else {
-      t0 = now_seconds();
-      store::EventStore es;
-      if (const auto err = es.open(store_path); !err.ok()) {
-        std::cerr << "FAIL: cannot open store: " << err.describe() << "\n";
-        return 1;
-      }
-      breakdown = core::afr_by_class(core::Source(es));
-      store::Query query;
-      query.group_by = store::Query::GroupBy::kSystemClass;
-      result = store::run_query(es, query);
+    t0 = now_seconds();
+    store::ShardStore shards;
+    store::Error err = shards.open(store_path);
+    if (err.ok()) err = shards.open_all();
+    if (!err.ok()) {
+      std::cerr << "FAIL: cannot open store: " << err.describe() << "\n";
+      return 1;
     }
+    std::vector<core::AfrBreakdown> breakdown = core::afr_by_class(core::Source(shards));
+    store::Query query;
+    query.group_by = store::Query::GroupBy::kSystemClass;
+    store::QueryResult result = store::run_query(shards, query);
     const double elapsed = now_seconds() - t0;
     if (r == 0 || elapsed < rerun_seconds) rerun_seconds = elapsed;
     if (r == 0) {

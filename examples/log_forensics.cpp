@@ -22,7 +22,7 @@
 #include "log/parser.h"
 #include "model/enums.h"
 #include "model/fleet.h"
-#include "store/reader.h"
+#include "store/shards.h"
 
 using namespace storsubsim;
 
@@ -40,20 +40,23 @@ log::EmittableFailure make_failure(double t, model::FailureType type, std::uint3
 }
 
 /// Forensics over an archived run: print the fleet-wide ledger summary
-/// straight from a mapped store file. Returns false if the file will not
-/// open (the caller falls back to the synthetic-log walkthrough).
+/// straight from a mapped store file or shard directory. Returns false if
+/// the store will not open (the caller falls back to the synthetic-log
+/// walkthrough).
 bool ledger_from_store(const char* path) {
-  store::EventStore es;
-  if (const auto err = es.open(path); !err.ok()) {
+  store::ShardStore shards;
+  store::Error err = shards.open(path);
+  if (err.ok()) err = shards.open_all();
+  if (!err.ok()) {
     std::cerr << "cannot open store " << path << ": " << err.describe()
               << "\nfalling back to the synthetic-log walkthrough\n\n";
     return false;
   }
-  std::cout << "Archived run from " << path << " (seed " << es.header().seed
-            << ", scale " << es.header().scale << "): " << es.event_count()
-            << " classified failures over " << es.header().disk_count
-            << " disk records.\n\nFirst ten entries of the recovered ledger:\n";
-  const auto dataset = core::dataset_from_store(es);
+  const auto& m = shards.manifest();
+  std::cout << "Archived run from " << path << " (seed " << m.seed << ", scale "
+            << m.scale << "): " << m.events << " classified failures over "
+            << m.disks_total << " disk records.\n\nFirst ten entries of the recovered ledger:\n";
+  const auto dataset = core::dataset_from_shards(shards);
   core::TextTable table({"detected at (s)", "disk", "failure type", "class"});
   std::size_t shown = 0;
   for (const auto& f : dataset.events()) {

@@ -27,7 +27,7 @@
 #include "core/store_bridge.h"
 #include "model/fleet_config.h"
 #include "sim/scenario.h"
-#include "store/reader.h"
+#include "store/shards.h"
 
 using namespace storsubsim;
 
@@ -68,14 +68,15 @@ void print_baseline(const std::vector<core::AfrBreakdown>& by_class, const char*
 /// otherwise simulate a reduced standard fleet as a stand-in.
 void fleet_baseline(int argc, char** argv) {
   if (argc > 1) {
-    store::EventStore es;
-    if (const auto err = es.open(argv[1]); err.ok()) {
-      print_baseline(core::afr_by_class(core::Source(es)), argv[1]);
+    store::ShardStore shards;
+    store::Error err = shards.open(argv[1]);
+    if (err.ok()) err = shards.open_all();
+    if (err.ok()) {
+      print_baseline(core::afr_by_class(core::Source(shards)), argv[1]);
       return;
-    } else {
-      std::cerr << "cannot open store " << argv[1] << ": " << err.describe()
-                << "\nfalling back to a simulated baseline\n";
     }
+    std::cerr << "cannot open store " << argv[1] << ": " << err.describe()
+              << "\nfalling back to a simulated baseline\n";
   }
   const auto run = core::simulate_and_analyze(model::standard_fleet_config(0.1, 20080226));
   print_baseline(core::afr_by_class(core::Source(run.dataset)), "simulated, --scale=0.1");

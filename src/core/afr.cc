@@ -21,24 +21,15 @@ AfrBreakdown accumulate(const Dataset& dataset, std::string label) {
   return b;
 }
 
-AfrBreakdown accumulate(const store::EventStore& store, std::string label) {
-  AfrBreakdown b;
-  b.label = std::move(label);
-  b.disk_years = store.exposure().total_disk_years;
-  for (const auto cls : model::kAllSystemClasses) {
-    for (const auto type : store.events(cls).type) ++b.events[type];
-  }
-  return b;
-}
-
 AfrBreakdown accumulate(const store::ShardStore& shards, std::string label) {
   AfrBreakdown b;
   b.label = std::move(label);
-  // Denominator from the MANIFEST's merged exposure table (bit-identical to
-  // the monolithic footer); event counts are integer sums over shards.
-  b.disk_years = shards.manifest().exposure.total_disk_years;
+  // Denominator from the store's exposure table (the merged MANIFEST table
+  // is bit-identical to the single-file footer); event counts are integer
+  // sums over shards.
+  b.disk_years = shards.exposure().total_disk_years;
   for (std::size_t i = 0; i < shards.shard_count(); ++i) {
-    const store::EventStore& store = shards.shard_checked(i);
+    const store::EventStore& store = shards.shard(i);
     for (const auto cls : model::kAllSystemClasses) {
       for (const auto type : store.events(cls).type) ++b.events[type];
     }
@@ -58,20 +49,8 @@ std::vector<AfrBreakdown> by_class(const Dataset& dataset) {
   return out;
 }
 
-std::vector<AfrBreakdown> by_class(const store::EventStore& store) {
-  std::vector<AfrBreakdown> out;
-  for (const auto cls : model::kAllSystemClasses) {
-    const std::size_t c = model::index_of(cls);
-    if (store.exposure().class_system_count[c] == 0) continue;  // empty cohort
-    out.push_back(compute_afr(store.events(cls),
-                              store.exposure().class_disk_years[c],
-                              std::string(model::to_string(cls))));
-  }
-  return out;
-}
-
 std::vector<AfrBreakdown> by_class(const store::ShardStore& shards) {
-  const store::ExposureTable& exposure = shards.manifest().exposure;
+  const store::ExposureTable& exposure = shards.exposure();
   std::vector<AfrBreakdown> out;
   for (const auto cls : model::kAllSystemClasses) {
     const std::size_t c = model::index_of(cls);
@@ -80,7 +59,7 @@ std::vector<AfrBreakdown> by_class(const store::ShardStore& shards) {
     b.label = std::string(model::to_string(cls));
     b.disk_years = exposure.class_disk_years[c];
     for (std::size_t i = 0; i < shards.shard_count(); ++i) {
-      for (const auto type : shards.shard_checked(i).events(cls).type) ++b.events[type];
+      for (const auto type : shards.shard(i).events(cls).type) ++b.events[type];
     }
     out.push_back(std::move(b));
   }
@@ -119,22 +98,11 @@ stats::Interval AfrBreakdown::afr_ci(FailureType type, double confidence) const 
 
 AfrBreakdown compute_afr(const Source& source, std::string label) {
   if (const Dataset* d = source.dataset()) return accumulate(*d, std::move(label));
-  if (const store::EventStore* s = source.store()) return accumulate(*s, std::move(label));
   return accumulate(*source.shards(), std::move(label));
-}
-
-AfrBreakdown compute_afr(const store::EventView& events, double disk_years,
-                         std::string label) {
-  AfrBreakdown b;
-  b.label = std::move(label);
-  b.disk_years = disk_years;
-  for (const auto type : events.type) ++b.events[type];
-  return b;
 }
 
 std::vector<AfrBreakdown> afr_by_class(const Source& source) {
   if (const Dataset* d = source.dataset()) return by_class(*d);
-  if (const store::EventStore* s = source.store()) return by_class(*s);
   return by_class(*source.shards());
 }
 

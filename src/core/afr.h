@@ -13,7 +13,6 @@
 #include "core/dataset.h"
 #include "core/source.h"
 #include "stats/intervals.h"
-#include "store/reader.h"
 
 namespace storsubsim::core {
 
@@ -43,11 +42,6 @@ AfrBreakdown compute_afr(const Source& source, std::string label = {});
 /// AFR broken down by system class (paper Figure 4). Classes with no
 /// systems are skipped identically on both backends.
 std::vector<AfrBreakdown> afr_by_class(const Source& source);
-
-/// AFR of one store event span with an explicit cohort denominator (the
-/// store-query aggregation path; no Dataset equivalent).
-AfrBreakdown compute_afr(const store::EventView& events, double disk_years,
-                         std::string label = {});
 
 // The pre-Source per-backend overloads (compute_afr(Dataset&), ...) were
 // retired in the AnalysisRequest redesign; pass any backend through the

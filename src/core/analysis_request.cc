@@ -1,7 +1,5 @@
 #include "core/analysis_request.h"
 
-#include <stdexcept>
-
 #include "core/analysis_render.h"
 #include "model/enums.h"
 #include "model/time.h"
@@ -120,24 +118,13 @@ RequestError AnalysisRequest::from_params(StatisticId statistic,
 
 store::Error run_source_query(const Source& source, const store::Query& query,
                               store::QueryResult* out) {
-  if (const store::EventStore* es = source.store()) {
-    *out = store::run_query(*es, query);
-    return store::Error{};
+  const store::ShardStore* shards = source.shards();
+  if (shards == nullptr) {
+    return store::make_error(store::ErrorCode::kBadValue,
+                             "query statistic needs a store-backed source", 0);
   }
-  if (const store::ShardStore* shards = source.shards()) {
-    // Drive QueryRun shard-at-a-time (lazy const opening) — the same scan
-    // run_query(ShardStore&) wraps, minus its non-const pin bookkeeping.
-    store::ScanScratch scratch;
-    store::QueryRun run(query, &scratch);
-    for (std::size_t i = 0; i < shards->shard_count(); ++i) {
-      if (store::Error err = shards->ensure_open(i); !err.ok()) return err;
-      run.scan(shards->shard(i));
-    }
-    *out = run.finish(shards->manifest().exposure);
-    return store::Error{};
-  }
-  return store::make_error(store::ErrorCode::kBadValue,
-                           "query statistic needs a store-backed source", 0);
+  *out = store::run_query(*shards, query);
+  return store::Error{};
 }
 
 std::string render_statistic(const Source& source, const AnalysisRequest& request) {
@@ -148,10 +135,9 @@ std::string render_statistic(const Source& source, const AnalysisRequest& reques
     case StatisticId::kCorrelation: return render_correlation(source, request.csv);
     case StatisticId::kLifetime: return render_lifetime(source, request.csv);
     case StatisticId::kQuery: {
-      store::QueryResult result;
-      if (const store::Error err = run_source_query(source, request.query, &result);
-          !err.ok()) {
-        throw std::runtime_error(err.describe());
+      store::QueryResult result;  // stays empty for a Dataset-backed source
+      if (const store::ShardStore* shards = source.shards()) {
+        result = store::run_query(*shards, request.query);
       }
       return render_query_result(result, request.csv);
     }

@@ -114,17 +114,17 @@ struct AnalysisRequest {
                                                 AnalysisRequest* out);
 };
 
-/// Runs a kQuery request's scan over a store-backed Source. Dataset-backed
-/// sources have no column scan to run and yield a typed error.
+/// Runs a kQuery request's scan over a store-backed Source (every shard open,
+/// per the Source precondition). Dataset-backed sources have no column scan
+/// to run and yield a typed error.
 [[nodiscard]] store::Error run_source_query(const Source& source,
                                             const store::Query& query,
                                             store::QueryResult* out);
 
 /// The single renderer entry point: the exact bytes `storsubsim analyze` /
 /// `store query` print and every storsimd endpoint returns, for any
-/// statistic. kQuery requests run their scan first (store-backed sources
-/// only) and throw std::runtime_error on a store error — callers needing
-/// typed errors or scan stats use run_source_query directly.
+/// statistic. kQuery requests run their scan first; over a Dataset-backed
+/// source, which has no columns to scan, they render the empty result.
 std::string render_statistic(const Source& source, const AnalysisRequest& request);
 
 }  // namespace storsubsim::core

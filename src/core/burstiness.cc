@@ -83,37 +83,16 @@ BurstinessResult gaps_of(const Dataset& dataset, Scope scope) {
   return pooled_gaps(std::move(events), scope);
 }
 
-BurstinessResult gaps_of(const store::EventStore& store, Scope scope) {
-  // The store's event columns already carry the shelf/RAID-group join, so
-  // bucketing needs no inventory lookups at all.
-  std::vector<ScopedEvent> events;
-  events.reserve(static_cast<std::size_t>(store.event_count()));
-  for (const auto cls : model::kAllSystemClasses) {
-    const store::EventView& view = store.events(cls);
-    for (std::size_t i = 0; i < view.size(); ++i) {
-      std::uint32_t scope_id;
-      if (scope == Scope::kShelf) {
-        scope_id = view.shelf[i];
-      } else {
-        if (!model::RaidGroupId(view.raid_group[i]).valid()) continue;
-        scope_id = view.raid_group[i];
-      }
-      events.push_back(ScopedEvent{view.time[i], scope_id, view.disk[i], view.type[i]});
-    }
-  }
-  return pooled_gaps(std::move(events), scope);
-}
-
 BurstinessResult gaps_of(const store::ShardStore& shards, Scope scope) {
-  // Same bucketing as the single-file path with each shard's local ids
-  // rebased through the MANIFEST bases. pooled_gaps re-sorts by (scope,
-  // time), and a scope never spans shards, so the shard-major collection
-  // order is immaterial.
+  // The store's event columns already carry the shelf/RAID-group join, so
+  // bucketing needs no inventory lookups; each shard's local ids are rebased
+  // through the manifest bases. pooled_gaps re-sorts by (scope, time), and a
+  // scope never spans shards, so the collection order is immaterial.
   std::vector<ScopedEvent> events;
   events.reserve(static_cast<std::size_t>(shards.manifest().events));
   for (const auto cls : model::kAllSystemClasses) {
     for (std::size_t s = 0; s < shards.shard_count(); ++s) {
-      const store::EventView& view = shards.shard_checked(s).events(cls);
+      const store::EventView& view = shards.shard(s).events(cls);
       for (std::size_t i = 0; i < view.size(); ++i) {
         std::uint32_t scope_id;
         if (scope == Scope::kShelf) {
@@ -137,7 +116,6 @@ BurstinessResult gaps_of(const store::ShardStore& shards, Scope scope) {
 
 BurstinessResult time_between_failures(const Source& source, Scope scope) {
   if (const Dataset* d = source.dataset()) return gaps_of(*d, scope);
-  if (const store::EventStore* s = source.store()) return gaps_of(*s, scope);
   return gaps_of(*source.shards(), scope);
 }
 

@@ -16,7 +16,6 @@
 #include "core/dataset.h"
 #include "core/source.h"
 #include "stats/ecdf.h"
-#include "store/reader.h"
 
 namespace storsubsim::core {
 
@@ -44,7 +43,7 @@ struct BurstinessResult {
 /// sources read the pre-joined scope columns straight from the mapped file.
 /// Both feed the same gap walk, so the pooled gaps are identical. Note a
 /// store-backed Source always covers the whole (unfiltered) cohort; for
-/// filtered cohorts, reconstruct a Dataset via core::dataset_from_store and
+/// filtered cohorts, reconstruct a Dataset via core::dataset_from_shards and
 /// filter it.
 BurstinessResult time_between_failures(const Source& source, Scope scope);
 

@@ -82,70 +82,18 @@ WindowCounts count_windows(const Dataset& dataset, Scope scope, model::FailureTy
   return wc;
 }
 
-/// Store-backed twin of count_windows: same (scope, window) cells, fed from
-/// the mapped columns. Every accumulation is an integer tally into an
-/// ordered map, so the two paths cannot diverge.
-WindowCounts count_windows(const store::EventStore& store, Scope scope,
-                           model::FailureType type, double window_seconds) {
-  WindowCounts wc;
-  const double horizon = store.header().horizon_seconds;
-  const auto deploy = store.topology(store::ColumnId::kSysDeploy)->as_f64();
-
-  auto windows_for_system = [&](std::uint32_t sys) -> std::size_t {
-    const double observed = horizon - deploy[sys];
-    return observed >= window_seconds
-               ? static_cast<std::size_t>(std::floor(observed / window_seconds))
-               : 0;
-  };
-
-  const auto scope_systems =
-      scope == Scope::kShelf
-          ? store.topology(store::ColumnId::kShelfSystem)->as_u32()
-          : store.topology(store::ColumnId::kRgSystem)->as_u32();
-  std::vector<std::size_t> scope_windows(scope_systems.size(), 0);
-  for (std::size_t i = 0; i < scope_systems.size(); ++i) {
-    scope_windows[i] = windows_for_system(scope_systems[i]);
-  }
-  for (const auto w : scope_windows) wc.windows_observed += w;
-
-  const auto wanted = static_cast<std::uint8_t>(model::index_of(type));
-  for (const auto cls : model::kAllSystemClasses) {
-    const store::EventView& view = store.events(cls);
-    for (std::size_t i = 0; i < view.size(); ++i) {
-      if (view.type[i] != wanted) continue;
-      std::uint32_t scope_id;
-      if (scope == Scope::kShelf) {
-        scope_id = view.shelf[i];
-      } else {
-        if (!model::RaidGroupId(view.raid_group[i]).valid()) continue;
-        scope_id = view.raid_group[i];
-      }
-      const double offset = view.time[i] - deploy[view.system[i]];
-      if (offset < 0.0) continue;
-      const auto window = static_cast<std::size_t>(std::floor(offset / window_seconds));
-      if (window >= scope_windows[scope_id]) continue;  // partial trailing window
-      ++wc.counts[(static_cast<std::uint64_t>(scope_id) << 20u) | window];
-    }
-  }
-
-  for (const auto& [_, n] : wc.counts) {
-    if (wc.histogram.size() <= n) wc.histogram.resize(n + 1, 0);
-    ++wc.histogram[n];
-  }
-  return wc;
-}
-
-/// Shard-directory twin: per-shard tallies with scope ids rebased into the
+/// Store-backed twin of count_windows: the same (scope, window) cells fed
+/// from the mapped columns, per shard, with scope ids rebased into the
 /// global key space. A scope (shelf or RAID group) belongs to exactly one
-/// shard, so the per-shard (scope, window) cells are disjoint and merging
-/// is plain map insertion; windows_observed is an integer sum. The merged
-/// counts are therefore exactly the monolithic store's counts.
+/// shard, so the per-shard cells are disjoint and merging is plain map
+/// insertion; windows_observed is an integer sum. Every accumulation is an
+/// integer tally into an ordered map, so the two paths cannot diverge.
 WindowCounts count_windows(const store::ShardStore& shards, Scope scope,
                            model::FailureType type, double window_seconds) {
   WindowCounts wc;
   const auto wanted = static_cast<std::uint8_t>(model::index_of(type));
   for (std::size_t s = 0; s < shards.shard_count(); ++s) {
-    const store::EventStore& store = shards.shard_checked(s);
+    const store::EventStore& store = shards.shard(s);
     const double horizon = store.header().horizon_seconds;
     const auto deploy = store.topology(store::ColumnId::kSysDeploy)->as_f64();
 
@@ -251,9 +199,7 @@ CorrelationResult failure_correlation(const Source& source, Scope scope,
   const WindowCounts wc =
       source.dataset() != nullptr
           ? count_windows(*source.dataset(), scope, type, window_seconds)
-          : (source.store() != nullptr
-                 ? count_windows(*source.store(), scope, type, window_seconds)
-                 : count_windows(*source.shards(), scope, type, window_seconds));
+          : count_windows(*source.shards(), scope, type, window_seconds);
   return result_from_counts(wc, scope, type, window_seconds);
 }
 

@@ -58,45 +58,17 @@ LifetimeReport report_from_observations(
   return report;
 }
 
-std::vector<stats::SurvivalObservation> observations_of(const store::EventStore& store) {
-  std::unordered_set<std::uint32_t> failed;
-  for (const auto cls : model::kAllSystemClasses) {
-    const store::EventView& view = store.events(cls);
-    for (std::size_t i = 0; i < view.size(); ++i) {
-      if (view.type[i] == static_cast<std::uint8_t>(model::FailureType::kDisk)) {
-        failed.insert(view.disk[i]);
-      }
-    }
-  }
-
-  const double horizon = store.header().horizon_seconds;
-  const auto install = store.topology(store::ColumnId::kDiskInstall)->as_f64();
-  const auto remove = store.topology(store::ColumnId::kDiskRemove)->as_f64();
-  std::vector<stats::SurvivalObservation> out;
-  out.reserve(install.size());
-  for (std::size_t i = 0; i < install.size(); ++i) {
-    const double start = std::max(0.0, install[i]);
-    const double end = std::min(horizon, remove[i]);
-    if (end <= start) continue;  // never observed inside the window
-    stats::SurvivalObservation obs;
-    obs.duration = end - start;
-    obs.event =
-        failed.contains(static_cast<std::uint32_t>(i)) && remove[i] <= horizon;
-    out.push_back(obs);
-  }
-  return out;
-}
-
 std::vector<stats::SurvivalObservation> observations_of(const store::ShardStore& shards) {
   // The monolithic disk order is [every shard's initial disks, in shard
   // order] then [every shard's replacement disks, in shard order]
   // (docs/STORE.md), so two shard-major passes — initial rows first, then
   // replacement rows — reproduce the single-file observation sequence
-  // exactly. Events reference shard-local disk ids, so each shard gets its
+  // exactly (a single file counts every disk as initial, so its second pass
+  // is empty). Events reference shard-local disk ids, so each shard gets its
   // own failed-disk set.
   std::vector<std::unordered_set<std::uint32_t>> failed(shards.shard_count());
   for (std::size_t s = 0; s < shards.shard_count(); ++s) {
-    const store::EventStore& store = shards.shard_checked(s);
+    const store::EventStore& store = shards.shard(s);
     for (const auto cls : model::kAllSystemClasses) {
       const store::EventView& view = store.events(cls);
       for (std::size_t i = 0; i < view.size(); ++i) {
@@ -137,7 +109,6 @@ std::vector<stats::SurvivalObservation> observations_of(const store::ShardStore&
 
 std::vector<stats::SurvivalObservation> disk_lifetime_observations(const Source& source) {
   if (const Dataset* d = source.dataset()) return observations_of(*d);
-  if (const store::EventStore* s = source.store()) return observations_of(*s);
   return observations_of(*source.shards());
 }
 

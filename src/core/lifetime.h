@@ -13,7 +13,6 @@
 #include "core/dataset.h"
 #include "core/source.h"
 #include "stats/survival.h"
-#include "store/reader.h"
 
 namespace storsubsim::core {
 

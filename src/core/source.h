@@ -1,20 +1,23 @@
 // core::Source — the unified input façade for the analysis API.
 //
-// The analysis layer historically forked into parallel overloads: one taking
-// the in-memory Dataset (simulate -> emit -> parse -> classify), one taking
-// the mmap'd columnar store::EventStore. Every new statistic had to be
-// written twice. Source collapses the fork: it is a non-owning variant over
-// the backends, implicitly constructible from any of them, so a single
-// `compute_afr(const Source&)`-style entry point serves all — and the code
-// paths are pinned bit-identical by the Source equivalence suite
+// Source is a non-owning variant over the two data shapes the analyses
+// accept: the in-memory Dataset (simulate -> emit -> parse -> classify) and
+// a store::ShardStore — a shard directory or a single STORCOL1 file opened
+// as one shard (docs/STORE.md). It is implicitly constructible from either,
+// so a single `compute_afr(const Source&)`-style entry point serves both,
+// and each analysis is written once per data shape. The two paths are
+// pinned bit-identical by the Source equivalence suite
 // (tests/core/source_test.cc).
 //
-// The third backend is a store::ShardStore — a sharded store directory
-// (docs/STORE.md). Analyses over it rebase each shard's local ids through
-// the MANIFEST's prefix-sum bases and reproduce the monolithic accumulation
-// order, so results are byte-identical to the single-file store. Shards are
-// faulted in lazily; wrap with open_all() first if a typed open error must
-// be surfaced (the lazy path throws std::runtime_error on a corrupt shard).
+// Analyses over a ShardStore rebase each shard's local ids through the
+// manifest's prefix-sum bases (identity for a single file) and reproduce
+// the single-file accumulation order, so results are byte-identical however
+// the store is split.
+//
+// Precondition: a Source over a ShardStore has every shard open. Analyses
+// read shard(i) directly and have no error channel. Every in-tree entry
+// point establishes this: the CLI calls open_all(), storsimd pins every
+// shard (ShardLru::pin_all), and opening a single file validates it eagerly.
 //
 // Ownership: Source borrows. The referenced backend must outlive the
 // Source; construction from temporaries is deleted to make the obvious
@@ -25,7 +28,6 @@
 #include <variant>
 
 #include "core/dataset.h"
-#include "store/reader.h"
 #include "store/shards.h"
 
 namespace storsubsim::core {
@@ -35,15 +37,9 @@ class Source {
   // Implicit by design: call sites read compute_afr(dataset) and
   // compute_afr(store), not compute_afr(Source(dataset)).
   Source(const Dataset& dataset) noexcept : ref_(&dataset) {}          // NOLINT
-  Source(const store::EventStore& store) noexcept : ref_(&store) {}    // NOLINT
   Source(const store::ShardStore& shards) noexcept : ref_(&shards) {}  // NOLINT
   Source(Dataset&&) = delete;
-  Source(store::EventStore&&) = delete;
   Source(store::ShardStore&&) = delete;
-
-  bool is_store() const noexcept {
-    return std::holds_alternative<const store::EventStore*>(ref_);
-  }
 
   /// The dataset backend, or nullptr otherwise.
   const Dataset* dataset() const noexcept {
@@ -51,29 +47,14 @@ class Source {
     return d != nullptr ? *d : nullptr;
   }
 
-  /// The single-file store backend, or nullptr otherwise.
-  const store::EventStore* store() const noexcept {
-    const auto* const* s = std::get_if<const store::EventStore*>(&ref_);
-    return s != nullptr ? *s : nullptr;
-  }
-
-  /// The shard-directory backend, or nullptr otherwise.
+  /// The store backend, or nullptr otherwise.
   const store::ShardStore* shards() const noexcept {
     const auto* const* s = std::get_if<const store::ShardStore*>(&ref_);
     return s != nullptr ? *s : nullptr;
   }
 
-  /// Dispatches to exactly one of the callables; all must return the same
-  /// type. The workhorse of the single-entry-point analysis functions.
-  template <typename DatasetFn, typename StoreFn, typename ShardsFn>
-  auto visit(DatasetFn&& on_dataset, StoreFn&& on_store, ShardsFn&& on_shards) const {
-    if (const Dataset* d = dataset()) return on_dataset(*d);
-    if (const store::EventStore* s = store()) return on_store(*s);
-    return on_shards(*shards());
-  }
-
  private:
-  std::variant<const Dataset*, const store::EventStore*, const store::ShardStore*> ref_;
+  std::variant<const Dataset*, const store::ShardStore*> ref_;
 };
 
 }  // namespace storsubsim::core

@@ -62,35 +62,6 @@ store::Error write_store(const std::string& path, const SimulationDataset& run,
   return store::write_store_file(path, contents);
 }
 
-Dataset dataset_from_store(const store::EventStore& store) {
-  std::vector<FailureEvent> events;
-  events.reserve(static_cast<std::size_t>(store.event_count()));
-  for (const auto cls : model::kAllSystemClasses) {
-    const store::EventView& view = store.events(cls);
-    for (std::size_t i = 0; i < view.size(); ++i) {
-      events.push_back(FailureEvent{view.time[i], model::DiskId(view.disk[i]),
-                                    model::SystemId(view.system[i]),
-                                    static_cast<model::FailureType>(view.type[i])});
-    }
-  }
-  // Restore the canonical global order across the four class shards (each
-  // shard is already (time, disk, type)-sorted internally).
-  std::sort(events.begin(), events.end(),
-            [](const FailureEvent& a, const FailureEvent& b) {
-              if (a.time != b.time) return a.time < b.time;
-              if (a.disk != b.disk) return a.disk < b.disk;
-              return static_cast<int>(a.type) < static_cast<int>(b.type);
-            });
-  return Dataset(std::make_shared<log::Inventory>(store.rebuild_inventory()),
-                 std::move(events));
-}
-
-SimulationDataset simulation_dataset_from_store(const store::EventStore& store) {
-  return SimulationDataset{dataset_from_store(store),
-                           sim_counters_from_meta(store.meta()),
-                           pipeline_stats_from_meta(store.meta())};
-}
-
 Dataset dataset_from_shards(const store::ShardStore& shards) {
   const store::ShardManifest& manifest = shards.manifest();
 
@@ -100,7 +71,7 @@ Dataset dataset_from_shards(const store::ShardStore& shards) {
   std::vector<log::Inventory> local;
   local.reserve(shards.shard_count());
   for (std::size_t s = 0; s < shards.shard_count(); ++s) {
-    local.push_back(shards.shard_checked(s).rebuild_inventory());
+    local.push_back(shards.shard(s).rebuild_inventory());
   }
 
   log::Inventory inv;
@@ -178,8 +149,9 @@ Dataset dataset_from_shards(const store::ShardStore& shards) {
       }
     }
   }
-  // Same canonical re-sort as dataset_from_store: global ids make the
-  // (time, disk, type) key identical to the monolithic one.
+  // Restore the canonical global order across shards and class shards
+  // (each is already (time, disk, type)-sorted internally); global ids make
+  // the key identical to the monolithic one.
   std::sort(events.begin(), events.end(),
             [](const FailureEvent& a, const FailureEvent& b) {
               if (a.time != b.time) return a.time < b.time;
@@ -191,8 +163,8 @@ Dataset dataset_from_shards(const store::ShardStore& shards) {
 
 SimulationDataset simulation_dataset_from_shards(const store::ShardStore& shards) {
   return SimulationDataset{dataset_from_shards(shards),
-                           sim_counters_from_meta(shards.manifest().meta),
-                           pipeline_stats_from_meta(shards.manifest().meta)};
+                           sim_counters_from_meta(shards.meta()),
+                           pipeline_stats_from_meta(shards.meta())};
 }
 
 }  // namespace storsubsim::core

@@ -5,7 +5,7 @@
 // meta block is plain integers. This header owns the two-way mapping:
 // a completed SimulationDataset (events + inventory + counters) is written
 // out with write_store, and a store file is rehydrated into the *exact*
-// Dataset the pipeline would have produced with dataset_from_store — same
+// Dataset the pipeline would have produced with dataset_from_shards — same
 // event bytes, same inventory, same FP results from every analysis.
 #pragma once
 
@@ -13,7 +13,6 @@
 #include <string>
 
 #include "core/pipeline.h"
-#include "store/reader.h"
 #include "store/shards.h"
 #include "store/writer.h"
 
@@ -33,27 +32,20 @@ PipelineStats pipeline_stats_from_meta(const store::StoreMeta& meta);
 [[nodiscard]] store::Error write_store(const std::string& path, const SimulationDataset& run,
                          std::uint64_t seed, double scale);
 
-/// Rebuilds the exact in-memory Dataset from an opened store: events arrive
-/// in the canonical (time, disk, type) order the classifier produces, so the
-/// Dataset constructor yields bit-identical state to the pipeline path.
-Dataset dataset_from_store(const store::EventStore& store);
-
-/// Dataset plus the original run's counters from the meta block. Stage
-/// timings are zero — nothing was simulated.
-SimulationDataset simulation_dataset_from_store(const store::EventStore& store);
-
-/// Rebuilds the monolithic Dataset from a shard directory: every shard's
-/// local ids are rebased through the MANIFEST bases and the inventory is
+/// Rebuilds the exact in-memory Dataset the pipeline produced from an opened
+/// store (a shard directory, or a single file as one shard): every shard's
+/// local ids are rebased through the manifest bases and the inventory is
 /// stitched in the global order (systems/shelves/RAID groups shard-major;
 /// disks as initial blocks shard-major, then replacement blocks
-/// shard-major), so the result is bit-identical to dataset_from_store on
-/// the equivalent single-file store. This materializes the whole fleet —
+/// shard-major), and events are re-sorted into the canonical (time, disk,
+/// type) order the classifier produces — so every analysis over the result
+/// is bit-identical to the pipeline's. This materializes the whole fleet —
 /// reach for the streaming Source(ShardStore) analyses when the fleet is
-/// too large. Requires/forces all shards open (throws on a corrupt shard).
+/// too large. Requires every shard open (open_all).
 Dataset dataset_from_shards(const store::ShardStore& shards);
 
-/// Dataset plus the original run's counters from the MANIFEST's summed
-/// meta block.
+/// Dataset plus the original run's counters from the store's meta block.
+/// Stage timings are zero — nothing was simulated.
 SimulationDataset simulation_dataset_from_shards(const store::ShardStore& shards);
 
 }  // namespace storsubsim::core

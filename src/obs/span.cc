@@ -9,9 +9,9 @@ namespace storsubsim::obs {
 namespace {
 
 double read_clock() noexcept {
-  // The project's only wall-clock read: every timer (spans, StageTimer,
-  // bench harness deltas) funnels through here, keeping the "timings are
-  // outputs, never inputs" rule auditable at a single site.
+  // The project's only wall-clock read: every timer (spans, bench harness
+  // deltas) funnels through here, keeping the "timings are outputs, never
+  // inputs" rule auditable at a single site.
   // storsim-lint: allow(nondeterminism) reason=observability-only span timing; values are reported, never fed back into simulation or analysis
   const auto now = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(now.time_since_epoch()).count();

@@ -1,4 +1,4 @@
-// Scoped spans: the project's timing primitive, subsuming util::StageTimer.
+// Scoped spans: the project's timing primitive.
 //
 // Every wall-clock read in the tree funnels through obs::now_seconds() — one
 // steady-clock site, one storsim-lint allow(nondeterminism) annotation, one

@@ -1,11 +1,8 @@
 #include "serve/daemon.h"
 
-#include <algorithm>
-#include <array>
 #include <cerrno>
 #include <condition_variable>
 #include <cstring>
-#include <fstream>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -26,27 +23,6 @@ namespace {
 /// Seconds a blocked mid-frame read waits before the connection is treated
 /// as dead (SO_RCVTIMEO backstop — the poll loop handles the idle case).
 constexpr long kReadTimeoutSeconds = 30;
-
-bool is_store_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::array<char, store::kMagic.size()> head{};
-  in.read(head.data(), static_cast<std::streamsize>(head.size()));
-  return in.gcount() == static_cast<std::streamsize>(head.size()) &&
-         std::equal(head.begin(), head.end(), store::kMagic.begin());
-}
-
-bool is_shard_dir(const std::string& path) {
-  std::string manifest_path(path);
-  manifest_path.push_back('/');
-  manifest_path.append(store::kManifestFileName);
-  std::ifstream in(manifest_path, std::ios::binary);
-  if (!in) return false;
-  std::string head(store::kManifestMagic.size(), '\0');
-  in.read(head.data(), static_cast<std::streamsize>(head.size()));
-  return in.gcount() == static_cast<std::streamsize>(head.size()) &&
-         head == store::kManifestMagic;
-}
 
 [[nodiscard]] store::Error errno_error(std::string_view what) {
   std::string detail(what);
@@ -120,24 +96,16 @@ void Daemon::close_fds() noexcept {
 store::Error Daemon::start(const ServeOptions& options) {
   options_ = options;
 
-  if (is_shard_dir(options.input)) {
-    sharded_ = true;
-    if (store::Error err = shard_store_.open(options.input); !err.ok()) return err;
-    lru_ = std::make_unique<ShardLru>(&shard_store_, options.max_open_shards);
-    // Validate every shard up front — a corrupt shard must fail start(),
-    // not some query hours later. The LRU evicts as it goes, so peak
-    // memory during validation respects the cap.
-    for (std::size_t i = 0; i < shard_store_.shard_count(); ++i) {
-      if (store::Error err = lru_->pin(i); !err.ok()) return err;
-      lru_->unpin(i);
-    }
-  } else if (is_store_file(options.input)) {
-    if (store::Error err = event_store_.open(options.input); !err.ok()) return err;
-  } else {
-    std::string detail("input ");
-    detail.append(options.input)
-        .append(" is neither a STORCOL1 store nor a shard directory");
-    return store::make_error(store::ErrorCode::kBadMagic, detail, 0);
+  // A single store file opens as a one-shard store, so both input shapes
+  // share one backend; a path that is neither yields kBadMagic.
+  if (store::Error err = store_.open(options.input); !err.ok()) return err;
+  lru_ = std::make_unique<ShardLru>(&store_, options.max_open_shards);
+  // Validate every shard up front — a corrupt shard must fail start(),
+  // not some query hours later. The LRU evicts as it goes, so peak
+  // memory during validation respects the cap.
+  for (std::size_t i = 0; i < store_.shard_count(); ++i) {
+    if (store::Error err = lru_->pin(i); !err.ok()) return err;
+    lru_->unpin(i);
   }
 
   if (!options.replicates.empty()) {
@@ -373,17 +341,13 @@ std::string Daemon::run_analysis(const Request& request) {
     return render_error_response(err.code, err.message);
   }
 
-  if (!sharded_) {
-    const core::Source source(event_store_);
-    return render_ok_response(request.endpoint, core::render_statistic(source, analysis));
-  }
-  // Whole-fleet analyses touch every shard; pin them all so the analysis
-  // code's lazy shard access can never race an eviction.
+  // Whole-fleet analyses read every shard; pin them all so the Source
+  // precondition (every shard open) holds and no eviction can race a read.
   if (store::Error err = lru_->pin_all(); !err.ok()) {
     return render_error_response("store-error", err.describe());
   }
   PinAllGuard guard{lru_.get()};
-  const core::Source source(shard_store_);
+  const core::Source source(store_);
   return render_ok_response(request.endpoint, core::render_statistic(source, analysis));
 }
 
@@ -403,23 +367,17 @@ std::string Daemon::run_store_query(const Request& request) {
   }
   auto scratch = scratch_pool_.acquire();
   store::QueryRun run(query, scratch.get());
-  store::QueryResult result;
-  if (sharded_) {
-    // Shard-at-a-time, pinned only while scanned: a query over a huge
-    // fleet stays inside the --max-open-shards budget.
-    for (std::size_t i = 0; i < shard_store_.shard_count(); ++i) {
-      if (store::Error err = lru_->pin(i); !err.ok()) {
-        scratch_pool_.release(std::move(scratch));
-        return render_error_response("store-error", err.describe());
-      }
-      run.scan(shard_store_.shard(i));
-      lru_->unpin(i);
+  // Shard-at-a-time, pinned only while scanned: a query over a huge fleet
+  // stays inside the --max-open-shards budget.
+  for (std::size_t i = 0; i < store_.shard_count(); ++i) {
+    if (store::Error err = lru_->pin(i); !err.ok()) {
+      scratch_pool_.release(std::move(scratch));
+      return render_error_response("store-error", err.describe());
     }
-    result = run.finish(shard_store_.manifest().exposure);
-  } else {
-    run.scan(event_store_);
-    result = run.finish(event_store_.exposure());
+    run.scan(store_.shard(i));
+    lru_->unpin(i);
   }
+  const store::QueryResult result = run.finish(store_.exposure());
   scratch_pool_.release(std::move(scratch));
   return render_ok_response(request.endpoint,
                             core::render_query_result(result, request.csv));

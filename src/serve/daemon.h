@@ -1,8 +1,9 @@
 // storsimd: the long-lived query daemon behind `storsubsim serve`.
 //
-// One Daemon owns one read-only input — a monolithic STORCOL1 store or a
-// STORSHARD1 shard directory — mapped and validated once at start(), and a
-// unix-domain stream socket accepting any number of concurrent clients.
+// One Daemon owns one read-only input — a store::ShardStore opened from a
+// STORSHARD1 shard directory or a single STORCOL1 file (one shard) — mapped
+// and validated once at start(), and a unix-domain stream socket accepting
+// any number of concurrent clients.
 // Each connection gets a thread that reads length-prefixed frames
 // (serve/protocol.h); request bodies execute on the daemon's util
 // thread pool and render through core/analysis_render.h, so every answer
@@ -30,7 +31,6 @@
 #include "replicate/replicate.h"
 #include "serve/protocol.h"
 #include "serve/shard_lru.h"
-#include "store/reader.h"
 #include "store/shards.h"
 #include "util/parallel.h"
 
@@ -84,8 +84,9 @@ class Daemon {
   /// byte here is equivalent to request_drain().
   int drain_signal_fd() const noexcept { return drain_write_fd_; }
 
-  bool sharded() const noexcept { return sharded_; }
-  /// Non-null after start() on a shard directory (test introspection).
+  /// True when the input is split over more than one shard.
+  bool sharded() const noexcept { return store_.shard_count() > 1; }
+  /// Non-null after a successful start() (test introspection).
   const ShardLru* lru() const noexcept { return lru_.get(); }
 
   /// Computes the response body for one request body (exposed for the
@@ -101,9 +102,7 @@ class Daemon {
   std::string run_replicate_summary(const Request& request);
 
   ServeOptions options_;
-  bool sharded_ = false;
-  store::EventStore event_store_;
-  store::ShardStore shard_store_;
+  store::ShardStore store_;  ///< the input; a single file is one shard
   replicate::ReplicateSummary replicate_summary_;
   bool have_replicates_ = false;
   std::unique_ptr<ShardLru> lru_;

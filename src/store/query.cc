@@ -260,19 +260,12 @@ QueryResult run_query(const EventStore& store, const Query& query) {
   return run.finish(store.exposure());
 }
 
-Error run_query(ShardStore& store, const Query& query, QueryResult* result) {
-  obs::Span span("store.query_shards");
+QueryResult run_query(const ShardStore& store, const Query& query) {
+  obs::Span span("store.query");
   ScanScratch scratch;
   QueryRun run(query, &scratch);
-  // One shard at a time: lazy open (mmap + validation on first touch), then
-  // the identical block-pruned scan. Counts are integers, so shard order
-  // cannot affect the totals.
-  for (std::size_t i = 0; i < store.shard_count(); ++i) {
-    if (Error err = store.ensure_open(i); !err.ok()) return err;
-    run.scan(store.shard(i));
-  }
-  *result = run.finish(store.manifest().exposure);
-  return Error{};
+  for (std::size_t i = 0; i < store.shard_count(); ++i) run.scan(store.shard(i));
+  return run.finish(store.exposure());
 }
 
 }  // namespace storsubsim::store

@@ -1,4 +1,4 @@
-// Declarative queries over an opened EventStore.
+// Declarative queries over an opened EventStore or ShardStore.
 //
 // A Query is the store-side analogue of core::Filter plus a group-by: select
 // events by failure type / system class / disk family / detection-time
@@ -121,13 +121,12 @@ class QueryRun {
 
 QueryResult run_query(const EventStore& store, const Query& query);
 
-/// The same query over a shard directory. Shards are opened lazily, one at
-/// a time, and scanned with the same block-pruned loop; the per-group
-/// counts are integer sums over shards (exact regardless of order) and the
-/// rates come from the MANIFEST's merged exposure table, so the result is
+/// The same query over an opened ShardStore (a shard directory, or a single
+/// file as one shard), every shard of which is open (open_all). The
+/// per-group counts are integer sums over shards (exact regardless of order)
+/// and the rates come from the store's exposure table, so the result is
 /// byte-identical to running the query against the equivalent single-file
-/// store. Non-const because shards may need to be opened; a shard that
-/// fails validation on first touch surfaces as the returned Error.
-[[nodiscard]] Error run_query(ShardStore& store, const Query& query, QueryResult* result);
+/// EventStore.
+QueryResult run_query(const ShardStore& store, const Query& query);
 
 }  // namespace storsubsim::store

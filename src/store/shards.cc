@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cstdio>
-#include <stdexcept>
 #include <utility>
 
 #include "model/enums.h"
@@ -645,8 +644,78 @@ Error merge_shard_tables(const std::string& dir, std::vector<ShardInfo>* shards,
   return Error{};
 }
 
-Error ShardStore::open(const std::string& dir) {
+StoreShape store_shape(const std::string& path) {
+  const auto starts_with = [](const std::string& file, std::string_view magic) {
+    std::FILE* f = std::fopen(file.c_str(), "rb");
+    if (f == nullptr) return false;
+    std::array<char, 16> head{};
+    const std::size_t got = std::fread(head.data(), 1, magic.size(), f);
+    std::fclose(f);
+    return got == magic.size() && std::string_view(head.data(), got) == magic;
+  };
+  if (starts_with(path, std::string_view(kMagic.data(), kMagic.size()))) {
+    return StoreShape::kFile;
+  }
+  if (starts_with(shard_path(path, std::string(kManifestFileName)), kManifestMagic)) {
+    return StoreShape::kShardDir;
+  }
+  return StoreShape::kNone;
+}
+
+Error ShardStore::open(const std::string& path) {
   obs::Span span("store.shards.open");
+  switch (store_shape(path)) {
+    case StoreShape::kFile: return open_file(path);
+    case StoreShape::kShardDir: return open_directory(path);
+    case StoreShape::kNone: break;
+  }
+  std::string detail("input ");
+  detail.append(path).append(" is neither a STORCOL1 store nor a shard directory");
+  return make_error(ErrorCode::kBadMagic, detail, 0);
+}
+
+Error ShardStore::open_file(const std::string& path) {
+  // One mmap + full validation; the file then serves as shard 0 for the
+  // life of the store (release_shard/open_shard remap it by path).
+  auto store = std::make_unique<EventStore>();
+  if (Error err = store->open(path); !err.ok()) return err;
+  const Header& h = store->header();
+
+  const std::size_t slash = path.rfind('/');
+  dir_ = slash == std::string::npos ? std::string(".") : path.substr(0, slash + 1);
+  ShardInfo info;
+  info.file = slash == std::string::npos ? path : path.substr(slash + 1);
+  info.file_size = h.file_size;
+  std::string header_bytes;
+  append_header(header_bytes, h);
+  info.header_crc = crc32(header_bytes.data(), header_bytes.size());
+  info.sys_end = info.systems = h.system_count;
+  info.shelves = h.shelf_count;
+  info.raid_groups = h.raid_group_count;
+  // Replacement disks sit after the initial ones in one file, so calling
+  // every record initial keeps the global disk id equal to the local one.
+  info.disks_initial = info.disks_total = h.disk_count;
+  info.events = h.event_count;
+
+  manifest_ = ShardManifest{};
+  manifest_.seed = h.seed;
+  manifest_.scale = h.scale;
+  manifest_.horizon_seconds = h.horizon_seconds;
+  manifest_.systems = h.system_count;
+  manifest_.shelves = h.shelf_count;
+  manifest_.disks_initial = manifest_.disks_total = h.disk_count;
+  manifest_.raid_groups = h.raid_group_count;
+  manifest_.events = h.event_count;
+  manifest_.meta = store->meta();
+  manifest_.exposure = store->exposure();
+  manifest_.shards.push_back(std::move(info));
+
+  shards_.clear();
+  shards_.push_back(std::move(store));
+  return Error{};
+}
+
+Error ShardStore::open_directory(const std::string& dir) {
   dir_ = dir;
   std::string text;
   if (Error err = read_file(shard_path(dir, std::string(kManifestFileName)), &text);
@@ -721,14 +790,6 @@ Error ShardStore::open_all() const {
     if (Error err = ensure_open(i); !err.ok()) return err;
   }
   return Error{};
-}
-
-const EventStore& ShardStore::shard_checked(std::size_t i) const {
-  // ensure_open already names the failing shard's path in the error detail.
-  if (Error err = ensure_open(i); !err.ok()) {
-    throw std::runtime_error(err.describe());
-  }
-  return *shards_[i];
 }
 
 }  // namespace storsubsim::store

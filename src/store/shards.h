@@ -22,6 +22,10 @@
 //                        + (L - disks_initial)
 //
 // while systems/shelves/raid groups globalize by plain base offsets.
+//
+// A single STORCOL1 file opens as a one-shard ShardStore with every base at
+// zero, so the analyses above the store layer have exactly one store
+// backend.
 #pragma once
 
 #include <cstdint>
@@ -105,11 +109,25 @@ std::string render_manifest(const ShardManifest& manifest);
                          double horizon_seconds, ExposureTable* exposure,
                          StoreMeta* meta);
 
-/// An opened shard directory. open() validates the MANIFEST and cheaply
-/// cross-checks every shard file (existence, size, header CRC and header
-/// fields against the manifest entry); the expensive full-file validation
-/// happens per shard on first access (lazy mmap) or all at once via
-/// open_all().
+/// What a path holds, judged by magic bytes alone: a STORCOL1 file, a shard
+/// directory whose MANIFEST starts with STORSHARD1, or neither. Reads a few
+/// bytes and maps nothing — the one place the tree recognises a store.
+enum class StoreShape : std::uint8_t { kNone, kFile, kShardDir };
+StoreShape store_shape(const std::string& path);
+
+/// An opened store: a shard directory, or a single STORCOL1 file held as a
+/// one-shard store.
+///
+/// For a directory, open() validates the MANIFEST and cheaply cross-checks
+/// every shard file (existence, size, header CRC and header fields against
+/// the manifest entry); the expensive full-file validation happens per shard
+/// on first access (lazy mmap) or all at once via open_all().
+///
+/// For a single file, open() maps and fully validates it once, holds it as
+/// shard 0, and fills a one-entry manifest from its header and footer
+/// (exposure table, meta, counts) with disks_initial = disks_total and every
+/// base at zero — so each global_* is the identity and the analyses'
+/// replacement-disk passes are empty.
 class ShardStore {
  public:
   ShardStore() = default;
@@ -120,16 +138,20 @@ class ShardStore {
   ShardStore(ShardStore&&) = delete;
   ShardStore& operator=(ShardStore&&) = delete;
 
-  /// Reads dir/MANIFEST and cross-checks the shard files. No shard is fully
-  /// opened yet.
-  [[nodiscard]] Error open(const std::string& dir);
+  /// Opens a shard directory (MANIFEST read, shard files cross-checked, no
+  /// shard fully opened yet) or a single store file (fully validated now).
+  /// A path that is neither yields kBadMagic.
+  [[nodiscard]] Error open(const std::string& path);
 
   /// Opens and fully validates every shard now (analysis paths that will
   /// touch all shards anyway).
   [[nodiscard]] Error open_all() const;
 
-  const std::string& directory() const noexcept { return dir_; }
   const ShardManifest& manifest() const noexcept { return manifest_; }
+  /// The whole store's exposure table and meta counters (merged for a
+  /// directory; the footer's own for a single file).
+  const ExposureTable& exposure() const noexcept { return manifest_.exposure; }
+  const StoreMeta& meta() const noexcept { return manifest_.meta; }
   std::size_t shard_count() const noexcept { return manifest_.shards.size(); }
   const ShardInfo& info(std::size_t i) const noexcept { return manifest_.shards[i]; }
 
@@ -152,10 +174,6 @@ class ShardStore {
   void release_shard(std::size_t i) const noexcept { shards_[i].reset(); }
   /// Requires a successful ensure_open(i) / open_all().
   const EventStore& shard(std::size_t i) const noexcept { return *shards_[i]; }
-  /// Lazily opens and returns shard i, throwing std::runtime_error if the
-  /// shard fails validation. For analysis paths whose signatures have no
-  /// Error channel; prefer ensure_open + shard where an Error can surface.
-  const EventStore& shard_checked(std::size_t i) const;
 
   // --- global id rebasing (see header comment) -----------------------------
   std::uint64_t global_system(std::size_t i, std::uint32_t local) const noexcept {
@@ -177,7 +195,10 @@ class ShardStore {
   static constexpr std::uint32_t kInvalidId = 0xffffffffu;
 
  private:
-  std::string dir_;
+  [[nodiscard]] Error open_directory(const std::string& dir);
+  [[nodiscard]] Error open_file(const std::string& path);
+
+  std::string dir_;  ///< directory holding the shard files
   ShardManifest manifest_;
   // Lazy-open cache (see ensure_open); mutable so const readers can fault
   // shards in. Not synchronized — open shards before sharing across threads.

@@ -1,6 +1,7 @@
 // core::Source equivalence suite: the unified analysis entry points must be
 // bit-identical across the two backends — a Dataset from the live pipeline
-// and an EventStore rehydrated from the serialized run — and the implicit
+// and the serialized run's store file opened as a one-shard ShardStore — and
+// the implicit
 // backend-to-Source conversions must be exact (the pre-Source per-backend
 // overloads were retired; implicit conversion is the only bridge left).
 //
@@ -23,7 +24,7 @@
 #include "core/source.h"
 #include "core/store_bridge.h"
 #include "model/fleet_config.h"
-#include "store/reader.h"
+#include "store/shards.h"
 
 namespace core = storsubsim::core;
 namespace model = storsubsim::model;
@@ -46,7 +47,7 @@ class SourceEquivalence : public ::testing::Test {
         model::standard_fleet_config(0.05, 20080226)));
     store_path_ = new std::string(temp_path("source_equivalence.store"));
     ASSERT_TRUE(core::write_store(*store_path_, *run_, 20080226, 0.05).ok());
-    store_ = new store::EventStore;
+    store_ = new store::ShardStore;
     ASSERT_TRUE(store_->open(*store_path_).ok());
   }
   static void TearDownTestSuite() {
@@ -60,16 +61,16 @@ class SourceEquivalence : public ::testing::Test {
   }
 
   static const core::Dataset& dataset() { return run_->dataset; }
-  static const store::EventStore& event_store() { return *store_; }
+  static const store::ShardStore& event_store() { return *store_; }
 
   static core::SimulationDataset* run_;
   static std::string* store_path_;
-  static store::EventStore* store_;
+  static store::ShardStore* store_;
 };
 
 core::SimulationDataset* SourceEquivalence::run_ = nullptr;
 std::string* SourceEquivalence::store_path_ = nullptr;
-store::EventStore* SourceEquivalence::store_ = nullptr;
+store::ShardStore* SourceEquivalence::store_ = nullptr;
 
 void expect_breakdown_identical(const core::AfrBreakdown& a, const core::AfrBreakdown& b) {
   EXPECT_EQ(a.label, b.label);
@@ -161,7 +162,7 @@ TEST_F(SourceEquivalence, LifetimeMatchesAcrossBackends) {
 }
 
 // The implicit backend-to-Source conversions must be exact: passing a
-// Dataset or EventStore lvalue straight to an analysis entry point yields
+// Dataset or ShardStore lvalue straight to an analysis entry point yields
 // the same numbers as wrapping it in an explicit Source.
 TEST_F(SourceEquivalence, ImplicitConversionsAreExact) {
   const auto via_source = core::afr_by_class(core::Source(dataset()));
@@ -201,17 +202,10 @@ TEST_F(SourceEquivalence, FilteredDatasetSourceMatchesLegacyFilterPath) {
 
 TEST_F(SourceEquivalence, SourceAccessorsReportBackend) {
   const core::Source from_dataset(dataset());
-  EXPECT_FALSE(from_dataset.is_store());
   EXPECT_EQ(from_dataset.dataset(), &dataset());
-  EXPECT_EQ(from_dataset.store(), nullptr);
+  EXPECT_EQ(from_dataset.shards(), nullptr);
 
   const core::Source from_store(event_store());
-  EXPECT_TRUE(from_store.is_store());
   EXPECT_EQ(from_store.dataset(), nullptr);
-  EXPECT_EQ(from_store.store(), &event_store());
-
-  const int visited = from_store.visit([](const core::Dataset&) { return 1; },
-                                       [](const store::EventStore&) { return 2; },
-                                       [](const store::ShardStore&) { return 3; });
-  EXPECT_EQ(visited, 2);
+  EXPECT_EQ(from_store.shards(), &event_store());
 }

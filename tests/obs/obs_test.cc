@@ -31,6 +31,17 @@ void reset_obs_state() {
 
 }  // namespace
 
+// obs::now_seconds() is the tree's single wall-clock read; spans, traces
+// and bench deltas all assume it never runs backwards.
+TEST(MonotonicSeconds, NeverDecreases) {
+  double prev = obs::now_seconds();
+  for (int i = 0; i < 1000; ++i) {
+    const double now = obs::now_seconds();
+    EXPECT_GE(now, prev);
+    prev = now;
+  }
+}
+
 TEST(Registry, CounterSumsAcrossWorkerShards) {
   reset_obs_state();
   util::set_thread_count(4);

@@ -140,7 +140,7 @@ class ServeSuite : public ::testing::Test {
     auto run = core::simulate_and_analyze(*config_);
     mono_path_ = new std::string(temp_path("serve_mono.store"));
     ASSERT_TRUE(core::write_store(*mono_path_, run, 20080226, 0.02).ok());
-    mono_ = new store::EventStore;
+    mono_ = new store::ShardStore;
     ASSERT_TRUE(mono_->open(*mono_path_).ok());
 
     dir_ = new std::string(temp_path("serve_shards"));
@@ -161,19 +161,19 @@ class ServeSuite : public ::testing::Test {
     config_ = nullptr;
   }
 
-  static const store::EventStore& mono() { return *mono_; }
+  static const store::ShardStore& mono() { return *mono_; }
   static const std::string& mono_path() { return *mono_path_; }
   static const std::string& shard_dir() { return *dir_; }
 
   static model::FleetConfig* config_;
   static std::string* mono_path_;
-  static store::EventStore* mono_;
+  static store::ShardStore* mono_;
   static std::string* dir_;
 };
 
 model::FleetConfig* ServeSuite::config_ = nullptr;
 std::string* ServeSuite::mono_path_ = nullptr;
-store::EventStore* ServeSuite::mono_ = nullptr;
+store::ShardStore* ServeSuite::mono_ = nullptr;
 std::string* ServeSuite::dir_ = nullptr;
 
 /// The full request matrix a byte-identity client walks: every analysis
@@ -183,7 +183,7 @@ struct Expected {
   std::string table;
 };
 
-std::vector<Expected> expected_matrix(const store::EventStore& mono) {
+std::vector<Expected> expected_matrix(const store::ShardStore& mono) {
   const core::Source source(mono);
   std::vector<Expected> matrix;
   const char* endpoints[] = {"afr", "afr_by_class", "correlation", "tbf",

@@ -16,11 +16,11 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/afr.h"
+#include "core/analysis_request.h"
 #include "core/burstiness.h"
 #include "core/correlation.h"
 #include "core/lifetime.h"
@@ -105,7 +105,7 @@ class ShardEquivalence : public ::testing::Test {
     run_ = new core::SimulationDataset(core::simulate_and_analyze(*config_));
     mono_path_ = new std::string(temp_path("shards_mono.store"));
     ASSERT_TRUE(core::write_store(*mono_path_, *run_, 20080226, 0.05).ok());
-    mono_ = new store::EventStore;
+    mono_ = new store::ShardStore;
     ASSERT_TRUE(mono_->open(*mono_path_).ok());
 
     dir_ = new std::string(temp_path("shards_dir"));
@@ -134,13 +134,13 @@ class ShardEquivalence : public ::testing::Test {
   }
 
   static const core::Dataset& dataset() { return run_->dataset; }
-  static const store::EventStore& mono() { return *mono_; }
+  static const store::ShardStore& mono() { return *mono_; }
   static const store::ShardStore& shards() { return *shards_; }
 
   static model::FleetConfig* config_;
   static core::SimulationDataset* run_;
   static std::string* mono_path_;
-  static store::EventStore* mono_;
+  static store::ShardStore* mono_;
   static std::string* dir_;
   static store::ShardStore* shards_;
 };
@@ -148,7 +148,7 @@ class ShardEquivalence : public ::testing::Test {
 model::FleetConfig* ShardEquivalence::config_ = nullptr;
 core::SimulationDataset* ShardEquivalence::run_ = nullptr;
 std::string* ShardEquivalence::mono_path_ = nullptr;
-store::EventStore* ShardEquivalence::mono_ = nullptr;
+store::ShardStore* ShardEquivalence::mono_ = nullptr;
 std::string* ShardEquivalence::dir_ = nullptr;
 store::ShardStore* ShardEquivalence::shards_ = nullptr;
 
@@ -257,8 +257,7 @@ TEST_F(ShardEquivalence, QueriesMatchTheSingleFileStore) {
     store::Query query;
     query.group_by = group_by;
     const auto mono_result = store::run_query(mono(), query);
-    store::QueryResult shard_result;
-    ASSERT_TRUE(store::run_query(*shards_, query, &shard_result).ok());
+    const auto shard_result = store::run_query(shards(), query);
     expect_query_identical(shard_result, mono_result);
   }
 
@@ -267,8 +266,7 @@ TEST_F(ShardEquivalence, QueriesMatchTheSingleFileStore) {
   windowed.time_begin = 0.25 * config_->horizon_seconds;
   windowed.time_end = 0.5 * config_->horizon_seconds;
   const auto mono_result = store::run_query(mono(), windowed);
-  store::QueryResult shard_result;
-  ASSERT_TRUE(store::run_query(*shards_, windowed, &shard_result).ok());
+  const auto shard_result = store::run_query(shards(), windowed);
   expect_query_identical(shard_result, mono_result);
 }
 
@@ -300,12 +298,7 @@ TEST_F(ShardEquivalence, DatasetFromShardsEqualsThePipelineDataset) {
 TEST_F(ShardEquivalence, SourceReportsTheShardBackend) {
   const core::Source source(shards());
   EXPECT_EQ(source.dataset(), nullptr);
-  EXPECT_EQ(source.store(), nullptr);
   EXPECT_EQ(source.shards(), &shards());
-  const int visited = source.visit([](const core::Dataset&) { return 1; },
-                                   [](const store::EventStore&) { return 2; },
-                                   [](const store::ShardStore&) { return 3; });
-  EXPECT_EQ(visited, 3);
 }
 
 // The storsimd LRU drives the cache through open_shard/release_shard; the
@@ -332,6 +325,151 @@ TEST_F(ShardEquivalence, OpenShardReleaseShardRoundTrip) {
   EXPECT_EQ(local.shard(1).event_count(), events);
   ASSERT_TRUE(local.open_shard(1).ok());  // idempotent while mapped
   EXPECT_EQ(local.open_count(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// A single STORCOL1 file opens as a one-shard ShardStore: every base zero,
+// every global_* the identity, the manifest filled from the file's own
+// header and footer, and validation done eagerly at open().
+// ---------------------------------------------------------------------------
+
+TEST_F(ShardEquivalence, SingleFileOpensAsOneShardWithZeroBases) {
+  store::ShardStore single;
+  ASSERT_TRUE(single.open(*mono_path_).ok());
+  ASSERT_EQ(single.shard_count(), 1u);
+  EXPECT_TRUE(single.is_open(0));  // validated eagerly, not on first touch
+  const store::ShardInfo& info = single.info(0);
+  EXPECT_EQ(info.system_base, 0u);
+  EXPECT_EQ(info.shelf_base, 0u);
+  EXPECT_EQ(info.raid_group_base, 0u);
+  EXPECT_EQ(info.disk_base, 0u);
+  EXPECT_EQ(info.replacement_base, 0u);
+  EXPECT_EQ(info.sys_begin, 0u);
+  EXPECT_EQ(info.sys_end, info.systems);
+  EXPECT_EQ(info.disks_initial, info.disks_total);
+  EXPECT_EQ(info.file_size, read_file(*mono_path_).size());
+
+  // The header fields it recorded are exactly the ones a directory build of
+  // the same fleet records; only the initial/replacement split differs.
+  const store::ShardManifest& m = single.manifest();
+  const store::ShardManifest& dir = shards().manifest();
+  EXPECT_EQ(m.seed, dir.seed);
+  EXPECT_EQ(m.scale, dir.scale);
+  EXPECT_EQ(m.horizon_seconds, dir.horizon_seconds);
+  EXPECT_EQ(m.systems, dir.systems);
+  EXPECT_EQ(m.shelves, dir.shelves);
+  EXPECT_EQ(m.raid_groups, dir.raid_groups);
+  EXPECT_EQ(m.events, dir.events);
+  EXPECT_EQ(m.disks_total, dir.disks_total);
+  EXPECT_EQ(m.disks_initial, m.disks_total);
+}
+
+TEST_F(ShardEquivalence, SingleFileGlobalIdsAreTheIdentity) {
+  const store::ShardStore& single = mono();
+  const store::EventStore& file = single.shard(0);
+  const auto& h = file.header();
+  for (std::uint32_t i = 0; i < h.system_count; ++i) {
+    ASSERT_EQ(single.global_system(0, i), i);
+  }
+  for (std::uint32_t i = 0; i < h.shelf_count; ++i) {
+    ASSERT_EQ(single.global_shelf(0, i), i);
+  }
+  for (std::uint32_t i = 0; i < h.raid_group_count; ++i) {
+    ASSERT_EQ(single.global_raid_group(0, i), i);
+  }
+  EXPECT_EQ(single.global_raid_group(0, store::ShardStore::kInvalidId),
+            store::ShardStore::kInvalidId);
+  // Replacement records sit after the initial disks; the directory build
+  // knows where that boundary is, so make sure ids past it are covered.
+  const std::uint64_t initial = shards().manifest().disks_initial;
+  ASSERT_LT(initial, h.disk_count);  // the fleet has replacement disks
+  std::size_t replacements = 0;
+  for (std::uint32_t i = 0; i < h.disk_count; ++i) {
+    ASSERT_EQ(single.global_disk(0, i), i);
+    if (i >= initial) ++replacements;
+  }
+  EXPECT_GT(replacements, 0u);
+}
+
+TEST_F(ShardEquivalence, SingleFileManifestIsBitEqualToTheFooter) {
+  store::EventStore file;
+  ASSERT_TRUE(file.open(*mono_path_).ok());
+  expect_exposure_identical(mono().manifest().exposure, file.exposure());
+  EXPECT_TRUE(mono().manifest().meta == file.meta());
+}
+
+TEST_F(ShardEquivalence, DamagedSingleFileFailsAtOpenWithATypedError) {
+  const std::string pristine = read_file(*mono_path_);
+  const std::string path = temp_path("shards_single_damaged.store");
+
+  write_file(path, pristine.substr(0, pristine.size() / 2));
+  {
+    store::ShardStore single;
+    EXPECT_EQ(single.open(path).code, store::ErrorCode::kTruncated);
+  }
+
+  // Every flip the per-file reader rejects, the one-shard open() rejects
+  // too, with the same code — there is no lazy second chance to catch it.
+  std::size_t rejected = 0;
+  for (const std::size_t pos : {std::size_t{12}, store::kHeaderSize + 1,
+                                pristine.size() / 3, pristine.size() / 2,
+                                pristine.size() - 16}) {
+    std::string mutated = pristine;
+    mutated[pos] = static_cast<char>(mutated[pos] ^ 0x5a);
+    store::EventStore reference;
+    const store::Error expected = reference.open_image(mutated);
+    write_file(path, mutated);
+    store::ShardStore single;
+    const store::Error err = single.open(path);
+    EXPECT_EQ(err.code, expected.code) << "pos " << pos;
+    if (!err.ok()) ++rejected;
+  }
+  EXPECT_GT(rejected, 0u);
+
+  // Neither a store file nor a shard directory: the typed bad-magic error.
+  write_file(path, "this is not a column store, it is a long enough line of text");
+  {
+    store::ShardStore single;
+    EXPECT_EQ(single.open(path).code, store::ErrorCode::kBadMagic);
+  }
+  std::remove(path.c_str());
+}
+
+// A one-shard directory and the same fleet's single file must render every
+// statistic to the same bytes through the one entry point front ends use.
+TEST_F(ShardEquivalence, OneShardDirectoryAndFileRenderIdentically) {
+  const std::string dir = temp_path("shards_one_vs_file");
+  core::ShardedBuildOptions options;
+  options.shards = 1;
+  ASSERT_TRUE(core::build_sharded_store(dir, *config_, options).ok());
+  store::ShardStore one;
+  ASSERT_TRUE(one.open(dir).ok());
+  ASSERT_TRUE(one.open_all().ok());
+
+  core::RequestParams grouped;
+  grouped.group_by = "class";
+  core::RequestParams windowed;
+  windowed.type = "disk";
+  windowed.from_days = 30;
+  windowed.to_days = 300;
+  for (const core::StatisticId id : core::kAllStatistics) {
+    std::vector<core::RequestParams> variants{core::RequestParams{}};
+    if (id == core::StatisticId::kQuery) {
+      variants.push_back(grouped);
+      variants.push_back(windowed);
+    }
+    for (const auto& params : variants) {
+      for (const bool csv : {false, true}) {
+        core::AnalysisRequest request;
+        ASSERT_TRUE(core::AnalysisRequest::from_params(id, params, csv, &request).ok());
+        const std::string from_dir = core::render_statistic(core::Source(one), request);
+        EXPECT_EQ(from_dir, core::render_statistic(core::Source(mono()), request))
+            << core::endpoint_name(id) << (csv ? " csv" : "");
+        EXPECT_FALSE(from_dir.empty());
+      }
+    }
+  }
+  remove_shard_dir(dir);
 }
 
 // The sharded writer fans shards across the pool into disjoint slots; the
@@ -525,8 +663,8 @@ TEST_F(ShardCorruption, ShardHeaderCorruptionIsCaughtAtOpen) {
 }
 
 // Body corruption is past the cheap open()-time checks; it must surface as
-// a typed Error on first full validation (ensure_open), and shard_checked
-// must convert that into an exception rather than returning a broken view.
+// a typed Error on first full validation (ensure_open) rather than a broken
+// view.
 TEST_F(ShardCorruption, ShardBodyCorruptionIsCaughtOnFirstAccess) {
   std::size_t caught = 0;
   const std::size_t size = shard0_bytes_->size();
@@ -544,7 +682,6 @@ TEST_F(ShardCorruption, ShardBodyCorruptionIsCaughtOnFirstAccess) {
     const auto err = shards.ensure_open(0);
     if (!err.ok()) {
       EXPECT_NE(err.code, store::ErrorCode::kOk) << "pos " << pos;
-      EXPECT_THROW(shards.shard_checked(0), std::runtime_error) << "pos " << pos;
       ++caught;
     } else {
       // Landed in padding no invariant covers: the shard must still answer.

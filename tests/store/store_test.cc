@@ -5,7 +5,10 @@
 // header/footer layout with a golden fixture.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
@@ -19,6 +22,7 @@
 #include "model/fleet_config.h"
 #include "store/format.h"
 #include "store/reader.h"
+#include "store/shards.h"
 #include "store/writer.h"
 #include "util/parallel.h"
 
@@ -54,6 +58,17 @@ class StoreRoundTrip : public ::testing::Test {
     run_ = nullptr;
     delete image_;
     image_ = nullptr;
+  }
+
+  /// Opens the shared image as a one-shard ShardStore — the store backend
+  /// every core analysis takes — through a PID-unique file.
+  [[nodiscard]] static bool open_mapped(store::ShardStore& out) {
+    const std::string path =
+        temp_path("round_trip_mapped.store") + "." + std::to_string(::getpid());
+    std::ofstream(path, std::ios::binary) << *image_;
+    const bool ok = out.open(path).ok();
+    std::remove(path.c_str());  // the mapping keeps the bytes alive
+    return ok;
   }
 
   static core::SimulationDataset* run_;
@@ -98,9 +113,9 @@ TEST_F(StoreRoundTrip, MetaRoundTripsClassifierAndSimCounters) {
 }
 
 TEST_F(StoreRoundTrip, EventsComeBackExactlyInCanonicalOrder) {
-  store::EventStore es;
-  ASSERT_TRUE(es.open_image(*image_).ok());
-  const auto dataset = core::dataset_from_store(es);
+  store::ShardStore es;
+  ASSERT_TRUE(open_mapped(es));
+  const auto dataset = core::dataset_from_shards(es);
   const auto& original = run_->dataset.events();
   ASSERT_EQ(dataset.events().size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
@@ -151,8 +166,8 @@ TEST_F(StoreRoundTrip, InventoryRebuildsFieldForField) {
 }
 
 TEST_F(StoreRoundTrip, AfrTableBitIdenticalToInMemoryPath) {
-  store::EventStore es;
-  ASSERT_TRUE(es.open_image(*image_).ok());
+  store::ShardStore es;
+  ASSERT_TRUE(open_mapped(es));
   const auto memory = core::afr_by_class(run_->dataset);
   const auto mapped = core::afr_by_class(es);
   ASSERT_EQ(mapped.size(), memory.size());
@@ -170,8 +185,8 @@ TEST_F(StoreRoundTrip, AfrTableBitIdenticalToInMemoryPath) {
 }
 
 TEST_F(StoreRoundTrip, BurstinessCorrelationAndLifetimeMatchInMemoryPath) {
-  store::EventStore es;
-  ASSERT_TRUE(es.open_image(*image_).ok());
+  store::ShardStore es;
+  ASSERT_TRUE(open_mapped(es));
   for (const auto scope : {core::Scope::kShelf, core::Scope::kRaidGroup}) {
     const auto memory = core::time_between_failures(run_->dataset, scope);
     const auto mapped = core::time_between_failures(es, scope);
@@ -200,9 +215,9 @@ TEST_F(StoreRoundTrip, BurstinessCorrelationAndLifetimeMatchInMemoryPath) {
 TEST_F(StoreRoundTrip, FileRoundTripThroughMmap) {
   const std::string path = temp_path("round_trip.store");
   ASSERT_TRUE(core::write_store(path, *run_, 20080226, 0.05).ok());
-  store::EventStore es;
+  store::ShardStore es;
   ASSERT_TRUE(es.open(path).ok());
-  EXPECT_EQ(es.event_count(), run_->dataset.events().size());
+  EXPECT_EQ(es.shard(0).event_count(), run_->dataset.events().size());
   const auto memory = core::afr_by_class(run_->dataset);
   const auto mapped = core::afr_by_class(es);
   ASSERT_EQ(mapped.size(), memory.size());

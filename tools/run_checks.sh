@@ -4,7 +4,7 @@
 #   tools/run_checks.sh [extra ctest args...]
 #
 #   1. configure + build the default preset
-#   2. ctest (601 unit/integration tests + the storsim_lint fixture suite
+#   2. ctest (604 unit/integration tests + the storsim_lint fixture suite
 #      + the StorsimLint.TreeIsClean gate)
 #   3. storsim_lint --check over src/ bench/ tests/ (redundant with the ctest
 #      gate, but run standalone so its report is printed even when ctest is
@@ -25,8 +25,10 @@
 #      numbers are the cross-machine reference)
 #   7. sharded store gate (docs/STORE.md): a full-scale `store build
 #      --max-rss-mb 256` must fit the budget the monolithic writer exceeds
-#      (~630 MiB on this fleet), and `analyze --input <shard-dir>` must print
-#      byte-identical reports to the single-file store from step 5
+#      (~630 MiB on this fleet), and `analyze --input <shard-dir>` (afr,
+#      burstiness, correlation, lifetime) plus a grouped and a windowed
+#      `store query` must print byte-identical output to the single-file
+#      store from step 5
 #   8. decode-kernel identity gate (docs/STORE.md): a second build configured
 #      with -DSTORSUBSIM_SIMD=OFF (scalar-only decode kernels) must produce
 #      byte-identical full-scale analyze reports to the default SIMD build —
@@ -149,15 +151,28 @@ echo "== [7/11] sharded store: bounded-memory build + merged-answer identity =="
 ./build/tools/storsubsim store build --out build/BENCH_checks.shards \
   --scale 1.0 --max-rss-mb 256
 # The merged answers must be byte-identical to the single-file store from
-# step 5 (same seed/scale), across both the aggregate and dataset paths.
-for report in afr burstiness correlation; do
+# step 5 (same seed/scale): every report, including lifetime (whose
+# initial-then-replacement disk order is the subtlest part of the id
+# rebasing), plus a grouped and a windowed store query.
+for report in afr burstiness correlation lifetime; do
   ./build/tools/storsubsim analyze --input build/BENCH_checks.store \
     --report "$report" > "build/CHECK_shards_mono_$report.txt"
   ./build/tools/storsubsim analyze --input build/BENCH_checks.shards \
     --report "$report" > "build/CHECK_shards_dir_$report.txt"
   cmp "build/CHECK_shards_mono_$report.txt" "build/CHECK_shards_dir_$report.txt"
 done
-echo "sharded analyze byte-identical to the single-file store (afr, burstiness, correlation)"
+query_identity() {  # <name> <store query flags...>
+  name=$1
+  shift
+  ./build/tools/storsubsim store query --store build/BENCH_checks.store "$@" \
+    > "build/CHECK_shards_mono_query_$name.txt"
+  ./build/tools/storsubsim store query --store build/BENCH_checks.shards "$@" \
+    > "build/CHECK_shards_dir_query_$name.txt"
+  cmp "build/CHECK_shards_mono_query_$name.txt" "build/CHECK_shards_dir_query_$name.txt"
+}
+query_identity grouped --group-by class
+query_identity windowed --type disk --from-days 30 --to-days 300 --group-by type
+echo "sharded answers byte-identical to the single-file store (afr, burstiness, correlation, lifetime, grouped + windowed query)"
 # RSS-budget gate: the sharded build must honour --max-rss-mb, and must use
 # far less memory than the monolithic path (recorded by step 5's bench).
 if command -v python3 > /dev/null 2>&1; then

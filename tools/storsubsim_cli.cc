@@ -34,8 +34,6 @@
 //   --manifest FILE    write a run-manifest JSON (provenance + metrics)
 // None of these change a single stdout byte — analysis output is identical
 // with observability on or off, at any --threads value.
-#include <algorithm>
-#include <array>
 #include <atomic>
 #include <csignal>
 #include <cstdint>
@@ -150,33 +148,13 @@ observability (any command): [--metrics] [--trace FILE] [--manifest FILE]
   return 2;
 }
 
-/// True when `path` starts with the columnar store magic ("STORCOL1"). Used
-/// by `analyze --input` to pick the store or log/snapshot path automatically.
-bool is_store_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::array<char, store::kMagic.size()> head{};
-  in.read(head.data(), static_cast<std::streamsize>(head.size()));
-  return in.gcount() == static_cast<std::streamsize>(head.size()) &&
-         std::equal(head.begin(), head.end(), store::kMagic.begin());
-}
-
-/// True when `path` is a shard directory (contains a MANIFEST starting with
-/// the STORSHARD1 magic). Analyses over it are byte-identical to the
-/// equivalent single-file store.
-bool is_shard_dir(const std::string& path) {
-  std::ifstream in(path + "/" + std::string(store::kManifestFileName), std::ios::binary);
-  if (!in) return false;
-  std::string head(store::kManifestMagic.size(), '\0');
-  in.read(head.data(), static_cast<std::streamsize>(head.size()));
-  return in.gcount() == static_cast<std::streamsize>(head.size()) &&
-         head == store::kManifestMagic;
-}
-
-bool open_shards(const std::string& dir, store::ShardStore& out) {
-  const auto err = out.open(dir);
+/// Opens a store file or shard directory with every shard validated — the
+/// precondition of a Source over a ShardStore — or prints the typed error.
+bool open_store(const std::string& path, store::ShardStore& out) {
+  store::Error err = out.open(path);
+  if (err.ok()) err = out.open_all();
   if (!err.ok()) {
-    std::cerr << "cannot open shard directory " << dir << ": " << err.describe() << "\n";
+    std::cerr << "cannot open store " << path << ": " << err.describe() << "\n";
     return false;
   }
   return true;
@@ -237,15 +215,6 @@ std::optional<core::Dataset> apply_cli_filter(const core::Dataset& dataset, cons
 /// (the store fast paths cover only the unfiltered cohort).
 bool wants_filter(const Args& args) {
   return args.has_flag("exclude-h") || !args.get("class").empty();
-}
-
-bool open_store(const std::string& path, store::EventStore& out) {
-  const auto err = out.open(path);
-  if (!err.ok()) {
-    std::cerr << "cannot open store " << path << ": " << err.describe() << "\n";
-    return false;
-  }
-  return true;
 }
 
 std::optional<core::Dataset> load_dataset(const Args& args,
@@ -318,55 +287,33 @@ int cmd_analyze(const Args& args) {
       std::cerr << "--input replaces --logs/--store; pass only one spelling\n";
       return usage();
     }
-    if (is_shard_dir(input) || is_store_file(input)) {
+    if (store::store_shape(input) != store::StoreShape::kNone) {
       store_path = input;
     } else {
       log_path = input;
     }
   }
-  // A shard directory routes through the ShardStore backend; analyses over
-  // it are byte-identical to the equivalent single-file store.
-  std::string shard_dir;
-  if (!store_path.empty() && is_shard_dir(store_path)) {
-    shard_dir = store_path;
-    store_path.clear();
-  }
-  const bool have_shards = !shard_dir.empty();
+  // A store file and a shard directory both open as a ShardStore; analyses
+  // over either are byte-identical.
   const bool have_store = !store_path.empty();
-  store::ShardStore shard_store;
-  if (have_shards) {
-    if (!open_shards(shard_dir, shard_store)) return 1;
-    // analyze touches every shard; open them all now so a corrupt shard
-    // surfaces as a typed error instead of a mid-analysis exception.
-    if (const auto err = shard_store.open_all(); !err.ok()) {
-      std::cerr << "cannot open shard directory " << shard_dir << ": " << err.describe()
-                << "\n";
-      return 1;
-    }
-  }
-  store::EventStore event_store;
-  if (have_store && !open_store(store_path, event_store)) return 1;
+  store::ShardStore store;
+  if (have_store && !open_store(store_path, store)) return 1;
   const std::string report = args.get("report", "afr");
 
   // The store fast paths serve the whole-fleet cohort straight off the mapped
   // columns; a filtered cohort (or a report that joins per-event inventory)
   // goes through the reconstructed Dataset instead — same results either way.
-  const bool needs_dataset = (!have_store && !have_shards) || wants_filter(args) ||
-                             report == "events" || report == "vulnerability";
+  const bool needs_dataset = !have_store || wants_filter(args) || report == "events" ||
+                             report == "vulnerability";
   std::optional<core::Dataset> dataset;
   if (needs_dataset) {
-    dataset = have_shards
-                  ? apply_cli_filter(core::dataset_from_shards(shard_store), args)
-                  : (have_store
-                         ? apply_cli_filter(core::dataset_from_store(event_store), args)
-                         : load_dataset(args, nullptr, log_path));
+    dataset = have_store ? apply_cli_filter(core::dataset_from_shards(store), args)
+                         : load_dataset(args, nullptr, log_path);
     if (!dataset) return usage();
   }
   // One polymorphic handle for the analysis calls below: the filtered Dataset
-  // when one was built, the mapped store(s) otherwise.
-  const core::Source source = dataset      ? core::Source(*dataset)
-                              : have_shards ? core::Source(shard_store)
-                                            : core::Source(event_store);
+  // when one was built, the mapped store otherwise.
+  const core::Source source = dataset ? core::Source(*dataset) : core::Source(store);
 
   // The table-producing reports go through core::AnalysisRequest +
   // core::render_statistic — the same typed request and renderer the
@@ -653,14 +600,8 @@ int cmd_store_build(const Args& args) {
 int cmd_store_query(const Args& args) {
   const std::string path = args.get("store");
   if (path.empty()) return usage();
-  const bool sharded = is_shard_dir(path);
-  store::ShardStore shards;
-  store::EventStore es;
-  if (sharded) {
-    if (!open_shards(path, shards)) return 1;
-  } else if (!open_store(path, es)) {
-    return 1;
-  }
+  store::ShardStore store;
+  if (!open_store(path, store)) return 1;
 
   // Flags travel as raw strings into the one shared validator
   // (core::AnalysisRequest::from_params) — the daemon runs the identical
@@ -686,15 +627,7 @@ int cmd_store_query(const Args& args) {
   }
   const store::Query& query = request.query;
 
-  store::QueryResult result;
-  if (sharded) {
-    if (const auto err = store::run_query(shards, query, &result); !err.ok()) {
-      std::cerr << "query over " << path << " failed: " << err.describe() << "\n";
-      return 1;
-    }
-  } else {
-    result = store::run_query(es, query);
-  }
+  const store::QueryResult result = store::run_query(store, query);
   std::cout << core::render_query_result(result, args.has_flag("csv"));
   std::cerr << "scanned " << result.stats.rows_scanned << " rows in "
             << result.stats.blocks_scanned << " blocks (" << result.stats.blocks_pruned
@@ -706,7 +639,10 @@ int cmd_store_query(const Args& args) {
 /// shard, without fully opening any shard.
 int cmd_store_stats_sharded(const Args& args, const std::string& path) {
   store::ShardStore shards;
-  if (!open_shards(path, shards)) return 1;
+  if (const auto err = shards.open(path); !err.ok()) {
+    std::cerr << "cannot open store " << path << ": " << err.describe() << "\n";
+    return 1;
+  }
   const auto& m = shards.manifest();
 
   core::TextTable header({"field", "value"});
@@ -746,9 +682,14 @@ int cmd_store_stats_sharded(const Args& args, const std::string& path) {
 int cmd_store_stats(const Args& args) {
   const std::string path = args.get("store");
   if (path.empty()) return usage();
-  if (is_shard_dir(path)) return cmd_store_stats_sharded(args, path);
+  if (store::store_shape(path) == store::StoreShape::kShardDir) {
+    return cmd_store_stats_sharded(args, path);
+  }
   store::EventStore es;
-  if (!open_store(path, es)) return 1;
+  if (const auto err = es.open(path); !err.ok()) {
+    std::cerr << "cannot open store " << path << ": " << err.describe() << "\n";
+    return 1;
+  }
   const auto& h = es.header();
   const auto& m = es.meta();
   const auto& exposure = es.exposure();
