@@ -1,10 +1,12 @@
 #include "serve/daemon.h"
 
 #include <cerrno>
-#include <condition_variable>
 #include <cstring>
+#include <map>
 
+#include <fcntl.h>
 #include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
@@ -20,9 +22,17 @@ namespace storsubsim::serve {
 
 namespace {
 
-/// Seconds a blocked mid-frame read waits before the connection is treated
-/// as dead (SO_RCVTIMEO backstop — the poll loop handles the idle case).
-constexpr long kReadTimeoutSeconds = 30;
+/// File descriptors held back from the connection budget: stdio, the listen
+/// socket, the drain and wake pipes, shard reopens on the pool workers, the
+/// accepted fd a `busy` answer goes out on, and obs manifest/trace files.
+constexpr rlim_t kReservedFds = 64;
+
+/// A worker writing to a peer that stopped reading its answers gives up
+/// after this long, so such a peer cannot hold a pool worker for good.
+constexpr long kWriteTimeoutSeconds = 10;
+
+/// Bytes one recv() takes off a readable connection (or the wake pipe).
+constexpr std::size_t kRecvChunk = 64 * 1024;
 
 [[nodiscard]] store::Error errno_error(std::string_view what) {
   std::string detail(what);
@@ -30,12 +40,11 @@ constexpr long kReadTimeoutSeconds = 30;
   return store::make_error(store::ErrorCode::kIo, detail, 0);
 }
 
-/// Best-effort error frame on a connection that closes right after; a
-/// failed send means the peer is already gone, which the close handles.
+/// Best-effort error frame from the loop on a connection it closes right
+/// after. Non-blocking, so a peer that stopped reading cannot stall the
+/// loop; a failed send just means the peer sees only the close.
 void send_error(int fd, std::string_view code, std::string_view message) {
-  if (!write_frame(fd, render_error_response(code, message))) {
-    return;
-  }
+  static_cast<void>(write_frame(fd, render_error_response(code, message), MSG_DONTWAIT));
 }
 
 /// Unpins every shard on scope exit, exception-safe (an analysis endpoint
@@ -49,47 +58,17 @@ struct PinAllGuard {
 
 }  // namespace
 
-std::unique_ptr<store::ScanScratch> ScratchPool::acquire() {
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    if (!free_.empty()) {
-      auto scratch = std::move(free_.back());
-      free_.pop_back();
-      return scratch;
-    }
-  }
-  return std::make_unique<store::ScanScratch>();  // cold path only
-}
-
-void ScratchPool::release(std::unique_ptr<store::ScanScratch> scratch) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  free_.push_back(std::move(scratch));
-}
-
 Daemon::~Daemon() {
   request_drain();
-  std::vector<std::thread> conns;
-  {
-    std::lock_guard<std::mutex> guard(connections_mutex_);
-    conns.swap(connections_);
-  }
-  for (auto& t : conns) t.join();
+  pool_.reset();  // no worker may touch the wake pipe after it closes
   close_fds();
 }
 
 void Daemon::close_fds() noexcept {
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    ::unlink(options_.socket_path.c_str());
-  }
-  if (drain_read_fd_ >= 0) {
-    ::close(drain_read_fd_);
-    drain_read_fd_ = -1;
-  }
-  if (drain_write_fd_ >= 0) {
-    ::close(drain_write_fd_);
-    drain_write_fd_ = -1;
+  if (listen_fd_ >= 0) ::unlink(options_.socket_path.c_str());
+  for (int* fd : {&listen_fd_, &drain_fds_[0], &drain_fds_[1], &wake_fds_[0], &wake_fds_[1]}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
   }
 }
 
@@ -131,11 +110,26 @@ store::Error Daemon::start(const ServeOptions& options) {
 
   pool_ = std::make_unique<util::ThreadPool>(
       options.threads != 0 ? options.threads : util::thread_count());
+  connections_peak_ = obs::registry().gauge("serve.connections.peak");
+  connections_shed_ = obs::registry().counter(
+      "serve.connections.shed", obs::Stability::kSchedulingDependent);
+  queue_wait_us_ = obs::registry().histogram(
+      "serve.queue_wait_us", obs::Stability::kSchedulingDependent);
 
-  int pipe_fds[2] = {-1, -1};
-  if (::pipe(pipe_fds) != 0) return errno_error("cannot create drain pipe");
-  drain_read_fd_ = pipe_fds[0];
-  drain_write_fd_ = pipe_fds[1];
+  // Every open connection holds one fd; the budget is what the soft limit
+  // leaves after the reserve, so accept() never fails with EMFILE.
+  rlimit files{};
+  if (::getrlimit(RLIMIT_NOFILE, &files) != 0) return errno_error("getrlimit");
+  if (files.rlim_cur <= kReservedFds) {
+    return store::make_error(store::ErrorCode::kBadValue,
+                             "open-file limit leaves no room for connections", 0);
+  }
+  connection_budget_ = static_cast<std::size_t>(files.rlim_cur - kReservedFds);
+
+  if (::pipe2(drain_fds_, O_NONBLOCK | O_CLOEXEC) != 0 ||
+      ::pipe2(wake_fds_, O_NONBLOCK | O_CLOEXEC) != 0) {
+    return errno_error("cannot create pipe");
+  }
 
   sockaddr_un addr{};
   if (options.socket_path.empty() ||
@@ -144,7 +138,7 @@ store::Error Daemon::start(const ServeOptions& options) {
     detail.append(options.socket_path);
     return store::make_error(store::ErrorCode::kBadValue, detail, 0);
   }
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) return errno_error("cannot create socket");
   addr.sun_family = AF_UNIX;
   std::memcpy(addr.sun_path, options.socket_path.c_str(),
@@ -160,97 +154,130 @@ store::Error Daemon::start(const ServeOptions& options) {
 }
 
 store::Error Daemon::serve() {
-  for (;;) {
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {drain_read_fd_, POLLIN, 0}};
-    const int n = ::poll(fds, 2, -1);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      draining_.store(true);
-      return errno_error("poll on listen socket");
+  struct Connection {
+    std::string pending;  ///< received bytes not yet cut into frames
+    bool busy = false;    ///< a request is in flight: out of the poll set
+  };
+  std::map<int, Connection> connections;
+  // Hands the next buffered frame to the pool, so an idle connection never
+  // holds a complete one: EOF on it is either clean or mid-frame.
+  const auto advance = [&](int fd) {
+    Connection& conn = connections.at(fd);
+    std::string body;
+    const FrameStatus status = take_frame(&conn.pending, &body);
+    if (status == FrameStatus::kOk) {
+      conn.busy = true;
+      submit(fd, std::move(body));
+    } else if (status == FrameStatus::kOversized) {
+      // The body is never read, so the stream cannot be resynchronized.
+      send_error(fd, "oversized", "frame length exceeds the 1 MiB cap");
+      ::close(fd);
+      connections.erase(fd);
     }
-    if ((fds[1].revents & POLLIN) != 0) break;  // drain requested
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int conn = ::accept(listen_fd_, nullptr, nullptr);
-    if (conn < 0) continue;  // EINTR / peer vanished between poll and accept
-    timeval tv{};
-    tv.tv_sec = kReadTimeoutSeconds;
-    (void)::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    std::lock_guard<std::mutex> guard(connections_mutex_);
-    connections_.emplace_back([this, conn] { connection_loop(conn); });
+  };
+
+  store::Error result;
+  std::vector<pollfd> fds;
+  std::vector<int> answered;
+  char chunk[kRecvChunk];
+  for (;;) {
+    fds.assign({{drain_fds_[0], POLLIN, 0}, {wake_fds_[0], POLLIN, 0},
+                {listen_fd_, POLLIN, 0}});
+    for (const auto& [fd, conn] : connections) {
+      if (!conn.busy) fds.push_back({fd, POLLIN, 0});
+    }
+    if (::poll(fds.data(), fds.size(), -1) < 0) {
+      if (errno == EINTR) continue;
+      result = errno_error("poll");
+      break;
+    }
+    if ((fds[0].revents & POLLIN) != 0) break;  // drain requested
+    if ((fds[1].revents & POLLIN) != 0) {
+      while (::read(wake_fds_[0], chunk, sizeof(chunk)) > 0) {
+      }
+      {
+        std::lock_guard<std::mutex> guard(answered_mutex_);
+        answered.swap(answered_);
+      }
+      for (const int fd : answered) {
+        connections.at(fd).busy = false;
+        advance(fd);  // a pipelined request may already be buffered
+      }
+      answered.clear();
+    }
+    for (std::size_t i = 3; i < fds.size(); ++i) {
+      if (fds[i].revents == 0) continue;
+      const int fd = fds[i].fd;
+      const ssize_t got = ::recv(fd, chunk, sizeof(chunk), MSG_DONTWAIT);
+      if (got > 0) {
+        connections.at(fd).pending.append(chunk, static_cast<std::size_t>(got));
+        advance(fd);
+      } else if (got == 0 || (errno != EAGAIN && errno != EINTR)) {
+        if (got == 0 && !connections.at(fd).pending.empty()) {
+          send_error(fd, "bad-frame", "truncated frame");
+        }
+        ::close(fd);
+        connections.erase(fd);
+      }
+    }
+    // Accept last, so a slot freed by a close in this round is reusable.
+    if ((fds[2].revents & POLLIN) != 0) {
+      const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+      if (fd >= 0 && connections.size() >= connection_budget_) {
+        send_error(fd, "busy", "connection limit reached; retry later");
+        ::close(fd);
+        connections_shed_.add(1);
+      } else if (fd >= 0) {
+        const timeval timeout{kWriteTimeoutSeconds, 0};
+        (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+        connections.emplace(fd, Connection{});
+        connections_peak_.update_max(connections.size());
+      }
+    }
   }
+
+  // Drain: stop accepting, close the idle connections, let the pool finish
+  // the in-flight requests (one still queued answers `draining`), then
+  // close the connections those answers went out on.
   draining_.store(true);
-  // Stop accepting first (close + unlink), then let in-flight requests
-  // finish: the drain pipe stays readable, so every idle connection's poll
-  // wakes; busy connections complete their current request before looking.
   ::close(listen_fd_);
   listen_fd_ = -1;
   ::unlink(options_.socket_path.c_str());
-  std::vector<std::thread> conns;
-  {
-    std::lock_guard<std::mutex> guard(connections_mutex_);
-    conns.swap(connections_);
+  for (const auto& [fd, conn] : connections) {
+    if (!conn.busy) ::close(fd);
   }
-  for (auto& t : conns) t.join();
-  return store::Error{};
+  pool_.reset();
+  for (const auto& [fd, conn] : connections) {
+    if (conn.busy) ::close(fd);
+  }
+  return result;
 }
 
 void Daemon::request_drain() noexcept {
   draining_.store(true);
-  if (drain_write_fd_ >= 0) {
+  if (drain_fds_[1] >= 0) {
     const char byte = 'd';
-    const ssize_t rc = ::write(drain_write_fd_, &byte, 1);
+    const ssize_t rc = ::write(drain_fds_[1], &byte, 1);
     static_cast<void>(rc);  // pipe full means a drain is already signaled
   }
 }
 
-void Daemon::connection_loop(int fd) {
-  std::string body;
-  for (;;) {
-    pollfd fds[2] = {{fd, POLLIN, 0}, {drain_read_fd_, POLLIN, 0}};
-    const int n = ::poll(fds, 2, -1);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    const bool frame_ready = (fds[0].revents & (POLLIN | POLLHUP | POLLERR)) != 0;
-    if (!frame_ready) {
-      if ((fds[1].revents & POLLIN) != 0) break;  // draining and idle: close
-      continue;
-    }
-    const FrameStatus status = read_frame(fd, &body);
-    if (status == FrameStatus::kClosed || status == FrameStatus::kIoError) break;
-    if (status == FrameStatus::kTruncated) {
-      send_error(fd, "bad-frame", "truncated frame");
-      break;
-    }
-    if (status == FrameStatus::kOversized) {
-      // The oversized body was never read, so the stream cannot be
-      // resynchronized — answer typed and close.
-      send_error(fd, "oversized", "frame length exceeds the 1 MiB cap");
-      break;
-    }
-
-    // Execute on the pool; this connection thread just frames and waits.
-    std::mutex done_mutex;
-    std::condition_variable done_cv;
-    bool done = false;
-    std::string response;
-    pool_->submit([this, &body, &done_mutex, &done_cv, &done, &response] {
-      response = handle_request(body);  // never throws
-      // Notify under the mutex: the waiter owns these stack objects and may
-      // destroy them the moment it can re-acquire the lock and see `done`,
-      // so the signal must complete before the lock is released.
-      std::lock_guard<std::mutex> guard(done_mutex);
-      done = true;
-      done_cv.notify_one();
-    });
+void Daemon::submit(int fd, std::string body) {
+  const double submitted = obs::now_seconds();
+  pool_->submit([this, fd, body = std::move(body), submitted] {
+    queue_wait_us_.observe(
+        static_cast<std::uint64_t>((obs::now_seconds() - submitted) * 1e6));
+    // handle_request never throws. A failed write shuts the socket down, so
+    // the loop sees EOF and closes it: only the loop ever closes an fd.
+    if (!write_frame(fd, handle_request(body))) ::shutdown(fd, SHUT_RDWR);
     {
-      std::unique_lock<std::mutex> lock(done_mutex);
-      done_cv.wait(lock, [&done] { return done; });
+      std::lock_guard<std::mutex> guard(answered_mutex_);
+      answered_.push_back(fd);
     }
-    if (!write_frame(fd, response)) break;
-  }
-  ::close(fd);
+    const char byte = 'w';
+    const ssize_t rc = ::write(wake_fds_[1], &byte, 1);
+    static_cast<void>(rc);  // pipe full means the loop is already woken
+  });
 }
 
 std::string Daemon::handle_request(std::string_view body) {
@@ -365,20 +392,19 @@ std::string Daemon::run_store_query(const Request& request) {
   if (RequestError err = make_query(request.params, &query); !err.ok()) {
     return render_error_response(err.code, err.message);
   }
-  auto scratch = scratch_pool_.acquire();
-  store::QueryRun run(query, scratch.get());
+  // One arena per pool worker: the pool size bounds how many exist.
+  thread_local store::ScanScratch scratch;
+  store::QueryRun run(query, &scratch);
   // Shard-at-a-time, pinned only while scanned: a query over a huge fleet
   // stays inside the --max-open-shards budget.
   for (std::size_t i = 0; i < store_.shard_count(); ++i) {
     if (store::Error err = lru_->pin(i); !err.ok()) {
-      scratch_pool_.release(std::move(scratch));
       return render_error_response("store-error", err.describe());
     }
     run.scan(store_.shard(i));
     lru_->unpin(i);
   }
   const store::QueryResult result = run.finish(store_.exposure());
-  scratch_pool_.release(std::move(scratch));
   return render_ok_response(request.endpoint,
                             core::render_query_result(result, request.csv));
 }

@@ -2,16 +2,16 @@
 //
 // One Daemon owns one read-only input — a store::ShardStore opened from a
 // STORSHARD1 shard directory or a single STORCOL1 file (one shard) — mapped
-// and validated once at start(), and a unix-domain stream socket accepting
-// any number of concurrent clients.
-// Each connection gets a thread that reads length-prefixed frames
-// (serve/protocol.h); request bodies execute on the daemon's util
-// thread pool and render through core/analysis_render.h, so every answer
-// is byte-identical to the offline `storsubsim analyze` / `store query`
-// output for the same input. Shard mappings are managed by a ShardLru
-// (--max-open-shards); query scans draw ScanScratch arenas from a reuse
-// pool, so the steady-state query path allocates nothing but the response
-// string.
+// and validated once at start(), and a unix-domain stream socket.
+// serve() is one poll loop: it accepts connections (up to a budget derived
+// from the open-file limit) and cuts their bytes into length-prefixed
+// frames (serve/protocol.h). Each request body runs on the daemon's util
+// thread pool, renders through core/analysis_render.h — so every answer is
+// byte-identical to the offline `storsubsim analyze` / `store query` output
+// for the same input — and the worker writes the answer, then hands the
+// connection back to the loop. Shard mappings are managed by a ShardLru
+// (--max-open-shards); each pool worker keeps one query-scan arena, so the
+// steady-state query path allocates nothing but the response string.
 //
 // Shutdown is a drain: request_drain() (async-signal-safe — one byte down
 // a self-pipe) stops the accept loop, lets in-flight requests finish, and
@@ -25,9 +25,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "obs/registry.h"
 #include "replicate/replicate.h"
 #include "serve/protocol.h"
 #include "serve/shard_lru.h"
@@ -47,18 +47,6 @@ struct ServeOptions {
   std::string replicates;
 };
 
-/// Reusable pool of query-scan arenas. Warm requests pop an existing
-/// scratch instead of allocating 12 KiB of bitmaps per query.
-class ScratchPool {
- public:
-  std::unique_ptr<store::ScanScratch> acquire();
-  void release(std::unique_ptr<store::ScanScratch> scratch);
-
- private:
-  std::mutex mutex_;
-  std::vector<std::unique_ptr<store::ScanScratch>> free_;
-};
-
 class Daemon {
  public:
   Daemon() = default;
@@ -68,12 +56,14 @@ class Daemon {
   Daemon& operator=(const Daemon&) = delete;
 
   /// Opens and validates the input (every shard is validated up front, then
-  /// the LRU trims to the cap), builds the thread pool, binds the socket.
+  /// the LRU trims to the cap), builds the thread pool, derives the
+  /// connection budget from the soft RLIMIT_NOFILE, binds the socket.
   [[nodiscard]] store::Error start(const ServeOptions& options);
 
-  /// Accepts connections until request_drain(); returns after every
-  /// connection thread has been joined and the socket unlinked. Call after
-  /// a successful start().
+  /// Runs the poll loop on the calling thread until request_drain(); a
+  /// connection past the budget gets a typed `busy` error and is closed.
+  /// Returns after the socket is unlinked, every in-flight request answered
+  /// and every connection closed. Call after a successful start().
   [[nodiscard]] store::Error serve();
 
   /// Initiates a graceful drain. Async-signal-safe; callable from any
@@ -82,12 +72,14 @@ class Daemon {
 
   /// The write end of the drain self-pipe: a signal handler writing one
   /// byte here is equivalent to request_drain().
-  int drain_signal_fd() const noexcept { return drain_write_fd_; }
+  int drain_signal_fd() const noexcept { return drain_fds_[1]; }
 
   /// True when the input is split over more than one shard.
   bool sharded() const noexcept { return store_.shard_count() > 1; }
   /// Non-null after a successful start() (test introspection).
   const ShardLru* lru() const noexcept { return lru_.get(); }
+  /// Connections served at once; past it a peer is answered `busy`.
+  std::size_t connection_budget() const noexcept { return connection_budget_; }
 
   /// Computes the response body for one request body (exposed for the
   /// in-process protocol tests; never throws).
@@ -95,7 +87,7 @@ class Daemon {
 
  private:
   void close_fds() noexcept;
-  void connection_loop(int fd);
+  void submit(int fd, std::string body);
   std::string dispatch(const Request& request);
   std::string run_analysis(const Request& request);
   std::string run_store_query(const Request& request);
@@ -107,15 +99,20 @@ class Daemon {
   bool have_replicates_ = false;
   std::unique_ptr<ShardLru> lru_;
   std::unique_ptr<util::ThreadPool> pool_;
-  ScratchPool scratch_pool_;
+  std::size_t connection_budget_ = 0;  ///< soft RLIMIT_NOFILE minus a reserve
+  obs::Gauge connections_peak_;
+  obs::Counter connections_shed_;
+  obs::Histogram queue_wait_us_;  ///< submit to task start
 
   int listen_fd_ = -1;
-  int drain_read_fd_ = -1;
-  int drain_write_fd_ = -1;
+  int drain_fds_[2] = {-1, -1};  ///< self-pipe: [0] read end, [1] write end
+  int wake_fds_[2] = {-1, -1};   ///< a worker writes one byte per answer
   std::atomic<bool> draining_{false};
 
-  std::mutex connections_mutex_;
-  std::vector<std::thread> connections_;
+  /// Connections whose answer a worker has written; the loop takes them
+  /// back after each wake byte.
+  std::mutex answered_mutex_;
+  std::vector<int> answered_;
 };
 
 }  // namespace storsubsim::serve

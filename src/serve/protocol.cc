@@ -42,8 +42,6 @@ void append_json_string(std::string& out, std::string_view text) {
       return got == 0;  // "clean" only when nothing of this read arrived
     }
     if (errno == EINTR) continue;
-    // A SO_RCVTIMEO expiry lands here as EAGAIN: treat like a vanished peer.
-    *saw_eof = true;
     return false;
   }
   return true;
@@ -64,7 +62,7 @@ RequestError request_error(std::string_view code, std::string_view message) {
 
 }  // namespace
 
-FrameStatus read_frame(int fd, std::string* body, std::uint32_t max_bytes) {
+FrameStatus read_frame(int fd, std::string* body) {
   char prefix[kFramePrefixBytes];
   bool saw_eof = false;
   if (!read_exact(fd, prefix, sizeof(prefix), &saw_eof)) {
@@ -73,7 +71,7 @@ FrameStatus read_frame(int fd, std::string* body, std::uint32_t max_bytes) {
   if (saw_eof) return FrameStatus::kClosed;
   std::uint32_t length = 0;
   std::memcpy(&length, prefix, sizeof(length));  // wire format is little-endian
-  if (length > max_bytes) return FrameStatus::kOversized;
+  if (length > kMaxFrameBytes) return FrameStatus::kOversized;
   body->resize(length);
   if (length == 0) return FrameStatus::kOk;
   saw_eof = false;
@@ -83,16 +81,27 @@ FrameStatus read_frame(int fd, std::string* body, std::uint32_t max_bytes) {
   return FrameStatus::kOk;
 }
 
-bool write_frame(int fd, std::string_view body) {
+FrameStatus take_frame(std::string* buffer, std::string* body) {
+  if (buffer->size() < kFramePrefixBytes) return FrameStatus::kTruncated;
+  std::uint32_t length = 0;
+  std::memcpy(&length, buffer->data(), sizeof(length));  // little-endian
+  if (length > kMaxFrameBytes) return FrameStatus::kOversized;
+  if (buffer->size() - kFramePrefixBytes < length) return FrameStatus::kTruncated;
+  body->assign(*buffer, kFramePrefixBytes, length);
+  buffer->erase(0, kFramePrefixBytes + length);
+  return FrameStatus::kOk;
+}
+
+bool write_frame(int fd, std::string_view body, int flags) {
   const auto length = static_cast<std::uint32_t>(body.size());
   char prefix[kFramePrefixBytes];
   std::memcpy(prefix, &length, sizeof(length));
-  const auto write_all = [fd](const char* data, std::size_t n) {
+  const auto write_all = [fd, flags](const char* data, std::size_t n) {
     std::size_t sent = 0;
     while (sent < n) {
       // MSG_NOSIGNAL: a peer that closed mid-response must yield EPIPE, not
       // a process-killing SIGPIPE (the daemon outlives rude clients).
-      const ssize_t w = ::send(fd, data + sent, n - sent, MSG_NOSIGNAL);
+      const ssize_t w = ::send(fd, data + sent, n - sent, MSG_NOSIGNAL | flags);
       if (w >= 0) {
         sent += static_cast<std::size_t>(w);
         continue;

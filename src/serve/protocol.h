@@ -20,7 +20,8 @@
 //   {"ok": false, "error": "<code>", "message": "..."}
 //
 // Error codes: `bad-frame`, `oversized`, `bad-json`, `bad-request`,
-// `bad-param`, `unknown-endpoint`, `store-error`, `draining`, `internal`.
+// `bad-param`, `unknown-endpoint`, `store-error`, `draining`, `busy`,
+// `internal`.
 // Unknown top-level or param keys are rejected (`bad-request`/`bad-param`)
 // so a fuzzer cannot smuggle state the handler ignores.
 #pragma once
@@ -41,24 +42,30 @@ inline constexpr std::uint32_t kMaxFrameBytes = 1u << 20;
 /// Bytes of the little-endian length prefix.
 inline constexpr std::size_t kFramePrefixBytes = 4;
 
-/// Outcome of reading one frame off a blocking fd.
+/// Outcome of reading one frame off a blocking fd, or of taking one off a
+/// receive buffer.
 enum class FrameStatus : std::uint8_t {
   kOk,         ///< body filled in
   kClosed,     ///< clean EOF on a frame boundary
-  kTruncated,  ///< EOF (or read timeout) inside a frame
-  kOversized,  ///< announced length exceeds `max_bytes`; body unread
+  kTruncated,  ///< EOF inside a frame; for take_frame, frame not complete yet
+  kOversized,  ///< announced length exceeds kMaxFrameBytes; body unread
   kIoError,    ///< hard read error
 };
 
-/// Reads one length-prefixed frame. Retries EINTR; a recv timeout counts as
-/// kTruncated. `body` is reused (resized, not reallocated once warm).
-FrameStatus read_frame(int fd, std::string* body,
-                       std::uint32_t max_bytes = kMaxFrameBytes);
+/// Reads one length-prefixed frame. Retries EINTR. `body` is reused
+/// (resized, not reallocated once warm).
+FrameStatus read_frame(int fd, std::string* body);
+
+/// Pops the first complete frame off the front of `buffer` (bytes received
+/// but not yet framed) into `body`. kTruncated leaves `buffer` untouched
+/// until more bytes arrive; kOversized is decided from the prefix alone.
+FrameStatus take_frame(std::string* buffer, std::string* body);
 
 /// Writes prefix + body, handling partial writes and EINTR. False on error
-/// (peer gone). Bodies above kMaxFrameBytes are never produced by this
-/// codebase; callers must keep it that way.
-[[nodiscard]] bool write_frame(int fd, std::string_view body);
+/// (peer gone). `flags` are added to each send (MSG_DONTWAIT makes a full
+/// socket buffer an error). Bodies above kMaxFrameBytes are never produced
+/// by this codebase; callers must keep it that way.
+[[nodiscard]] bool write_frame(int fd, std::string_view body, int flags = 0);
 
 /// Raw query-endpoint parameters as they travel on the wire — the typed
 /// core::RequestParams, aliased. Strings stay unparsed here so the client

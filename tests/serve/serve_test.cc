@@ -3,21 +3,24 @@
 // garbage on the wire with typed errors (never a crash), drain gracefully,
 // and keep its shard LRU within the --max-open-shards budget.
 //
-// The daemon under test is the real thing — real unix socket, real
-// connection threads, real pool — driven from this process so the tests can
-// also reach handle_request() and lru() directly. Scale 0.02 keeps the
-// fixture build fast; byte-identity is scale-independent (the shards suite
-// covers fidelity at 0.05).
+// The daemon under test is the real thing — real unix socket, real poll
+// loop, real pool — driven from this process so the tests can also reach
+// handle_request() and lru() directly. Scale 0.02 keeps the fixture build
+// fast; byte-identity is scale-independent (the shards suite covers
+// fidelity at 0.05).
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -131,6 +134,38 @@ bool write_all(int fd, const void* data, std::size_t size) {
     size -= static_cast<std::size_t>(w);
   }
   return true;
+}
+
+/// One length-prefixed frame as it travels on the wire.
+std::string wire_frame(std::string_view body) {
+  const auto length = static_cast<std::uint32_t>(body.size());
+  std::string frame(reinterpret_cast<const char*>(&length), sizeof(length));
+  frame.append(body);
+  return frame;
+}
+
+/// A `/proc/self/status` field in its own unit (kB for Vm*, a count for
+/// Threads).
+std::uint64_t proc_status(const std::string& field) {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.compare(0, field.size() + 1, field + ":") == 0) {
+      return std::stoull(line.substr(field.size() + 1));
+    }
+  }
+  return 0;
+}
+
+/// Connects, sends one request, reads its answer, disconnects.
+serve::Response one_shot(const std::string& socket_path, const char* endpoint) {
+  serve::Client client;
+  serve::Request request;
+  request.endpoint = endpoint;
+  serve::Response response;
+  EXPECT_TRUE(client.connect(socket_path).ok());
+  EXPECT_TRUE(client.request(request, &response).ok());
+  return response;
 }
 
 class ServeSuite : public ::testing::Test {
@@ -305,6 +340,10 @@ TEST_F(ServeSuite, HandleRequestAnswersWithoutASocket) {
       harness.daemon().handle_request("{\"endpoint\":\"stats\"}"), &response));
   EXPECT_TRUE(response.ok);
   EXPECT_NE(response.table.find("serve.requests"), std::string::npos);
+  for (const char* metric : {"serve.connections.peak", "serve.connections.shed",
+                             "serve.queue_wait_us"}) {
+    EXPECT_NE(response.table.find(metric), std::string::npos) << metric;
+  }
 }
 
 // --- protocol errors -----------------------------------------------------
@@ -431,6 +470,175 @@ TEST_F(ServeSuite, RandomFrameFuzzNeverKillsTheDaemon) {
   ASSERT_TRUE(client.request(good, &response).ok());
   EXPECT_TRUE(response.ok);
   EXPECT_EQ(response.table, core::render_afr_total(core::Source(mono()), false));
+}
+
+TEST(ServeProtocol, TakeFrameWaitsForEveryByteThenPopsInOrder) {
+  const std::string first = "{\"endpoint\":\"afr\"}";
+  const std::string second = "{\"endpoint\":\"stats\"}";
+  const std::string wire = wire_frame(first) + wire_frame(second);
+  const std::size_t first_end = serve::kFramePrefixBytes + first.size();
+  for (std::size_t split = 0; split <= wire.size(); ++split) {
+    std::string buffer = wire.substr(0, split);
+    std::string body;
+    if (split < first_end) {
+      EXPECT_EQ(serve::take_frame(&buffer, &body), serve::FrameStatus::kTruncated)
+          << "split " << split;
+      EXPECT_EQ(buffer, wire.substr(0, split)) << "split " << split;
+      buffer.append(wire, split, std::string::npos);
+    }
+    ASSERT_EQ(serve::take_frame(&buffer, &body), serve::FrameStatus::kOk) << split;
+    EXPECT_EQ(body, first);
+    if (buffer.size() < wire.size() - first_end) {
+      EXPECT_EQ(serve::take_frame(&buffer, &body), serve::FrameStatus::kTruncated);
+      buffer = wire.substr(first_end);
+    }
+    ASSERT_EQ(serve::take_frame(&buffer, &body), serve::FrameStatus::kOk) << split;
+    EXPECT_EQ(body, second);
+    EXPECT_TRUE(buffer.empty());
+    EXPECT_EQ(serve::take_frame(&buffer, &body), serve::FrameStatus::kTruncated);
+  }
+
+  // An oversized length is refused from the prefix alone; exactly the cap
+  // just waits for its body.
+  std::string oversized = wire_frame("");
+  const std::uint32_t huge = serve::kMaxFrameBytes + 1;
+  std::memcpy(oversized.data(), &huge, sizeof(huge));
+  std::string body;
+  EXPECT_EQ(serve::take_frame(&oversized, &body), serve::FrameStatus::kOversized);
+  std::string at_cap = oversized;
+  const std::uint32_t cap = serve::kMaxFrameBytes;
+  std::memcpy(at_cap.data(), &cap, sizeof(cap));
+  EXPECT_EQ(serve::take_frame(&at_cap, &body), serve::FrameStatus::kTruncated);
+}
+
+TEST_F(ServeSuite, PipelinedFramesGetInOrderAnswers) {
+  DaemonHarness harness;
+  ASSERT_TRUE(harness.start(mono_path(), "serve_pipeline.sock").ok());
+  const int fd = raw_connect(harness.socket_path());
+  ASSERT_GE(fd, 0);
+  const std::string both = wire_frame("{\"endpoint\":\"afr\"}") +
+                           wire_frame("{\"endpoint\":\"lifetime\"}");
+  ASSERT_TRUE(write_all(fd, both.data(), both.size()));  // one send
+  const core::Source source(mono());
+  const struct {
+    const char* endpoint;
+    std::string table;
+  } expected[] = {{"afr", core::render_afr_total(source, false)},
+                  {"lifetime", core::render_lifetime(source, false)}};
+  for (const auto& e : expected) {
+    std::string body;
+    ASSERT_EQ(serve::read_frame(fd, &body), serve::FrameStatus::kOk) << e.endpoint;
+    serve::Response response;
+    ASSERT_TRUE(serve::parse_response(body, &response));
+    EXPECT_TRUE(response.ok);
+    EXPECT_EQ(response.endpoint, e.endpoint);
+    EXPECT_EQ(response.table, e.table);
+  }
+  ::close(fd);
+}
+
+TEST_F(ServeSuite, PeersStalledMidFrameDoNotDelayOthers) {
+  DaemonHarness harness;
+  ASSERT_TRUE(harness.start(mono_path(), "serve_stall.sock").ok());
+  // As many stalled peers as pool workers (the harness runs 4): each sends a
+  // prefix and part of the body, then goes quiet without closing.
+  std::vector<int> stalled;
+  for (int i = 0; i < 4; ++i) {
+    const int fd = raw_connect(harness.socket_path());
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(write_all(fd, "\x40\x00\x00\x00{\"endpoint\"", 15));
+    stalled.push_back(fd);
+  }
+  const auto begin = std::chrono::steady_clock::now();
+  const serve::Response response = one_shot(harness.socket_path(), "afr");
+  const std::chrono::duration<double> waited = std::chrono::steady_clock::now() - begin;
+  EXPECT_TRUE(response.ok);
+  EXPECT_EQ(response.table, core::render_afr_total(core::Source(mono()), false));
+  EXPECT_LT(waited.count(), 1.0);
+  for (const int fd : stalled) ::close(fd);
+}
+
+TEST_F(ServeSuite, ShortConnectionsKeepMemoryAndThreadsFlat) {
+  DaemonHarness harness;
+  ASSERT_TRUE(harness.start(mono_path(), "serve_flat.sock").ok());
+  // Warm-up: concurrent clients reach every pool worker, so each has made
+  // its one-time malloc arena before the baseline is read.
+  run_identity_clients(harness.socket_path(), expected_matrix(mono()),
+                       /*clients=*/8, /*rounds=*/1);
+  const std::uint64_t vm_before_kb = proc_status("VmSize");
+  const std::uint64_t threads_before = proc_status("Threads");
+  std::size_t failed = 0;
+  for (int i = 0; i < 2000; ++i) {
+    if (!one_shot(harness.socket_path(), "stats").ok) ++failed;
+  }
+  EXPECT_EQ(failed, 0u);
+  // Signed: the process may also hand memory back (VmSize shrinks).
+  const auto vm_growth_kb = static_cast<std::int64_t>(proc_status("VmSize")) -
+                            static_cast<std::int64_t>(vm_before_kb);
+  EXPECT_LT(vm_growth_kb, 256 * 1024);
+  EXPECT_EQ(proc_status("Threads"), threads_before);
+}
+
+TEST_F(ServeSuite, PastTheConnectionBudgetPeersAreAnsweredBusy) {
+  // The budget comes from the soft open-file limit; lowering it before
+  // start() makes it small enough to fill.
+  struct RestoreLimit {
+    rlimit saved{};
+    ~RestoreLimit() { ::setrlimit(RLIMIT_NOFILE, &saved); }
+  } restore;
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &restore.saved), 0);
+  rlimit lowered = restore.saved;
+  lowered.rlim_cur = 72;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  DaemonHarness harness;  // declared after `restore`, so it stops first
+  const bool started = harness.start(mono_path(), "serve_busy.sock").ok();
+  const std::size_t budget = harness.daemon().connection_budget();
+  ASSERT_TRUE(started);
+  ASSERT_GT(budget, 0u);
+  ASSERT_LT(budget, 72u);
+
+  std::vector<serve::Client> clients(budget);
+  serve::Request request;
+  request.endpoint = "stats";
+  for (auto& client : clients) {
+    serve::Response response;
+    ASSERT_TRUE(client.connect(harness.socket_path()).ok());
+    ASSERT_TRUE(client.request(request, &response).ok());
+    ASSERT_TRUE(response.ok);
+  }
+
+  // The budget is full: the next peer is answered `busy` unprompted, then
+  // closed.
+  const int fd = raw_connect(harness.socket_path());
+  ASSERT_GE(fd, 0);
+  std::string body;
+  ASSERT_EQ(serve::read_frame(fd, &body), serve::FrameStatus::kOk);
+  serve::Response response;
+  ASSERT_TRUE(serve::parse_response(body, &response));
+  EXPECT_FALSE(response.ok);
+  EXPECT_EQ(response.error_code, "busy");
+  EXPECT_NE(serve::read_frame(fd, &body), serve::FrameStatus::kOk);
+  ::close(fd);
+
+  // One connection closes; its slot serves a new peer. The daemon sees the
+  // close on a later poll round than the connect may land in, so a `busy`
+  // answer in between is retried.
+  clients.back().close();
+  bool served = false;
+  for (int attempt = 0; attempt < 100 && !served; ++attempt) {
+    serve::Client client;
+    ASSERT_TRUE(client.connect(harness.socket_path()).ok());
+    served = client.request(request, &response).ok() && response.ok;
+    if (!served) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(served);
+
+  serve::Response stats;
+  ASSERT_TRUE(clients.front().request(request, &stats).ok());
+  const std::string shed = "serve.connections.shed ";
+  const auto at = stats.table.find(shed);
+  ASSERT_NE(at, std::string::npos) << stats.table;
+  EXPECT_GE(std::stoull(stats.table.substr(at + shed.size())), 1u);
 }
 
 // --- drain ---------------------------------------------------------------

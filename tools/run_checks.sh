@@ -4,7 +4,7 @@
 #   tools/run_checks.sh [extra ctest args...]
 #
 #   1. configure + build the default preset
-#   2. ctest (604 unit/integration tests + the storsim_lint fixture suite
+#   2. ctest (609 unit/integration tests + the storsim_lint fixture suite
 #      + the StorsimLint.TreeIsClean gate)
 #   3. storsim_lint --check over src/ bench/ tests/ (redundant with the ctest
 #      gate, but run standalone so its report is printed even when ctest is
@@ -36,8 +36,9 @@
 #   9. storsimd gate (docs/SERVE.md): a real `storsubsim serve` daemon over
 #      the step-5 store answers parallel `storsubsim client` calls byte-
 #      identically to the offline path, the serve_bench QPS ladder clears a
-#      conservative floor with zero mismatches, and SIGTERM drains cleanly
-#      (exit 0, socket unlinked)
+#      conservative floor with zero mismatches, a 100k-connection soak
+#      leaves the daemon alive with flat threads, RSS and VmSize, and
+#      SIGTERM drains cleanly (exit 0, socket unlinked)
 #  10. clang-tidy over src/ when available (the container may not ship it;
 #      the curated profile lives in .clang-tidy)
 #  11. replication gate (docs/REPLICATION.md): `storsubsim replicate` at
@@ -252,6 +253,56 @@ for endpoint in afr afr_by_class tbf correlation lifetime query; do
     "build/CHECK_serve_daemon_$endpoint.txt"
 done
 echo "daemon answers byte-identical to offline (5 endpoints + grouped query)"
+# Soak: 100k sequential one-request connections. The daemon must survive
+# them with its thread count unchanged and its memory flat (RSS +16 MiB,
+# VmSize +512 MiB at most: per-thread malloc arenas are a one-time cost).
+if command -v python3 > /dev/null 2>&1; then
+  python3 - "$SERVE_PID" "$SERVE_SOCK" <<'PYEOF'
+import os, socket, struct, sys, time
+pid, path = sys.argv[1], sys.argv[2]
+
+def status():
+    fields = {}
+    with open("/proc/%s/status" % pid) as f:
+        for line in f:
+            key, _, value = line.partition(":")
+            if key in ("VmSize", "VmRSS", "Threads"):
+                fields[key] = int(value.split()[0])
+    return fields
+
+def recv_exact(s, n):
+    data = b""
+    while len(data) < n:
+        chunk = s.recv(n - len(data))
+        assert chunk, "daemon closed a soak connection early"
+        data += chunk
+    return data
+
+body = b'{"endpoint":"stats"}'
+frame = struct.pack("<I", len(body)) + body
+before = status()
+start = time.time()
+for i in range(100000):
+    s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    s.connect(path)
+    s.sendall(frame)
+    reply = recv_exact(s, struct.unpack("<I", recv_exact(s, 4))[0])
+    s.close()
+    assert reply.startswith(b'{"ok":true'), "soak request %d failed: %r" % (i, reply[:200])
+elapsed = time.time() - start
+assert os.path.exists("/proc/%s" % pid), "daemon died during the soak"
+after = status()
+print("soak: 100000 connections in %.1f s; Threads %d -> %d, VmRSS %.1f -> %.1f MiB, "
+      "VmSize %+.1f MiB" % (elapsed, before["Threads"], after["Threads"],
+                            before["VmRSS"] / 1024.0, after["VmRSS"] / 1024.0,
+                            (after["VmSize"] - before["VmSize"]) / 1024.0))
+assert after["Threads"] == before["Threads"], "daemon thread count changed"
+assert after["VmRSS"] - before["VmRSS"] <= 16 * 1024, "daemon RSS grew more than 16 MiB"
+assert after["VmSize"] - before["VmSize"] <= 512 * 1024, "daemon VmSize grew more than 512 MiB"
+PYEOF
+else
+  echo "python3 unavailable; 100k-connection soak skipped"
+fi
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 [ ! -e "$SERVE_SOCK" ] || { echo "FAIL: $SERVE_SOCK leaked after drain"; exit 1; }

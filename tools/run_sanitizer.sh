@@ -59,9 +59,10 @@ if [ "$preset" = tsan ]; then
   # layer recording throughout.
   run_ctest -R 'Registry\.|Trace\.|Span\.|Determinism\.'
 
-  # storsimd: 16 concurrent clients against real connection threads, the
-  # request pool, and the shard LRU — the hottest lock choreography in the
-  # tree (pin/evict vs. mmap teardown, drain vs. in-flight requests).
+  # storsimd: 16 concurrent clients against the real poll loop, the request
+  # pool, and the shard LRU — the hottest lock choreography in the tree
+  # (loop/worker fd hand-back, pin/evict vs. mmap teardown, drain vs.
+  # in-flight requests).
   run_ctest -R 'ServeSuite\.'
 
   # Determinism contract under contention and with an oversubscribed pool:
