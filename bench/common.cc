@@ -14,6 +14,7 @@
 #include "core/store_bridge.h"
 #include "obs/obs.h"
 #include "store/shards.h"
+#include "util/file.h"
 #include "util/parallel.h"
 
 namespace storsubsim::bench {
@@ -53,7 +54,7 @@ Options parse_options(int& argc, char** argv) {
 
 void finish_run(const std::string& tool, const Options& options,
                 const std::vector<std::pair<std::string, double>>& numbers) {
-  if (!options.trace.empty() && !obs::write_trace_json(options.trace)) {
+  if (!options.trace.empty() && util::publish_file(options.trace, obs::trace_json()) != 0) {
     std::cerr << "cannot write trace " << options.trace << "\n";
     std::exit(1);
   }
@@ -65,7 +66,7 @@ void finish_run(const std::string& tool, const Options& options,
     manifest.threads = util::thread_count();
     if (!options.store.empty()) manifest.info.emplace_back("store", options.store);
     manifest.numbers = numbers;
-    if (!obs::write_manifest(options.manifest, manifest)) {
+    if (util::publish_file(options.manifest, obs::manifest_json(manifest)) != 0) {
       std::cerr << "cannot write manifest " << options.manifest << "\n";
       std::exit(1);
     }

@@ -24,8 +24,8 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,6 +38,7 @@
 #include "store/decode.h"
 #include "store/query.h"
 #include "store/reader.h"
+#include "util/file.h"
 
 namespace {
 
@@ -251,10 +252,10 @@ int main(int argc, char** argv) {
   store::set_simd_enabled(true);
 
   // --- crc32: slice-by-8 vs the bytewise loop it replaced --------------------
-  std::string image;
-  {
-    std::ifstream in(store_path, std::ios::binary);
-    image.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  store::MmapFile image;
+  if (const store::Error err = image.open(store_path); !err.ok()) {
+    std::cerr << err.describe() << "\n";
+    return 1;
   }
   const double crc_s = time_kernel(repeat, image.size(), [&] {
     sink += store::crc32(image.data(), image.size());
@@ -311,7 +312,7 @@ int main(int argc, char** argv) {
       {"cold_query_scalar_seconds", cold_scalar_s},
   };
 
-  std::ofstream out(out_path);
+  std::ostringstream out;
   out << "{\n  \"benchmark\": \"decode_kernels\",\n"
       << "  \"scale\": " << options.scale << ",\n  \"seed\": " << options.seed
       << ",\n  \"repeat\": " << repeat << ",\n"
@@ -324,6 +325,10 @@ int main(int argc, char** argv) {
     out << ",\n  \"" << name << "\": " << value;
   }
   out << "\n}\n";
+  if (util::publish_file(out_path, out.str()) != 0) {
+    std::cerr << "cannot write " << out_path << "\n";
+    return 1;
+  }
   std::cout << "varint batch " << gbps(data.varint_total, varint_batch_s)
             << " GB/s (legacy " << gbps(data.varint_total, varint_legacy_s)
             << "), crc32 " << gbps(image.size(), crc_s) << " GB/s (legacy "

@@ -21,8 +21,8 @@
 //
 // Scales measured: 0.25 and 1.0 (the paper's full ~39k-system fleet).
 #include <chrono>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,6 +30,7 @@
 #include "core/pipeline.h"
 #include "model/fleet_config.h"
 #include "obs/obs.h"
+#include "util/file.h"
 #include "util/parallel.h"
 #include "util/rss.h"
 
@@ -127,11 +128,15 @@ int main(int argc, char** argv) {
               << " hardware thread(s); a thread-scaling curve measured here is "
                  "meaningless.\nRefusing to write measurements — rerun on a "
                  "multicore host (see docs/performance.md).\n";
-    std::ofstream out(out_path);
+    std::ostringstream out;
     out << "{\n  \"benchmark\": \"simulate_and_analyze\",\n  \"hardware_threads\": " << hw
         << ",\n  \"seed\": " << seed
         << ",\n  \"error\": \"single-core host: thread-scaling sweep refused; rerun on "
            "a multicore box\",\n  \"runs\": []\n}\n";
+    if (util::publish_file(out_path, out.str()) != 0) {
+      std::cerr << "cannot write " << out_path << "\n";
+      return 1;
+    }
     std::cout << "wrote refusal stub to " << out_path << "\n";
     return 1;
   }
@@ -173,7 +178,7 @@ int main(int argc, char** argv) {
   util::set_thread_count(0);
 
   const std::uint64_t peak_rss = util::peak_rss_bytes();
-  std::ofstream out(out_path);
+  std::ostringstream out;
   out << "{\n  \"benchmark\": \"simulate_and_analyze\",\n  \"hardware_threads\": " << hw
       << ",\n  \"seed\": " << seed << ",\n  \"repeat\": " << repeat
       << ",\n  \"peak_rss_bytes\": " << peak_rss << ",\n  \"runs\": [\n";
@@ -196,6 +201,10 @@ int main(int argc, char** argv) {
     out << "]}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
+  if (util::publish_file(out_path, out.str()) != 0) {
+    std::cerr << "cannot write " << out_path << "\n";
+    return 1;
+  }
   std::cout << "wrote " << out_path << "\n";
 
   // Provenance manifest next to the result file (BENCH_parallel.manifest.json).
@@ -220,7 +229,7 @@ int main(int argc, char** argv) {
     manifest_path.resize(manifest_path.size() - 5);
   }
   manifest_path += ".manifest.json";
-  if (!obs::write_manifest(manifest_path, manifest)) {
+  if (util::publish_file(manifest_path, obs::manifest_json(manifest)) != 0) {
     std::cerr << "cannot write manifest " << manifest_path << "\n";
     return 1;
   }

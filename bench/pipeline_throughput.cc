@@ -25,7 +25,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -42,6 +41,7 @@
 #include "model/fleet_config.h"
 #include "sim/log_bridge.h"
 #include "sim/simulator.h"
+#include "util/file.h"
 #include "util/parallel.h"
 
 namespace {
@@ -416,7 +416,7 @@ int main(int argc, char** argv) {
             << ", classification "
             << (classification_identical ? "identical" : "MISMATCH") << "\n";
 
-  std::ofstream out(out_path);
+  std::ostringstream out;
   out << "{\n  \"benchmark\": \"log_pipeline_throughput\",\n"
       << "  \"scale\": " << scale << ",\n  \"seed\": " << seed
       << ",\n  \"repeat\": " << repeat << ",\n  \"threads\": 1,\n"
@@ -436,6 +436,10 @@ int main(int argc, char** argv) {
       << "  \"bytes_identical\": " << (bytes_identical ? "true" : "false") << ",\n"
       << "  \"classification_identical\": " << (classification_identical ? "true" : "false")
       << "\n}\n";
+  if (util::publish_file(out_path, out.str()) != 0) {
+    std::cerr << "cannot write " << out_path << "\n";
+    return 1;
+  }
   std::cout << "wrote " << out_path << "\n";
 
   // Provenance manifest next to the result file (BENCH_pipeline.manifest.json).
@@ -454,11 +458,11 @@ int main(int argc, char** argv) {
     manifest_path.resize(manifest_path.size() - 5);
   }
   manifest_path += ".manifest.json";
-  if (!obs::write_manifest(manifest_path, manifest)) {
+  if (util::publish_file(manifest_path, obs::manifest_json(manifest)) != 0) {
     std::cerr << "cannot write manifest " << manifest_path << "\n";
     return 1;
   }
-  if (!trace_path.empty() && !obs::write_trace_json(trace_path)) {
+  if (!trace_path.empty() && util::publish_file(trace_path, obs::trace_json()) != 0) {
     std::cerr << "cannot write trace " << trace_path << "\n";
     return 1;
   }

@@ -17,8 +17,8 @@
 //                   [--out=<path>] [--ci-rel=<r>] [--manifest=<path>]
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,6 +26,7 @@
 #include "common.h"
 #include "replicate/replicate.h"
 #include "replicate/table.h"
+#include "util/file.h"
 #include "util/parallel.h"
 #include "util/rss.h"
 
@@ -131,7 +132,7 @@ int main(int argc, char** argv) {
             << stop_wall << " s vs " << fixed_wall << " s fixed-N\n";
 
   const std::uint64_t peak_rss = util::peak_rss_bytes();
-  std::ofstream out(out_path);
+  std::ostringstream out;
   out << "{\n  \"benchmark\": \"replicate\",\n"
       << "  \"scale\": " << base.scale << ",\n  \"seed\": " << base.seed
       << ",\n  \"threads\": " << util::thread_count()
@@ -150,6 +151,10 @@ int main(int argc, char** argv) {
       << ", \"stop_reason\": \"" << replicate::to_string(stopped.stop_reason)
       << "\", \"wall_seconds\": " << stop_wall
       << ", \"fixed_wall_seconds\": " << fixed_wall << "}\n}\n";
+  if (util::publish_file(out_path, out.str()) != 0) {
+    std::cerr << "cannot write " << out_path << "\n";
+    return 1;
+  }
   std::cout << "wrote " << out_path << "\n";
 
   std::vector<std::pair<std::string, double>> numbers;

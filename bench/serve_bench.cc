@@ -15,6 +15,7 @@
 //   serve_bench [--scale=<f>] [--seed=<n>] [--threads=<n>] [--store=<path>]
 //               [--out=<path>] [--requests=<n per client>]
 //               [--manifest=<path>] [--trace=<path>]
+#include <sstream>
 #include <unistd.h>
 
 #include <algorithm>
@@ -22,7 +23,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -40,6 +40,7 @@
 #include "serve/protocol.h"
 #include "store/query.h"
 #include "store/shards.h"
+#include "util/file.h"
 #include "util/parallel.h"
 #include "util/rss.h"
 
@@ -221,7 +222,7 @@ int main(int argc, char** argv) {
             << (mismatches == 0 ? "clean" : "MISMATCH") << ", peak RSS "
             << peak_rss << " bytes\n";
 
-  std::ofstream out(out_path);
+  std::ostringstream out;
   out << "{\n  \"benchmark\": \"serve_qps\",\n"
       << "  \"scale\": " << options.scale << ",\n  \"seed\": " << options.seed
       << ",\n  \"requests_per_client\": " << per_client << ",\n"
@@ -237,6 +238,10 @@ int main(int argc, char** argv) {
         << (i + 1 < rungs.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
+  if (util::publish_file(out_path, out.str()) != 0) {
+    std::cerr << "cannot write " << out_path << "\n";
+    return 1;
+  }
   std::cout << "wrote " << out_path << "\n";
 
   std::vector<std::pair<std::string, double>> numbers;

@@ -30,8 +30,8 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,6 +44,7 @@
 #include "model/fleet_config.h"
 #include "store/query.h"
 #include "store/shards.h"
+#include "util/file.h"
 #include "util/parallel.h"
 #include "util/rss.h"
 
@@ -218,7 +219,7 @@ int main(int argc, char** argv) {
             << "AFR breakdown " << (breakdown_identical ? "bit-identical" : "MISMATCH")
             << ", query counts " << (query_identical ? "identical" : "MISMATCH") << "\n";
 
-  std::ofstream out(out_path);
+  std::ostringstream out;
   out << "{\n  \"benchmark\": \"store_rerun\",\n"
       << "  \"scale\": " << scale << ",\n  \"seed\": " << seed
       << ",\n  \"repeat\": " << repeat << ",\n"
@@ -241,6 +242,10 @@ int main(int argc, char** argv) {
       << "  \"rerun_speedup\": " << speedup << ",\n"
       << "  \"breakdown_identical\": " << (breakdown_identical ? "true" : "false") << ",\n"
       << "  \"query_identical\": " << (query_identical ? "true" : "false") << "\n}\n";
+  if (util::publish_file(out_path, out.str()) != 0) {
+    std::cerr << "cannot write " << out_path << "\n";
+    return 1;
+  }
   std::cout << "wrote " << out_path << "\n";
 
   // Provenance manifest next to the result file (BENCH_store.manifest.json).
@@ -263,7 +268,7 @@ int main(int argc, char** argv) {
     manifest_path.resize(manifest_path.size() - 5);
   }
   manifest_path += ".manifest.json";
-  if (!obs::write_manifest(manifest_path, manifest)) {
+  if (util::publish_file(manifest_path, obs::manifest_json(manifest)) != 0) {
     std::cerr << "cannot write manifest " << manifest_path << "\n";
     return 1;
   }

@@ -2,8 +2,10 @@
 
 #include <sys/stat.h>
 #include <sys/types.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -68,6 +70,14 @@ store::Error build_sharded_store(const std::string& dir, const model::FleetConfi
   obs::Span span("store.sharded_build");
   if (!ensure_directory(dir)) {
     return store::Error{store::ErrorCode::kIo, "cannot create shard directory"};
+  }
+  // The MANIFEST is the commit record: withdraw the old one before any shard
+  // is replaced and publish the new one only after every shard is, so an
+  // opener sees the old generation, the new one, or no store — never a mix.
+  const std::string manifest_path = dir + '/' + std::string(store::kManifestFileName);
+  if (::unlink(manifest_path.c_str()) != 0 && errno != ENOENT) {
+    return store::Error{store::ErrorCode::kIo,
+                        std::string("cannot withdraw ").append(manifest_path)};
   }
 
   // Plan pass: cumulative topology counts in bounded memory. Everything the

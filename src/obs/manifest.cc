@@ -1,7 +1,6 @@
 #include "obs/manifest.h"
 
 #include <cstdio>
-#include <fstream>
 
 #include "obs/json.h"
 #include "obs/registry.h"
@@ -71,13 +70,6 @@ std::string manifest_json(const RunManifest& manifest) {
   }
   out += "\n}\n";
   return out;
-}
-
-bool write_manifest(const std::string& path, const RunManifest& manifest) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << manifest_json(manifest);
-  return static_cast<bool>(out);
 }
 
 }  // namespace storsubsim::obs

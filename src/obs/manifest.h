@@ -34,7 +34,4 @@ std::string_view git_describe() noexcept;
 /// Serializes the manifest (plus the current metric snapshot) as JSON.
 std::string manifest_json(const RunManifest& manifest);
 
-/// Writes manifest_json() to `path`; false on I/O failure.
-bool write_manifest(const std::string& path, const RunManifest& manifest);
-
 }  // namespace storsubsim::obs

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -134,13 +133,6 @@ std::string trace_json() {
   }
   out += "\n]}\n";
   return out;
-}
-
-bool write_trace_json(const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << trace_json();
-  return static_cast<bool>(out);
 }
 
 }  // namespace storsubsim::obs

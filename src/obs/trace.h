@@ -29,9 +29,6 @@ std::uint32_t trace_thread_id();
 /// ("X" complete events, microsecond timestamps, sorted by start time).
 std::string trace_json();
 
-/// Writes trace_json() to `path`; false on I/O failure.
-bool write_trace_json(const std::string& path);
-
 namespace detail {
 /// Appends one complete event to the calling thread's buffer. Called by
 /// Span::stop() only when tracing is enabled.

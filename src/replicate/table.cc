@@ -1,8 +1,6 @@
 #include "replicate/table.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
+#include "store/mmap_file.h"
 
 namespace storsubsim::replicate {
 
@@ -207,34 +205,13 @@ store::Error decode_table(std::string_view bytes, ReplicateSummary* out) {
 }
 
 store::Error write_table(const std::string& path, const ReplicateSummary& summary) {
-  const std::string image = encode_table(summary);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return make_error(ErrorCode::kIo, "open for write failed: " + path);
-  }
-  const std::size_t written = std::fwrite(image.data(), 1, image.size(), f);
-  const int close_rc = std::fclose(f);
-  if (written != image.size() || close_rc != 0) {
-    return make_error(ErrorCode::kIo, "short write: " + path);
-  }
-  return store::Error{};
+  return store::publish_file(path, encode_table(summary));
 }
 
 store::Error read_table(const std::string& path, ReplicateSummary* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return make_error(ErrorCode::kIo, "open failed: " + path);
-  }
-  std::string bytes;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    return make_error(ErrorCode::kIo, "read failed: " + path);
-  }
-  return decode_table(bytes, out);
+  store::MmapFile file;
+  if (store::Error err = file.open(path); !err.ok()) return err;
+  return decode_table(file.view(), out);
 }
 
 }  // namespace storsubsim::replicate

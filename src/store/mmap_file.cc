@@ -1,6 +1,9 @@
 #include "store/mmap_file.h"
 
+#include <cstring>
 #include <utility>
+
+#include "util/file.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define STORSUBSIM_HAVE_MMAP 1
@@ -93,6 +96,14 @@ Error MmapFile::open(const std::string& path) {
   size_ = fallback_.size();
   return Error{};
 #endif
+}
+
+Error publish_file(const std::string& path, std::string_view bytes) {
+  const int err = util::publish_file(path, bytes);
+  if (err == 0) return Error{};
+  std::string detail("cannot publish ");
+  detail.append(path).append(": ").append(std::strerror(err));
+  return make_error(ErrorCode::kIo, detail);
 }
 
 }  // namespace storsubsim::store

@@ -1,10 +1,14 @@
-// Read-only memory-mapped file with a heap fallback.
+// The store's file I/O: MmapFile, the one whole-file reader, and
+// publish_file, the one writer.
 //
+// MmapFile is a read-only memory-mapped file with a heap fallback.
 // On POSIX hosts the file is mapped MAP_PRIVATE/PROT_READ so column readers
 // alias the page cache directly (the zero-copy contract of docs/STORE.md).
 // Hosts without mmap — or zero-length files, which mmap rejects — fall back
 // to reading the bytes into an owned buffer; callers cannot tell the
-// difference and the corruption checks behave identically.
+// difference and the corruption checks behave identically. A mapping keeps
+// the inode it was opened on, so a file republished under the same name
+// (publish_file renames a new inode over it) never changes under a reader.
 #pragma once
 
 #include <cstddef>
@@ -42,5 +46,9 @@ class MmapFile {
   bool is_mmap_ = false;
   std::string fallback_;  ///< owns the bytes when mmap is unavailable
 };
+
+/// util::publish_file (temp, fsync, rename, directory fsync) with its errno
+/// mapped to a kIo error naming `path`.
+[[nodiscard]] Error publish_file(const std::string& path, std::string_view bytes);
 
 }  // namespace storsubsim::store

@@ -1,12 +1,12 @@
 #include "store/shards.h"
 
 #include <charconv>
-#include <cstdio>
 #include <utility>
 
 #include "model/enums.h"
 #include "model/time.h"
 #include "obs/obs.h"
+#include "store/mmap_file.h"
 
 namespace storsubsim::store {
 
@@ -172,51 +172,43 @@ bool parse_hex_f64(std::string_view tok, double* v) {
   return Error{};
 }
 
-// --- small file helpers ------------------------------------------------------
+// --- shard checks ------------------------------------------------------------
 
-[[nodiscard]] Error read_file(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return make_error(ErrorCode::kIo, std::string("cannot open ").append(path));
+/// CRC32 of a shard's re-rendered header: the MANIFEST's per-shard
+/// fingerprint (byte-equal to the on-disk header of every written shard).
+std::uint32_t header_crc(const Header& header) {
+  std::string bytes;
+  append_header(bytes, header);
+  return crc32(bytes.data(), bytes.size());
+}
+
+/// A shard file must be exactly what its MANIFEST entry recorded: the same
+/// length, the same header CRC, and header counts that agree with the
+/// entry's. open() applies it to every shard up front and ensure_open() to
+/// every lazy (re)open, so a shard replaced after open() — a rebuild in
+/// place — is a typed error, never a silent mix of two generations.
+[[nodiscard]] Error check_shard(const ShardInfo& info, std::uint64_t seed,
+                                const Header& header, std::uint64_t file_size) {
+  if (file_size != info.file_size) {
+    return make_error(ErrorCode::kTruncated, "shard size differs from MANIFEST");
   }
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  out->clear();
-  if (size > 0) {
-    out->resize(static_cast<std::size_t>(size));
-    const std::size_t got = std::fread(out->data(), 1, out->size(), f);
-    if (got != out->size()) {
-      std::fclose(f);
-      return make_error(ErrorCode::kIo, std::string("short read from ").append(path));
-    }
+  if (header_crc(header) != info.header_crc) {
+    return make_error(ErrorCode::kChecksum, "shard header crc differs from MANIFEST");
   }
-  std::fclose(f);
+  if (header.system_count != info.systems || header.shelf_count != info.shelves ||
+      header.disk_count != info.disks_total || header.raid_group_count != info.raid_groups ||
+      header.event_count != info.events || header.seed != seed) {
+    return make_error(ErrorCode::kBadValue, "shard header disagrees with MANIFEST");
+  }
   return Error{};
 }
 
-/// File size + CRC32 of the first kHeaderSize bytes (returned in `head`),
-/// without mapping or reading the rest of the file.
-[[nodiscard]] Error probe_shard_file(const std::string& path, std::uint64_t* size,
-                       std::uint32_t* header_crc,
-                       std::array<char, kHeaderSize>* head = nullptr) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return make_error(ErrorCode::kIo, std::string("missing shard file ").append(path));
-  }
-  std::array<char, kHeaderSize> buf{};
-  const std::size_t got = std::fread(buf.data(), 1, buf.size(), f);
-  std::fseek(f, 0, SEEK_END);
-  const long end = std::ftell(f);
-  std::fclose(f);
-  if (got != buf.size() || end < 0) {
-    return make_error(ErrorCode::kTruncated,
-                      std::string("shard file shorter than a header: ").append(path));
-  }
-  *size = static_cast<std::uint64_t>(end);
-  *header_crc = crc32(buf.data(), buf.size());
-  if (head != nullptr) *head = buf;
-  return Error{};
+/// Prefixes a shard-level error with the shard's path, keeping the code and
+/// offset: a failure over a directory of dozens of shards names its file.
+[[nodiscard]] Error name_shard(const std::string& path, const Error& err) {
+  std::string detail("shard ");
+  detail.append(path).append(": ").append(err.detail);
+  return make_error(err.code, detail, err.offset);
 }
 
 void sum_meta(StoreMeta& into, const StoreMeta& add) {
@@ -541,18 +533,8 @@ Error parse_manifest(std::string_view text, ShardManifest* out) {
 }
 
 Error write_manifest_file(const std::string& dir, const ShardManifest& manifest) {
-  const std::string image = render_manifest(manifest);
-  const std::string path = shard_path(dir, std::string(kManifestFileName));
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return make_error(ErrorCode::kIo, std::string("cannot create ").append(path));
-  }
-  const std::size_t written = std::fwrite(image.data(), 1, image.size(), f);
-  const bool close_ok = std::fclose(f) == 0;
-  if (written != image.size() || !close_ok) {
-    return make_error(ErrorCode::kIo, std::string("short write to ").append(path));
-  }
-  return Error{};
+  return publish_file(shard_path(dir, std::string(kManifestFileName)),
+                      render_manifest(manifest));
 }
 
 Error merge_shard_tables(const std::string& dir, std::vector<ShardInfo>* shards,
@@ -584,9 +566,8 @@ Error merge_shard_tables(const std::string& dir, std::vector<ShardInfo>* shards,
     const std::string path = shard_path(dir, info.file);
     EventStore store;
     if (Error err = store.open(path); !err.ok()) return err;
-    if (Error err = probe_shard_file(path, &info.file_size, &info.header_crc); !err.ok()) {
-      return err;
-    }
+    info.file_size = store.header().file_size;
+    info.header_crc = header_crc(store.header());
     sum_meta(merged, store.meta());
 
     const auto sys_class = store.topology(ColumnId::kSysClass)->as_u8();
@@ -646,12 +627,8 @@ Error merge_shard_tables(const std::string& dir, std::vector<ShardInfo>* shards,
 
 StoreShape store_shape(const std::string& path) {
   const auto starts_with = [](const std::string& file, std::string_view magic) {
-    std::FILE* f = std::fopen(file.c_str(), "rb");
-    if (f == nullptr) return false;
-    std::array<char, 16> head{};
-    const std::size_t got = std::fread(head.data(), 1, magic.size(), f);
-    std::fclose(f);
-    return got == magic.size() && std::string_view(head.data(), got) == magic;
+    MmapFile f;
+    return f.open(file).ok() && f.view().starts_with(magic);
   };
   if (starts_with(path, std::string_view(kMagic.data(), kMagic.size()))) {
     return StoreShape::kFile;
@@ -686,9 +663,7 @@ Error ShardStore::open_file(const std::string& path) {
   ShardInfo info;
   info.file = slash == std::string::npos ? path : path.substr(slash + 1);
   info.file_size = h.file_size;
-  std::string header_bytes;
-  append_header(header_bytes, h);
-  info.header_crc = crc32(header_bytes.data(), header_bytes.size());
+  info.header_crc = header_crc(h);
   info.sys_end = info.systems = h.system_count;
   info.shelves = h.shelf_count;
   info.raid_groups = h.raid_group_count;
@@ -717,44 +692,22 @@ Error ShardStore::open_file(const std::string& path) {
 
 Error ShardStore::open_directory(const std::string& dir) {
   dir_ = dir;
-  std::string text;
-  if (Error err = read_file(shard_path(dir, std::string(kManifestFileName)), &text);
-      !err.ok()) {
-    return err;
-  }
-  if (Error err = parse_manifest(text, &manifest_); !err.ok()) return err;
+  MmapFile text;
+  Error err = text.open(shard_path(dir, std::string(kManifestFileName)));
+  if (err.ok()) err = parse_manifest(text.view(), &manifest_);
+  if (!err.ok()) return err;
 
-  // Cheap cross-check of every shard file: it must exist, have the recorded
-  // size, and its header must both CRC-match the manifest entry and agree
-  // with the entry's counts. Full column validation is deferred to
-  // ensure_open.
+  // Cheap cross-check of every shard file: it must exist and match its
+  // manifest entry (check_shard). Only the header is parsed; full column
+  // validation is deferred to ensure_open.
   for (const auto& info : manifest_.shards) {
     const std::string path = shard_path(dir, info.file);
-    std::uint64_t size = 0;
-    std::uint32_t header_crc = 0;
-    std::array<char, kHeaderSize> head{};
-    if (Error err = probe_shard_file(path, &size, &header_crc, &head); !err.ok()) {
-      return err;
-    }
-    if (size != info.file_size) {
-      return make_error(ErrorCode::kTruncated,
-                        std::string("shard size differs from MANIFEST: ").append(path));
-    }
-    if (header_crc != info.header_crc) {
-      return make_error(ErrorCode::kChecksum,
-                        std::string("shard header crc differs from MANIFEST: ").append(path));
-    }
+    MmapFile file;
     Header header;
-    if (Error err = parse_header(head.data(), head.size(), &header); !err.ok()) {
-      return err;
-    }
-    if (header.system_count != info.systems || header.shelf_count != info.shelves ||
-        header.disk_count != info.disks_total ||
-        header.raid_group_count != info.raid_groups ||
-        header.event_count != info.events || header.seed != manifest_.seed) {
-      return make_error(ErrorCode::kBadValue,
-                        std::string("shard header disagrees with MANIFEST: ").append(path));
-    }
+    err = file.open(path);
+    if (err.ok()) err = parse_header(file.data(), file.size(), &header);
+    if (err.ok()) err = check_shard(info, manifest_.seed, header, file.size());
+    if (!err.ok()) return name_shard(path, err);
   }
 
   shards_.clear();
@@ -765,14 +718,15 @@ Error ShardStore::open_directory(const std::string& dir) {
 Error ShardStore::ensure_open(std::size_t i) const {
   if (shards_[i] != nullptr) return Error{};
   auto store = std::make_unique<EventStore>();
-  const std::string path = shard_path(dir_, manifest_.shards[i].file);
-  if (Error err = store->open(path); !err.ok()) {
-    // Lazy validation fails long after open(); name the shard so the error
-    // points at the file to inspect, keeping the code and offset intact.
-    std::string detail("shard ");
-    detail.append(path).append(": ").append(err.detail);
-    return make_error(err.code, detail, err.offset);
+  const ShardInfo& info = manifest_.shards[i];
+  const std::string path = shard_path(dir_, info.file);
+  Error err = store->open(path);
+  // A lazy reopen (after an LRU eviction) may find a rebuilt file under the
+  // same name: hold it to the MANIFEST this store was opened with.
+  if (err.ok()) {
+    err = check_shard(info, manifest_.seed, store->header(), store->header().file_size);
   }
+  if (!err.ok()) return name_shard(path, err);
   shards_[i] = std::move(store);
   return Error{};
 }

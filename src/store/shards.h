@@ -110,8 +110,8 @@ std::string render_manifest(const ShardManifest& manifest);
                          StoreMeta* meta);
 
 /// What a path holds, judged by magic bytes alone: a STORCOL1 file, a shard
-/// directory whose MANIFEST starts with STORSHARD1, or neither. Reads a few
-/// bytes and maps nothing — the one place the tree recognises a store.
+/// directory whose MANIFEST starts with STORSHARD1, or neither. Touches only
+/// the first bytes of a mapping — the one place the tree recognises a store.
 enum class StoreShape : std::uint8_t { kNone, kFile, kShardDir };
 StoreShape store_shape(const std::string& path);
 
@@ -156,9 +156,11 @@ class ShardStore {
   const ShardInfo& info(std::size_t i) const noexcept { return manifest_.shards[i]; }
 
   /// Fully opens shard i if it is not open yet. Const because lazy opening
-  /// is a caching concern: the observable directory contents never change.
-  /// A shard failing validation on first touch reports its path in the
-  /// typed error, so a mid-analysis failure names the offending file.
+  /// is a caching concern. Every open is held to the MANIFEST read by
+  /// open() (size, header CRC, header counts), so a shard file replaced
+  /// since — a rebuild in place — fails typed instead of mixing generations.
+  /// A shard failing validation reports its path in the typed error, so a
+  /// mid-analysis failure names the offending file.
   [[nodiscard]] Error ensure_open(std::size_t i) const;
   bool is_open(std::size_t i) const noexcept { return shards_[i] != nullptr; }
   /// Shards currently held open (mmap + validated).

@@ -1,12 +1,12 @@
 #include "store/writer.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <utility>
 #include <vector>
 
 #include "obs/obs.h"
+#include "store/mmap_file.h"
 #include "util/parallel.h"
 
 namespace storsubsim::store {
@@ -462,16 +462,7 @@ Error write_store_file(const std::string& path, const StoreContents& contents) {
   std::string image;
   if (Error err = build_store_image(contents, &image); !err.ok()) return err;
 
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return make_error(ErrorCode::kIo, std::string("cannot create ").append(path));
-  }
-  const std::size_t written = std::fwrite(image.data(), 1, image.size(), f);
-  const bool close_ok = std::fclose(f) == 0;
-  if (written != image.size() || !close_ok) {
-    return make_error(ErrorCode::kIo, std::string("short write to ").append(path));
-  }
-  return Error{};
+  return publish_file(path, image);
 }
 
 }  // namespace storsubsim::store

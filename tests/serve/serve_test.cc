@@ -707,6 +707,76 @@ TEST_F(ServeSuite, UnboundedDaemonKeepsEveryShardMapped) {
   EXPECT_EQ(harness.daemon().lru()->evictions(), 0u);
 }
 
+// --- rebuild in place -------------------------------------------------------
+
+/// Asks every request of `matrix` once, in order, over one connection.
+std::vector<serve::Response> ask_all(const std::string& socket_path,
+                                     const std::vector<Expected>& matrix) {
+  serve::Client client;
+  EXPECT_TRUE(client.connect(socket_path).ok());
+  std::vector<serve::Response> answers(matrix.size());
+  for (std::size_t i = 0; i < matrix.size(); ++i) {
+    EXPECT_TRUE(client.request(matrix[i].request, &answers[i]).ok()) << i;
+  }
+  return answers;
+}
+
+// Stores are published by rename, so a daemon's mappings keep the
+// generation they were opened on: rebuilding the served store in place must
+// not kill the daemon (the old in-place write truncated the mapped inode:
+// SIGBUS) nor change a single answer byte. A shard directory served through
+// a 1-shard LRU must re-open evicted shards, and a shard re-opened after the
+// rebuild is held to the old MANIFEST: old-generation bytes or a typed
+// store-error, never a table mixing the two generations.
+TEST_F(ServeSuite, RebuildInPlaceKeepsServingTheOldGeneration) {
+  const auto matrix = expected_matrix(mono());
+  const auto other_config = model::standard_fleet_config(0.02, 20080227);
+
+  const std::string path = temp_path("serve_rebuilt.store");
+  ASSERT_TRUE(core::write_store(path, core::simulate_and_analyze(*config_), 20080226, 0.02).ok());
+  {
+    DaemonHarness harness;
+    ASSERT_TRUE(harness.start(path, "serve_rebuild_mono.sock").ok());
+    const auto before = ask_all(harness.socket_path(), matrix);
+    ASSERT_TRUE(core::write_store(path, core::simulate_and_analyze(other_config),
+                                  20080227, 0.02)
+                    .ok());
+    const auto after = ask_all(harness.socket_path(), matrix);
+    for (std::size_t i = 0; i < matrix.size(); ++i) {
+      EXPECT_TRUE(before[i].ok) << matrix[i].request.endpoint;
+      EXPECT_EQ(before[i].table, matrix[i].table) << matrix[i].request.endpoint;
+      EXPECT_TRUE(after[i].ok) << after[i].error_code << ": " << after[i].message;
+      EXPECT_EQ(after[i].table, before[i].table) << matrix[i].request.endpoint;
+    }
+  }
+  std::remove(path.c_str());
+
+  const std::string dir = temp_path("serve_rebuilt_shards");
+  core::ShardedBuildOptions options;
+  options.shards = 4;
+  ASSERT_TRUE(core::build_sharded_store(dir, *config_, options).ok());
+  {
+    DaemonHarness harness;
+    ASSERT_TRUE(harness.start(dir, "serve_rebuild_dir.sock", /*max_open_shards=*/1).ok());
+    const auto before = ask_all(harness.socket_path(), matrix);
+    ASSERT_TRUE(core::build_sharded_store(dir, other_config, options).ok());
+    const auto after = ask_all(harness.socket_path(), matrix);
+    std::size_t store_errors = 0;
+    for (std::size_t i = 0; i < matrix.size(); ++i) {
+      EXPECT_EQ(before[i].table, matrix[i].table) << matrix[i].request.endpoint;
+      if (after[i].ok) {
+        EXPECT_EQ(after[i].table, before[i].table) << matrix[i].request.endpoint;
+      } else {
+        EXPECT_EQ(after[i].error_code, "store-error") << after[i].message;
+        ++store_errors;
+      }
+    }
+    // Evicted shards had to be re-opened, and every re-open met a new file.
+    EXPECT_GT(store_errors, 0u);
+  }
+  remove_shard_dir(dir);
+}
+
 // --- replicate_summary ----------------------------------------------------
 
 TEST_F(ServeSuite, ReplicateSummaryMatchesTheOfflineRendererByteForByte) {

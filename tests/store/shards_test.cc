@@ -10,6 +10,7 @@
 // and Source suites); the corruption fixtures use a smaller 0.01 fleet.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -712,4 +713,49 @@ TEST_F(ShardCorruption, LazyValidationErrorNamesTheShardPath) {
     ++named;
   }
   EXPECT_GT(named, 0u);  // at least one flip must reach lazy validation
+}
+
+// The MANIFEST is the commit record: shard files alone are not a store.
+TEST_F(ShardCorruption, ShardFilesWithoutAManifestAreNotAStore) {
+  ASSERT_EQ(std::remove(manifest_path_->c_str()), 0);
+  store::ShardStore shards;
+  EXPECT_EQ(shards.open(*dir_).code, store::ErrorCode::kBadMagic);
+}
+
+// A shard replaced after open() (a rebuild in place) is held to the MANIFEST
+// the store was opened with: the lazy open fails typed and names the file
+// instead of mixing the new shard's events into the old exposure.
+TEST_F(ShardCorruption, AShardReplacedAfterOpenFailsItsLazyOpenTyped) {
+  store::ShardStore shards;
+  ASSERT_TRUE(shards.open(*dir_).ok());
+  ASSERT_FALSE(shards.is_open(0));
+  write_file(*shard0_path_, read_file(*dir_ + "/shard-0001.store"));  // valid, but not shard 0
+  const auto err = shards.ensure_open(0);
+  EXPECT_TRUE(err.code == store::ErrorCode::kTruncated ||
+              err.code == store::ErrorCode::kChecksum)
+      << err.describe();
+  EXPECT_NE(err.detail.find("shard-0000.store"), std::string::npos) << err.describe();
+  EXPECT_FALSE(shards.is_open(0));
+}
+
+TEST(ShardedBuildPublication, AFailedRebuildLeavesNoManifestBehind) {
+  const std::string dir = temp_path("shards_failed_rebuild");
+  const auto config = model::standard_fleet_config(0.01, 7);
+  core::ShardedBuildOptions options;
+  options.shards = 2;
+  ASSERT_TRUE(core::build_sharded_store(dir, config, options).ok());
+  store::ShardStore before;
+  ASSERT_TRUE(before.open(dir).ok());
+
+  // A directory squatting on the second shard's name makes its publish fail.
+  const std::string squatter = dir + "/shard-0001.store";
+  ASSERT_EQ(std::remove(squatter.c_str()), 0);
+  ASSERT_EQ(::mkdir(squatter.c_str(), 0775), 0);
+  EXPECT_FALSE(core::build_sharded_store(dir, config, options).ok());
+
+  store::ShardStore after;
+  EXPECT_EQ(after.open(dir).code, store::ErrorCode::kBadMagic)
+      << "old MANIFEST over a half-rebuilt directory";
+  ::rmdir(squatter.c_str());
+  remove_shard_dir(dir);
 }

@@ -341,6 +341,32 @@ TEST(TimerDisciplineRule, ScopedToInstrumentedSubsystemsOnly) {
       << "bench code may time however it likes";
 }
 
+// --- rule: file-publish -------------------------------------------------------
+
+TEST(FilePublishRule, FlagsOfstreamWritingFopenModesAndCreat) {
+  const auto report = lint_fixture("src/bad_file_publish.cc");
+  // ofstream, fopen "wb" / "a" / "r+b" / non-literal mode, creat.
+  EXPECT_EQ(count_rule(report, lint::Rule::kFilePublish), 6u);
+  EXPECT_EQ(report.findings.size(), 6u);
+}
+
+TEST(FilePublishRule, ReadsAndPublishFileAreClean) {
+  EXPECT_TRUE(lint_fixture("src/clean_file_publish.cc").findings.empty());
+}
+
+TEST(FilePublishRule, ScopedToSrcOutsideTheOneWritePath) {
+  const std::string snippet =
+      "#include <fstream>\n"
+      "void f(const char* p) { std::ofstream out(p); }\n";
+  EXPECT_EQ(lint::lint_source("src/store/writer.cc", snippet).findings.size(), 1u);
+  EXPECT_EQ(lint::lint_source("src/obs/manifest.cc", snippet).findings.size(), 1u);
+  EXPECT_TRUE(lint::lint_source("src/util/file.cc", snippet).findings.empty())
+      << "src/util/file.cc is the one file-creating write path";
+  EXPECT_TRUE(lint::lint_source("tools/storsubsim_cli.cc", snippet).findings.empty())
+      << "the CLI's streamed simulate output is out of scope";
+  EXPECT_TRUE(lint::lint_source("bench/store_bench.cc", snippet).findings.empty());
+}
+
 // --- baselines --------------------------------------------------------------
 
 TEST(Baseline, RoundTripSilencesAcceptedFindings) {
@@ -412,6 +438,7 @@ TEST(Cli, ExitsNonzeroOnEveryViolatingFixture) {
                           "src/bad_rng_discipline.cc", "src/bad_suppression.cc",
                           "src/log/bad_alloc_hotpath.cc", "src/store/bad_alloc_store.cc",
                           "src/sim/bad_timer_discipline.cc", "src/serve/bad_serve_hotpath.cc",
+                          "src/bad_file_publish.cc",
                           "include/bad_missing_guard.h", "include/bad_using_namespace.h"}) {
     EXPECT_EQ(run_cli("--check " + fixture_path(bad)), 1) << bad;
   }
@@ -422,7 +449,8 @@ TEST(Cli, ExitsZeroOnCleanFixtures) {
        {"src/clean_deterministic.cc", "src/clean_unordered_lookup.cc",
         "src/allowed_unordered_iter.cc", "src/log/clean_linewriter.cc",
         "src/store/clean_columnar.cc", "src/sim/clean_span_timing.cc",
-        "src/serve/clean_serve_hotpath.cc", "bench/timing_uses_clock.cc",
+        "src/serve/clean_serve_hotpath.cc", "src/clean_file_publish.cc",
+        "bench/timing_uses_clock.cc",
         "include/clean_header.h"}) {
     EXPECT_EQ(run_cli("--check " + fixture_path(good)), 0) << good;
   }

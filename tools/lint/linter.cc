@@ -24,6 +24,7 @@ std::string_view rule_name(Rule rule) noexcept {
     case Rule::kHeaderHygiene: return "header-hygiene";
     case Rule::kAllocHotpath: return "alloc-hotpath";
     case Rule::kTimerDiscipline: return "timer-discipline";
+    case Rule::kFilePublish: return "file-publish";
     case Rule::kViewLifetime: return "view-lifetime";
     case Rule::kErrorDiscipline: return "error-discipline";
     case Rule::kLayering: return "layering";

@@ -12,10 +12,10 @@
 //
 //   phase 1 (per file, parallel)  — token-scan rules over one translation
 //     unit at a time: nondeterminism, unordered-iter, rng-discipline,
-//     header-hygiene, alloc-hotpath, timer-discipline. While scanning, each
-//     file is also indexed: its quoted includes, declared functions (return
-//     types, [[nodiscard]]-ness, bodies, parameters), mutex inventory, and
-//     view-typed members.
+//     header-hygiene, alloc-hotpath, timer-discipline, file-publish. While
+//     scanning, each file is also indexed: its quoted includes, declared
+//     functions (return types, [[nodiscard]]-ness, bodies, parameters), mutex
+//     inventory, and view-typed members.
 //   phase 2 (over the cross-TU index) — semantic rules that need more than
 //     one file: view-lifetime (returning/storing a view of a dying buffer),
 //     error-discipline (store::Error-returning APIs must be [[nodiscard]]
@@ -49,6 +49,7 @@ enum class Rule {
   kHeaderHygiene,
   kAllocHotpath,
   kTimerDiscipline,
+  kFilePublish,
   kViewLifetime,
   kErrorDiscipline,
   kLayering,
@@ -60,8 +61,9 @@ enum class Rule {
 inline constexpr Rule kAllRules[] = {
     Rule::kNondeterminism, Rule::kUnorderedIter,    Rule::kRngDiscipline,
     Rule::kHeaderHygiene,  Rule::kAllocHotpath,     Rule::kTimerDiscipline,
-    Rule::kViewLifetime,   Rule::kErrorDiscipline,  Rule::kLayering,
-    Rule::kLockDiscipline, Rule::kAnalysisOverload, Rule::kBadSuppression};
+    Rule::kFilePublish,    Rule::kViewLifetime,     Rule::kErrorDiscipline,
+    Rule::kLayering,       Rule::kLockDiscipline,   Rule::kAnalysisOverload,
+    Rule::kBadSuppression};
 
 std::string_view rule_name(Rule rule) noexcept;
 std::optional<Rule> rule_from_name(std::string_view name) noexcept;

@@ -1,6 +1,6 @@
 // Phase-1 rules: per-file token scans that need no cross-TU knowledge
 // (nondeterminism, unordered-iter, rng-discipline, header-hygiene,
-// alloc-hotpath, timer-discipline). The phase-2 families live in the
+// alloc-hotpath, timer-discipline, file-publish). The phase-2 families live in the
 // rules_*.cc files next to this one and run over the index instead.
 #include <algorithm>
 #include <cctype>
@@ -96,6 +96,9 @@ class FileLinter {
                                has_segment(path_, "store") || has_segment(path_, "serve") ||
                                ends_with_path(path_, "src/core/sharded_build.cc"));
     if (timer_scoped) check_timer_discipline();
+    // src/ creates files only through util::publish_file (temp, fsync,
+    // rename), and src/util/file.cc is that one write path.
+    if (in_src && !ends_with_path(path_, "src/util/file.cc")) check_file_publish();
     return finish();
   }
 
@@ -207,6 +210,50 @@ class FileLinter {
             "region in an obs::Span (src/obs/span.h) or read obs::now_seconds()");
       }
     });
+  }
+
+  void check_file_publish() {
+    const std::string_view code = stripped_.code;
+    for_each_identifier(code, [&](const Token& tok) {
+      if (is_member_access(code, tok)) return;
+      if (tok.text == "ofstream") {
+        add(tok.begin, Rule::kFilePublish,
+            "std::ofstream writes its target in place, so a crash or a concurrent reader "
+            "sees a torn file; build the bytes and util::publish_file (src/util/file.h) them");
+        return;
+      }
+      std::size_t open = 0;
+      if (next_nonspace(code, tok.end, &open) != '(') return;
+      if (tok.text == "creat" || (tok.text == "fopen" && fopen_writes(open))) {
+        add(tok.begin, Rule::kFilePublish,
+            std::string(tok.text) +
+                " creates or writes a file in place; build the bytes and "
+                "util::publish_file (src/util/file.h) them");
+      }
+    });
+  }
+
+  /// True when the fopen call whose '(' is at `open` has a mode containing
+  /// 'w', 'a' or '+' — or a mode that is not a string literal, which the
+  /// scan cannot see through.
+  bool fopen_writes(std::size_t open) const {
+    const std::string_view code = stripped_.code;
+    const std::size_t close = match_paren(code, open);
+    if (close == std::string_view::npos) return false;
+    int depth = 0;
+    std::size_t comma = std::string_view::npos;
+    for (std::size_t i = open + 1; i < close && comma == std::string_view::npos; ++i) {
+      if (code[i] == '(' || code[i] == '[' || code[i] == '{') ++depth;
+      if (code[i] == ')' || code[i] == ']' || code[i] == '}') --depth;
+      if (code[i] == ',' && depth == 0) comma = i;
+    }
+    if (comma == std::string_view::npos) return false;
+    // Literal bytes are blanked in `code`; the mode is read from the source.
+    const std::string_view mode = src_.substr(comma + 1, close - comma - 1);
+    const std::size_t q1 = mode.find('"');
+    const std::size_t q2 = q1 == std::string_view::npos ? q1 : mode.find('"', q1 + 1);
+    if (q2 == std::string_view::npos) return true;
+    return mode.substr(q1 + 1, q2 - q1 - 1).find_first_of("wa+") != std::string_view::npos;
   }
 
   void check_rng_discipline() {

@@ -4,7 +4,7 @@
 #   tools/run_checks.sh [extra ctest args...]
 #
 #   1. configure + build the default preset
-#   2. ctest (609 unit/integration tests + the storsim_lint fixture suite
+#   2. ctest (622 unit/integration tests + the storsim_lint fixture suite
 #      + the StorsimLint.TreeIsClean gate)
 #   3. storsim_lint --check over src/ bench/ tests/ (redundant with the ctest
 #      gate, but run standalone so its report is printed even when ctest is
@@ -37,8 +37,11 @@
 #      the step-5 store answers parallel `storsubsim client` calls byte-
 #      identically to the offline path, the serve_bench QPS ladder clears a
 #      conservative floor with zero mismatches, a 100k-connection soak
-#      leaves the daemon alive with flat threads, RSS and VmSize, and
-#      SIGTERM drains cleanly (exit 0, socket unlinked)
+#      leaves the daemon alive with flat threads, RSS and VmSize, a rebuild
+#      of the served store in place leaves it alive and answering the old
+#      generation's bytes, a `store build` killed with SIGKILL leaves the
+#      previous store byte-identical, and SIGTERM drains cleanly (exit 0,
+#      socket unlinked)
 #  10. clang-tidy over src/ when available (the container may not ship it;
 #      the curated profile lives in .clang-tidy)
 #  11. replication gate (docs/REPLICATION.md): `storsubsim replicate` at
@@ -303,6 +306,32 @@ PYEOF
 else
   echo "python3 unavailable; 100k-connection soak skipped"
 fi
+# Rebuild the served store in place with another seed. Publication renames
+# a new inode over the path, so the daemon's mapping keeps the old
+# generation: it must stay alive and answer afr byte for byte as before (an
+# in-place rewrite truncated the mapped file under it: SIGBUS).
+./build/tools/storsubsim client --socket "$SERVE_SOCK" --endpoint afr \
+  > build/CHECK_rebuild_before.txt
+./build/tools/storsubsim store build --out build/BENCH_checks.store \
+  --scale 1 --seed 20080227 > /dev/null
+kill -0 "$SERVE_PID" 2> /dev/null || { echo "FAIL: daemon died in the rebuild"; exit 1; }
+./build/tools/storsubsim client --socket "$SERVE_SOCK" --endpoint afr \
+  > build/CHECK_rebuild_after.txt
+cmp build/CHECK_rebuild_before.txt build/CHECK_rebuild_after.txt
+echo "rebuild in place under the daemon: alive, afr byte-identical to the old generation"
+# A build killed mid-run publishes nothing: the previous store stays byte
+# for byte and still opens.
+cp build/BENCH_checks.store build/CHECK_prev.store
+./build/tools/storsubsim store build --out build/BENCH_checks.store \
+  --scale 1 --seed 20080228 > /dev/null 2>&1 &
+BUILD_PID=$!
+sleep 0.3
+kill -9 "$BUILD_PID" 2> /dev/null || true
+wait "$BUILD_PID" 2> /dev/null || true
+rm -f build/BENCH_checks.store.tmp.*
+cmp build/CHECK_prev.store build/BENCH_checks.store
+./build/tools/storsubsim store stats --store build/BENCH_checks.store > /dev/null
+echo "kill -9 mid-build: previous store byte-identical and opens cleanly"
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 [ ! -e "$SERVE_SOCK" ] || { echo "FAIL: $SERVE_SOCK leaked after drain"; exit 1; }

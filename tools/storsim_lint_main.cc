@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "lint/linter.h"
+#include "util/file.h"
 
 namespace {
 
@@ -27,7 +28,7 @@ int usage(const char* argv0) {
                "\n"
                "Static determinism & hygiene checks for the storsubsim tree.\n"
                "Per-file rules: nondeterminism, unordered-iter, rng-discipline,\n"
-               "                header-hygiene, alloc-hotpath, timer-discipline.\n"
+               "                header-hygiene, alloc-hotpath, timer-discipline, file-publish.\n"
                "Cross-TU rules: view-lifetime, error-discipline, layering,\n"
                "                lock-discipline.\n"
                "\n"
@@ -145,12 +146,11 @@ int main(int argc, char** argv) {
   if (!errors.empty()) return 2;
 
   if (!write_baseline_path.empty()) {
-    std::ofstream out(write_baseline_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
+    const std::string baseline = lint::serialize_baseline(report.findings);
+    if (util::publish_file(write_baseline_path, baseline) != 0) {
       std::fprintf(stderr, "storsim_lint: cannot write %s\n", write_baseline_path.c_str());
       return 2;
     }
-    out << lint::serialize_baseline(report.findings);
     if (!quiet) {
       std::printf("storsim_lint: wrote %zu finding(s) to baseline %s\n",
                   report.findings.size(), write_baseline_path.c_str());

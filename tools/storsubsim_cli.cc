@@ -73,6 +73,7 @@
 #include "store/format.h"
 #include "store/query.h"
 #include "store/shards.h"
+#include "util/file.h"
 #include "util/parallel.h"
 #include "util/rss.h"
 
@@ -507,7 +508,7 @@ int cmd_store_build_sharded(const Args& args, const std::string& out) {
   manifest.numbers.emplace_back("peak_rss_bytes",
                                 static_cast<double>(result.peak_rss_bytes));
   const std::string manifest_path = out + "/build.manifest.json";
-  if (!obs::write_manifest(manifest_path, manifest)) {
+  if (util::publish_file(manifest_path, obs::manifest_json(manifest)) != 0) {
     std::cerr << "cannot write manifest " << manifest_path << "\n";
     return 1;
   }
@@ -590,7 +591,7 @@ int cmd_store_build(const Args& args) {
   manifest.numbers.emplace_back("peak_rss_bytes",
                                 static_cast<double>(util::peak_rss_bytes()));
   const std::string manifest_path = out + ".manifest.json";
-  if (!obs::write_manifest(manifest_path, manifest)) {
+  if (util::publish_file(manifest_path, obs::manifest_json(manifest)) != 0) {
     std::cerr << "cannot write manifest " << manifest_path << "\n";
     return 1;
   }
@@ -786,7 +787,7 @@ int cmd_replicate(const Args& args) {
   manifest.numbers.emplace_back("peak_rss_bytes",
                                 static_cast<double>(util::peak_rss_bytes()));
   const std::string manifest_path = out + ".manifest.json";
-  if (!obs::write_manifest(manifest_path, manifest)) {
+  if (util::publish_file(manifest_path, obs::manifest_json(manifest)) != 0) {
     std::cerr << "cannot write manifest " << manifest_path << "\n";
     return 1;
   }
@@ -915,7 +916,7 @@ int main(int argc, char** argv) {
   const int rc = dispatch(args);
   if (rc != 0) return rc;
 
-  if (!trace_path.empty() && !obs::write_trace_json(trace_path)) {
+  if (!trace_path.empty() && util::publish_file(trace_path, obs::trace_json()) != 0) {
     std::cerr << "cannot write trace " << trace_path << "\n";
     return 1;
   }
@@ -936,7 +937,7 @@ int main(int argc, char** argv) {
     // every manifest records the memory footprint alongside the timings.
     manifest.numbers.emplace_back("peak_rss_bytes",
                                   static_cast<double>(util::peak_rss_bytes()));
-    if (!obs::write_manifest(manifest_path, manifest)) {
+    if (util::publish_file(manifest_path, obs::manifest_json(manifest)) != 0) {
       std::cerr << "cannot write manifest " << manifest_path << "\n";
       return 1;
     }
