@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
     std::cout << "scale " << scale << ": " << m.events << " events\n"
               << "  serial stages: simulate " << st.simulate << " s, emit " << st.emit
               << " s, parse " << st.parse << " s, classify " << st.classify << " s, sort "
-              << st.sort << " s\n";
+              << st.sort << " s, snapshot " << st.snapshot << " s\n";
     const double serial_seconds = m.sweep.front().seconds;
     for (const Rung& rung : m.sweep) {
       std::cout << "  " << rung.threads << " thread(s): " << rung.seconds << " s (speedup "
@@ -189,7 +189,8 @@ int main(int argc, char** argv) {
     out << "    {\"scale\": " << m.scale << ", \"events\": " << m.events
         << ",\n     \"serial_stage_seconds\": {\"simulate\": " << st.simulate
         << ", \"emit\": " << st.emit << ", \"parse\": " << st.parse
-        << ", \"classify\": " << st.classify << ", \"sort\": " << st.sort << "}"
+        << ", \"classify\": " << st.classify << ", \"sort\": " << st.sort
+        << ", \"snapshot\": " << st.snapshot << "}"
         << ",\n     \"sweep\": [";
     for (std::size_t r = 0; r < m.sweep.size(); ++r) {
       const Rung& rung = m.sweep[r];

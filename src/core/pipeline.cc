@@ -8,6 +8,7 @@
 #include "log/classifier.h"
 #include "log/line_writer.h"
 #include "log/parser.h"
+#include "log/snapshot.h"
 #include "obs/obs.h"
 #include "sim/log_bridge.h"
 #include "util/parallel.h"
@@ -19,6 +20,16 @@ namespace {
 /// Rough bytes-per-failure for pre-sizing a shard's log buffer: chains are
 /// 3-6 lines of ~60-190 characters (see log/emitter.cc tables).
 constexpr std::size_t kLogBytesPerFailure = 768;
+
+/// A failure's emit -> parse -> classify costs about as much time as writing
+/// and parsing this many config-snapshot bytes (the standard fleet at scale
+/// 0.25: ~640 log bytes per failure, each a little cheaper than a snapshot
+/// byte). Used only to cut the snapshot chunks.
+constexpr std::size_t kSnapshotBytesPerFailure = 560;
+
+/// Sizing the final inventory touches every page of it; per disk record
+/// that costs about as much as this many snapshot bytes.
+constexpr std::size_t kSnapshotBytesPerSizedDisk = 6;
 
 /// One shard's emit -> parse -> classify round-trip. The emitter, parser and
 /// classifier are stateless across records except for the classifier's
@@ -32,6 +43,7 @@ constexpr std::size_t kLogBytesPerFailure = 768;
 struct ShardOutput {
   std::vector<log::ClassifiedFailure> failures;
   PipelineStats stats;
+  log::SnapshotParseResult snapshot;  ///< this shard's snapshot chunk, parsed
 };
 
 ShardOutput roundtrip_shard(const model::Fleet& fleet,
@@ -67,6 +79,43 @@ ShardOutput roundtrip_shard(const model::Fleet& fleet,
   return out;
 }
 
+/// One snapshot chunk's write -> parse round trip, in its own text buffer.
+log::SnapshotParseResult roundtrip_snapshot_chunk(const model::Fleet& fleet,
+                                                  const log::SnapshotChunk& chunk) {
+  log::LineWriter text(chunk.bytes + chunk.bytes / 4);
+  log::write_snapshot_range(text, fleet, chunk.first, chunk.last);
+  log::SnapshotParseResult parsed = log::parse_snapshot_chunk(text.view(), chunk);
+  if (!parsed.ok()) {
+    throw std::runtime_error(
+        std::string("pipeline: snapshot round-trip failed: ").append(parsed.error));
+  }
+  return parsed;
+}
+
+template <typename T>
+void place_slice(const std::vector<T>& slice, std::uint32_t base, std::uint32_t count,
+                 std::vector<T>& into) {
+  if (slice.size() != count) {
+    throw std::runtime_error("pipeline: snapshot chunk holds the wrong records");
+  }
+  std::copy(slice.begin(), slice.end(), into.begin() + base);
+}
+
+/// Copies a parsed chunk to its final offsets in `inv` and frees the chunk's
+/// own copy. Chunks own disjoint slices, and only the chunk that held the
+/// header writes the horizon.
+void place_snapshot_chunk(const log::SnapshotChunk& chunk, log::SnapshotParseResult& parsed,
+                          log::Inventory& inv) {
+  log::Inventory& slice = parsed.inventory;
+  place_slice(slice.systems, chunk.bases.systems, chunk.counts.systems, inv.systems);
+  place_slice(slice.shelves, chunk.bases.shelves, chunk.counts.shelves, inv.shelves);
+  place_slice(slice.raid_groups, chunk.bases.raid_groups, chunk.counts.raid_groups,
+              inv.raid_groups);
+  place_slice(slice.disks, chunk.bases.disks, chunk.counts.disks, inv.disks);
+  if (parsed.saw_header) inv.horizon_seconds = slice.horizon_seconds;
+  slice = log::Inventory{};
+}
+
 void accumulate(PipelineStats& into, const PipelineStats& shard) {
   into.log_lines_written += shard.log_lines_written;
   into.log_lines_parsed += shard.log_lines_parsed;
@@ -77,24 +126,13 @@ void accumulate(PipelineStats& into, const PipelineStats& shard) {
   into.stage_seconds.emit += shard.stage_seconds.emit;
   into.stage_seconds.parse += shard.stage_seconds.parse;
   into.stage_seconds.classify += shard.stage_seconds.classify;
+  into.stage_seconds.snapshot += shard.stage_seconds.snapshot;
 }
 
 }  // namespace
 
 Dataset dataset_via_logs(const model::Fleet& fleet, const sim::SimResult& result,
                          PipelineStats* stats) {
-  PipelineStats local;
-
-  // The config snapshot is one global artifact; round-trip it serially
-  // through a string buffer.
-  log::LineWriter snapshot_text;
-  log::write_snapshot(snapshot_text, fleet);
-  auto snapshot = log::parse_snapshot(snapshot_text.view());
-  if (!snapshot.ok()) {
-    throw std::runtime_error(
-        std::string("pipeline: snapshot round-trip failed: ").append(snapshot.error));
-  }
-
   const std::size_t n_systems = fleet.systems().size();
   std::size_t shards = std::min<std::size_t>(util::thread_count(),
                                              n_systems == 0 ? 1 : n_systems);
@@ -103,14 +141,10 @@ Dataset dataset_via_logs(const model::Fleet& fleet, const sim::SimResult& result
                       ::storsubsim::obs::Stability::kSchedulingDependent);
   STORSIM_OBS_ADD(c_shards, shards);
 
-  std::vector<log::ClassifiedFailure> classified;
-  if (shards <= 1) {
-    ShardOutput out = roundtrip_shard(fleet, result.failures);
-    classified = std::move(out.failures);
-    local = out.stats;
-  } else {
-    // Partition failures by contiguous system ranges (shard s owns systems
-    // [s*n/S, (s+1)*n/S)), preserving detection order within each bucket.
+  // Partition failures by contiguous system ranges (shard s owns systems
+  // [s*n/S, (s+1)*n/S)), preserving detection order within each bucket.
+  std::vector<std::vector<sim::SimFailure>> buckets;
+  if (shards > 1) {
     std::vector<std::uint32_t> shard_of_system(n_systems);
     for (std::size_t s = 0; s < shards; ++s) {
       const std::size_t begin = n_systems * s / shards;
@@ -119,19 +153,73 @@ Dataset dataset_via_logs(const model::Fleet& fleet, const sim::SimResult& result
         shard_of_system[sys] = static_cast<std::uint32_t>(s);
       }
     }
-    std::vector<std::vector<sim::SimFailure>> buckets(shards);
+    buckets.resize(shards);
     for (auto& b : buckets) b.reserve(result.failures.size() / shards + 1);
     for (const auto& f : result.failures) {
       buckets[shard_of_system[f.system.value()]].push_back(f);
     }
+  }
+  auto failures_of = [&](std::size_t s) {
+    return shards == 1 ? std::span<const sim::SimFailure>(result.failures)
+                       : std::span<const sim::SimFailure>(buckets[s]);
+  };
 
-    std::vector<ShardOutput> outputs(shards);
-    util::parallel_for(shards, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t s = begin; s < end; ++s) {
-        outputs[s] = roundtrip_shard(fleet, buckets[s]);
+  // The config snapshot rides the same fan-out: shard s round-trips snapshot
+  // chunk s after its logs. The cut levels each shard's estimated other work
+  // plus its chunk's bytes.
+  std::vector<std::size_t> busy(shards);
+  for (std::size_t s = 0; s < shards; ++s) {
+    busy[s] = failures_of(s).size() * kSnapshotBytesPerFailure;
+  }
+  busy[0] += fleet.disks().size() * kSnapshotBytesPerSizedDisk;
+  const std::vector<log::SnapshotChunk> chunks = log::plan_snapshot_chunks(fleet, busy);
+
+  auto inventory = std::make_shared<log::Inventory>();
+  std::vector<ShardOutput> outputs(shards);
+  util::parallel_for(shards, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t s = begin; s < end; ++s) {
+      // Shard 0 also sizes the final inventory, off the serial path: its
+      // first touch of every page is the dominant cost.
+      if (s == 0) {
+        inventory->systems.resize(fleet.systems().size());
+        inventory->shelves.resize(fleet.shelves().size());
+        inventory->raid_groups.resize(fleet.raid_groups().size());
+        inventory->disks.resize(fleet.disks().size());
       }
-    });
+      outputs[s] = roundtrip_shard(fleet, failures_of(s));
+      obs::Span span("pipeline.snapshot");
+      outputs[s].snapshot = roundtrip_snapshot_chunk(fleet, chunks[s]);
+      outputs[s].stats.stage_seconds.snapshot = span.stop();
+    }
+  });
+  // Every parsed chunk to its final offsets, on the same workers.
+  util::parallel_for(shards, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t s = begin; s < end; ++s) {
+      obs::Span span("pipeline.snapshot");
+      place_snapshot_chunk(chunks[s], outputs[s].snapshot, *inventory);
+      outputs[s].stats.stage_seconds.snapshot += span.stop();
+    }
+  });
 
+  // parse_snapshot's whole-section checks, over the assembled chunks.
+  bool saw_header = false;
+  bool saw_end = false;
+  for (const ShardOutput& out : outputs) {
+    saw_header = saw_header || out.snapshot.saw_header;
+    saw_end = saw_end || out.snapshot.saw_end;
+  }
+  const std::string snapshot_error = log::check_snapshot(*inventory, saw_header, saw_end);
+  if (!snapshot_error.empty()) {
+    throw std::runtime_error(
+        std::string("pipeline: snapshot round-trip failed: ").append(snapshot_error));
+  }
+
+  PipelineStats local;
+  std::vector<log::ClassifiedFailure> classified;
+  if (shards == 1) {
+    classified = std::move(outputs[0].failures);
+    local = outputs[0].stats;
+  } else {
     std::size_t total = 0;
     for (const auto& out : outputs) total += out.failures.size();
     classified.reserve(total);
@@ -152,8 +240,7 @@ Dataset dataset_via_logs(const model::Fleet& fleet, const sim::SimResult& result
   }
 
   if (stats != nullptr) *stats = local;
-  return Dataset(std::make_shared<log::Inventory>(std::move(snapshot.inventory)),
-                 std::move(classified));
+  return Dataset(std::move(inventory), std::move(classified));
 }
 
 Dataset dataset_in_memory(const model::Fleet& fleet, const sim::SimResult& result) {

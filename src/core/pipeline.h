@@ -17,13 +17,14 @@ namespace storsubsim::core {
 /// Wall time each pipeline stage spent, in seconds. Observability only —
 /// stage times are outputs, never inputs, so the dataset stays bit-identical
 /// regardless of timer behavior. In the sharded pipeline emit/parse/classify
-/// are summed across shards (CPU-seconds, not wall span).
+/// and snapshot are summed across shards (CPU-seconds, not wall span).
 struct StageSeconds {
   double simulate = 0.0;
   double emit = 0.0;
   double parse = 0.0;
   double classify = 0.0;
-  double sort = 0.0;  ///< global merge sort of shard outputs
+  double sort = 0.0;      ///< global merge sort of shard outputs
+  double snapshot = 0.0;  ///< config-snapshot chunk write + parse + placement
 };
 
 struct PipelineStats {
@@ -37,7 +38,8 @@ struct PipelineStats {
 };
 
 /// Builds a Dataset from an already-run simulation via the text-log
-/// round-trip (emit -> parse -> classify -> parse snapshot -> join).
+/// round-trip (emit -> parse -> classify, then write -> parse snapshot ->
+/// join), one shard per worker.
 Dataset dataset_via_logs(const model::Fleet& fleet, const sim::SimResult& result,
                          PipelineStats* stats = nullptr);
 

@@ -4,7 +4,8 @@
 #include <charconv>
 #include <cmath>
 #include <istream>
-#include <ostream>
+#include <utility>
+#include <vector>
 
 #include "model/fleet.h"
 #include "model/time.h"
@@ -28,28 +29,39 @@ void append_time(LineWriter& out, double t) {
   }
 }
 
-/// Splits "key=value" tokens out of a line.
+/// Appends a disk model name as model::to_string spells it ("A-2").
+void append_disk_model(LineWriter& out, const model::DiskModelName& name) {
+  char digits[16];
+  const auto end = std::to_chars(digits, digits + sizeof(digits), name.capacity_index).ptr;
+  const auto length = static_cast<std::size_t>(end - digits);
+  out.ch(name.family).ch('-').text(std::string_view(digits, length));
+}
+
+/// Splits a line into its space-separated "key=value" tokens once, then
+/// answers lookups from them. One reader serves every line of a parse, so
+/// the token list's capacity is reused.
 class TokenReader {
  public:
-  explicit TokenReader(std::string_view line) : line_(line) {}
-
-  /// Finds "key=" and returns the value up to the next space.
-  std::optional<std::string_view> get(std::string_view key) const {
-    std::size_t pos = 0;
+  void reset(std::string_view line) {
+    tokens_.clear();
     while (true) {
-      pos = line_.find(key, pos);
-      if (pos == std::string_view::npos) return std::nullopt;
-      const std::size_t eq = pos + key.size();
-      // Must be at start or preceded by a space to avoid matching suffixes
-      // ("model=" inside "disk-model="), and the key itself must be
-      // followed by '=' rather than being a prefix of a longer key.
-      if ((pos == 0 || line_[pos - 1] == ' ') && eq < line_.size() && line_[eq] == '=') break;
-      pos += 1;
+      const std::size_t space = line.find(' ');
+      tokens_.push_back(line.substr(0, space));
+      if (space == std::string_view::npos) break;
+      line.remove_prefix(space + 1);
     }
-    const std::size_t start = pos + key.size() + 1;
-    const std::size_t end = line_.find(' ', start);
-    return line_.substr(start, end == std::string_view::npos ? line_.size() - start
-                                                             : end - start);
+  }
+
+  /// The value of the first token spelled "key=value" — the same as
+  /// scanning the line for "key=" at the start or after a space ("model="
+  /// inside "disk-model=" does not count), up to the next space.
+  std::optional<std::string_view> get(std::string_view key) const {
+    for (const std::string_view token : tokens_) {
+      if (token.size() > key.size() && token[key.size()] == '=' && token.starts_with(key)) {
+        return token.substr(key.size() + 1);
+      }
+    }
+    return std::nullopt;
   }
 
   std::optional<std::uint32_t> get_u32(std::string_view key) const {
@@ -73,8 +85,60 @@ class TokenReader {
   }
 
  private:
-  std::string_view line_;
+  std::vector<std::string_view> tokens_;
 };
+
+/// Mean rendered bytes of one record of each kind (newline included; the
+/// standard fleet at scale 0.25), for cutting chunks by text size and
+/// pre-sizing their buffers. DISK lines are two to three times the
+/// SHELF/GROUP ones, so a cut by record count would leave the DISK-heavy
+/// chunks slowest.
+constexpr std::size_t kSystemBytes = 106;
+constexpr std::size_t kShelfBytes = 32;
+constexpr std::size_t kGroupBytes = 52;
+constexpr std::size_t kDiskBytes = 97;
+constexpr std::size_t kFrameBytes = 48;  ///< SNAPSHOT header + END
+
+std::size_t record_count(const model::Fleet& fleet) {
+  return fleet.systems().size() + fleet.shelves().size() + fleet.raid_groups().size() +
+         fleet.disks().size();
+}
+
+/// Per-kind ids of the first `pos` records of the sequence (pos clipped to
+/// the record count): the bases of a chunk starting at `pos`.
+SnapshotCounts counts_before(const model::Fleet& fleet, std::size_t pos) {
+  auto take = [&pos](std::size_t n) {
+    const std::size_t k = std::min(pos, n);
+    pos -= k;
+    return static_cast<std::uint32_t>(k);
+  };
+  SnapshotCounts at;
+  at.systems = take(fleet.systems().size());
+  at.shelves = take(fleet.shelves().size());
+  at.raid_groups = take(fleet.raid_groups().size());
+  at.disks = take(fleet.disks().size());
+  return at;
+}
+
+std::size_t estimated_bytes(const SnapshotCounts& n) {
+  return n.systems * kSystemBytes + n.shelves * kShelfBytes + n.raid_groups * kGroupBytes +
+         n.disks * kDiskBytes;
+}
+
+/// The first record position whose prefix holds at least `bytes` estimated
+/// text bytes.
+std::size_t position_at_bytes(const model::Fleet& fleet, std::size_t bytes) {
+  std::size_t pos = 0;
+  for (const auto& [n, per] : {std::pair{fleet.systems().size(), kSystemBytes},
+                               std::pair{fleet.shelves().size(), kShelfBytes},
+                               std::pair{fleet.raid_groups().size(), kGroupBytes},
+                               std::pair{fleet.disks().size(), kDiskBytes}}) {
+    if (bytes <= n * per) return pos + (bytes + per - 1) / per;
+    bytes -= n * per;
+    pos += n;
+  }
+  return pos;
+}
 
 }  // namespace
 
@@ -84,35 +148,82 @@ double Inventory::disk_exposure_years(const InventoryDisk& disk) const {
   return end > start ? model::years(end - start) : 0.0;
 }
 
-void write_snapshot(LineWriter& out, const model::Fleet& fleet) {
-  out.text("SNAPSHOT horizon=");
-  append_time(out, fleet.horizon_seconds());
-  out.newline();
-  for (const auto& s : fleet.systems()) {
+std::vector<SnapshotChunk> plan_snapshot_chunks(const model::Fleet& fleet,
+                                                std::span<const std::size_t> busy) {
+  const std::size_t total = record_count(fleet);
+  const std::size_t total_bytes = estimated_bytes(counts_before(fleet, total));
+
+  // Water level: fill the least busy workers first, until the snapshot's
+  // bytes are spent; each chunk gets the level minus its worker's load.
+  std::vector<std::size_t> loads(busy.begin(), busy.end());
+  std::sort(loads.begin(), loads.end());
+  std::size_t level = 0;
+  std::size_t below = 0;
+  for (std::size_t m = 0; m < loads.size(); ++m) {
+    below += loads[m];
+    level = (total_bytes + below) / (m + 1);
+    if (m + 1 == loads.size() || level <= loads[m + 1]) break;
+  }
+
+  std::vector<SnapshotChunk> plan(busy.size());
+  std::size_t first = 0;
+  std::size_t filled = 0;
+  for (std::size_t c = 0; c < plan.size(); ++c) {
+    filled += level > busy[c] ? level - busy[c] : 0;
+    const std::size_t last =
+        c + 1 == plan.size() ? total : std::clamp(position_at_bytes(fleet, filled), first, total);
+    SnapshotChunk& chunk = plan[c];
+    chunk.first = first;
+    chunk.last = last;
+    chunk.bases = counts_before(fleet, first);
+    const SnapshotCounts end = counts_before(fleet, last);
+    chunk.counts = {end.systems - chunk.bases.systems, end.shelves - chunk.bases.shelves,
+                    end.raid_groups - chunk.bases.raid_groups, end.disks - chunk.bases.disks};
+    chunk.bytes = estimated_bytes(chunk.counts) + kFrameBytes;
+    first = last;
+  }
+  return plan;
+}
+
+void write_snapshot_range(LineWriter& out, const model::Fleet& fleet, std::size_t first,
+                          std::size_t last) {
+  const std::size_t total = record_count(fleet);
+  if (first == last && total != 0) return;
+  if (first == 0) {
+    out.text("SNAPSHOT horizon=");
+    append_time(out, fleet.horizon_seconds());
+    out.newline();
+  }
+  const SnapshotCounts lo = counts_before(fleet, first);
+  const SnapshotCounts hi = counts_before(fleet, last);
+  for (const auto& s : fleet.systems().subspan(lo.systems, hi.systems - lo.systems)) {
     out.text("SYSTEM id=").u32(s.id.value());
     out.text(" class=").text(model::to_string(s.cls));
     out.text(" paths=").text(model::to_string(s.paths));
-    out.text(" disk-model=").text(model::to_string(s.disk_model));
-    out.text(" shelf-model=").text(model::to_string(s.shelf_model));
+    out.text(" disk-model=");
+    append_disk_model(out, s.disk_model);
+    out.text(" shelf-model=").ch(s.shelf_model.letter);
     out.text(" deploy=");
     append_time(out, s.deploy_time);
     out.text(" cohort=").u32(s.cohort).newline();
   }
-  for (const auto& sh : fleet.shelves()) {
+  for (const auto& sh : fleet.shelves().subspan(lo.shelves, hi.shelves - lo.shelves)) {
     out.text("SHELF id=").u32(sh.id.value());
     out.text(" sys=").u32(sh.system.value());
-    out.text(" model=").text(model::to_string(sh.model)).newline();
+    out.text(" model=").ch(sh.model.letter).newline();
   }
-  for (const auto& g : fleet.raid_groups()) {
+  for (const auto& g :
+       fleet.raid_groups().subspan(lo.raid_groups, hi.raid_groups - lo.raid_groups)) {
     out.text("GROUP id=").u32(g.id.value());
     out.text(" sys=").u32(g.system.value());
     out.text(" type=").text(model::to_string(g.type));
     out.text(" members=").u64(g.members.size());
     out.text(" span=").u32(g.shelf_span()).newline();
   }
-  for (const auto& d : fleet.disks()) {
+  for (const auto& d : fleet.disks().subspan(lo.disks, hi.disks - lo.disks)) {
     out.text("DISK id=").u32(d.id.value());
-    out.text(" model=").text(model::to_string(d.model));
+    out.text(" model=");
+    append_disk_model(out, d.model);
     out.text(" sys=").u32(d.system.value());
     out.text(" shelf=").u32(d.shelf.value());
     out.text(" group=");
@@ -128,13 +239,11 @@ void write_snapshot(LineWriter& out, const model::Fleet& fleet) {
     append_time(out, d.remove_time);
     out.newline();
   }
-  out.text("END\n");
+  if (last == total) out.text("END\n");
 }
 
-void write_snapshot(std::ostream& out, const model::Fleet& fleet) {
-  LineWriter buf;
-  write_snapshot(buf, fleet);
-  out << buf.view();
+void write_snapshot(LineWriter& out, const model::Fleet& fleet) {
+  write_snapshot_range(out, fleet, 0, record_count(fleet));
 }
 
 Inventory inventory_from_fleet(const model::Fleet& fleet) {
@@ -162,11 +271,16 @@ Inventory inventory_from_fleet(const model::Fleet& fleet) {
   return inv;
 }
 
-SnapshotParseResult parse_snapshot(std::string_view text) {
+SnapshotParseResult parse_snapshot_chunk(std::string_view text, const SnapshotChunk& chunk) {
   SnapshotParseResult result;
   Inventory& inv = result.inventory;
-  bool saw_header = false;
-  bool saw_end = false;
+  const SnapshotCounts& bases = chunk.bases;
+  inv.systems.reserve(chunk.counts.systems);
+  inv.shelves.reserve(chunk.counts.shelves);
+  inv.raid_groups.reserve(chunk.counts.raid_groups);
+  inv.disks.reserve(chunk.counts.disks);
+  bool& saw_header = result.saw_header;
+  bool& saw_end = result.saw_end;
 
   auto fail = [&](std::string_view why, std::string_view detail = {}) {
     LineWriter msg;
@@ -174,6 +288,7 @@ SnapshotParseResult parse_snapshot(std::string_view text) {
     result.error = msg.take();
   };
 
+  TokenReader tokens;
   std::size_t pos = 0;
   while (pos < text.size() && !saw_end && result.ok()) {
     const auto nl = text.find('\n', pos);
@@ -183,7 +298,7 @@ SnapshotParseResult parse_snapshot(std::string_view text) {
 
     ++result.lines;
     if (line.empty() || line[0] == '#') continue;
-    const TokenReader tokens{line};
+    tokens.reset(line);
 
     if (line.starts_with("SNAPSHOT ")) {
       const auto horizon = tokens.get_time("horizon");
@@ -214,7 +329,9 @@ SnapshotParseResult parse_snapshot(std::string_view text) {
       s.shelf_model = *sm_v;
       s.deploy_time = *deploy;
       s.cohort = *cohort;
-      if (s.id.value() != inv.systems.size()) return fail("SYSTEM ids not dense"), result;
+      if (s.id.value() != bases.systems + inv.systems.size()) {
+        return fail("SYSTEM ids not dense"), result;
+      }
       inv.systems.push_back(s);
     } else if (line.starts_with("SHELF ")) {
       const auto id = tokens.get_u32("id");
@@ -223,7 +340,7 @@ SnapshotParseResult parse_snapshot(std::string_view text) {
       if (!id || !sys || !m) return fail("bad SHELF record"), result;
       const auto m_v = model::parse_shelf_model_name(*m);
       if (!m_v) return fail("bad SHELF model"), result;
-      if (*id != inv.shelves.size()) return fail("SHELF ids not dense"), result;
+      if (*id != bases.shelves + inv.shelves.size()) return fail("SHELF ids not dense"), result;
       inv.shelves.push_back(InventoryShelf{ShelfId(*id), SystemId(*sys), *m_v});
     } else if (line.starts_with("GROUP ")) {
       const auto id = tokens.get_u32("id");
@@ -234,7 +351,9 @@ SnapshotParseResult parse_snapshot(std::string_view text) {
       if (!id || !sys || !type || !members || !span) return fail("bad GROUP record"), result;
       const auto type_v = model::parse_raid_type(*type);
       if (!type_v) return fail("bad GROUP type"), result;
-      if (*id != inv.raid_groups.size()) return fail("GROUP ids not dense"), result;
+      if (*id != bases.raid_groups + inv.raid_groups.size()) {
+        return fail("GROUP ids not dense"), result;
+      }
       inv.raid_groups.push_back(
           InventoryRaidGroup{RaidGroupId(*id), SystemId(*sys), *type_v, *members, *span});
     } else if (line.starts_with("DISK ")) {
@@ -251,7 +370,7 @@ SnapshotParseResult parse_snapshot(std::string_view text) {
       }
       const auto m_v = model::parse_disk_model_name(*m);
       if (!m_v) return fail("bad DISK model"), result;
-      if (*id != inv.disks.size()) return fail("DISK ids not dense"), result;
+      if (*id != bases.disks + inv.disks.size()) return fail("DISK ids not dense"), result;
       inv.disks.push_back(InventoryDisk{DiskId(*id), *m_v, SystemId(*sys), ShelfId(*shelf),
                                         RaidGroupId(*group), *slot, *install, *remove});
     } else if (line == "END") {
@@ -261,30 +380,35 @@ SnapshotParseResult parse_snapshot(std::string_view text) {
     }
   }
 
-  if (!saw_header) result.error = "snapshot: missing SNAPSHOT header";
-  if (saw_header && !saw_end) result.error = "snapshot: missing END marker";
+  return result;
+}
 
-  // Referential integrity.
+std::string check_snapshot(const Inventory& inv, bool saw_header, bool saw_end) {
+  if (!saw_header) return "snapshot: missing SNAPSHOT header";
+  if (!saw_end) return "snapshot: missing END marker";
+  for (const auto& sh : inv.shelves) {
+    if (sh.system.value() >= inv.systems.size()) {
+      return "snapshot: SHELF references unknown system";
+    }
+  }
+  for (const auto& g : inv.raid_groups) {
+    if (g.system.value() >= inv.systems.size()) {
+      return "snapshot: GROUP references unknown system";
+    }
+  }
+  for (const auto& d : inv.disks) {
+    if (d.system.value() >= inv.systems.size() || d.shelf.value() >= inv.shelves.size() ||
+        (d.raid_group.valid() && d.raid_group.value() >= inv.raid_groups.size())) {
+      return "snapshot: DISK references unknown entity";
+    }
+  }
+  return {};
+}
+
+SnapshotParseResult parse_snapshot(std::string_view text) {
+  SnapshotParseResult result = parse_snapshot_chunk(text, SnapshotChunk{});
   if (result.ok()) {
-    for (const auto& sh : inv.shelves) {
-      if (sh.system.value() >= inv.systems.size()) {
-        result.error = "snapshot: SHELF references unknown system";
-        return result;
-      }
-    }
-    for (const auto& g : inv.raid_groups) {
-      if (g.system.value() >= inv.systems.size()) {
-        result.error = "snapshot: GROUP references unknown system";
-        return result;
-      }
-    }
-    for (const auto& d : inv.disks) {
-      if (d.system.value() >= inv.systems.size() || d.shelf.value() >= inv.shelves.size() ||
-          (d.raid_group.valid() && d.raid_group.value() >= inv.raid_groups.size())) {
-        result.error = "snapshot: DISK references unknown entity";
-        return result;
-      }
-    }
+    result.error = check_snapshot(result.inventory, result.saw_header, result.saw_end);
   }
   return result;
 }

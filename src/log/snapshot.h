@@ -10,12 +10,20 @@
 //
 // Like the failure-log pipeline, the snapshot codec has a buffer fast path:
 // `write_snapshot(LineWriter&, ...)` appends the section to a reusable
-// buffer and `parse_snapshot(std::string_view)` walks text in place; the
-// stream forms are thin adapters over them.
+// buffer and `parse_snapshot(std::string_view)` walks text in place.
+//
+// The records form one global sequence SYSTEM ⧺ SHELF ⧺ GROUP ⧺ DISK, so
+// the section can also be written and parsed in contiguous chunks (the
+// pipeline round-trips one chunk per worker): `write_snapshot_range` renders
+// records [first, last), and concatenating the chunks of any partition gives
+// exactly `write_snapshot`'s bytes. `parse_snapshot_chunk` parses one chunk
+// against per-kind id bases; `parse_snapshot` is its zero-base, one-chunk
+// case plus `check_snapshot` (header, END, referential integrity).
 #pragma once
 
 #include <iosfwd>
 #include <limits>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -80,21 +88,64 @@ struct Inventory {
   double disk_exposure_years(const InventoryDisk& disk) const;
 };
 
-/// Appends the fleet's full inventory (including retired disk records) to a
-/// text buffer. This is the implementation; the stream overload wraps it.
-void write_snapshot(LineWriter& out, const model::Fleet& fleet);
+/// Per-kind record numbers, in record order: the count of each kind, or the
+/// dense id of a chunk's first record of each kind.
+struct SnapshotCounts {
+  std::uint32_t systems = 0;
+  std::uint32_t shelves = 0;
+  std::uint32_t raid_groups = 0;
+  std::uint32_t disks = 0;
+};
 
-/// Serializes the fleet's full inventory (including retired disk records).
-void write_snapshot(std::ostream& out, const model::Fleet& fleet);
+/// Records [first, last) of a fleet's snapshot sequence.
+struct SnapshotChunk {
+  std::size_t first = 0;
+  std::size_t last = 0;
+  SnapshotCounts bases;   ///< id of the chunk's first record of each kind
+  SnapshotCounts counts;  ///< records of each kind in the chunk
+  std::size_t bytes = 0;  ///< text size estimate, header/END included
+};
+
+/// Cuts the fleet's snapshot into one contiguous chunk per worker, in order,
+/// by estimated text bytes. `busy[k]` is the work worker k has besides its
+/// chunk, in the same byte units; the cut levels busy[k] + chunk k's bytes,
+/// so a worker already past the level gets an empty chunk. All-zero loads
+/// give equal cuts. The cut depends only on the fleet's counts and `busy`.
+std::vector<SnapshotChunk> plan_snapshot_chunks(const model::Fleet& fleet,
+                                                std::span<const std::size_t> busy);
+
+/// Appends records [first, last) of the fleet's snapshot sequence. The range
+/// starting at record 0 carries the SNAPSHOT header and the one ending at
+/// the last record carries END; any other empty range appends nothing.
+void write_snapshot_range(LineWriter& out, const model::Fleet& fleet, std::size_t first,
+                          std::size_t last);
+
+/// Appends the fleet's full inventory (including retired disk records): the
+/// whole record range.
+void write_snapshot(LineWriter& out, const model::Fleet& fleet);
 
 /// Result of parsing a snapshot; `error` is empty on success.
 struct SnapshotParseResult {
   Inventory inventory;
   std::string error;
   std::size_t lines = 0;
+  bool saw_header = false;
+  bool saw_end = false;
 
   bool ok() const { return error.empty(); }
 };
+
+/// Parses the text of one chunk: record ids must continue densely from
+/// `chunk.bases`, so the inventory holds only the chunk's records (entry i
+/// of each vector has id base + i). `chunk.counts` only pre-sizes the
+/// vectors. The header and END are optional here and reported through
+/// `saw_header`/`saw_end`; references are not checked.
+SnapshotParseResult parse_snapshot_chunk(std::string_view text, const SnapshotChunk& chunk);
+
+/// The whole-section checks of an inventory assembled from chunks: some
+/// chunk held the header, some chunk held END, and every reference
+/// resolves. Returns empty, or the message naming the first failure.
+std::string check_snapshot(const Inventory& inv, bool saw_header, bool saw_end);
 
 /// Parses a snapshot section from an in-memory buffer (no stream, no
 /// per-line copies). The result owns everything; `text` may die after.

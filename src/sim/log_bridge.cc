@@ -1,7 +1,6 @@
 #include "sim/log_bridge.h"
 
 #include <charconv>
-#include <ostream>
 #include <string>
 
 #include "log/codes.h"
@@ -59,14 +58,6 @@ std::size_t write_failure_logs(log::LineWriter& out, const model::Fleet& fleet,
   return lines;
 }
 
-std::size_t write_failure_logs(std::ostream& out, const model::Fleet& fleet,
-                               std::span<const SimFailure> failures) {
-  log::LineWriter buf;
-  const std::size_t lines = write_failure_logs(buf, fleet, failures);
-  out << buf.view();
-  return lines;
-}
-
 std::string_view code_for(PrecursorKind kind) {
   switch (kind) {
     case PrecursorKind::kMediumError:
@@ -87,9 +78,8 @@ std::optional<PrecursorKind> precursor_kind_of_code(std::string_view code) {
   return std::nullopt;
 }
 
-std::size_t write_precursor_logs(std::ostream& out, const model::Fleet& fleet,
+std::size_t write_precursor_logs(log::LineWriter& out, const model::Fleet& fleet,
                                  std::span<const PrecursorEvent> events) {
-  storsubsim::log::LogEmitter emitter(out);
   for (const auto& e : events) {
     storsubsim::log::LogRecord record;
     record.time = e.time;
@@ -111,9 +101,10 @@ std::size_t write_precursor_logs(std::ostream& out, const model::Fleet& fleet,
         record.message = "Device " + dev + ": command completion exceeded threshold.";
         break;
     }
-    emitter.emit(record);
+    storsubsim::log::render_line_to(out, record);
+    out.newline();
   }
-  return emitter.lines_written();
+  return events.size();
 }
 
 std::vector<PrecursorEvent> extract_precursors(std::span<const log::LogRecord> records) {

@@ -5,7 +5,6 @@
 // that mirrors how the paper's data was produced and consumed.
 #pragma once
 
-#include <iosfwd>
 #include <optional>
 #include <span>
 #include <vector>
@@ -25,10 +24,6 @@ namespace storsubsim::sim {
 std::size_t write_failure_logs(log::LineWriter& out, const model::Fleet& fleet,
                                std::span<const SimFailure> failures);
 
-/// Stream adapter over the buffer fast path (identical bytes).
-std::size_t write_failure_logs(std::ostream& out, const model::Fleet& fleet,
-                               std::span<const SimFailure> failures);
-
 /// Renders the "adapter.target" device address used in log prose.
 std::string device_address(const model::Fleet& fleet, model::DiskId disk);
 
@@ -39,8 +34,8 @@ std::string_view code_for(PrecursorKind kind);
 /// Inverse of `code_for`; nullopt for non-precursor codes.
 std::optional<PrecursorKind> precursor_kind_of_code(std::string_view code);
 
-/// Writes one log line per precursor event. Returns lines written.
-std::size_t write_precursor_logs(std::ostream& out, const model::Fleet& fleet,
+/// Appends one log line per precursor event. Returns lines written.
+std::size_t write_precursor_logs(log::LineWriter& out, const model::Fleet& fleet,
                                  std::span<const PrecursorEvent> events);
 
 /// Recovers precursor events from parsed log records (the read side of

@@ -1,6 +1,7 @@
 #include "store/writer.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <utility>
 #include <vector>
@@ -33,6 +34,11 @@ struct BlockRecord {
   double time_min = 0.0;
   double time_max = 0.0;
 };
+
+/// Bytes reserved for the footer's fixed parts: the meta block, the
+/// exposure table and the column directory (block entries are added per
+/// shard).
+constexpr std::size_t kFooterAllowance = 16 * 1024;
 
 void pad_to_alignment(std::string& out) {
   while (out.size() % kColumnAlignment != 0) out.push_back('\0');
@@ -143,113 +149,124 @@ ShardEncoding encode_event_shard(const log::Inventory& inv, std::uint8_t shard,
   return out;
 }
 
-/// Appends one topology column: `value(i)` yields row i's value.
+/// One topology column to encode: `encode` appends its `rows` rows to an
+/// empty buffer.
+struct TopologyColumn {
+  ColumnId id = ColumnId::kSysClass;
+  std::uint64_t rows = 0;
+  std::function<void(std::string&)> encode;
+};
+
+/// A column whose row i is what `append_row(out, i)` appends.
 template <typename AppendFn>
-void topology_column(std::string& image, ColumnId id, std::uint64_t rows,
-                     std::vector<ColumnRecord>& columns, const AppendFn& append_row) {
-  pad_to_alignment(image);
-  const std::size_t begin = image.size();
-  for (std::uint64_t i = 0; i < rows; ++i) append_row(image, i);
-  finish_column(image, begin, kTopologyShard, id, Encoding::kRaw, rows, columns);
+TopologyColumn column(ColumnId id, std::uint64_t rows, AppendFn append_row) {
+  return {id, rows, [rows, append_row](std::string& out) {
+            for (std::uint64_t i = 0; i < rows; ++i) append_row(out, i);
+          }};
 }
 
-void append_topology(std::string& image, const log::Inventory& inv,
-                     std::vector<ColumnRecord>& columns) {
+/// An encoded column and its directory entry (offset 0 until assembly).
+struct EncodedColumn {
+  std::string bytes;
+  ColumnRecord record;
+};
+
+/// Encodes and CRCs the topology columns through the shared pool, one buffer
+/// per column, in directory order; assembly appends them in that order, so
+/// the image does not depend on scheduling.
+std::vector<EncodedColumn> encode_topology(const log::Inventory& inv) {
   const auto& systems = inv.systems;
   const auto n_sys = static_cast<std::uint64_t>(systems.size());
-  topology_column(image, ColumnId::kSysClass, n_sys, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u8(out, static_cast<std::uint8_t>(systems[i].cls));
-                  });
-  topology_column(image, ColumnId::kSysPaths, n_sys, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u8(out, static_cast<std::uint8_t>(systems[i].paths));
-                  });
-  topology_column(image, ColumnId::kSysDiskFamily, n_sys, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u8(out, static_cast<std::uint8_t>(systems[i].disk_model.family));
-                  });
-  topology_column(image, ColumnId::kSysDiskCap, n_sys, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u32(out, static_cast<std::uint32_t>(systems[i].disk_model.capacity_index));
-                  });
-  topology_column(image, ColumnId::kSysShelfModel, n_sys, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u8(out, static_cast<std::uint8_t>(systems[i].shelf_model.letter));
-                  });
-  topology_column(image, ColumnId::kSysDeploy, n_sys, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_f64(out, systems[i].deploy_time);
-                  });
-  topology_column(image, ColumnId::kSysCohort, n_sys, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u32(out, systems[i].cohort);
-                  });
-
   const auto& shelves = inv.shelves;
   const auto n_shelf = static_cast<std::uint64_t>(shelves.size());
-  topology_column(image, ColumnId::kShelfSystem, n_shelf, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u32(out, shelves[i].system.value());
-                  });
-  topology_column(image, ColumnId::kShelfModel, n_shelf, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u8(out, static_cast<std::uint8_t>(shelves[i].model.letter));
-                  });
-
   const auto& disks = inv.disks;
   const auto n_disk = static_cast<std::uint64_t>(disks.size());
-  topology_column(image, ColumnId::kDiskFamily, n_disk, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u8(out, static_cast<std::uint8_t>(disks[i].model.family));
-                  });
-  topology_column(image, ColumnId::kDiskCap, n_disk, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u32(out, static_cast<std::uint32_t>(disks[i].model.capacity_index));
-                  });
-  topology_column(image, ColumnId::kDiskSystem, n_disk, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u32(out, disks[i].system.value());
-                  });
-  topology_column(image, ColumnId::kDiskShelf, n_disk, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u32(out, disks[i].shelf.value());
-                  });
-  topology_column(image, ColumnId::kDiskRaidGroup, n_disk, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u32(out, disks[i].raid_group.value());
-                  });
-  topology_column(image, ColumnId::kDiskSlot, n_disk, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u32(out, disks[i].slot);
-                  });
-  topology_column(image, ColumnId::kDiskInstall, n_disk, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_f64(out, disks[i].install_time);
-                  });
-  topology_column(image, ColumnId::kDiskRemove, n_disk, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_f64(out, disks[i].remove_time);
-                  });
-
   const auto& groups = inv.raid_groups;
   const auto n_rg = static_cast<std::uint64_t>(groups.size());
-  topology_column(image, ColumnId::kRgSystem, n_rg, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u32(out, groups[i].system.value());
-                  });
-  topology_column(image, ColumnId::kRgType, n_rg, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u8(out, static_cast<std::uint8_t>(groups[i].type));
-                  });
-  topology_column(image, ColumnId::kRgMembers, n_rg, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u32(out, groups[i].member_count);
-                  });
-  topology_column(image, ColumnId::kRgSpan, n_rg, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u32(out, groups[i].shelf_span);
-                  });
+  const std::vector<TopologyColumn> spec = {
+    column(ColumnId::kSysClass, n_sys, [&](std::string& out, std::uint64_t i) {
+      append_u8(out, static_cast<std::uint8_t>(systems[i].cls));
+    }),
+    column(ColumnId::kSysPaths, n_sys, [&](std::string& out, std::uint64_t i) {
+      append_u8(out, static_cast<std::uint8_t>(systems[i].paths));
+    }),
+    column(ColumnId::kSysDiskFamily, n_sys, [&](std::string& out, std::uint64_t i) {
+      append_u8(out, static_cast<std::uint8_t>(systems[i].disk_model.family));
+    }),
+    column(ColumnId::kSysDiskCap, n_sys, [&](std::string& out, std::uint64_t i) {
+      append_u32(out, static_cast<std::uint32_t>(systems[i].disk_model.capacity_index));
+    }),
+    column(ColumnId::kSysShelfModel, n_sys, [&](std::string& out, std::uint64_t i) {
+      append_u8(out, static_cast<std::uint8_t>(systems[i].shelf_model.letter));
+    }),
+    column(ColumnId::kSysDeploy, n_sys, [&](std::string& out, std::uint64_t i) {
+      append_f64(out, systems[i].deploy_time);
+    }),
+    column(ColumnId::kSysCohort, n_sys, [&](std::string& out, std::uint64_t i) {
+      append_u32(out, systems[i].cohort);
+    }),
+    column(ColumnId::kShelfSystem, n_shelf, [&](std::string& out, std::uint64_t i) {
+      append_u32(out, shelves[i].system.value());
+    }),
+    column(ColumnId::kShelfModel, n_shelf, [&](std::string& out, std::uint64_t i) {
+      append_u8(out, static_cast<std::uint8_t>(shelves[i].model.letter));
+    }),
+    column(ColumnId::kDiskFamily, n_disk, [&](std::string& out, std::uint64_t i) {
+      append_u8(out, static_cast<std::uint8_t>(disks[i].model.family));
+    }),
+    column(ColumnId::kDiskCap, n_disk, [&](std::string& out, std::uint64_t i) {
+      append_u32(out, static_cast<std::uint32_t>(disks[i].model.capacity_index));
+    }),
+    column(ColumnId::kDiskSystem, n_disk, [&](std::string& out, std::uint64_t i) {
+      append_u32(out, disks[i].system.value());
+    }),
+    column(ColumnId::kDiskShelf, n_disk, [&](std::string& out, std::uint64_t i) {
+      append_u32(out, disks[i].shelf.value());
+    }),
+    column(ColumnId::kDiskRaidGroup, n_disk, [&](std::string& out, std::uint64_t i) {
+      append_u32(out, disks[i].raid_group.value());
+    }),
+    column(ColumnId::kDiskSlot, n_disk, [&](std::string& out, std::uint64_t i) {
+      append_u32(out, disks[i].slot);
+    }),
+    column(ColumnId::kDiskInstall, n_disk, [&](std::string& out, std::uint64_t i) {
+      append_f64(out, disks[i].install_time);
+    }),
+    column(ColumnId::kDiskRemove, n_disk, [&](std::string& out, std::uint64_t i) {
+      append_f64(out, disks[i].remove_time);
+    }),
+    column(ColumnId::kRgSystem, n_rg, [&](std::string& out, std::uint64_t i) {
+      append_u32(out, groups[i].system.value());
+    }),
+    column(ColumnId::kRgType, n_rg, [&](std::string& out, std::uint64_t i) {
+      append_u8(out, static_cast<std::uint8_t>(groups[i].type));
+    }),
+    column(ColumnId::kRgMembers, n_rg, [&](std::string& out, std::uint64_t i) {
+      append_u32(out, groups[i].member_count);
+    }),
+    column(ColumnId::kRgSpan, n_rg, [&](std::string& out, std::uint64_t i) {
+      append_u32(out, groups[i].shelf_span);
+    }),
+  };
+
+  // Stride the columns across the workers: the eight disk columns hold
+  // nearly all the bytes and sit together in directory order, so contiguous
+  // chunks would leave two workers with all of them.
+  std::vector<EncodedColumn> encoded(spec.size());
+  const std::size_t workers = std::min<std::size_t>(util::thread_count(), spec.size());
+  util::parallel_for(workers, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t w = begin; w < end; ++w) {
+      for (std::size_t c = w; c < spec.size(); c += workers) {
+        std::string& bytes = encoded[c].bytes;
+        bytes.reserve(spec[c].rows * sizeof(double));
+        spec[c].encode(bytes);
+        const std::uint32_t crc = crc32(bytes.data(), bytes.size());
+        encoded[c].record = ColumnRecord{kTopologyShard, spec[c].id, Encoding::kRaw,
+                                         spec[c].rows, 0, bytes.size(), crc};
+      }
+    }
+  });
+  return encoded;
 }
 
 void append_meta(std::string& out, const StoreMeta& meta) {
@@ -267,66 +284,55 @@ void append_meta(std::string& out, const StoreMeta& meta) {
   append_u64(out, meta.missing_disk_dropped);
 }
 
-/// Exposure table. Every aggregate is its own sweep over disks in id order —
-/// the same iteration (and therefore FP rounding) as
-/// Dataset::disk_exposure_years over the matching cohort.
+/// Exposure table, one sweep over disks in id order with one accumulator
+/// per cohort: each sum sees the same addends in the same order as its own
+/// sweep would — Dataset::disk_exposure_years over the matching cohort — so
+/// the FP rounding, and the bytes, are the same.
 void append_exposure(std::string& out, const log::Inventory& inv) {
-  double total = 0.0;
-  for (const auto& d : inv.disks) total += inv.disk_exposure_years(d);
-  append_f64(out, total);
-
-  for (std::size_t c = 0; c < kClassCount; ++c) {
-    double years = 0.0;
-    for (const auto& d : inv.disks) {
-      if (model::index_of(inv.systems[d.system.value()].cls) == c) {
-        years += inv.disk_exposure_years(d);
-      }
-    }
-    append_f64(out, years);
-  }
-
-  for (std::size_t c = 0; c < kClassCount; ++c) {
-    std::uint64_t n = 0;
-    for (const auto& sys : inv.systems) {
-      if (model::index_of(sys.cls) == c) ++n;
-    }
-    append_u64(out, n);
-  }
-
   // Family cohorts match Filter::disk_family: the *system's* disk family
-  // selects the cohort, and every disk of a selected system accrues.
-  std::map<char, bool> families;
-  std::map<std::pair<std::uint8_t, char>, bool> class_families;
+  // selects the cohort, and every disk of a selected system accrues. The
+  // maps hold the accumulators in output order; each system keeps pointers
+  // to its two (map nodes never move).
+  std::map<char, double> families;
+  std::map<std::pair<std::uint8_t, char>, double> class_families;
+  std::array<std::uint64_t, kClassCount> class_systems{};
+  struct Cohorts {
+    std::size_t cls = 0;
+    double* family = nullptr;
+    double* class_family = nullptr;
+  };
+  std::vector<Cohorts> cohorts;
+  cohorts.reserve(inv.systems.size());
   for (const auto& sys : inv.systems) {
-    families[sys.disk_model.family] = true;
-    class_families[{static_cast<std::uint8_t>(model::index_of(sys.cls)),
-                    sys.disk_model.family}] = true;
+    const auto cls = static_cast<std::uint8_t>(model::index_of(sys.cls));
+    const char family = sys.disk_model.family;
+    cohorts.push_back({cls, &families[family], &class_families[{cls, family}]});
+    ++class_systems[cls];
   }
 
+  double total = 0.0;
+  std::array<double, kClassCount> class_years{};
+  for (const auto& d : inv.disks) {
+    const double years = inv.disk_exposure_years(d);
+    const Cohorts& of = cohorts[d.system.value()];
+    total += years;
+    class_years[of.cls] += years;
+    *of.family += years;
+    *of.class_family += years;
+  }
+
+  append_f64(out, total);
+  for (const double years : class_years) append_f64(out, years);
+  for (const std::uint64_t n : class_systems) append_u64(out, n);
   append_u32(out, static_cast<std::uint32_t>(families.size()));
-  for (const auto& [family, _] : families) {
-    double years = 0.0;
-    for (const auto& d : inv.disks) {
-      if (inv.systems[d.system.value()].disk_model.family == family) {
-        years += inv.disk_exposure_years(d);
-      }
-    }
+  for (const auto& [family, years] : families) {
     append_u8(out, static_cast<std::uint8_t>(family));
     append_f64(out, years);
   }
-
   append_u32(out, static_cast<std::uint32_t>(class_families.size()));
-  for (const auto& [key, _] : class_families) {
-    const auto [cls, family] = key;
-    double years = 0.0;
-    for (const auto& d : inv.disks) {
-      const auto& sys = inv.systems[d.system.value()];
-      if (model::index_of(sys.cls) == cls && sys.disk_model.family == family) {
-        years += inv.disk_exposure_years(d);
-      }
-    }
-    append_u8(out, cls);
-    append_u8(out, static_cast<std::uint8_t>(family));
+  for (const auto& [key, years] : class_families) {
+    append_u8(out, key.first);
+    append_u8(out, static_cast<std::uint8_t>(key.second));
     append_f64(out, years);
   }
 }
@@ -403,11 +409,27 @@ Error build_store_image(const StoreContents& contents, std::string* image) {
     }
   });
 
+  const std::vector<EncodedColumn> topology = encode_topology(inv);
+
+  // Size the image once — every column with its worst-case alignment pad,
+  // plus a footer allowance — so assembly copies each byte exactly once.
+  std::size_t capacity = kHeaderSize + kFooterAllowance;
+  for (const EncodedColumn& col : topology) capacity += col.bytes.size() + kColumnAlignment;
+  for (const ShardEncoding& shard : shards) {
+    capacity += shard.bytes.size() + kColumnAlignment + shard.blocks.size() * sizeof(BlockRecord);
+  }
   std::string out;
+  out.reserve(capacity);
   out.append(kHeaderSize, '\0');  // patched last
 
   std::vector<ColumnRecord> columns;
-  append_topology(out, inv, columns);
+  for (const EncodedColumn& col : topology) {
+    pad_to_alignment(out);
+    ColumnRecord rec = col.record;
+    rec.offset = out.size();
+    out.append(col.bytes);
+    columns.push_back(rec);
+  }
 
   std::vector<BlockRecord> blocks;
   for (std::size_t s = 0; s < kClassCount; ++s) {

@@ -7,12 +7,16 @@
 // per system class, and each shard's columns are encoded concurrently
 // through util::parallel_for — workers write disjoint per-shard buffers that
 // are concatenated in class order, so the fan-out never reaches the bytes.
+// The topology columns go the same way: one buffer and CRC per column,
+// appended in directory order.
 //
 // The footer additionally carries a pre-computed exposure table (total,
-// per-class, per-family, per-class-and-family disk-years). Each entry is
-// accumulated by its own sweep over disks in id order — the exact iteration
-// order Dataset::disk_exposure_years uses — so AFR tables computed from a
-// store reproduce the in-memory pipeline bit for bit, FP rounding included.
+// per-class, per-family, per-class-and-family disk-years). One sweep over
+// disks in id order feeds one accumulator per entry, so each entry adds
+// the same terms in the same order as a sweep over its own cohort would —
+// the exact iteration order Dataset::disk_exposure_years uses — and AFR
+// tables computed from a store reproduce the in-memory pipeline bit for
+// bit, FP rounding included.
 #pragma once
 
 #include <array>

@@ -2,6 +2,9 @@
 // fleet scale, seeds, and parameter sweeps.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/afr.h"
 #include "core/burstiness.h"
 #include "core/pipeline.h"
@@ -17,6 +20,55 @@ namespace model = storsubsim::model;
 namespace sim = storsubsim::sim;
 
 namespace {
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Field-by-field, bitwise equality of two parsed inventories.
+void expect_inventory_identical(const storsubsim::log::Inventory& a,
+                                const storsubsim::log::Inventory& b) {
+  EXPECT_EQ(bits(a.horizon_seconds), bits(b.horizon_seconds));
+  ASSERT_EQ(a.systems.size(), b.systems.size());
+  for (std::size_t i = 0; i < a.systems.size(); ++i) {
+    const auto& x = a.systems[i];
+    const auto& y = b.systems[i];
+    EXPECT_EQ(x.id, y.id) << "system " << i;
+    EXPECT_EQ(x.cls, y.cls) << "system " << i;
+    EXPECT_EQ(x.paths, y.paths) << "system " << i;
+    EXPECT_EQ(x.disk_model, y.disk_model) << "system " << i;
+    EXPECT_EQ(x.shelf_model, y.shelf_model) << "system " << i;
+    EXPECT_EQ(bits(x.deploy_time), bits(y.deploy_time)) << "system " << i;
+    EXPECT_EQ(x.cohort, y.cohort) << "system " << i;
+  }
+  ASSERT_EQ(a.shelves.size(), b.shelves.size());
+  for (std::size_t i = 0; i < a.shelves.size(); ++i) {
+    EXPECT_EQ(a.shelves[i].id, b.shelves[i].id) << "shelf " << i;
+    EXPECT_EQ(a.shelves[i].system, b.shelves[i].system) << "shelf " << i;
+    EXPECT_EQ(a.shelves[i].model, b.shelves[i].model) << "shelf " << i;
+  }
+  ASSERT_EQ(a.raid_groups.size(), b.raid_groups.size());
+  for (std::size_t i = 0; i < a.raid_groups.size(); ++i) {
+    const auto& x = a.raid_groups[i];
+    const auto& y = b.raid_groups[i];
+    EXPECT_EQ(x.id, y.id) << "group " << i;
+    EXPECT_EQ(x.system, y.system) << "group " << i;
+    EXPECT_EQ(x.type, y.type) << "group " << i;
+    EXPECT_EQ(x.member_count, y.member_count) << "group " << i;
+    EXPECT_EQ(x.shelf_span, y.shelf_span) << "group " << i;
+  }
+  ASSERT_EQ(a.disks.size(), b.disks.size());
+  for (std::size_t i = 0; i < a.disks.size(); ++i) {
+    const auto& x = a.disks[i];
+    const auto& y = b.disks[i];
+    EXPECT_EQ(x.id, y.id) << "disk " << i;
+    EXPECT_EQ(x.model, y.model) << "disk " << i;
+    EXPECT_EQ(x.system, y.system) << "disk " << i;
+    EXPECT_EQ(x.shelf, y.shelf) << "disk " << i;
+    EXPECT_EQ(x.raid_group, y.raid_group) << "disk " << i;
+    EXPECT_EQ(x.slot, y.slot) << "disk " << i;
+    EXPECT_EQ(bits(x.install_time), bits(y.install_time)) << "disk " << i;
+    EXPECT_EQ(bits(x.remove_time), bits(y.remove_time)) << "disk " << i;
+  }
+}
 
 core::AfrBreakdown afr_at_scale(double scale, std::uint64_t seed) {
   const auto sd = core::simulate_and_analyze(model::standard_fleet_config(scale, seed),
@@ -106,9 +158,10 @@ TEST_P(DualPathFraction, MoreDualPathsLowerInterconnectAfr) {
 INSTANTIATE_TEST_SUITE_P(Fractions, DualPathFraction, ::testing::Values(0.3, 0.6));
 
 // The fleet-parallel execution layer's contract: the full pipeline
-// (simulate -> emit logs -> parse -> classify) and bootstrap CIs are
-// bit-identical for any worker count. Exercised at two scales; the larger
-// one is big enough to engage the sharded log pipeline.
+// (simulate -> emit logs -> parse -> classify, snapshot write -> parse) and
+// bootstrap CIs are bit-identical for any worker count. Exercised at two
+// scales; the larger one is big enough to engage the sharded log pipeline,
+// and 3 workers cut the snapshot unevenly.
 class ThreadInvariance : public ::testing::TestWithParam<double> {
  protected:
   void TearDown() override { storsubsim::util::set_thread_count(0); }
@@ -118,19 +171,23 @@ TEST_P(ThreadInvariance, PipelineBitIdenticalAcrossThreadCounts) {
   const auto config = model::standard_fleet_config(GetParam(), 11);
   storsubsim::util::set_thread_count(1);
   const auto serial = core::simulate_and_analyze(config);
-  storsubsim::util::set_thread_count(4);
-  const auto parallel = core::simulate_and_analyze(config);
+  for (const unsigned threads : {3U, 4U}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    storsubsim::util::set_thread_count(threads);
+    const auto parallel = core::simulate_and_analyze(config);
 
-  ASSERT_EQ(serial.dataset.events().size(), parallel.dataset.events().size());
-  for (std::size_t i = 0; i < serial.dataset.events().size(); ++i) {
-    EXPECT_EQ(serial.dataset.events()[i], parallel.dataset.events()[i]) << "event " << i;
+    ASSERT_EQ(serial.dataset.events().size(), parallel.dataset.events().size());
+    for (std::size_t i = 0; i < serial.dataset.events().size(); ++i) {
+      EXPECT_EQ(serial.dataset.events()[i], parallel.dataset.events()[i]) << "event " << i;
+    }
+    expect_inventory_identical(serial.dataset.inventory(), parallel.dataset.inventory());
+    EXPECT_EQ(serial.counters.events_by_type, parallel.counters.events_by_type);
+    EXPECT_EQ(serial.counters.replacements, parallel.counters.replacements);
+    EXPECT_EQ(serial.pipeline.log_lines_written, parallel.pipeline.log_lines_written);
+    EXPECT_EQ(serial.pipeline.log_lines_parsed, parallel.pipeline.log_lines_parsed);
+    EXPECT_EQ(serial.pipeline.raid_records, parallel.pipeline.raid_records);
+    EXPECT_EQ(serial.pipeline.failures_classified, parallel.pipeline.failures_classified);
   }
-  EXPECT_EQ(serial.counters.events_by_type, parallel.counters.events_by_type);
-  EXPECT_EQ(serial.counters.replacements, parallel.counters.replacements);
-  EXPECT_EQ(serial.pipeline.log_lines_written, parallel.pipeline.log_lines_written);
-  EXPECT_EQ(serial.pipeline.log_lines_parsed, parallel.pipeline.log_lines_parsed);
-  EXPECT_EQ(serial.pipeline.raid_records, parallel.pipeline.raid_records);
-  EXPECT_EQ(serial.pipeline.failures_classified, parallel.pipeline.failures_classified);
 }
 
 TEST_P(ThreadInvariance, StoreBytesIdenticalAcrossThreadCounts) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -30,18 +31,121 @@ model::Fleet test_fleet(std::uint64_t seed = 3) {
       model::single_cohort_config(cohort, model::from_years(2.0), seed));
 }
 
-}  // namespace
+std::size_t record_count(const model::Fleet& fleet) {
+  return fleet.systems().size() + fleet.shelves().size() + fleet.raid_groups().size() +
+         fleet.disks().size();
+}
 
-TEST(Snapshot, RoundTripMatchesDirectInventory) {
+/// A fleet with a retired disk record, so DISK lines carry both time forms
+/// and the replacement path is exercised.
+model::Fleet fleet_with_replacement() {
   auto fleet = test_fleet();
-  // Exercise the replacement path so retired records round-trip too.
   const auto disk = fleet.shelves()[0].slots[0];
   const double deploy = fleet.system(fleet.shelves()[0].system).deploy_time;
   fleet.replace_disk(disk, deploy + 5000.0, deploy + 9000.0);
+  return fleet;
+}
 
-  std::stringstream text;
+}  // namespace
+
+TEST(SnapshotRange, ConcatenatedChunksEqualTheWholeSnapshot) {
+  const auto fleet = fleet_with_replacement();
+  log_ns::LineWriter whole;
+  log_ns::write_snapshot(whole, fleet);
+  const std::size_t records = record_count(fleet);
+  for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
+                              std::size_t{7}, records + 1}) {
+    // Cut by record count: with records + 1 chunks one range is empty.
+    log_ns::LineWriter joined;
+    for (std::size_t c = 0; c < k; ++c) {
+      log_ns::write_snapshot_range(joined, fleet, records * c / k, records * (c + 1) / k);
+    }
+    EXPECT_EQ(joined.view(), whole.view()) << k << " chunks";
+  }
+}
+
+TEST(SnapshotRange, PlannedChunksPartitionTheRecordsAndParseBack) {
+  const auto fleet = fleet_with_replacement();
+  const std::size_t records = record_count(fleet);
+  const auto direct = log_ns::inventory_from_fleet(fleet);
+  log_ns::LineWriter whole;
+  log_ns::write_snapshot(whole, fleet);
+  const std::vector<std::vector<std::size_t>> loads = {
+      {0}, {0, 0, 0}, {0, 0, 0, 0}, std::vector<std::size_t>(records + 1, 0),
+      // A worker busier than the whole snapshot gets an empty chunk.
+      {0, whole.size() * 2, 0, 0}, {whole.size() * 2, 0, 1000}};
+  for (const auto& busy : loads) {
+    SCOPED_TRACE(::testing::Message() << busy.size() << " chunks, busy[0]=" << busy[0]);
+    const auto plan = log_ns::plan_snapshot_chunks(fleet, busy);
+    ASSERT_EQ(plan.size(), busy.size());
+    std::size_t next = 0;
+    std::size_t headers = 0;
+    std::size_t ends = 0;
+    log_ns::LineWriter joined;
+    for (const auto& chunk : plan) {
+      ASSERT_EQ(chunk.first, next);
+      ASSERT_LE(chunk.first, chunk.last);
+      next = chunk.last;
+      log_ns::LineWriter text;
+      log_ns::write_snapshot_range(text, fleet, chunk.first, chunk.last);
+      joined.text(text.view());
+      const auto parsed = log_ns::parse_snapshot_chunk(text.view(), chunk);
+      ASSERT_TRUE(parsed.ok()) << parsed.error;
+      headers += parsed.saw_header ? 1 : 0;
+      ends += parsed.saw_end ? 1 : 0;
+      EXPECT_EQ(parsed.inventory.systems.size(), chunk.counts.systems);
+      EXPECT_EQ(parsed.inventory.shelves.size(), chunk.counts.shelves);
+      EXPECT_EQ(parsed.inventory.raid_groups.size(), chunk.counts.raid_groups);
+      ASSERT_EQ(parsed.inventory.disks.size(), chunk.counts.disks);
+      for (std::size_t i = 0; i < parsed.inventory.disks.size(); ++i) {
+        EXPECT_EQ(parsed.inventory.disks[i].id, direct.disks[chunk.bases.disks + i].id);
+      }
+    }
+    EXPECT_EQ(next, records);
+    EXPECT_EQ(headers, 1U);
+    EXPECT_EQ(ends, 1U);
+    EXPECT_EQ(joined.view(), whole.view());
+  }
+  // Loads shift bytes between chunks: with equal loads the cut is even.
+  const auto even = log_ns::plan_snapshot_chunks(fleet, std::vector<std::size_t>{0, 0});
+  const auto skewed = log_ns::plan_snapshot_chunks(fleet, std::vector<std::size_t>{0, 4000});
+  EXPECT_GT(skewed[0].last, even[0].last);
+  EXPECT_TRUE(log_ns::plan_snapshot_chunks(fleet, {}).empty());
+}
+
+TEST(SnapshotRange, ChunkRejectsIdsNotDenseFromItsBase) {
+  const std::string system =
+      "SYSTEM id=5 class=low-end paths=single-path disk-model=A-2 shelf-model=A "
+      "deploy=0.0 cohort=0\n";
+  log_ns::SnapshotChunk chunk;
+  chunk.bases.systems = 5;
+  const auto ok = log_ns::parse_snapshot_chunk(system, chunk);
+  ASSERT_TRUE(ok.ok()) << ok.error;
+  EXPECT_FALSE(ok.saw_header);
+  EXPECT_FALSE(ok.saw_end);
+  ASSERT_EQ(ok.inventory.systems.size(), 1U);
+
+  chunk.bases.systems = 4;
+  const auto off_by_one = log_ns::parse_snapshot_chunk(system, chunk);
+  EXPECT_FALSE(off_by_one.ok());
+  EXPECT_NE(off_by_one.error.find("SYSTEM ids not dense"), std::string::npos);
+  EXPECT_NE(off_by_one.error.find("line 1"), std::string::npos);
+
+  const std::string disk =
+      "DISK id=41 model=A-2 sys=0 shelf=0 group=- slot=0 install=0.000 remove=inf\n";
+  chunk.bases.disks = 41;
+  EXPECT_TRUE(log_ns::parse_snapshot_chunk(disk, chunk).ok());
+  chunk.bases.disks = 42;
+  const auto behind = log_ns::parse_snapshot_chunk(disk, chunk);
+  EXPECT_FALSE(behind.ok());
+  EXPECT_NE(behind.error.find("DISK ids not dense"), std::string::npos);
+}
+
+TEST(Snapshot, RoundTripMatchesDirectInventory) {
+  const auto fleet = fleet_with_replacement();  // retired records round-trip too
+  log_ns::LineWriter text;
   log_ns::write_snapshot(text, fleet);
-  const auto parsed = log_ns::parse_snapshot(text);
+  const auto parsed = log_ns::parse_snapshot(text.view());
   ASSERT_TRUE(parsed.ok()) << parsed.error;
 
   const auto direct = log_ns::inventory_from_fleet(fleet);
@@ -97,9 +201,9 @@ TEST(Snapshot, MissingHeaderRejected) {
 
 TEST(Snapshot, MissingEndRejected) {
   const auto fleet = test_fleet();
-  std::stringstream text;
+  log_ns::LineWriter text;
   log_ns::write_snapshot(text, fleet);
-  std::string s = text.str();
+  std::string s = text.take();
   s.resize(s.size() - 4);  // drop "END\n"
   std::stringstream chopped(s);
   const auto parsed = log_ns::parse_snapshot(chopped);

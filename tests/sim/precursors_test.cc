@@ -144,12 +144,13 @@ TEST(PrecursorLogs, WriteParseExtractRoundTrip) {
   const auto events = sim::generate_precursors(fs.fleet, fs.result, params);
   ASSERT_FALSE(events.empty());
 
-  std::stringstream text;
+  storsubsim::log::LineWriter text;
   const auto lines = sim::write_precursor_logs(text, fs.fleet, events);
   EXPECT_EQ(lines, events.size());
 
   std::vector<storsubsim::log::LogRecord> records;
-  const auto stats = storsubsim::log::parse_stream(text, records);
+  std::stringstream in(text.take());
+  const auto stats = storsubsim::log::parse_stream(in, records);
   EXPECT_EQ(stats.lines_parsed, events.size());
 
   const auto recovered = sim::extract_precursors(records);

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 
@@ -182,6 +183,56 @@ TEST_F(StoreRoundTrip, AfrTableBitIdenticalToInMemoryPath) {
   const auto pooled_mapped = core::compute_afr(es);
   EXPECT_EQ(pooled_mapped.events, pooled_memory.events);
   EXPECT_EQ(pooled_mapped.disk_years, pooled_memory.disk_years);
+}
+
+TEST_F(StoreRoundTrip, ExposureTableEqualsPerCohortSweeps) {
+  // The writer fills every entry in one shared sweep; each must still equal
+  // a sweep over its own cohort exactly, FP rounding included.
+  store::EventStore es;
+  ASSERT_TRUE(es.open_image(*image_).ok());
+  const store::ExposureTable& table = es.exposure();
+  const log::Inventory& inv = run_->dataset.inventory();
+  auto sweep = [&](auto in_cohort) {
+    double years = 0.0;
+    for (const auto& d : inv.disks) {
+      if (in_cohort(inv.systems[d.system.value()])) years += inv.disk_exposure_years(d);
+    }
+    return years;
+  };
+
+  EXPECT_EQ(table.total_disk_years, sweep([](const log::InventorySystem&) { return true; }));
+  for (std::size_t c = 0; c < store::kClassCount; ++c) {
+    EXPECT_EQ(table.class_disk_years[c], sweep([c](const log::InventorySystem& sys) {
+                return model::index_of(sys.cls) == c;
+              })) << "class " << c;
+    std::uint64_t systems = 0;
+    for (const auto& sys : inv.systems) {
+      if (model::index_of(sys.cls) == c) ++systems;
+    }
+    EXPECT_EQ(table.class_system_count[c], systems) << "class " << c;
+  }
+  std::map<char, double> families;
+  std::map<std::pair<std::uint8_t, char>, double> class_families;
+  for (const auto& sys : inv.systems) {
+    families[sys.disk_model.family] = 0.0;
+    class_families[{static_cast<std::uint8_t>(model::index_of(sys.cls)),
+                    sys.disk_model.family}] = 0.0;
+  }
+  for (auto& entry : families) {
+    const char family = entry.first;
+    entry.second = sweep([family](const log::InventorySystem& s) {
+      return s.disk_model.family == family;
+    });
+  }
+  for (auto& entry : class_families) {
+    const auto [cls, family] = entry.first;
+    entry.second = sweep([cls = cls, family = family](const log::InventorySystem& s) {
+      return model::index_of(s.cls) == cls && s.disk_model.family == family;
+    });
+  }
+  ASSERT_GT(class_families.size(), families.size());
+  EXPECT_EQ(table.family_disk_years, families);
+  EXPECT_EQ(table.class_family_disk_years, class_families);
 }
 
 TEST_F(StoreRoundTrip, BurstinessCorrelationAndLifetimeMatchInMemoryPath) {

@@ -4,7 +4,7 @@
 #   tools/run_checks.sh [extra ctest args...]
 #
 #   1. configure + build the default preset
-#   2. ctest (622 unit/integration tests + the storsim_lint fixture suite
+#   2. ctest (626 unit/integration tests + the storsim_lint fixture suite
 #      + the StorsimLint.TreeIsClean gate)
 #   3. storsim_lint --check over src/ bench/ tests/ (redundant with the ctest
 #      gate, but run standalone so its report is printed even when ctest is
@@ -49,20 +49,24 @@
 #      reports, `analyze --replicates` must re-render the table byte for
 #      byte without re-simulating, and a ci_rel run must stop before the
 #      fixed budget with its provenance manifest recording why
+#  12. store-build thread invariance (docs/performance.md): `store build
+#      --scale 0.25` at --threads 1, 3 and 4 must write cmp-identical files
+#      (3 threads cut the config snapshot unevenly), and a --shards 4
+#      build's shard files must be identical at 1 and 4 threads
 #
 # Sanitizer passes are heavier and live in tools/run_sanitizer.sh.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "== [1/11] configure + build =="
+echo "== [1/12] configure + build =="
 cmake --preset default
 cmake --build --preset default -j "$(nproc)"
 
-echo "== [2/11] ctest =="
+echo "== [2/12] ctest =="
 ctest --test-dir build --output-on-failure -j "$(nproc)" "$@"
 
-echo "== [3/11] storsim_lint =="
+echo "== [3/12] storsim_lint =="
 # Emit the machine-readable report first (it must exist even when the gate
 # below fails, so CI can surface the findings), then run the human gate.
 ./build/tools/storsim_lint --format=json --root . src bench tests \
@@ -70,11 +74,11 @@ echo "== [3/11] storsim_lint =="
 ./build/tools/storsim_lint --check --root . src bench tests
 echo "machine-readable report: build/lint-report.json"
 
-echo "== [4/11] pipeline_throughput smoke =="
+echo "== [4/12] pipeline_throughput smoke =="
 ./build/bench/pipeline_throughput --scale=0.05 --repeat=1 \
   --out=build/BENCH_pipeline_smoke.json
 
-echo "== [5/11] store round-trip (full scale) + corruption smoke =="
+echo "== [5/12] store round-trip (full scale) + corruption smoke =="
 ./build/bench/store_bench --scale=1.0 --repeat=1 \
   --store=build/BENCH_checks.store --out=build/BENCH_store_checks.json
 # Corrupt stores must be rejected, never crash: truncate one copy, flip a
@@ -91,7 +95,7 @@ for broken in build/BENCH_checks_truncated.store build/BENCH_checks_flipped.stor
 done
 echo "corrupted stores rejected with typed errors"
 
-echo "== [6/11] observability: byte identity + manifest + overhead =="
+echo "== [6/12] observability: byte identity + manifest + overhead =="
 # Byte identity at full scale: the store built in step 5 feeds the same
 # analyze invocation with the obs stack off and fully on. --input also
 # exercises the STORCOL1 magic sniffing path.
@@ -148,7 +152,7 @@ else
   echo "python3 unavailable; skipping the <2% overhead comparison"
 fi
 
-echo "== [7/11] sharded store: bounded-memory build + merged-answer identity =="
+echo "== [7/12] sharded store: bounded-memory build + merged-answer identity =="
 # Full-scale sharded build under a budget the monolithic writer exceeds
 # (step 5's single-file build peaks around 630 MiB on this fleet). The build
 # records its own peak RSS in the directory's build.manifest.json.
@@ -199,7 +203,7 @@ else
   echo "python3 unavailable; skipping the RSS-budget assertion"
 fi
 
-echo "== [8/11] decode-kernel identity: scalar build vs SIMD build =="
+echo "== [8/12] decode-kernel identity: scalar build vs SIMD build =="
 # A scalar-only build (-DSTORSUBSIM_SIMD=OFF) must answer the full-scale
 # analyze byte for byte like the default build: the wide kernels may only
 # change speed, never output. Reuses the step-5 store so both binaries read
@@ -216,7 +220,7 @@ for report in afr burstiness correlation; do
 done
 echo "scalar-kernel build byte-identical to the SIMD build (afr, burstiness, correlation)"
 
-echo "== [9/11] storsimd: daemon byte-identity + QPS floor + drain =="
+echo "== [9/12] storsimd: daemon byte-identity + QPS floor + drain =="
 # A real `storsubsim serve` daemon over the full-scale store from step 5,
 # driven by parallel `storsubsim client` invocations: every endpoint must be
 # byte-identical to the offline path, and SIGTERM must drain cleanly
@@ -359,7 +363,7 @@ else
   echo "python3 unavailable; QPS floor grep-checked for identity only"
 fi
 
-echo "== [10/11] clang-tidy =="
+echo "== [10/12] clang-tidy =="
 if command -v clang-tidy > /dev/null 2>&1; then
   cmake --preset default -DCMAKE_EXPORT_COMPILE_COMMANDS=ON > /dev/null
   # Lint the library sources; headers are pulled in via HeaderFilterRegex.
@@ -369,7 +373,7 @@ else
   echo "clang-tidy not installed; skipping (config: .clang-tidy)"
 fi
 
-echo "== [11/11] replication: thread-invariance + analyze --replicates + early stop =="
+echo "== [11/12] replication: thread-invariance + analyze --replicates + early stop =="
 # The determinism contract on the Monte Carlo replicator: replicate seeds are
 # keyed substreams of the root seed, so the table and the report must not
 # depend on the thread count (docs/REPLICATION.md).
@@ -411,5 +415,22 @@ else
   grep -q '"stop_reason": "converged"' build/CHECK_earlystop.reps.manifest.json
   echo "python3 unavailable; early-stop manifest grep-checked only"
 fi
+
+echo "== [12/12] store build: byte identity across thread counts =="
+for threads in 1 3 4; do
+  ./build/tools/storsubsim store build --out "build/CHECK_build_t$threads.store" \
+    --scale 0.25 --seed 7 --threads "$threads" > /dev/null 2>&1
+done
+cmp build/CHECK_build_t1.store build/CHECK_build_t3.store
+cmp build/CHECK_build_t1.store build/CHECK_build_t4.store
+for threads in 1 4; do
+  rm -rf "build/CHECK_build_t$threads.shards"
+  ./build/tools/storsubsim store build --out "build/CHECK_build_t$threads.shards" \
+    --scale 0.25 --seed 7 --shards 4 --threads "$threads" > /dev/null 2>&1
+done
+for shard in build/CHECK_build_t1.shards/shard-*.store; do
+  cmp "$shard" "build/CHECK_build_t4.shards/$(basename "$shard")"
+done
+echo "store files byte-identical at --threads 1, 3 and 4; shard files at 1 and 4"
 
 echo "All checks passed."

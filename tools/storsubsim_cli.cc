@@ -172,23 +172,25 @@ int cmd_simulate(const Args& args) {
             << ")...\n";
   auto fs = sim::run_standard(scale, seed);
 
-  std::ofstream logs(log_path);
-  if (!logs) {
-    std::cerr << "cannot write " << log_path << "\n";
-    return 1;
-  }
-  std::size_t lines = sim::write_failure_logs(logs, fs.fleet, fs.result.failures);
+  // Each artifact is rendered whole into one buffer, then published
+  // atomically; the buffer is reused for the snapshot.
+  log::LineWriter text;
+  std::size_t lines = sim::write_failure_logs(text, fs.fleet, fs.result.failures);
   if (args.has_flag("precursors")) {
     const auto precursors =
         sim::generate_precursors(fs.fleet, fs.result, sim::PrecursorParams::standard());
-    lines += sim::write_precursor_logs(logs, fs.fleet, precursors);
+    lines += sim::write_precursor_logs(text, fs.fleet, precursors);
   }
-  std::ofstream snap(snap_path);
-  if (!snap) {
+  if (util::publish_file(log_path, text.view()) != 0) {
+    std::cerr << "cannot write " << log_path << "\n";
+    return 1;
+  }
+  text.clear();
+  log::write_snapshot(text, fs.fleet);
+  if (util::publish_file(snap_path, text.view()) != 0) {
     std::cerr << "cannot write " << snap_path << "\n";
     return 1;
   }
-  log::write_snapshot(snap, fs.fleet);
 
   std::cerr << "wrote " << lines << " log lines to " << log_path << " and "
             << fs.fleet.systems().size() << "-system snapshot to " << snap_path << "\n";
