@@ -263,6 +263,18 @@ log::ParseStats parse_stream(std::istream& in, std::vector<log::LogRecord>& out)
   return stats;
 }
 
+/// The library classifies views only: classify views of the owning records
+/// (the same code-id switch the shipped classifier runs).
+std::vector<log::ClassifiedFailure> classify(const std::vector<log::LogRecord>& records) {
+  std::vector<log::LogView> views;
+  views.reserve(records.size());
+  for (const auto& r : records) {
+    views.push_back(log::LogView{r.time, log::code_id(r.code), r.severity, r.disk, r.system,
+                                 r.code, r.message});
+  }
+  return log::classify(views);
+}
+
 }  // namespace legacy
 // --------------------------------------------------------------------------
 
@@ -358,7 +370,7 @@ int main(int argc, char** argv) {
       run.parse_seconds = now_seconds() - t0;
 
       t0 = now_seconds();
-      auto classified = log::classify(records);
+      auto classified = legacy::classify(records);
       run.classify_seconds = now_seconds() - t0;
       if (r == 0) {
         legacy_text = stream.str();

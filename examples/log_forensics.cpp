@@ -116,9 +116,10 @@ int main(int argc, char** argv) {
   stream << "D0001 03:00:00 t=97200.000 [scsi.cmd.checkCondition:err";  // truncated
 
   // --- 3. Parse and classify -------------------------------------------------
-  std::vector<log::LogRecord> records;
-  std::stringstream replay(stream.str());
-  const auto parse_stats = log::parse_stream(replay, records);
+  // The views alias `replay`, which outlives them.
+  const std::string replay = stream.str();
+  std::vector<log::LogView> records;
+  const auto parse_stats = log::parse_text(replay, records);
   log::ClassifierStats classify_stats;
   const auto failures = log::classify(records, {}, &classify_stats);
 

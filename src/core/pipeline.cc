@@ -31,6 +31,32 @@ constexpr std::size_t kSnapshotBytesPerFailure = 560;
 /// that costs about as much as this many snapshot bytes.
 constexpr std::size_t kSnapshotBytesPerSizedDisk = 6;
 
+/// parse_text -> classify over one log text, under the pipeline.parse and
+/// pipeline.classify spans: fills the parse and classify counts and seconds
+/// of `stats`. `records` receives the parsed views, which alias `text`.
+log::ParseStats parse_and_classify(std::string_view text, std::vector<log::LogView>& records,
+                                   std::vector<log::ClassifiedFailure>& failures,
+                                   PipelineStats& stats) {
+  obs::Span parse_span("pipeline.parse");
+  const log::ParseStats parse_stats = log::parse_text(text, records);
+  stats.log_lines_parsed = parse_stats.lines_parsed;
+  stats.stage_seconds.parse = parse_span.stop();
+
+  obs::Span classify_span("pipeline.classify");
+  log::ClassifierStats classifier_stats;
+  failures = log::classify(records, log::ClassifierOptions{}, &classifier_stats);
+  stats.raid_records = classifier_stats.raid_records;
+  stats.duplicates_dropped = classifier_stats.duplicates_dropped;
+  stats.missing_disk_dropped = classifier_stats.missing_disk_dropped;
+  stats.failures_classified = failures.size();
+  stats.stage_seconds.classify = classify_span.stop();
+
+  STORSIM_OBS_COUNTER(c_classified, "pipeline.failures_classified",
+                      ::storsubsim::obs::Stability::kDeterministic);
+  STORSIM_OBS_ADD(c_classified, stats.failures_classified);
+  return parse_stats;
+}
+
 /// One shard's emit -> parse -> classify round-trip. The emitter, parser and
 /// classifier are stateless across records except for the classifier's
 /// (disk, type) de-duplication window — and a disk lives in exactly one
@@ -49,33 +75,13 @@ struct ShardOutput {
 ShardOutput roundtrip_shard(const model::Fleet& fleet,
                             std::span<const sim::SimFailure> failures) {
   ShardOutput out;
+  obs::Span span("pipeline.emit");
+  log::LineWriter log_text(failures.size() * kLogBytesPerFailure);
+  out.stats.log_lines_written = sim::write_failure_logs(log_text, fleet, failures);
+  out.stats.stage_seconds.emit = span.stop();
 
-  {
-    obs::Span span("pipeline.emit");
-    log::LineWriter log_text(failures.size() * kLogBytesPerFailure);
-    out.stats.log_lines_written = sim::write_failure_logs(log_text, fleet, failures);
-    out.stats.stage_seconds.emit = span.stop();
-
-    obs::Span parse_span("pipeline.parse");
-    std::vector<log::LogView> records;
-    const log::ParseStats parse_stats = log::parse_text(log_text.view(), records);
-    out.stats.log_lines_parsed = parse_stats.lines_parsed;
-    out.stats.stage_seconds.parse = parse_span.stop();
-
-    obs::Span classify_span("pipeline.classify");
-    log::ClassifierStats classifier_stats;
-    out.failures = log::classify(std::span<const log::LogView>(records),
-                                 log::ClassifierOptions{}, &classifier_stats);
-    out.stats.raid_records = classifier_stats.raid_records;
-    out.stats.duplicates_dropped = classifier_stats.duplicates_dropped;
-    out.stats.missing_disk_dropped = classifier_stats.missing_disk_dropped;
-    out.stats.failures_classified = out.failures.size();
-    out.stats.stage_seconds.classify = classify_span.stop();
-  }
-
-  STORSIM_OBS_COUNTER(c_classified, "pipeline.failures_classified",
-                      ::storsubsim::obs::Stability::kDeterministic);
-  STORSIM_OBS_ADD(c_classified, out.stats.failures_classified);
+  std::vector<log::LogView> records;
+  parse_and_classify(log_text.view(), records, out.failures, out.stats);
   return out;
 }
 
@@ -241,6 +247,35 @@ Dataset dataset_via_logs(const model::Fleet& fleet, const sim::SimResult& result
 
   if (stats != nullptr) *stats = local;
   return Dataset(std::move(inventory), std::move(classified));
+}
+
+TextDataset dataset_from_text(std::string_view log_text, std::string_view snapshot_text,
+                              std::vector<log::LogView>* records) {
+  TextDataset out;
+  std::vector<log::LogView> views;
+  std::vector<log::ClassifiedFailure> failures;
+  log::SnapshotParseResult snapshot;
+  // Item 1, the longer snapshot parse, is the one the calling thread runs.
+  util::parallel_for(2, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t item = begin; item < end; ++item) {
+      if (item == 0) {
+        out.parse = parse_and_classify(log_text, views, failures, out.pipeline);
+      } else {
+        obs::Span span("pipeline.snapshot");
+        snapshot = log::parse_snapshot(snapshot_text);
+        out.pipeline.stage_seconds.snapshot = span.stop();
+      }
+    }
+  });
+  out.pipeline.log_lines_written = out.parse.lines_total;
+  if (!snapshot.ok()) {
+    out.error = std::move(snapshot.error);
+    return out;
+  }
+  out.dataset.emplace(std::make_shared<log::Inventory>(std::move(snapshot.inventory)),
+                      std::move(failures));
+  if (records != nullptr) *records = std::move(views);
+  return out;
 }
 
 Dataset dataset_in_memory(const model::Fleet& fleet, const sim::SimResult& result) {

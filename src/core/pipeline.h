@@ -2,12 +2,19 @@
 // classify -> join with the parsed snapshot. This mirrors how the paper's
 // data flowed (AutoSupport logs in, analysis out) and exercises every
 // substrate, so the benches and examples default to it. The in-memory
-// fast path (no text round-trip) is available for interactive use.
+// fast path (no text round-trip) is available for interactive use, and
+// `dataset_from_text` reads log and snapshot text that already exists (the
+// CLI's mapped files) through the same parse -> classify step.
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/dataset.h"
+#include "log/parser.h"
 #include "model/fleet_config.h"
 #include "sim/params.h"
 #include "sim/simulator.h"
@@ -42,6 +49,22 @@ struct PipelineStats {
 /// join), one shard per worker.
 Dataset dataset_via_logs(const model::Fleet& fleet, const sim::SimResult& result,
                          PipelineStats* stats = nullptr);
+
+/// A dataset read from failure-log and config-snapshot text.
+struct TextDataset {
+  std::optional<Dataset> dataset;  ///< empty when the snapshot did not parse
+  std::string error;               ///< the snapshot's parse error, if any
+  log::ParseStats parse;           ///< line counts of the log text
+  PipelineStats pipeline;          ///< log_lines_written counts the text's lines
+};
+
+/// Parses + classifies `log_text` and parses `snapshot_text` as the two items
+/// of one parallel_for (inline at one thread; the outputs are disjoint, so
+/// the result never depends on scheduling). A bad snapshot is reported in
+/// `error`, not thrown. If `records` is non-null it receives the parsed log
+/// records, which alias `log_text`.
+TextDataset dataset_from_text(std::string_view log_text, std::string_view snapshot_text,
+                              std::vector<log::LogView>* records = nullptr);
 
 /// Builds a Dataset directly from simulator output (no text round-trip).
 Dataset dataset_in_memory(const model::Fleet& fleet, const sim::SimResult& result);

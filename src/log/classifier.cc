@@ -10,36 +10,29 @@ namespace storsubsim::log {
 
 namespace {
 
-std::optional<model::FailureType> terminal_type(const LogRecord& r) {
-  return failure_type_of_code(r.code);
-}
-
-std::optional<model::FailureType> terminal_type(const LogView& r) {
-  return failure_type_of(r.code_id);
-}
-
 std::uint64_t dedup_key(const ClassifiedFailure& f) {
   return (static_cast<std::uint64_t>(f.disk.value()) << 2u) | model::index_of(f.type);
 }
 
-template <class Record>
-std::vector<ClassifiedFailure> classify_impl(std::span<const Record> records,
-                                             const ClassifierOptions& options,
-                                             ClassifierStats* stats) {
+}  // namespace
+
+std::vector<ClassifiedFailure> classify(std::span<const LogView> records,
+                                        const ClassifierOptions& options,
+                                        ClassifierStats* stats) {
   ClassifierStats local;
 
   // Counting pass so the collection vector is sized exactly once; terminal
-  // detection is a code-id switch (or one code compare on the owning path),
-  // far cheaper than the reallocations it avoids.
+  // detection is a code-id switch, far cheaper than the reallocations it
+  // avoids.
   std::size_t terminals = 0;
   for (const auto& r : records) {
-    if (terminal_type(r)) ++terminals;
+    if (failure_type_of(r.code_id)) ++terminals;
   }
 
   std::vector<ClassifiedFailure> failures;
   failures.reserve(terminals);
   for (const auto& r : records) {
-    const auto type = terminal_type(r);
+    const auto type = failure_type_of(r.code_id);
     if (!type) continue;  // precursor or unrelated RAID event
     ++local.raid_records;
     if (!r.disk.valid()) {
@@ -87,20 +80,6 @@ std::vector<ClassifiedFailure> classify_impl(std::span<const Record> records,
   STORSIM_OBS_ADD(c_dupes, local.duplicates_dropped);
   if (stats != nullptr) *stats = local;
   return out;
-}
-
-}  // namespace
-
-std::vector<ClassifiedFailure> classify(std::span<const LogRecord> records,
-                                        const ClassifierOptions& options,
-                                        ClassifierStats* stats) {
-  return classify_impl(records, options, stats);
-}
-
-std::vector<ClassifiedFailure> classify(std::span<const LogView> records,
-                                        const ClassifierOptions& options,
-                                        ClassifierStats* stats) {
-  return classify_impl(records, options, stats);
 }
 
 }  // namespace storsubsim::log

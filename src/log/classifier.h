@@ -1,4 +1,5 @@
-// Turns parsed log records into storage subsystem failure events.
+// Turns parsed log views (log/parser.h) into storage subsystem failure
+// events.
 //
 // Following the paper's methodology (§2.5), only RAID-layer events are
 // counted as storage subsystem failures — lower-layer precursors are the
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "log/parser.h"
-#include "log/record.h"
 #include "model/enums.h"
 #include "model/ids.h"
 
@@ -41,15 +41,8 @@ struct ClassifierStats {
 };
 
 /// Extracts and de-duplicates failures. Records may arrive in any order;
-/// output is sorted by time.
-std::vector<ClassifiedFailure> classify(std::span<const LogRecord> records,
-                                        const ClassifierOptions& options = {},
-                                        ClassifierStats* stats = nullptr);
-
-/// View-record overload — the pipeline fast path. Terminal detection
-/// switches on the interned event-code id, so no string is touched.
-/// Produces the same failures and stats as the owning overload for
-/// equivalent input.
+/// output is sorted by time. Terminal detection switches on the interned
+/// event-code id, so no string is touched.
 std::vector<ClassifiedFailure> classify(std::span<const LogView> records,
                                         const ClassifierOptions& options = {},
                                         ClassifierStats* stats = nullptr);

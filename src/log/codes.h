@@ -56,7 +56,9 @@ EventCode code_id(std::string_view name) noexcept;
 /// Failure type of a RAID-layer terminal code; nullopt for every other id.
 std::optional<model::FailureType> failure_type_of(EventCode code) noexcept;
 
-/// The RAID-layer terminal code for a failure type.
+/// The RAID-layer terminal code for a failure type. The RAID layer sits
+/// directly above the storage subsystem, so these four codes are what the
+/// analysis counts (paper §2.5).
 EventCode raid_terminal_for(model::FailureType type) noexcept;
 
 }  // namespace storsubsim::log

@@ -13,7 +13,9 @@
 //     at steady state; this is what the dataset pipeline uses;
 //   * the record path — `propagation_chain` materializes owning LogRecords
 //     for callers that inspect or reorder individual events (tests, the
-//     forensics example).
+//     forensics example, precursor logs).
+// Reading goes one way only: `parse_text` yields LogViews of the rendered
+// text (log/parser.h); no owning record is ever parsed back.
 #pragma once
 
 #include <iosfwd>

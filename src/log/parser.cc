@@ -1,8 +1,7 @@
 #include "log/parser.h"
 
 #include <charconv>
-#include <istream>
-#include <string>
+#include <optional>
 
 #include "obs/obs.h"
 
@@ -121,45 +120,6 @@ ParseStats parse_text(std::string_view text, std::vector<LogView>& out) {
   STORSIM_OBS_COUNTER(c_parsed, "log.parse.records",
                       ::storsubsim::obs::Stability::kDeterministic);
   STORSIM_OBS_ADD(c_parsed, stats.lines_parsed);
-  return stats;
-}
-
-std::optional<LogRecord> parse_line(std::string_view line) {
-  LogView view;
-  if (!parse_line_view(line, view)) return std::nullopt;
-  LogRecord record;
-  record.time = view.time;
-  record.code = std::string(view.code);
-  record.severity = view.severity;
-  record.disk = view.disk;
-  record.system = view.system;
-  record.message = std::string(view.message);
-  return record;
-}
-
-ParseStats parse_stream(std::istream& in, std::vector<LogRecord>& out) {
-  // Slurp the stream and run the buffer fast path; the owning records copy
-  // out of the buffer before it dies.
-  std::string text;
-  char chunk[1 << 16];
-  while (in) {
-    in.read(chunk, sizeof(chunk));
-    text.append(chunk, static_cast<std::size_t>(in.gcount()));
-  }
-
-  std::vector<LogView> views;
-  const ParseStats stats = parse_text(text, views);
-  out.reserve(out.size() + views.size());
-  for (const LogView& v : views) {
-    LogRecord record;
-    record.time = v.time;
-    record.code = std::string(v.code);
-    record.severity = v.severity;
-    record.disk = v.disk;
-    record.system = v.system;
-    record.message = std::string(v.message);
-    out.push_back(std::move(record));
-  }
   return stats;
 }
 

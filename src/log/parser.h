@@ -4,18 +4,14 @@
 // every subsystem, many of which the analysis does not understand. Unknown
 // or malformed lines are counted, not fatal.
 //
-// Two result shapes (docs/FORMAT.md):
-//   * LogView — the zero-copy fast path. `parse_text` walks a retained text
-//     buffer directly and yields records whose `code`/`message` are
-//     `string_view`s into that buffer; the event code is additionally
-//     resolved to an interned id (log/codes.h) so downstream consumers
-//     never compare strings. The buffer must outlive the views.
-//   * LogRecord — the owning path (`parse_line` / `parse_stream`), a thin
-//     adapter over the fast path for callers that keep records around.
+// One result shape (docs/FORMAT.md): `parse_text` walks a retained text
+// buffer — a pipeline LineWriter or a mapped log file — and yields LogViews
+// whose `code`/`message` are `string_view`s into that buffer; the event
+// code is additionally resolved to an interned id (log/codes.h) so
+// downstream consumers never compare strings. The buffer must outlive the
+// views. Owning LogRecords exist only on the write side (log/emitter.h).
 #pragma once
 
-#include <iosfwd>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -40,8 +36,6 @@ struct LogView {
   model::SystemId system;
   std::string_view code;     ///< aliases the parsed buffer
   std::string_view message;  ///< aliases the parsed buffer
-
-  Layer layer() const { return layer_of_code(code); }
 };
 
 /// Parses one rendered line into `out` without copying text; returns false
@@ -52,11 +46,5 @@ bool parse_line_view(std::string_view line, LogView& out);
 /// records — aliasing `text` — to `out` in buffer order. The caller keeps
 /// `text` alive for as long as the views are used.
 ParseStats parse_text(std::string_view text, std::vector<LogView>& out);
-
-/// Parses a single rendered line; nullopt if the line is not a log record.
-std::optional<LogRecord> parse_line(std::string_view line);
-
-/// Parses an entire stream; appends parsed records to `out` in file order.
-ParseStats parse_stream(std::istream& in, std::vector<LogRecord>& out);
 
 }  // namespace storsubsim::log

@@ -1,7 +1,5 @@
 #include "log/record.h"
 
-#include "log/codes.h"
-
 namespace storsubsim::log {
 
 std::string_view to_string(Severity s) {
@@ -26,14 +24,6 @@ Layer layer_of_code(std::string_view code) {
   if (code.starts_with("disk.")) return Layer::kDiskDriver;
   if (code.starts_with("raid.")) return Layer::kRaid;
   return Layer::kOther;
-}
-
-std::string_view raid_code_for(model::FailureType type) {
-  return code_name(raid_terminal_for(type));
-}
-
-std::optional<model::FailureType> failure_type_of_code(std::string_view code) {
-  return failure_type_of(code_id(code));
 }
 
 }  // namespace storsubsim::log

@@ -1,5 +1,5 @@
-// Structured log records — the unit the emitter writes and the parser
-// recovers.
+// Structured log records — the unit the emitter writes. The parser reads
+// the same fields back as views of the text (log/parser.h).
 //
 // The storage systems studied in the paper log informational and error
 // events on each layer as a failure propagates upward (Fibre Channel ->
@@ -14,7 +14,6 @@
 #include <string>
 #include <string_view>
 
-#include "model/enums.h"
 #include "model/ids.h"
 
 namespace storsubsim::log {
@@ -39,15 +38,5 @@ struct LogRecord {
 
   Layer layer() const { return layer_of_code(code); }
 };
-
-/// RAID-layer terminal codes, one per storage subsystem failure type. The
-/// RAID layer sits directly above the storage subsystem, so these four codes
-/// are what the analysis counts (paper §2.5: "we look at four types of
-/// events generated by the RAID layer").
-std::string_view raid_code_for(model::FailureType type);
-
-/// Maps a RAID-layer code back to the failure type; nullopt for non-terminal
-/// codes.
-std::optional<model::FailureType> failure_type_of_code(std::string_view code);
 
 }  // namespace storsubsim::log

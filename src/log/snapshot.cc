@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <istream>
 #include <utility>
 #include <vector>
 
@@ -411,16 +410,6 @@ SnapshotParseResult parse_snapshot(std::string_view text) {
     result.error = check_snapshot(result.inventory, result.saw_header, result.saw_end);
   }
   return result;
-}
-
-SnapshotParseResult parse_snapshot(std::istream& in) {
-  std::string text;
-  char chunk[1 << 16];
-  while (in) {
-    in.read(chunk, sizeof(chunk));
-    text.append(chunk, static_cast<std::size_t>(in.gcount()));
-  }
-  return parse_snapshot(std::string_view(text));
 }
 
 }  // namespace storsubsim::log

@@ -8,9 +8,10 @@
 // into a plain `Inventory` that the analysis layer consumes — keeping the
 // analysis decoupled from the simulator's live Fleet object.
 //
-// Like the failure-log pipeline, the snapshot codec has a buffer fast path:
+// Like the failure-log codec, the snapshot codec works on buffers only:
 // `write_snapshot(LineWriter&, ...)` appends the section to a reusable
-// buffer and `parse_snapshot(std::string_view)` walks text in place.
+// buffer and `parse_snapshot(std::string_view)` walks text in place — a
+// LineWriter's or a mapped file's.
 //
 // The records form one global sequence SYSTEM ⧺ SHELF ⧺ GROUP ⧺ DISK, so
 // the section can also be written and parsed in contiguous chunks (the
@@ -21,7 +22,6 @@
 // case plus `check_snapshot` (header, END, referential integrity).
 #pragma once
 
-#include <iosfwd>
 #include <limits>
 #include <span>
 #include <string>
@@ -147,11 +147,10 @@ SnapshotParseResult parse_snapshot_chunk(std::string_view text, const SnapshotCh
 /// resolves. Returns empty, or the message naming the first failure.
 std::string check_snapshot(const Inventory& inv, bool saw_header, bool saw_end);
 
-/// Parses a snapshot section from an in-memory buffer (no stream, no
-/// per-line copies). The result owns everything; `text` may die after.
+/// Parses a snapshot section from an in-memory buffer — a mapped file or a
+/// pipeline LineWriter — with no per-line copies. The result owns
+/// everything; `text` may die after.
 SnapshotParseResult parse_snapshot(std::string_view text);
-
-SnapshotParseResult parse_snapshot(std::istream& in);
 
 /// Builds the same Inventory directly from a live fleet (bypassing text) —
 /// used by tests to verify write/parse round-trips and by callers that do

@@ -107,7 +107,7 @@ std::size_t write_precursor_logs(log::LineWriter& out, const model::Fleet& fleet
   return events.size();
 }
 
-std::vector<PrecursorEvent> extract_precursors(std::span<const log::LogRecord> records) {
+std::vector<PrecursorEvent> extract_precursors(std::span<const log::LogView> records) {
   std::vector<PrecursorEvent> out;
   for (const auto& r : records) {
     const auto kind = precursor_kind_of_code(r.code);

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "log/line_writer.h"
-#include "log/record.h"
+#include "log/parser.h"
 #include "model/fleet.h"
 #include "sim/precursors.h"
 #include "sim/simulator.h"
@@ -38,8 +38,8 @@ std::optional<PrecursorKind> precursor_kind_of_code(std::string_view code);
 std::size_t write_precursor_logs(log::LineWriter& out, const model::Fleet& fleet,
                                  std::span<const PrecursorEvent> events);
 
-/// Recovers precursor events from parsed log records (the read side of
+/// Recovers precursor events from parsed log views (the read side of
 /// `write_precursor_logs`). Non-precursor records are skipped.
-std::vector<PrecursorEvent> extract_precursors(std::span<const log::LogRecord> records);
+std::vector<PrecursorEvent> extract_precursors(std::span<const log::LogView> records);
 
 }  // namespace storsubsim::sim

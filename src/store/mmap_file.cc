@@ -7,6 +7,7 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #define STORSUBSIM_HAVE_MMAP 1
+#include <cerrno>
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
@@ -58,6 +59,26 @@ Error MmapFile::open(const std::string& path) {
   if (::fstat(fd, &st) != 0 || st.st_size < 0) {
     ::close(fd);
     return make_error(ErrorCode::kIo, std::string("cannot stat ").append(path));
+  }
+  if (!S_ISREG(st.st_mode)) {
+    // A pipe, FIFO or /dev/stdin has no size to map (st_size is 0): read it
+    // whole into the fallback buffer.
+    char buf[1 << 16];
+    for (;;) {
+      const ssize_t n = ::read(fd, buf, sizeof(buf));
+      if (n == 0) break;
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0) {
+        ::close(fd);
+        fallback_.clear();
+        return make_error(ErrorCode::kIo, std::string("read failed for ").append(path));
+      }
+      fallback_.append(buf, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+    data_ = fallback_.data();
+    size_ = fallback_.size();
+    return Error{};
   }
   const auto size = static_cast<std::size_t>(st.st_size);
   if (size == 0) {

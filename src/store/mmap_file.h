@@ -4,11 +4,13 @@
 // MmapFile is a read-only memory-mapped file with a heap fallback.
 // On POSIX hosts the file is mapped MAP_PRIVATE/PROT_READ so column readers
 // alias the page cache directly (the zero-copy contract of docs/STORE.md).
-// Hosts without mmap — or zero-length files, which mmap rejects — fall back
-// to reading the bytes into an owned buffer; callers cannot tell the
-// difference and the corruption checks behave identically. A mapping keeps
-// the inode it was opened on, so a file republished under the same name
-// (publish_file renames a new inode over it) never changes under a reader.
+// Hosts without mmap, zero-length files (which mmap rejects) and anything
+// that is not a regular file (a pipe, FIFO or /dev/stdin has no size to map)
+// fall back to reading the bytes into an owned buffer; callers cannot tell
+// the difference and the corruption checks behave identically. A mapping
+// keeps the inode it was opened on, so a file republished under the same
+// name (publish_file renames a new inode over it) never changes under a
+// reader.
 #pragma once
 
 #include <cstddef>

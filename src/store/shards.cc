@@ -1,6 +1,8 @@
 #include "store/shards.h"
 
 #include <charconv>
+#include <filesystem>
+#include <system_error>
 #include <utility>
 
 #include "model/enums.h"
@@ -630,10 +632,16 @@ StoreShape store_shape(const std::string& path) {
     MmapFile f;
     return f.open(file).ok() && f.view().starts_with(magic);
   };
-  if (starts_with(path, std::string_view(kMagic.data(), kMagic.size()))) {
+  // Only a regular file or a directory can hold a store. Anything else (a
+  // FIFO, /dev/stdin) is never opened, so sniffing it drains nothing.
+  std::error_code ec;
+  const auto type = std::filesystem::status(path, ec).type();
+  if (type == std::filesystem::file_type::regular &&
+      starts_with(path, std::string_view(kMagic.data(), kMagic.size()))) {
     return StoreShape::kFile;
   }
-  if (starts_with(shard_path(path, std::string(kManifestFileName)), kManifestMagic)) {
+  if (type == std::filesystem::file_type::directory &&
+      starts_with(shard_path(path, std::string(kManifestFileName)), kManifestMagic)) {
     return StoreShape::kShardDir;
   }
   return StoreShape::kNone;

@@ -112,6 +112,8 @@ std::string render_manifest(const ShardManifest& manifest);
 /// What a path holds, judged by magic bytes alone: a STORCOL1 file, a shard
 /// directory whose MANIFEST starts with STORSHARD1, or neither. Touches only
 /// the first bytes of a mapping — the one place the tree recognises a store.
+/// A path that is neither a regular file nor a directory (a FIFO, a process
+/// substitution) is kNone without being opened.
 enum class StoreShape : std::uint8_t { kNone, kFile, kShardDir };
 StoreShape store_shape(const std::string& path);
 

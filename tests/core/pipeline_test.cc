@@ -1,14 +1,20 @@
 // End-to-end pipeline: simulate -> logs -> parse -> classify -> dataset.
 #include "core/pipeline.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/afr.h"
+#include "log/snapshot.h"
 #include "model/fleet_config.h"
+#include "util/parallel.h"
 
 namespace core = storsubsim::core;
+namespace log_ns = storsubsim::log;
 namespace model = storsubsim::model;
 namespace sim = storsubsim::sim;
+namespace util = storsubsim::util;
 
 TEST(Pipeline, StatsAreConsistent) {
   const auto config = model::standard_fleet_config(0.01, 7);
@@ -64,4 +70,26 @@ TEST(Pipeline, TableOneShapeAtSmallScale) {
   const double le_shelves_per_system = static_cast<double>(le.selected_shelf_count()) /
                                        static_cast<double>(le.selected_system_count());
   EXPECT_NEAR(le_shelves_per_system, 1.69, 0.3);
+}
+
+TEST(Pipeline, DatasetFromTextReturnsTheSnapshotError) {
+  // A corrupt snapshot is reported with parse_snapshot's own message, not
+  // thrown; the log side still reports what it parsed.
+  const std::string logs =
+      "D0000 00:00:05 t=5.0 [raid.config.disk.failed:error] [sys=0 disk=0]: gone\n";
+  const std::string snapshot =
+      "SNAPSHOT horizon=1000000.0\n"
+      "SHELF id=0 sys=0 model=A\n"
+      "END\n";
+  const std::string expected = log_ns::parse_snapshot(snapshot).error;
+  EXPECT_EQ(expected, "snapshot: SHELF references unknown system");
+  for (const unsigned threads : {1u, 4u}) {
+    util::set_thread_count(threads);
+    const auto text = core::dataset_from_text(logs, snapshot);
+    util::set_thread_count(0);
+    EXPECT_EQ(text.error, expected);
+    EXPECT_FALSE(text.dataset.has_value());
+    EXPECT_EQ(text.parse.lines_parsed, 1u);
+    EXPECT_EQ(text.pipeline.failures_classified, 1u);
+  }
 }

@@ -9,13 +9,17 @@
 #include "core/burstiness.h"
 #include "core/pipeline.h"
 #include "core/store_bridge.h"
+#include "log/line_writer.h"
+#include "log/snapshot.h"
 #include "model/fleet_config.h"
+#include "sim/log_bridge.h"
 #include "sim/scenario.h"
 #include "stats/bootstrap.h"
 #include "stats/summary.h"
 #include "util/parallel.h"
 
 namespace core = storsubsim::core;
+namespace log_ns = storsubsim::log;
 namespace model = storsubsim::model;
 namespace sim = storsubsim::sim;
 
@@ -270,4 +274,49 @@ TEST(CalibrationInvariant, HawkesNormalizationPreservesDiskRate) {
   EXPECT_NEAR(core::compute_afr(hawkes.dataset).afr_pct(model::FailureType::kDisk),
               core::compute_afr(base.dataset).afr_pct(model::FailureType::kDisk),
               0.08 * core::compute_afr(base.dataset).afr_pct(model::FailureType::kDisk));
+}
+
+TEST(Pipeline, DatasetFromTextMatchesDatasetViaLogs) {
+  // The CLI's text ingest and the pipeline's round trip share one parse ->
+  // classify step: over the same text they must build the same dataset and
+  // the same stats, at one thread and at four.
+  const auto fs = sim::simulate_fleet(model::standard_fleet_config(0.02, 7));
+  log_ns::LineWriter logs;
+  sim::write_failure_logs(logs, fs.fleet, fs.result.failures);
+  log_ns::LineWriter snapshot;
+  log_ns::write_snapshot(snapshot, fs.fleet);
+
+  for (const unsigned threads : {1u, 4u}) {
+    storsubsim::util::set_thread_count(threads);
+    core::PipelineStats via_stats;
+    const auto via = core::dataset_via_logs(fs.fleet, fs.result, &via_stats);
+    const auto text = core::dataset_from_text(logs.view(), snapshot.view());
+    storsubsim::util::set_thread_count(0);
+    ASSERT_TRUE(text.error.empty()) << text.error;
+    ASSERT_TRUE(text.dataset.has_value());
+    const core::Dataset& from_text = *text.dataset;
+
+    expect_inventory_identical(from_text.inventory(), via.inventory());
+    const auto a = from_text.events();
+    const auto b = via.events();
+    ASSERT_EQ(a.size(), b.size()) << threads << " threads";
+    ASSERT_GT(a.size(), 0u);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(bits(a[i].time), bits(b[i].time));
+      EXPECT_EQ(a[i].disk, b[i].disk);
+      EXPECT_EQ(a[i].system, b[i].system);
+      EXPECT_EQ(a[i].type, b[i].type);
+    }
+
+    const core::PipelineStats& s = text.pipeline;
+    EXPECT_EQ(s.log_lines_written, via_stats.log_lines_written);
+    EXPECT_EQ(s.log_lines_parsed, via_stats.log_lines_parsed);
+    EXPECT_EQ(s.raid_records, via_stats.raid_records);
+    EXPECT_EQ(s.failures_classified, via_stats.failures_classified);
+    EXPECT_EQ(s.duplicates_dropped, via_stats.duplicates_dropped);
+    EXPECT_EQ(s.missing_disk_dropped, via_stats.missing_disk_dropped);
+    EXPECT_EQ(text.parse.lines_total, via_stats.log_lines_written);
+    EXPECT_EQ(text.parse.lines_parsed, via_stats.log_lines_parsed);
+    EXPECT_EQ(text.parse.lines_malformed, 0u);
+  }
 }

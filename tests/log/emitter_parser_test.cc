@@ -2,6 +2,7 @@
 // failure injection (corrupt, truncated, foreign, reordered lines).
 #include <algorithm>
 #include <cstddef>
+#include <deque>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "log/emitter.h"
 #include "log/line_writer.h"
 #include "log/parser.h"
+#include "per_line_parse.h"
 
 namespace log_ns = storsubsim::log;
 namespace model = storsubsim::model;
@@ -27,6 +29,12 @@ log_ns::EmittableFailure sample_failure(model::FailureType type, double t = 5000
   f.device_address = "8.24";
   f.serial = "SN3EL03PAV00";
   return f;
+}
+
+/// True when `line` parses as a log record.
+bool parses(std::string_view line) {
+  log_ns::LogView view;
+  return log_ns::parse_line_view(line, view);
 }
 
 }  // namespace
@@ -57,7 +65,7 @@ TEST(PropagationChain, EveryTypeEndsAtRaidLayer) {
     const auto chain = log_ns::propagation_chain(sample_failure(type));
     ASSERT_GE(chain.size(), 2u) << model::to_string(type);
     EXPECT_EQ(chain.back().layer(), log_ns::Layer::kRaid);
-    const auto terminal_type = log_ns::failure_type_of_code(chain.back().code);
+    const auto terminal_type = log_ns::failure_type_of(log_ns::code_id(chain.back().code));
     ASSERT_TRUE(terminal_type.has_value());
     EXPECT_EQ(*terminal_type, type);
     // Precursors are below the RAID layer.
@@ -71,14 +79,14 @@ TEST(RenderParse, RoundTripsAllFields) {
   for (const auto type : model::kAllFailureTypes) {
     for (const auto& record : log_ns::propagation_chain(sample_failure(type, 123456.789))) {
       const auto line = log_ns::render_line(record);
-      const auto parsed = log_ns::parse_line(line);
-      ASSERT_TRUE(parsed.has_value()) << line;
-      EXPECT_NEAR(parsed->time, record.time, 1e-3);
-      EXPECT_EQ(parsed->code, record.code);
-      EXPECT_EQ(parsed->severity, record.severity);
-      EXPECT_EQ(parsed->disk, record.disk);
-      EXPECT_EQ(parsed->system, record.system);
-      EXPECT_EQ(parsed->message, record.message);
+      log_ns::LogView parsed;
+      ASSERT_TRUE(log_ns::parse_line_view(line, parsed)) << line;
+      EXPECT_NEAR(parsed.time, record.time, 1e-3);
+      EXPECT_EQ(parsed.code, record.code);
+      EXPECT_EQ(parsed.severity, record.severity);
+      EXPECT_EQ(parsed.disk, record.disk);
+      EXPECT_EQ(parsed.system, record.system);
+      EXPECT_EQ(parsed.message, record.message);
     }
   }
 }
@@ -91,19 +99,19 @@ TEST(RenderParse, InvalidIdsRenderAsDash) {
   record.message = "orphan event";
   const auto line = log_ns::render_line(record);
   EXPECT_NE(line.find("sys=- disk=-"), std::string::npos);
-  const auto parsed = log_ns::parse_line(line);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_FALSE(parsed->disk.valid());
-  EXPECT_FALSE(parsed->system.valid());
+  log_ns::LogView parsed;
+  ASSERT_TRUE(log_ns::parse_line_view(line, parsed));
+  EXPECT_FALSE(parsed.disk.valid());
+  EXPECT_FALSE(parsed.system.valid());
 }
 
 TEST(ParseLine, RejectsMalformedLines) {
-  EXPECT_FALSE(log_ns::parse_line("").has_value());
-  EXPECT_FALSE(log_ns::parse_line("console: power button pressed").has_value());
-  EXPECT_FALSE(log_ns::parse_line("D0000 00:00:01 t=abc [x:error] [sys=1 disk=2]: m"));
-  EXPECT_FALSE(log_ns::parse_line("D0000 00:00:01 t=5.0 [no-severity] [sys=1 disk=2]: m"));
-  EXPECT_FALSE(log_ns::parse_line("D0000 00:00:01 t=5.0 [c:error] sys=1 disk=2: m"));
-  EXPECT_FALSE(log_ns::parse_line("D0000 00:00:01 t=5.0 [c:fatal] [sys=1 disk=2]: m"));
+  EXPECT_FALSE(parses(""));
+  EXPECT_FALSE(parses("console: power button pressed"));
+  EXPECT_FALSE(parses("D0000 00:00:01 t=abc [x:error] [sys=1 disk=2]: m"));
+  EXPECT_FALSE(parses("D0000 00:00:01 t=5.0 [no-severity] [sys=1 disk=2]: m"));
+  EXPECT_FALSE(parses("D0000 00:00:01 t=5.0 [c:error] sys=1 disk=2: m"));
+  EXPECT_FALSE(parses("D0000 00:00:01 t=5.0 [c:fatal] [sys=1 disk=2]: m"));
 }
 
 TEST(ParseStream, CountsForeignAndMalformed) {
@@ -115,8 +123,8 @@ TEST(ParseStream, CountsForeignAndMalformed) {
   text << "D0000 00:00:01 t=5.0 [c:fatal] [sys=1 disk=2]: bad\n"; // malformed
   text << "\n";
 
-  std::vector<log_ns::LogRecord> records;
-  const auto stats = log_ns::parse_stream(text, records);
+  std::vector<log_ns::LogView> records;
+  const auto stats = log_ns::parse_text(text.str(), records);
   EXPECT_EQ(records.size(), 3u);  // disk chain has 3 records
   EXPECT_EQ(stats.lines_parsed, 3u);
   EXPECT_EQ(stats.lines_malformed, 1u);
@@ -131,9 +139,8 @@ TEST(ParseStream, SurvivesTruncatedLine) {
   std::string all = text.str();
   // Chop the last line mid-way (simulates a crash during log write).
   all.resize(all.size() - 25);
-  std::stringstream chopped(all);
-  std::vector<log_ns::LogRecord> records;
-  const auto stats = log_ns::parse_stream(chopped, records);
+  std::vector<log_ns::LogView> records;
+  const auto stats = log_ns::parse_text(all, records);
   EXPECT_GE(records.size(), 2u);
   EXPECT_EQ(stats.lines_parsed + stats.lines_malformed + stats.lines_skipped,
             stats.lines_total);
@@ -250,30 +257,27 @@ TEST(GoldenFormat, BufferPathRendersExactBytes) {
 TEST(ParseLine, AttributeKeysDoNotMatchInsideLongerKeys) {
   // "sys=" must not match the tail of "subsys=", nor "disk=" the tail of
   // "mydisk=" (regression: the parser used to take the first substring hit).
-  const auto parsed = log_ns::parse_line(
-      "D0000 00:00:05 t=5.0 [c:error] [subsys=9 sys=1 mydisk=7 disk=2]: m");
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->system, model::SystemId(1));
-  EXPECT_EQ(parsed->disk, model::DiskId(2));
+  log_ns::LogView parsed;
+  ASSERT_TRUE(log_ns::parse_line_view(
+      "D0000 00:00:05 t=5.0 [c:error] [subsys=9 sys=1 mydisk=7 disk=2]: m", parsed));
+  EXPECT_EQ(parsed.system, model::SystemId(1));
+  EXPECT_EQ(parsed.disk, model::DiskId(2));
 }
 
 TEST(ParseLine, SuffixOnlyAttributeKeysAreMissingAttributes) {
   // With only "subsys="/"mydisk=" present, the record has no sys/disk
   // attributes at all and must be rejected, not silently misread.
-  EXPECT_FALSE(log_ns::parse_line(
-      "D0000 00:00:05 t=5.0 [c:error] [subsys=9 mydisk=7]: m").has_value());
+  EXPECT_FALSE(parses("D0000 00:00:05 t=5.0 [c:error] [subsys=9 mydisk=7]: m"));
 }
 
 TEST(ParseLine, MalformedAttributeValuesAreRejected) {
-  EXPECT_FALSE(log_ns::parse_line(
-      "D0000 00:00:05 t=5.0 [c:error] [sys= disk=2]: m").has_value());
-  EXPECT_FALSE(log_ns::parse_line(
-      "D0000 00:00:05 t=5.0 [c:error] [sys=x disk=2]: m").has_value());
+  EXPECT_FALSE(parses("D0000 00:00:05 t=5.0 [c:error] [sys= disk=2]: m"));
+  EXPECT_FALSE(parses("D0000 00:00:05 t=5.0 [c:error] [sys=x disk=2]: m"));
 }
 
 // --- view-based fast path ----------------------------------------------------
 
-TEST(ParseText, MatchesParseStreamExactly) {
+TEST(ParseText, MatchesPerLineParseExactly) {
   std::stringstream stream_text;
   log_ns::LogEmitter emitter(stream_text);
   for (const auto type : model::kAllFailureTypes) emitter.emit(sample_failure(type));
@@ -282,22 +286,22 @@ TEST(ParseText, MatchesParseStreamExactly) {
 
   std::vector<log_ns::LogView> views;
   const auto view_stats = log_ns::parse_text(text, views);
-  std::stringstream in(text);
-  std::vector<log_ns::LogRecord> records;
-  const auto record_stats = log_ns::parse_stream(in, records);
+  std::deque<std::string> kept;
+  std::vector<log_ns::LogView> lines;
+  const auto line_stats = log_ns::testing::parse_line_by_line(text, kept, lines);
 
-  EXPECT_EQ(view_stats.lines_total, record_stats.lines_total);
-  EXPECT_EQ(view_stats.lines_parsed, record_stats.lines_parsed);
-  EXPECT_EQ(view_stats.lines_skipped, record_stats.lines_skipped);
-  EXPECT_EQ(view_stats.lines_malformed, record_stats.lines_malformed);
-  ASSERT_EQ(views.size(), records.size());
+  EXPECT_EQ(view_stats.lines_total, line_stats.lines_total);
+  EXPECT_EQ(view_stats.lines_parsed, line_stats.lines_parsed);
+  EXPECT_EQ(view_stats.lines_skipped, line_stats.lines_skipped);
+  EXPECT_EQ(view_stats.lines_malformed, line_stats.lines_malformed);
+  ASSERT_EQ(views.size(), lines.size());
   for (std::size_t i = 0; i < views.size(); ++i) {
-    EXPECT_EQ(views[i].time, records[i].time);
-    EXPECT_EQ(views[i].code, records[i].code);
-    EXPECT_EQ(views[i].severity, records[i].severity);
-    EXPECT_EQ(views[i].disk, records[i].disk);
-    EXPECT_EQ(views[i].system, records[i].system);
-    EXPECT_EQ(views[i].message, records[i].message);
+    EXPECT_EQ(views[i].time, lines[i].time);
+    EXPECT_EQ(views[i].code, lines[i].code);
+    EXPECT_EQ(views[i].severity, lines[i].severity);
+    EXPECT_EQ(views[i].disk, lines[i].disk);
+    EXPECT_EQ(views[i].system, lines[i].system);
+    EXPECT_EQ(views[i].message, lines[i].message);
     // The interned id round-trips to the same code spelling.
     EXPECT_EQ(log_ns::code_name(views[i].code_id), views[i].code);
   }

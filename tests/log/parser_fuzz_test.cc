@@ -2,7 +2,7 @@
 // parser must not crash, must not loop, and anything it does accept must be
 // internally consistent.
 #include <cmath>
-#include <sstream>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -11,6 +11,7 @@
 #include "log/emitter.h"
 #include "log/parser.h"
 #include "log/snapshot.h"
+#include "per_line_parse.h"
 #include "stats/rng.h"
 
 namespace log_ns = storsubsim::log;
@@ -74,11 +75,11 @@ TEST_P(ParserFuzz, NeverCrashesAndStaysConsistent) {
     const auto mutations = 1 + rng.below(3);
     for (std::uint64_t m = 0; m < mutations; ++m) line = mutate(line, rng);
 
-    const auto parsed = log_ns::parse_line(line);
-    if (parsed) {
+    log_ns::LogView parsed;
+    if (log_ns::parse_line_view(line, parsed)) {
       // Whatever survived must be self-consistent, not garbage.
-      EXPECT_TRUE(std::isfinite(parsed->time));
-      EXPECT_FALSE(parsed->code.empty());
+      EXPECT_TRUE(std::isfinite(parsed.time));
+      EXPECT_FALSE(parsed.code.empty());
     }
   }
 }
@@ -117,8 +118,7 @@ TEST(SnapshotFuzz, CorruptSnapshotsRejectedOrConsistent) {
       }
       if (corrupted.empty()) corrupted = "END\n";
     }
-    std::stringstream in(corrupted);
-    const auto result = log_ns::parse_snapshot(in);
+    const auto result = log_ns::parse_snapshot(corrupted);
     if (!result.ok()) continue;
     const auto& inv = result.inventory;
     for (const auto& sh : inv.shelves) {
@@ -134,10 +134,10 @@ TEST(SnapshotFuzz, CorruptSnapshotsRejectedOrConsistent) {
   }
 }
 
-TEST(ParseTextFuzz, BufferAndStreamPathsAgreeUnderCorruption) {
-  // Mutated multi-line buffers: the view path must never crash, its stats
-  // must partition the input, and the owning path (which adapts the same
-  // core) must agree byte-for-byte on what parsed and what did not.
+TEST(ParseTextFuzz, BufferAndPerLinePathsAgreeUnderCorruption) {
+  // Mutated multi-line buffers: the buffer walk must never crash, its stats
+  // must partition the input, and a getline split judged line by line with
+  // parse_line_view must agree byte-for-byte on what parsed and what did not.
   Rng rng(777);
   const auto seeds = seed_lines();
   for (int iter = 0; iter < 600; ++iter) {
@@ -169,9 +169,9 @@ TEST(ParseTextFuzz, BufferAndStreamPathsAgreeUnderCorruption) {
                   view_stats.lines_malformed,
               view_stats.lines_total);
 
-    std::stringstream in(text);
-    std::vector<log_ns::LogRecord> records;
-    const auto record_stats = log_ns::parse_stream(in, records);
+    std::deque<std::string> kept;
+    std::vector<log_ns::LogView> records;
+    const auto record_stats = log_ns::testing::parse_line_by_line(text, kept, records);
     EXPECT_EQ(view_stats.lines_total, record_stats.lines_total);
     EXPECT_EQ(view_stats.lines_parsed, record_stats.lines_parsed);
     EXPECT_EQ(view_stats.lines_skipped, record_stats.lines_skipped);

@@ -1,10 +1,13 @@
-// Log record taxonomy: layer attribution and RAID-code <-> failure-type maps.
+// Log record taxonomy: severities, layer attribution, and the RAID terminal
+// code <-> failure-type maps.
 #include "log/record.h"
 
 #include <set>
 #include <string_view>
 
 #include <gtest/gtest.h>
+
+#include "log/codes.h"
 
 namespace log_ns = storsubsim::log;
 namespace model = storsubsim::model;
@@ -30,11 +33,11 @@ TEST(Layer, DerivedFromCodePrefix) {
 TEST(RaidCodes, OnePerFailureTypeAndDistinct) {
   std::set<std::string_view> codes;
   for (const auto type : model::kAllFailureTypes) {
-    const auto code = log_ns::raid_code_for(type);
+    const auto code = log_ns::code_name(log_ns::raid_terminal_for(type));
     EXPECT_TRUE(code.starts_with("raid."));
     codes.insert(code);
     // Round trip.
-    const auto back = log_ns::failure_type_of_code(code);
+    const auto back = log_ns::failure_type_of(log_ns::code_id(code));
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, type);
   }
@@ -44,12 +47,12 @@ TEST(RaidCodes, OnePerFailureTypeAndDistinct) {
 TEST(RaidCodes, MatchPaperTerminalEvents) {
   // The paper's Figure 3 physical-interconnect chain ends in
   // raid.config.filesystem.disk.missing.
-  EXPECT_EQ(log_ns::raid_code_for(model::FailureType::kPhysicalInterconnect),
-            "raid.config.filesystem.disk.missing");
+  const auto terminal = log_ns::raid_terminal_for(model::FailureType::kPhysicalInterconnect);
+  EXPECT_EQ(log_ns::code_name(terminal), "raid.config.filesystem.disk.missing");
 }
 
 TEST(RaidCodes, NonTerminalCodesHaveNoType) {
-  EXPECT_FALSE(log_ns::failure_type_of_code("scsi.cmd.noMorePaths").has_value());
-  EXPECT_FALSE(log_ns::failure_type_of_code("raid.scrub.completed").has_value());
-  EXPECT_FALSE(log_ns::failure_type_of_code("").has_value());
+  EXPECT_FALSE(log_ns::failure_type_of(log_ns::code_id("scsi.cmd.noMorePaths")).has_value());
+  EXPECT_FALSE(log_ns::failure_type_of(log_ns::code_id("raid.scrub.completed")).has_value());
+  EXPECT_FALSE(log_ns::failure_type_of(log_ns::code_id("")).has_value());
 }

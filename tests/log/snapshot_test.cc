@@ -3,7 +3,7 @@
 #include "log/snapshot.h"
 
 #include <cmath>
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -193,7 +193,7 @@ TEST(Snapshot, ExposureMatchesFleet) {
 }
 
 TEST(Snapshot, MissingHeaderRejected) {
-  std::stringstream text("SYSTEM id=0 class=low-end paths=single-path disk-model=A-2 "
+  const std::string text("SYSTEM id=0 class=low-end paths=single-path disk-model=A-2 "
                          "shelf-model=A deploy=0.0 cohort=0\nEND\n");
   const auto parsed = log_ns::parse_snapshot(text);
   EXPECT_FALSE(parsed.ok());
@@ -205,14 +205,13 @@ TEST(Snapshot, MissingEndRejected) {
   log_ns::write_snapshot(text, fleet);
   std::string s = text.take();
   s.resize(s.size() - 4);  // drop "END\n"
-  std::stringstream chopped(s);
-  const auto parsed = log_ns::parse_snapshot(chopped);
+  const auto parsed = log_ns::parse_snapshot(s);
   EXPECT_FALSE(parsed.ok());
   EXPECT_NE(parsed.error.find("END"), std::string::npos);
 }
 
 TEST(Snapshot, CorruptFieldRejectedWithLineNumber) {
-  std::stringstream text(
+  const std::string text(
       "SNAPSHOT horizon=1000.0\n"
       "SYSTEM id=0 class=warp-core paths=single-path disk-model=A-2 shelf-model=A "
       "deploy=0.0 cohort=0\n"
@@ -223,7 +222,7 @@ TEST(Snapshot, CorruptFieldRejectedWithLineNumber) {
 }
 
 TEST(Snapshot, NonDenseIdsRejected) {
-  std::stringstream text(
+  const std::string text(
       "SNAPSHOT horizon=1000.0\n"
       "SYSTEM id=5 class=low-end paths=single-path disk-model=A-2 shelf-model=A "
       "deploy=0.0 cohort=0\n"
@@ -234,7 +233,7 @@ TEST(Snapshot, NonDenseIdsRejected) {
 }
 
 TEST(Snapshot, DanglingReferenceRejected) {
-  std::stringstream text(
+  const std::string text(
       "SNAPSHOT horizon=1000.0\n"
       "SYSTEM id=0 class=low-end paths=single-path disk-model=A-2 shelf-model=A "
       "deploy=0.0 cohort=0\n"
@@ -246,7 +245,7 @@ TEST(Snapshot, DanglingReferenceRejected) {
 }
 
 TEST(Snapshot, UnknownRecordTypeRejected) {
-  std::stringstream text(
+  const std::string text(
       "SNAPSHOT horizon=1000.0\n"
       "FLUX id=0 capacitance=1.21\n"
       "END\n");
@@ -256,7 +255,7 @@ TEST(Snapshot, UnknownRecordTypeRejected) {
 }
 
 TEST(Snapshot, CommentsAndBlankLinesIgnored) {
-  std::stringstream text(
+  const std::string text(
       "# generated by storsubsim\n"
       "\n"
       "SNAPSHOT horizon=1000.0\n"

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <map>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -130,7 +129,7 @@ TEST(PrecursorCodes, RoundTrip) {
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, kind);
     // Precursor codes must never classify as failures.
-    EXPECT_FALSE(storsubsim::log::failure_type_of_code(code).has_value());
+    EXPECT_FALSE(storsubsim::log::failure_type_of(storsubsim::log::code_id(code)).has_value());
   }
   EXPECT_FALSE(sim::precursor_kind_of_code("raid.config.disk.failed").has_value());
 }
@@ -148,9 +147,8 @@ TEST(PrecursorLogs, WriteParseExtractRoundTrip) {
   const auto lines = sim::write_precursor_logs(text, fs.fleet, events);
   EXPECT_EQ(lines, events.size());
 
-  std::vector<storsubsim::log::LogRecord> records;
-  std::stringstream in(text.take());
-  const auto stats = storsubsim::log::parse_stream(in, records);
+  std::vector<storsubsim::log::LogView> records;
+  const auto stats = storsubsim::log::parse_text(text.view(), records);
   EXPECT_EQ(stats.lines_parsed, events.size());
 
   const auto recovered = sim::extract_precursors(records);

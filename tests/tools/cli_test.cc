@@ -1,6 +1,7 @@
 // End-to-end test of the storsubsim CLI binary: simulate writes log +
 // snapshot files, analyze and predict consume them. Exercises the file-based
 // path (everything else in the suite uses in-memory streams).
+#include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
 
@@ -432,4 +433,46 @@ TEST(CliUsage, UnknownClassRejected) {
                     " --report afr --class warp-core")
                 .first,
             0);
+}
+
+TEST_F(CliTest, TextInputsReadFromFifosByteIdentically) {
+  // Piped input (a FIFO, a process substitution) has no size to map: the
+  // text ingest must read it whole and print the bytes it prints for the
+  // regular files, and --input must not drain it while sniffing for a store.
+  const std::string log_fifo = temp_path("cli_logs.fifo");
+  const std::string snap_fifo = temp_path("cli_snap.fifo");
+  const auto over_fifos = [&](const std::string& args) {
+    for (const std::string& fifo : {log_fifo, snap_fifo}) {
+      std::remove(fifo.c_str());
+      EXPECT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << fifo;
+    }
+    const std::string out_path = temp_path("cli_fifo_stdout.txt");
+    const std::string feed = "timeout 60 sh -c 'cat " + logs_path_ + " > " + log_fifo +
+                             "' & timeout 60 sh -c 'cat " + snap_path_ + " > " + snap_fifo +
+                             "' & ";
+    const std::string command = feed + STORSUBSIM_CLI_PATH + " " + args + " > " + out_path +
+                                " 2>/dev/null; rc=$?; wait; exit $rc";
+    const int status = std::system(command.c_str());
+    return std::pair<int, std::string>{status, slurp(out_path)};
+  };
+  const struct {
+    const char* command;
+    const char* log_flag;
+    const char* tail;
+  } cases[] = {
+      {"analyze", "--logs", " --report afr"},
+      {"analyze", "--input", " --report correlation"},
+      {"predict", "--logs", ""},
+  };
+  for (const auto& c : cases) {
+    const std::string head = std::string(c.command) + " " + c.log_flag + " ";
+    const auto regular = run_cli(head + logs_path_ + " --snapshot " + snap_path_ + c.tail);
+    const auto piped = over_fifos(head + log_fifo + " --snapshot " + snap_fifo + c.tail);
+    ASSERT_EQ(regular.first, 0) << head;
+    EXPECT_FALSE(regular.second.empty()) << head;
+    EXPECT_EQ(piped.first, 0) << head;
+    EXPECT_EQ(piped.second, regular.second) << head;
+  }
+  std::remove(log_fifo.c_str());
+  std::remove(snap_fifo.c_str());
 }

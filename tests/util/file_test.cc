@@ -2,20 +2,29 @@
 // the target atomically, a reader that mapped the old file keeps reading the
 // old bytes, a failed publish leaves the target and its directory exactly as
 // they were, and a published file gets the permissions fopen would give it.
+// store::MmapFile, the one whole-file reader, reads a pipe whole, and
+// store::store_shape never opens one.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <iterator>
 #include <set>
 #include <string>
+#include <thread>
+#include <utility>
 
 #include "store/mmap_file.h"
+#include "store/shards.h"
 #include "util/file.h"
 
 namespace fs = std::filesystem;
@@ -138,4 +147,50 @@ TEST(PublishFile, PermissionsMatchFopenUnderTheProcessUmask) {
     std::remove(published.c_str());
     ::umask(previous);
   }
+}
+
+// --- MmapFile over things that are not regular files --------------------------
+
+TEST(MmapFile, ReadsAPipeWholeIntoItsBuffer) {
+  // A pipe opened by path (what a shell's process substitution hands a
+  // program) has st_size 0; the reader must still see every byte, across
+  // many reads of the pipe.
+  std::signal(SIGPIPE, SIG_IGN);  // a reader that quits early fails, not kills
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  std::string payload;
+  for (int i = 0; i < 40000; ++i) payload += "line " + std::to_string(i) + "\n";
+  ASSERT_GT(payload.size(), 4u * 65536u);
+  std::thread writer([&] {
+    for (std::size_t done = 0; done < payload.size();) {
+      const ssize_t n = ::write(fds[1], payload.data() + done, payload.size() - done);
+      if (n <= 0) break;
+      done += static_cast<std::size_t>(n);
+    }
+    ::close(fds[1]);
+  });
+  store::MmapFile file;
+  const auto err = file.open("/dev/fd/" + std::to_string(fds[0]));
+  ::close(fds[0]);
+  writer.join();
+  ASSERT_TRUE(err.ok()) << err.describe();
+  EXPECT_EQ(file.view(), payload);
+  const store::MmapFile moved = std::move(file);
+  EXPECT_EQ(moved.view(), payload);
+}
+
+TEST(StoreShape, AFifoIsNoneWithoutBeingOpened) {
+  // Opening a FIFO with no writer blocks, so a sniff that opened it would
+  // hang here (and drain a real pipe's bytes before the text reader).
+  ScratchDir dir("shape_fifo");
+  const std::string fifo = dir.file("input.fifo");
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  auto shape = std::async(std::launch::async, [&] { return store::store_shape(fifo); });
+  if (shape.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    ADD_FAILURE() << "store_shape opened the FIFO";
+    // A writer that opens and closes gives the blocked reader EOF.
+    const int fd = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK);
+    if (fd >= 0) ::close(fd);
+  }
+  EXPECT_EQ(shape.get(), store::StoreShape::kNone);
 }

@@ -20,7 +20,8 @@
 //
 // `analyze`, `inspect` and `predict` know nothing about the simulator's internals —
 // they parse whatever log/snapshot files you give them, so logs produced by
-// other tools (or hand-edited scenarios) work as well. `analyze --input PATH`
+// other tools (or hand-edited scenarios) work as well, from a file or a pipe
+// (`--logs <(zcat fleet.log.gz)`). `analyze --input PATH`
 // sniffs the path: a columnar store (STORCOL1 magic) is mapped and the reports
 // come straight off the column spans, a shard directory (STORSHARD1 MANIFEST,
 // produced by `store build --shards`) is analyzed shard by shard with
@@ -37,7 +38,6 @@
 #include <atomic>
 #include <csignal>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -51,13 +51,13 @@
 #include "core/analysis_request.h"
 #include "core/burstiness.h"
 #include "core/correlation.h"
+#include "core/pipeline.h"
 #include "core/prediction.h"
 #include "core/raid_vulnerability.h"
 #include "core/report.h"
 #include "core/sharded_build.h"
 #include "core/source.h"
 #include "core/store_bridge.h"
-#include "log/classifier.h"
 #include "log/parser.h"
 #include "log/snapshot.h"
 #include "model/fleet_config.h"
@@ -220,40 +220,36 @@ bool wants_filter(const Args& args) {
   return args.has_flag("exclude-h") || !args.get("class").empty();
 }
 
-std::optional<core::Dataset> load_dataset(const Args& args,
-                                          std::vector<log::LogRecord>* records_out,
-                                          std::string log_path = "") {
-  if (log_path.empty()) log_path = args.get("logs");
-  const std::string snap_path = args.get("snapshot");
-  if (log_path.empty() || snap_path.empty()) return std::nullopt;
+/// The text-log input of analyze, predict and store build: both files
+/// mapped, and the dataset read from them. The mappings outlive any log
+/// views handed out by `load_text`.
+struct TextInput {
+  store::MmapFile logs;
+  store::MmapFile snapshot;
+  core::TextDataset read;
+};
 
-  std::ifstream logs(log_path);
-  if (!logs) {
-    std::cerr << "cannot read " << log_path << "\n";
-    return std::nullopt;
+/// Maps the log and snapshot files and reads them. Prints the parse summary,
+/// or why the input could not be read; false then, and silently when a path
+/// is missing.
+bool load_text(const std::string& log_path, const std::string& snap_path, TextInput& in,
+               std::vector<log::LogView>* records = nullptr) {
+  if (log_path.empty() || snap_path.empty()) return false;
+  const auto map = [](store::MmapFile& file, const std::string& path) {
+    if (file.open(path).ok()) return true;
+    std::cerr << "cannot read " << path << "\n";
+    return false;
+  };
+  if (!map(in.logs, log_path) || !map(in.snapshot, snap_path)) return false;
+  in.read = core::dataset_from_text(in.logs.view(), in.snapshot.view(), records);
+  const log::ParseStats& parse = in.read.parse;
+  std::cerr << "parsed " << parse.lines_parsed << "/" << parse.lines_total << " log lines ("
+            << parse.lines_malformed << " malformed)\n";
+  if (!in.read.error.empty()) {
+    std::cerr << "snapshot error: " << in.read.error << "\n";
+    return false;
   }
-  std::vector<log::LogRecord> records;
-  const auto parse_stats = log::parse_stream(logs, records);
-  std::cerr << "parsed " << parse_stats.lines_parsed << "/" << parse_stats.lines_total
-            << " log lines (" << parse_stats.lines_malformed << " malformed)\n";
-
-  std::ifstream snap(snap_path);
-  if (!snap) {
-    std::cerr << "cannot read " << snap_path << "\n";
-    return std::nullopt;
-  }
-  auto snapshot = log::parse_snapshot(snap);
-  if (!snapshot.ok()) {
-    std::cerr << "snapshot error: " << snapshot.error << "\n";
-    return std::nullopt;
-  }
-
-  auto failures = log::classify(records);
-  if (records_out != nullptr) *records_out = std::move(records);
-  const core::Dataset dataset(
-      std::make_shared<log::Inventory>(std::move(snapshot.inventory)),
-      std::move(failures));
-  return apply_cli_filter(dataset, args);
+  return true;
 }
 
 void print(const core::TextTable& table, const Args& args) {
@@ -309,11 +305,14 @@ int cmd_analyze(const Args& args) {
   const bool needs_dataset = !have_store || wants_filter(args) || report == "events" ||
                              report == "vulnerability";
   std::optional<core::Dataset> dataset;
-  if (needs_dataset) {
-    dataset = have_store ? apply_cli_filter(core::dataset_from_shards(store), args)
-                         : load_dataset(args, nullptr, log_path);
-    if (!dataset) return usage();
+  if (!have_store) {
+    TextInput text;
+    if (!load_text(log_path, args.get("snapshot"), text)) return usage();
+    dataset = apply_cli_filter(*text.read.dataset, args);
+  } else if (needs_dataset) {
+    dataset = apply_cli_filter(core::dataset_from_shards(store), args);
   }
+  if (needs_dataset && !dataset) return usage();
   // One polymorphic handle for the analysis calls below: the filtered Dataset
   // when one was built, the mapped store otherwise.
   const core::Source source = dataset ? core::Source(*dataset) : core::Source(store);
@@ -375,12 +374,14 @@ int cmd_inspect(const Args& args) {
   // Fleet overview from a snapshot alone (no failure logs needed).
   const std::string snap_path = args.get("snapshot");
   if (snap_path.empty()) return usage();
-  std::ifstream snap(snap_path);
-  if (!snap) {
+  store::MmapFile snap;
+  if (!snap.open(snap_path).ok()) {
     std::cerr << "cannot read " << snap_path << "\n";
     return 1;
   }
-  auto snapshot = log::parse_snapshot(snap);
+  obs::Span span("pipeline.snapshot");
+  auto snapshot = log::parse_snapshot(snap.view());
+  span.stop();
   if (!snapshot.ok()) {
     std::cerr << "snapshot error: " << snapshot.error << "\n";
     return 1;
@@ -426,8 +427,10 @@ int cmd_inspect(const Args& args) {
 }
 
 int cmd_predict(const Args& args) {
-  std::vector<log::LogRecord> records;
-  const auto dataset = load_dataset(args, &records);
+  TextInput text;
+  std::vector<log::LogView> records;
+  if (!load_text(args.get("logs"), args.get("snapshot"), text, &records)) return usage();
+  const auto dataset = apply_cli_filter(*text.read.dataset, args);
   if (!dataset) return usage();
   const auto precursors = sim::extract_precursors(records);
   if (precursors.empty()) {
@@ -533,36 +536,10 @@ int cmd_store_build(const Args& args) {
 
   std::optional<core::SimulationDataset> run;
   if (from_logs) {
-    std::ifstream logs(log_path);
-    if (!logs) {
-      std::cerr << "cannot read " << log_path << "\n";
-      return 1;
-    }
-    std::vector<log::LogRecord> records;
-    const auto parse_stats = log::parse_stream(logs, records);
-    std::ifstream snap(snap_path);
-    if (!snap) {
-      std::cerr << "cannot read " << snap_path << "\n";
-      return 1;
-    }
-    auto snapshot = log::parse_snapshot(snap);
-    if (!snapshot.ok()) {
-      std::cerr << "snapshot error: " << snapshot.error << "\n";
-      return 1;
-    }
-    log::ClassifierStats cstats;
-    auto failures = log::classify(records, {}, &cstats);
-    core::PipelineStats pipeline;
-    pipeline.log_lines_written = parse_stats.lines_total;
-    pipeline.log_lines_parsed = parse_stats.lines_parsed;
-    pipeline.raid_records = cstats.raid_records;
-    pipeline.failures_classified = failures.size();
-    pipeline.duplicates_dropped = cstats.duplicates_dropped;
-    pipeline.missing_disk_dropped = cstats.missing_disk_dropped;
-    run.emplace(core::SimulationDataset{
-        core::Dataset(std::make_shared<log::Inventory>(std::move(snapshot.inventory)),
-                      std::move(failures)),
-        sim::SimCounters{}, pipeline});
+    TextInput text;
+    if (!load_text(log_path, snap_path, text)) return 1;
+    run.emplace(core::SimulationDataset{std::move(*text.read.dataset), sim::SimCounters{},
+                                        text.read.pipeline});
   } else {
     std::cerr << "simulating the standard fleet at scale " << scale << " (seed " << seed
               << ")...\n";
