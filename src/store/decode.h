@@ -18,12 +18,16 @@
 //                            store::Query intersects instead of branching
 //                            per row
 //   * all_lt_u8 / all_ids_in_domain_u32 — the open()-time domain sweeps
+//   * crc32 (declared in format.h) — the open()-time checksum: slice-by-8,
+//                            or a PCLMULQDQ fold on x86-64 CPUs that have it
 //
 // Every kernel has a scalar implementation that is ALWAYS compiled and a
-// wide (SSE2 or NEON) implementation selected at build time by the
-// STORSUBSIM_SIMD CMake option and at run time by set_simd_enabled(). The
-// two produce bit-identical output for every input — integer extraction and
-// IEEE comparisons only, no reassociation — and the differential tests
+// wide (SSE2 or NEON; PCLMULQDQ for crc32) implementation selected at build
+// time by the STORSUBSIM_SIMD CMake option and at run time by
+// set_simd_enabled() (and, for the CRC fold, by a one-time CPU probe). The
+// two produce bit-identical output for every input — integer extraction,
+// GF(2) polynomial arithmetic and IEEE comparisons only, no reassociation —
+// and the differential tests
 // (tests/store/decode_test.cc) plus the run_checks.sh SIMD-off cmp gate
 // hold them to that.
 //
@@ -47,8 +51,9 @@ bool simd_compiled() noexcept;
 bool simd_enabled() noexcept;
 void set_simd_enabled(bool enabled) noexcept;
 
-/// Short name of the kernel path currently dispatched ("sse2", "neon",
-/// "scalar") — recorded in benchmark output.
+/// Short name of the kernel path currently dispatched ("sse2+pclmul" when
+/// crc32 folds with carry-less multiplies, else "sse2", "neon", "scalar") —
+/// recorded in benchmark output.
 const char* kernel_path_name() noexcept;
 
 // --- batch varint + fused delta decode --------------------------------------

@@ -6,41 +6,6 @@ namespace storsubsim::store {
 
 namespace {
 
-/// Slice-by-8 CRC32 lookup tables (deterministic constants). Table 0 is the
-/// classic bytewise table; table k folds k extra zero bytes into the
-/// remainder, letting the hot loop consume 8 input bytes per iteration with
-/// the exact same polynomial arithmetic (bit-identical to bytewise).
-struct Crc32Table {
-  std::array<std::array<std::uint32_t, 256>, 8> entries{};
-
-  constexpr Crc32Table() {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1u) : c >> 1u;
-      }
-      entries[0][i] = c;
-    }
-    for (std::size_t t = 1; t < 8; ++t) {
-      for (std::uint32_t i = 0; i < 256; ++i) {
-        const std::uint32_t prev = entries[t - 1][i];
-        entries[t][i] = entries[0][prev & 0xffu] ^ (prev >> 8u);
-      }
-    }
-  }
-};
-
-constexpr Crc32Table kCrcTable;
-
-/// Assembles a little-endian u32 from raw bytes (host-order independent;
-/// folds to one load on little-endian targets).
-inline std::uint32_t load_le32(const unsigned char* p) noexcept {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8u) |
-         (static_cast<std::uint32_t>(p[2]) << 16u) |
-         (static_cast<std::uint32_t>(p[3]) << 24u);
-}
-
 void append_number(std::string& out, std::uint64_t v) {
   char buf[24];
   const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
@@ -157,25 +122,6 @@ Error make_error(ErrorCode code, std::string_view detail, std::uint64_t offset) 
   e.detail = std::string(detail);
   e.offset = offset;
   return e;
-}
-
-std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint32_t c = seed ^ 0xffffffffu;
-  const auto& t = kCrcTable.entries;
-  while (size >= 8) {
-    const std::uint32_t lo = c ^ load_le32(p);
-    const std::uint32_t hi = load_le32(p + 4);
-    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8u) & 0xffu] ^ t[5][(lo >> 16u) & 0xffu] ^
-        t[4][lo >> 24u] ^ t[3][hi & 0xffu] ^ t[2][(hi >> 8u) & 0xffu] ^
-        t[1][(hi >> 16u) & 0xffu] ^ t[0][hi >> 24u];
-    p += 8;
-    size -= 8;
-  }
-  for (std::size_t i = 0; i < size; ++i) {
-    c = t[0][(c ^ p[i]) & 0xffu] ^ (c >> 8u);
-  }
-  return c ^ 0xffffffffu;
 }
 
 std::size_t decode_varint(const char* p, const char* end, std::uint64_t* out) noexcept {

@@ -118,6 +118,11 @@ struct Error {
 
 // --- CRC32 (IEEE 802.3, polynomial 0xEDB88320) ------------------------------
 
+/// The one checksum of every store, MANIFEST and replicate table. `seed` is
+/// a previous crc32 result to continue from (0 to start). Implemented with
+/// the kernels in decode.cc: a carry-less-multiply fold where the CPU has
+/// PCLMULQDQ and the wide path is enabled, slice-by-8 otherwise and for
+/// inputs under 64 bytes and the size % 16 tail — bit-identical either way.
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed = 0) noexcept;
 
 // --- little-endian scalar append/read helpers -------------------------------

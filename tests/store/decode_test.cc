@@ -351,16 +351,22 @@ TEST(KernelEquivalence, BitmapKernelsMatchTheScalarPathOnRandomInputs) {
   }
 }
 
+namespace {
+
+/// Bytewise CRC32 — the definition both the slice-by-8 table and the
+/// carry-less-multiply fold must reproduce.
+std::uint32_t bytewise(const unsigned char* p, std::size_t n, std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xffffffffu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1u) : c >> 1u;
+  }
+  return c ^ 0xffffffffu;
+}
+
+}  // namespace
+
 TEST(KernelEquivalence, SliceBy8CrcMatchesTheBytewiseDefinition) {
-  // Bytewise reference — the definition the slice-by-8 table must reproduce.
-  const auto bytewise = [](const unsigned char* p, std::size_t n, std::uint32_t seed) {
-    std::uint32_t c = seed ^ 0xffffffffu;
-    for (std::size_t i = 0; i < n; ++i) {
-      c ^= p[i];
-      for (int k = 0; k < 8; ++k) c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1u) : c >> 1u;
-    }
-    return c ^ 0xffffffffu;
-  };
   stats::Rng rng(99);
   std::vector<unsigned char> buf(4096);
   for (auto& b : buf) b = static_cast<unsigned char>(rng.below(256));
@@ -375,6 +381,52 @@ TEST(KernelEquivalence, SliceBy8CrcMatchesTheBytewiseDefinition) {
             << "n " << n << " shift " << shift;
       }
     }
+  }
+}
+
+TEST(KernelEquivalence, ClmulCrcMatchesSliceBy8) {
+  SimdGuard guard;
+#if defined(__x86_64__) && defined(__GNUC__)
+  const bool fold_live = store::simd_compiled() && __builtin_cpu_supports("pclmul") &&
+                         __builtin_cpu_supports("sse4.1");
+#else
+  const bool fold_live = false;
+#endif
+  store::set_simd_enabled(true);
+  if (fold_live) {
+    EXPECT_STREQ(store::kernel_path_name(), "sse2+pclmul");
+  }
+  store::set_simd_enabled(false);
+  EXPECT_STREQ(store::kernel_path_name(), "scalar");
+
+  stats::Rng rng(4242);
+  std::vector<unsigned char> buf((std::size_t{1} << 20) + 16);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.below(256));
+  // Dispatched crc32 (the fold where live; it takes sizes >= 64, rounded
+  // down to 16, and hands the rest to slice-by-8) vs forced slice-by-8 vs
+  // the bytewise definition.
+  const auto check = [&](std::size_t shift, std::size_t n, std::uint32_t seed) {
+    const unsigned char* p = buf.data() + shift;
+    store::set_simd_enabled(true);
+    const std::uint32_t dispatched = store::crc32(p, n, seed);
+    store::set_simd_enabled(false);
+    const std::uint32_t slice8 = store::crc32(p, n, seed);
+    EXPECT_EQ(dispatched, slice8) << "n " << n << " shift " << shift << " seed " << seed;
+    EXPECT_EQ(slice8, bytewise(p, n, seed)) << "n " << n << " shift " << shift;
+  };
+  for (std::size_t n = 0; n <= 300; ++n) {
+    for (std::size_t shift = 0; shift < 16; ++shift) {
+      for (const std::uint32_t seed : {0u, 0x12345678u}) check(shift, n, seed);
+    }
+  }
+  // The fold's boundaries: below/at/above one 64-byte step, one 16-byte lane
+  // past it, and two steps.
+  for (const std::size_t n : {63u, 64u, 65u, 79u, 80u, 127u, 128u, 129u}) {
+    for (const std::size_t shift : {0u, 1u, 15u}) check(shift, n, 0x12345678u);
+  }
+  for (int i = 0; i < 50; ++i) {
+    const auto n = static_cast<std::size_t>(rng.below((std::uint64_t{1} << 20) + 1));
+    check(static_cast<std::size_t>(rng.below(16)), n, static_cast<std::uint32_t>(rng()));
   }
 }
 

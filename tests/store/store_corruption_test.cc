@@ -3,7 +3,9 @@
 // and enum domain — so a hostile or damaged file yields a typed Error, never
 // UB. The fuzz sections run the open path over hundreds of mutated and
 // truncated images; under asan/ubsan any out-of-bounds read or signed
-// overflow fails the job.
+// overflow fails the job. The checksum tests run on both CRC kernels (the
+// carry-less-multiply fold and the scalar slice-by-8) and demand the same
+// error from each.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -14,6 +16,7 @@
 #include "model/fleet_config.h"
 #include "sim/params.h"
 #include "stats/rng.h"
+#include "store/decode.h"
 #include "store/format.h"
 #include "store/query.h"
 #include "store/reader.h"
@@ -63,6 +66,22 @@ void open_and_exercise(std::string image) {
   (void)es.rebuild_inventory();
 }
 
+/// Opens `image` on the default kernel path (crc32 folds with carry-less
+/// multiplies where the CPU has them) and again forced onto the scalar
+/// slice-by-8 path. Both must reject it with the same code, detail and
+/// offset; returns that error.
+store::Error open_on_both_crc_paths(const std::string& image) {
+  store::set_simd_enabled(true);
+  store::EventStore wide;
+  const store::Error wide_err = wide.open_image(image);
+  store::set_simd_enabled(false);
+  store::EventStore scalar;
+  const store::Error scalar_err = scalar.open_image(image);
+  store::set_simd_enabled(store::simd_compiled());
+  EXPECT_EQ(wide_err.describe(), scalar_err.describe());
+  return wide_err;
+}
+
 }  // namespace
 
 TEST(StoreCorruption, EmptyAndTinyFilesAreTruncated) {
@@ -108,8 +127,7 @@ TEST(StoreCorruption, UnsupportedVersionIsTyped) {
 TEST(StoreCorruption, HeaderBitFlipFailsTheHeaderCrc) {
   std::string image = base_image();
   image[70] = static_cast<char>(image[70] ^ 0x10);  // inside event_count
-  store::EventStore es;
-  EXPECT_EQ(es.open_image(std::move(image)).code, store::ErrorCode::kBadHeader);
+  EXPECT_EQ(open_on_both_crc_paths(image).code, store::ErrorCode::kBadHeader);
 }
 
 TEST(StoreCorruption, ColumnBitFlipFailsTheColumnCrc) {
@@ -117,17 +135,48 @@ TEST(StoreCorruption, ColumnBitFlipFailsTheColumnCrc) {
   // the per-column CRC recorded in the directory must catch it.
   std::string image = base_image();
   image[store::kHeaderSize + 3] = static_cast<char>(image[store::kHeaderSize + 3] ^ 0x40);
-  store::EventStore es;
-  const auto err = es.open_image(std::move(image));
+  const auto err = open_on_both_crc_paths(image);
   EXPECT_EQ(err.code, store::ErrorCode::kChecksum);
+}
+
+TEST(StoreCorruption, ColumnBitFlipFailsOnTheFoldAndOnTheSliceBy8Tail) {
+  // A column long enough for the CRC fold (>= 64 bytes) whose size is not a
+  // multiple of 16: the fold checksums its first size - size % 16 bytes and
+  // slice-by-8 the rest, so a flip in its first 64 bytes is caught by the
+  // fold and one in its last size % 16 bytes by the tail loop.
+  store::EventStore probe;
+  ASSERT_TRUE(probe.open_image(base_image()).ok());
+  // Every column aliases one buffer whose first column sits right after the
+  // header; the lowest column address is therefore file offset kHeaderSize.
+  const char* first = nullptr;
+  const store::ColumnView* target = nullptr;
+  for (auto raw = static_cast<std::uint16_t>(store::ColumnId::kSysClass);
+       raw <= static_cast<std::uint16_t>(store::ColumnId::kRgSpan); ++raw) {
+    const store::ColumnView* col = probe.topology(static_cast<store::ColumnId>(raw));
+    ASSERT_NE(col, nullptr);
+    if (first == nullptr || col->data < first) first = col->data;
+    if (target == nullptr && col->size >= 64 && col->size % 16 != 0) target = col;
+  }
+  ASSERT_NE(target, nullptr);
+  const auto col_off = store::kHeaderSize + static_cast<std::size_t>(target->data - first);
+  for (const std::size_t pos : {std::size_t{0}, std::size_t{63}, target->size - target->size % 16,
+                                target->size - 1}) {
+    std::string image = base_image();
+    image[col_off + pos] = static_cast<char>(image[col_off + pos] ^ 0x08);
+    const auto err = open_on_both_crc_paths(image);
+    EXPECT_EQ(err.code, store::ErrorCode::kChecksum) << "byte " << pos;
+    EXPECT_EQ(err.offset, col_off) << "byte " << pos;
+    EXPECT_EQ(err.detail, "column CRC32 mismatch (column " +
+                              std::string(store::column_name(target->id)) + ")")
+        << "byte " << pos;
+  }
 }
 
 TEST(StoreCorruption, FooterBitFlipFailsTheFooterCrc) {
   std::string image = base_image();
   const auto footer_offset = store::read_u64(image.data() + 24);
   image[footer_offset + 2] = static_cast<char>(image[footer_offset + 2] ^ 0x01);
-  store::EventStore es;
-  const auto err = es.open_image(std::move(image));
+  const auto err = open_on_both_crc_paths(image);
   EXPECT_EQ(err.code, store::ErrorCode::kBadFooter);
 }
 

@@ -4,7 +4,7 @@
 #   tools/run_checks.sh [extra ctest args...]
 #
 #   1. configure + build the default preset
-#   2. ctest (631 unit/integration tests + the storsim_lint fixture suite
+#   2. ctest (633 unit/integration tests + the storsim_lint fixture suite
 #      + the StorsimLint.TreeIsClean gate)
 #   3. storsim_lint --check over src/ bench/ tests/ (redundant with the ctest
 #      gate, but run standalone so its report is printed even when ctest is
@@ -21,18 +21,23 @@
 #      --metrics --trace --manifest must print byte-identical stdout to the
 #      plain run, the manifest and trace must be valid JSON, and turning the
 #      obs stack on must cost <2% wall time on the scale-1.0 log pipeline
-#      (paired min-of-N runs on this machine; the committed BENCH_pipeline.json
-#      numbers are the cross-machine reference)
+#      (plain and obs runs alternate in ABBA order, so host-load swings hit
+#      both arms, and the two arms' minima are compared; the committed
+#      BENCH_pipeline.json numbers are the cross-machine reference)
 #   7. sharded store gate (docs/STORE.md): a full-scale `store build
 #      --max-rss-mb 256` must fit the budget the monolithic writer exceeds
 #      (~630 MiB on this fleet), and `analyze --input <shard-dir>` (afr,
 #      burstiness, correlation, lifetime) plus a grouped and a windowed
 #      `store query` must print byte-identical output to the single-file
 #      store from step 5
-#   8. decode-kernel identity gate (docs/STORE.md): a second build configured
-#      with -DSTORSUBSIM_SIMD=OFF (scalar-only decode kernels) must produce
-#      byte-identical full-scale analyze reports to the default SIMD build —
-#      the wide kernels are an optimisation, never a semantic change
+#   8. kernel identity gate (docs/STORE.md): a second build configured with
+#      -DSTORSUBSIM_SIMD=OFF (scalar decode kernels, slice-by-8 CRC32) must
+#      match the default build — whose crc32 folds with PCLMULQDQ where the
+#      CPU has it — on the reader and the writer: byte-identical full-scale
+#      analyze reports, a cmp-identical scale-0.25 `store build`, and the
+#      same stderr rejecting the step-5 bit-flipped store; its binary must
+#      carry no pclmul instruction. The wide kernels are an optimisation,
+#      never a semantic change
 #   9. storsimd gate (docs/SERVE.md): a real `storsubsim serve` daemon over
 #      the step-5 store answers parallel `storsubsim client` calls byte-
 #      identically to the offline path, the serve_bench QPS ladder clears a
@@ -132,27 +137,40 @@ else
 fi
 
 # Overhead gate: the scale-1.0 log pipeline with tracing + metrics on must
-# stay within 2% of the plain run (paired min-of-3 on this machine — the
-# committed BENCH_pipeline.json is a different box, so it is reference only).
-./build/bench/pipeline_throughput --scale=1.0 --repeat=3 \
-  --out=build/BENCH_pipeline_check.json > /dev/null
-./build/bench/pipeline_throughput --scale=1.0 --repeat=3 \
-  --metrics --trace=build/BENCH_pipeline_check.trace.json \
-  --out=build/BENCH_pipeline_check_obs.json > /dev/null 2>&1
+# stay within 2% of the plain run. Plain and obs reps alternate in one
+# harness, so a load swing on this shared host lands on both arms, and the
+# arms' minima are compared (the committed BENCH_pipeline.json is a different
+# box, so it is reference only).
 if command -v python3 > /dev/null 2>&1; then
   python3 - <<'PYEOF'
-import json
+import json, subprocess
+BENCH = "./build/bench/pipeline_throughput"
+ARMS = {
+    "plain": ["--out=build/BENCH_pipeline_check.json"],
+    "obs": ["--metrics", "--trace=build/BENCH_pipeline_check.trace.json",
+            "--out=build/BENCH_pipeline_check_obs.json"],
+}
 def wall(path):
-    doc = json.load(open(path))
-    fast = doc["fast"]
+    fast = json.load(open(path))["fast"]
     return fast["emit_seconds"] + fast["parse_seconds"] + fast["classify_seconds"]
-plain, obs = wall("build/BENCH_pipeline_check.json"), wall("build/BENCH_pipeline_check_obs.json")
+walls = {arm: [] for arm in ARMS}
+for rep in range(6):
+    # ABBA order: neither arm always runs first.
+    for arm in ("plain", "obs") if rep % 2 == 0 else ("obs", "plain"):
+        flags = ARMS[arm]
+        subprocess.run([BENCH, "--scale=1.0", "--repeat=1"] + flags, check=True,
+                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        walls[arm].append(wall(flags[-1].split("=", 1)[1]))
+plain, obs = min(walls["plain"]), min(walls["obs"])
 overhead = obs / plain - 1.0
-print("obs overhead on the fast path: %+.2f%% (plain %.3fs, obs %.3fs)"
+print("obs overhead on the fast path: %+.2f%% (plain %.3fs, obs %.3fs; min of 6 alternated reps)"
       % (overhead * 100.0, plain, obs))
 assert overhead < 0.02, "obs stack costs more than 2%% wall time (%.2f%%)" % (overhead * 100.0)
 PYEOF
 else
+  ./build/bench/pipeline_throughput --scale=1.0 --repeat=1 --metrics \
+    --trace=build/BENCH_pipeline_check.trace.json \
+    --out=build/BENCH_pipeline_check_obs.json > /dev/null 2>&1
   echo "python3 unavailable; skipping the <2% overhead comparison"
 fi
 
@@ -207,7 +225,7 @@ else
   echo "python3 unavailable; skipping the RSS-budget assertion"
 fi
 
-echo "== [8/13] decode-kernel identity: scalar build vs SIMD build =="
+echo "== [8/13] kernel identity: scalar build vs SIMD build =="
 # A scalar-only build (-DSTORSUBSIM_SIMD=OFF) must answer the full-scale
 # analyze byte for byte like the default build: the wide kernels may only
 # change speed, never output. Reuses the step-5 store so both binaries read
@@ -223,6 +241,39 @@ for report in afr burstiness correlation; do
   cmp "build/CHECK_simd_$report.txt" "build/CHECK_scalar_$report.txt"
 done
 echo "scalar-kernel build byte-identical to the SIMD build (afr, burstiness, correlation)"
+# The writer checksums every column, its footer and its header with the same
+# crc32, so both builds must write the same file ...
+for variant in build build-scalar; do
+  "./$variant/tools/storsubsim" store build --out "build/CHECK_kernels_$variant.store" \
+    --scale 0.25 --seed 7 > /dev/null 2>&1
+done
+cmp build/CHECK_kernels_build.store build/CHECK_kernels_build-scalar.store
+# ... and reject the step-5 bit-flipped store with the same error.
+for variant in build build-scalar; do
+  if "./$variant/tools/storsubsim" store stats --store build/BENCH_checks_flipped.store \
+      > /dev/null 2> "build/CHECK_kernels_$variant.err"; then
+    echo "FAIL: $variant accepted the bit-flipped store"
+    exit 1
+  fi
+done
+cmp build/CHECK_kernels_build.err build/CHECK_kernels_build-scalar.err
+echo "store build cmp-identical and corruption rejected identically on both builds"
+# The scalar build must carry no carry-less multiply at all; on x86-64 the
+# default build must (it is what makes the count above meaningful).
+if command -v objdump > /dev/null 2>&1; then
+  scalar_clmul=$(objdump -d build-scalar/tools/storsubsim | grep -c pclmul || true)
+  [ "$scalar_clmul" -eq 0 ] || {
+    echo "FAIL: $scalar_clmul pclmul instructions in the scalar build"
+    exit 1
+  }
+  if [ "$(uname -m)" = x86_64 ]; then
+    default_clmul=$(objdump -d build/tools/storsubsim | grep -c pclmul || true)
+    [ "$default_clmul" -gt 0 ] || { echo "FAIL: no pclmul in the default build"; exit 1; }
+  fi
+  echo "scalar build has no pclmul instruction"
+else
+  echo "objdump unavailable; pclmul instruction count skipped"
+fi
 
 echo "== [9/13] storsimd: daemon byte-identity + QPS floor + drain =="
 # A real `storsubsim serve` daemon over the full-scale store from step 5,
