@@ -6,18 +6,22 @@
 //     `--report-only` rerun used to pay every time;
 //   * build    — serializing the finished run into a store file (paid once);
 //   * rerun    — mmap the store, decode the time columns, and answer the
-//     whole-fleet AFR breakdown plus a grouped query (paid per reanalysis).
+//     whole-fleet AFR breakdown plus a grouped query (paid per reanalysis);
+//   * analyses — the lifetime, correlation and burstiness reports' analyses
+//     (disk_lifetime_report; both scopes of failure_correlation_all_types
+//     and time_between_failures) over the opened store, each timed alone.
 //
 // The store-backed breakdown must match the in-memory pipeline's breakdown
-// bit for bit, and the query's per-type counts must match the classifier's —
-// the program exits nonzero otherwise, so the speedup is apples-to-apples.
+// bit for bit, the query's per-type counts must match the classifier's, and
+// each analysis must equal its result over the in-memory Dataset — the
+// program exits nonzero otherwise, so the speedup is apples-to-apples.
 // Results go to BENCH_store.json.
 //
 //   store_bench [--scale=<f>] [--seed=<n>] [--repeat=<n>] [--threads=<n>]
 //               [--store=<path>] [--out=<path>]
 //               [--shards=<n>] [--max-rss-mb=<m>]
 //
-// --repeat keeps the fastest of n runs per stage (min-of-N). --store names
+// --repeat keeps the fastest of n runs per stage and analysis (min-of-N). --store names
 // the store file written during the run (default: a file next to the json).
 //
 // Passing --shards and/or --max-rss-mb switches to the sharded build path:
@@ -30,6 +34,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -37,6 +42,9 @@
 #include <vector>
 
 #include "core/afr.h"
+#include "core/burstiness.h"
+#include "core/correlation.h"
+#include "core/lifetime.h"
 #include "core/pipeline.h"
 #include "core/sharded_build.h"
 #include "obs/obs.h"
@@ -66,6 +74,65 @@ bool same_breakdown(const std::vector<core::AfrBreakdown>& a,
         a[i].disk_years != b[i].disk_years) {  // exact FP compare — intentional
       return false;
     }
+  }
+  return true;
+}
+
+/// The three heavy analyses of one source, as the report renderers run them.
+struct Analyses {
+  core::LifetimeReport lifetime;
+  std::vector<core::CorrelationResult> correlation;  // shelf types, then RAID-group types
+  std::vector<core::BurstinessResult> burstiness;    // shelf, then RAID group
+};
+
+std::vector<core::CorrelationResult> correlation_of(const core::Source& source) {
+  auto out = core::failure_correlation_all_types(source, core::Scope::kShelf);
+  for (auto& r : core::failure_correlation_all_types(source, core::Scope::kRaidGroup)) {
+    out.push_back(r);
+  }
+  return out;
+}
+
+std::vector<core::BurstinessResult> burstiness_of(const core::Source& source) {
+  return {core::time_between_failures(source, core::Scope::kShelf),
+          core::time_between_failures(source, core::Scope::kRaidGroup)};
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+bool same_analyses(const Analyses& a, const Analyses& b) {
+  const auto& ca = a.lifetime.survival.curve();
+  const auto& cb = b.lifetime.survival.curve();
+  const auto& ha = a.lifetime.hazard_by_age;
+  const auto& hb = b.lifetime.hazard_by_age;
+  if (a.lifetime.disks != b.lifetime.disks || a.lifetime.failures != b.lifetime.failures ||
+      !same_bits(a.lifetime.censored_fraction, b.lifetime.censored_fraction) ||
+      ca.size() != cb.size() || ha.size() != hb.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < ca.size(); ++i) {
+    if (!same_bits(ca[i].time, cb[i].time) || !same_bits(ca[i].survival, cb[i].survival) ||
+        ca[i].at_risk != cb[i].at_risk || ca[i].events != cb[i].events ||
+        !same_bits(a.lifetime.survival.greenwood_variance(ca[i].time),
+                   b.lifetime.survival.greenwood_variance(cb[i].time))) {
+      return false;
+    }
+  }
+  for (std::size_t i = 0; i < ha.size(); ++i) {
+    if (ha[i].events != hb[i].events || !same_bits(ha[i].exposure, hb[i].exposure)) return false;
+  }
+  if (a.correlation.size() != b.correlation.size()) return false;
+  for (std::size_t i = 0; i < a.correlation.size(); ++i) {
+    const auto& ra = a.correlation[i];
+    const auto& rb = b.correlation[i];
+    if (ra.windows_observed != rb.windows_observed || ra.windows_with_one != rb.windows_with_one ||
+        ra.windows_with_two != rb.windows_with_two) {
+      return false;
+    }
+  }
+  if (a.burstiness.size() != b.burstiness.size()) return false;
+  for (std::size_t i = 0; i < a.burstiness.size(); ++i) {
+    if (a.burstiness[i].gaps != b.burstiness[i].gaps) return false;  // exact FP compare
   }
   return true;
 }
@@ -190,6 +257,41 @@ int main(int argc, char** argv) {
       grouped = std::move(result);
     }
   }
+  // Analysis cost: each heavy analysis alone over one opened store (the
+  // analyses are single-threaded), min-of-N. Each must reproduce its result
+  // over the in-memory Dataset.
+  double lifetime_seconds = 0.0;
+  double correlation_seconds = 0.0;
+  double burstiness_seconds = 0.0;
+  Analyses store_analyses;
+  {
+    store::ShardStore shards;
+    store::Error err = shards.open(store_path);
+    if (err.ok()) err = shards.open_all();
+    if (!err.ok()) {
+      std::cerr << "FAIL: cannot open store: " << err.describe() << "\n";
+      return 1;
+    }
+    const core::Source source(shards);
+    auto time_min = [&](double* best, auto&& analysis, auto* result) {
+      for (int r = 0; r < repeat; ++r) {
+        const double start = now_seconds();
+        auto value = analysis(source);
+        const double elapsed = now_seconds() - start;
+        if (r == 0 || elapsed < *best) *best = elapsed;
+        if (r == 0) *result = std::move(value);
+      }
+    };
+    time_min(&lifetime_seconds,
+             [](const core::Source& src) { return core::disk_lifetime_report(src); },
+             &store_analyses.lifetime);
+    time_min(&correlation_seconds, correlation_of, &store_analyses.correlation);
+    time_min(&burstiness_seconds, burstiness_of, &store_analyses.burstiness);
+  }
+  const core::Source in_memory(run.dataset);
+  const Analyses reference_analyses{core::disk_lifetime_report(in_memory),
+                                    correlation_of(in_memory), burstiness_of(in_memory)};
+  const bool analyses_identical = same_analyses(reference_analyses, store_analyses);
   util::set_thread_count(0);
 
   // Fidelity gates: the mmap path must reproduce the in-memory results
@@ -216,8 +318,11 @@ int main(int argc, char** argv) {
   std::cout << ", build " << build_seconds << " s, mmap+query rerun " << rerun_seconds
             << " s\n"
             << "rerun speedup over full pipeline: " << speedup << "x\n"
+            << "analyses over the store: lifetime " << lifetime_seconds << " s, correlation "
+            << correlation_seconds << " s, burstiness " << burstiness_seconds << " s\n"
             << "AFR breakdown " << (breakdown_identical ? "bit-identical" : "MISMATCH")
-            << ", query counts " << (query_identical ? "identical" : "MISMATCH") << "\n";
+            << ", query counts " << (query_identical ? "identical" : "MISMATCH")
+            << ", analyses " << (analyses_identical ? "bit-identical" : "MISMATCH") << "\n";
 
   std::ostringstream out;
   out << "{\n  \"benchmark\": \"store_rerun\",\n"
@@ -240,8 +345,12 @@ int main(int argc, char** argv) {
       << "  \"store_build_seconds\": " << build_seconds << ",\n"
       << "  \"rerun_open_query_seconds\": " << rerun_seconds << ",\n"
       << "  \"rerun_speedup\": " << speedup << ",\n"
+      << "  \"lifetime_seconds\": " << lifetime_seconds << ",\n"
+      << "  \"correlation_seconds\": " << correlation_seconds << ",\n"
+      << "  \"burstiness_seconds\": " << burstiness_seconds << ",\n"
       << "  \"breakdown_identical\": " << (breakdown_identical ? "true" : "false") << ",\n"
-      << "  \"query_identical\": " << (query_identical ? "true" : "false") << "\n}\n";
+      << "  \"query_identical\": " << (query_identical ? "true" : "false") << ",\n"
+      << "  \"analyses_identical\": " << (analyses_identical ? "true" : "false") << "\n}\n";
   if (util::publish_file(out_path, out.str()) != 0) {
     std::cerr << "cannot write " << out_path << "\n";
     return 1;
@@ -260,6 +369,9 @@ int main(int argc, char** argv) {
   manifest.numbers.emplace_back("store_build_seconds", build_seconds);
   manifest.numbers.emplace_back("rerun_open_query_seconds", rerun_seconds);
   manifest.numbers.emplace_back("rerun_speedup", speedup);
+  manifest.numbers.emplace_back("lifetime_seconds", lifetime_seconds);
+  manifest.numbers.emplace_back("correlation_seconds", correlation_seconds);
+  manifest.numbers.emplace_back("burstiness_seconds", burstiness_seconds);
   manifest.numbers.emplace_back("store_bytes", static_cast<double>(file_bytes));
   manifest.numbers.emplace_back("shards", static_cast<double>(shard_count));
   manifest.numbers.emplace_back("peak_rss_bytes", static_cast<double>(peak_rss));
@@ -273,5 +385,5 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  return (breakdown_identical && query_identical) ? 0 : 1;
+  return (breakdown_identical && query_identical && analyses_identical) ? 0 : 1;
 }

@@ -1,8 +1,11 @@
 #include "core/burstiness.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <span>
+
+#include "core/scope_buckets.h"
 
 namespace storsubsim::core {
 
@@ -15,17 +18,16 @@ struct ScopedEvent {
   std::uint8_t type;
 };
 
-/// The shared gap walk: sorts the bucketed events by (scope, time) and pools
-/// inter-arrival gaps per series. Both the Dataset and the store entry
-/// points feed the same ScopedEvent set, so their results are identical.
-BurstinessResult pooled_gaps(std::vector<ScopedEvent> events, Scope scope) {
+/// The shared gap walk: buckets the events by scope with a counting pass,
+/// orders each scope's few events by (time, disk, type) and pools
+/// inter-arrival gaps per series. The order is total, so the gaps do not
+/// depend on the order the events were collected in; both the Dataset and
+/// the store entry points feed the same ScopedEvent set, so their results
+/// are identical.
+BurstinessResult pooled_gaps(const std::vector<ScopedEvent>& events, Scope scope) {
   BurstinessResult result;
   result.scope = scope;
-  // Sort by (scope, time) so each scope's stream is contiguous and ordered.
-  std::sort(events.begin(), events.end(), [](const ScopedEvent& a, const ScopedEvent& b) {
-    if (a.scope_id != b.scope_id) return a.scope_id < b.scope_id;
-    return a.time < b.time;
-  });
+  ScopeBuckets<ScopedEvent> buckets = bucket_by_scope(events);
 
   // Walk each scope's stream once per series. `last_time`/`last_disk` track
   // the previously kept event of the series within the current scope.
@@ -34,31 +36,32 @@ BurstinessResult pooled_gaps(std::vector<ScopedEvent> events, Scope scope) {
     std::uint32_t last_disk = 0;
     bool has_last = false;
   };
-  std::array<SeriesState, kSeriesCount> state{};
-  std::uint32_t current_scope = 0;
-  bool first = true;
-
-  for (const auto& ev : events) {
-    if (first || ev.scope_id != current_scope) {
-      state = {};
-      current_scope = ev.scope_id;
-      first = false;
-    }
-    for (const std::size_t series : {static_cast<std::size_t>(ev.type), kOverallSeries}) {
-      SeriesState& s = state[series];
-      if (s.has_last && s.last_disk == ev.disk) {
-        // Duplicate: same disk reporting again — refresh the anchor time so
-        // a later different-disk failure measures from the latest report,
-        // but record no gap.
+  for (std::size_t sc = 0; sc < buckets.scopes(); ++sc) {
+    const std::span<ScopedEvent> stream = buckets.scope(sc);
+    if (stream.size() < 2) continue;  // no gap without a second event
+    std::sort(stream.begin(), stream.end(), [](const ScopedEvent& a, const ScopedEvent& b) {
+      if (a.time != b.time) return a.time < b.time;
+      if (a.disk != b.disk) return a.disk < b.disk;
+      return a.type < b.type;
+    });
+    std::array<SeriesState, kSeriesCount> state{};
+    for (const ScopedEvent& ev : stream) {
+      for (const std::size_t series : {static_cast<std::size_t>(ev.type), kOverallSeries}) {
+        SeriesState& s = state[series];
+        if (s.has_last && s.last_disk == ev.disk) {
+          // Duplicate: same disk reporting again — refresh the anchor time
+          // so a later different-disk failure measures from the latest
+          // report, but record no gap.
+          s.last_time = ev.time;
+          continue;
+        }
+        if (s.has_last) {
+          result.gaps[series].push_back(ev.time - s.last_time);
+        }
         s.last_time = ev.time;
-        continue;
+        s.last_disk = ev.disk;
+        s.has_last = true;
       }
-      if (s.has_last) {
-        result.gaps[series].push_back(ev.time - s.last_time);
-      }
-      s.last_time = ev.time;
-      s.last_disk = ev.disk;
-      s.has_last = true;
     }
   }
   return result;
@@ -80,14 +83,15 @@ BurstinessResult gaps_of(const Dataset& dataset, Scope scope) {
     events.push_back(ScopedEvent{e.time, scope_id, e.disk.value(),
                                  static_cast<std::uint8_t>(model::index_of(e.type))});
   }
-  return pooled_gaps(std::move(events), scope);
+  return pooled_gaps(events, scope);
 }
 
 BurstinessResult gaps_of(const store::ShardStore& shards, Scope scope) {
   // The store's event columns already carry the shelf/RAID-group join, so
   // bucketing needs no inventory lookups; each shard's local ids are rebased
-  // through the manifest bases. pooled_gaps re-sorts by (scope, time), and a
-  // scope never spans shards, so the collection order is immaterial.
+  // through the manifest bases. pooled_gaps orders every scope's events
+  // totally by (time, disk, type), and a scope never spans shards, so the
+  // collection order is immaterial.
   std::vector<ScopedEvent> events;
   events.reserve(static_cast<std::size_t>(shards.manifest().events));
   for (const auto cls : model::kAllSystemClasses) {
@@ -109,7 +113,7 @@ BurstinessResult gaps_of(const store::ShardStore& shards, Scope scope) {
       }
     }
   }
-  return pooled_gaps(std::move(events), scope);
+  return pooled_gaps(events, scope);
 }
 
 }  // namespace

@@ -1,39 +1,60 @@
 #include "core/correlation.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <map>
+#include <cstdint>
+#include <span>
 #include <unordered_map>
+#include <utility>
 
+#include "core/scope_buckets.h"
 #include "stats/summary.h"
 
 namespace storsubsim::core {
 
 namespace {
 
-/// Per-scope, per-window failure counts for one failure type.
-/// Returns: counts[scope][window_index]; only complete windows are counted.
-struct WindowCounts {
-  std::size_t windows_observed = 0;
-  // Ordered so downstream accumulation (dispersion_index sums doubles over
-  // this) walks windows in a canonical order — hash-table iteration order is
-  // an implementation detail the determinism contract must not depend on.
-  std::map<std::uint64_t, std::size_t> counts;  // (scope, window) -> n
-  std::vector<std::size_t> histogram;                     // histogram of counts per window
+constexpr std::size_t kTypeCount = model::kAllFailureTypes.size();
+
+/// One failure filed under its (scope, window) cell. The scope and the
+/// window index are separate fields, so no two cells alias however many
+/// windows a scope spans.
+struct Cell {
+  std::uint64_t scope_id;
+  std::uint64_t window;
+  std::uint8_t type;
 };
 
-WindowCounts count_windows(const Dataset& dataset, Scope scope, model::FailureType type,
-                           double window_seconds) {
-  WindowCounts wc;
-  const auto& inv = dataset.inventory();
+using TypeMask = std::array<bool, kTypeCount>;
 
-  // Complete windows per scope: from the owning system's deployment to the
-  // horizon.
-  auto windows_for_system = [&](model::SystemId sys) -> std::size_t {
-    const double observed = inv.horizon_seconds - inv.systems[sys.value()].deploy_time;
-    return observed >= window_seconds
-               ? static_cast<std::size_t>(std::floor(observed / window_seconds))
-               : 0;
+/// Per-scope, per-window failure counts for one failure type; only complete
+/// windows are counted.
+struct WindowCounts {
+  std::size_t windows_observed = 0;
+  // Failures per non-empty cell in (scope, window) order, so downstream
+  // accumulation (dispersion_index sums doubles over this) walks windows in
+  // a canonical order.
+  std::vector<std::size_t> counts;
+  std::vector<std::size_t> histogram;  // histogram of counts per window
+};
+
+std::size_t complete_windows(double observed, double window_seconds) {
+  return observed >= window_seconds
+             ? static_cast<std::size_t>(std::floor(observed / window_seconds))
+             : 0;
+}
+
+/// Sweeps the events once, filing every failure of a wanted type that lands
+/// in a complete window of its scope under that (scope, window) cell.
+/// Returns the cohort's complete scope-windows: from the owning system's
+/// deployment to the horizon, per scope.
+std::size_t collect_cells(const Dataset& dataset, Scope scope, double window_seconds,
+                          const TypeMask& wanted, std::vector<Cell>& cells) {
+  const auto& inv = dataset.inventory();
+  auto windows_for_system = [&](model::SystemId sys) {
+    return complete_windows(inv.horizon_seconds - inv.systems[sys.value()].deploy_time,
+                            window_seconds);
   };
 
   std::vector<std::size_t> scope_windows;  // per scope id
@@ -52,11 +73,13 @@ WindowCounts count_windows(const Dataset& dataset, Scope scope, model::FailureTy
       }
     }
   }
-  for (const auto w : scope_windows) wc.windows_observed += w;
+  std::size_t windows_observed = 0;
+  for (const auto w : scope_windows) windows_observed += w;
 
-  // Count events into (scope, window) cells.
+  cells.reserve(dataset.events().size());
   for (const auto& e : dataset.events()) {
-    if (e.type != type) continue;
+    const std::size_t t = model::index_of(e.type);
+    if (!wanted[t]) continue;
     const auto& disk = dataset.disk_of(e);
     std::uint32_t scope_id;
     if (scope == Scope::kShelf) {
@@ -65,44 +88,28 @@ WindowCounts count_windows(const Dataset& dataset, Scope scope, model::FailureTy
       if (!disk.raid_group.valid()) continue;
       scope_id = disk.raid_group.value();
     }
-    const double deploy = inv.systems[disk.system.value()].deploy_time;
-    const double offset = e.time - deploy;
+    const double offset = e.time - inv.systems[disk.system.value()].deploy_time;
     if (offset < 0.0) continue;
     const auto window = static_cast<std::size_t>(std::floor(offset / window_seconds));
     if (window >= scope_windows[scope_id]) continue;  // partial trailing window
-    ++wc.counts[(static_cast<std::uint64_t>(scope_id) << 20u) | window];
+    cells.push_back(Cell{scope_id, window, static_cast<std::uint8_t>(t)});
   }
-
-  // Histogram of per-window multiplicities (windows with zero events are
-  // wc.windows_observed - counts.size()).
-  for (const auto& [_, n] : wc.counts) {
-    if (wc.histogram.size() <= n) wc.histogram.resize(n + 1, 0);
-    ++wc.histogram[n];
-  }
-  return wc;
+  return windows_observed;
 }
 
-/// Store-backed twin of count_windows: the same (scope, window) cells fed
-/// from the mapped columns, per shard, with scope ids rebased into the
-/// global key space. A scope (shelf or RAID group) belongs to exactly one
-/// shard, so the per-shard cells are disjoint and merging is plain map
-/// insertion; windows_observed is an integer sum. Every accumulation is an
-/// integer tally into an ordered map, so the two paths cannot diverge.
-WindowCounts count_windows(const store::ShardStore& shards, Scope scope,
-                           model::FailureType type, double window_seconds) {
-  WindowCounts wc;
-  const auto wanted = static_cast<std::uint8_t>(model::index_of(type));
+/// Store-backed twin of the Dataset sweep: the same cells fed from the
+/// mapped columns, per shard, with scope ids rebased into the global id
+/// space. A scope (shelf or RAID group) belongs to exactly one shard, so
+/// the per-shard cells are disjoint and windows_observed is an integer sum;
+/// the cells are ordered before counting, so the two paths cannot diverge.
+std::size_t collect_cells(const store::ShardStore& shards, Scope scope, double window_seconds,
+                          const TypeMask& wanted, std::vector<Cell>& cells) {
+  std::size_t windows_observed = 0;
+  cells.reserve(static_cast<std::size_t>(shards.manifest().events));
   for (std::size_t s = 0; s < shards.shard_count(); ++s) {
     const store::EventStore& store = shards.shard(s);
     const double horizon = store.header().horizon_seconds;
     const auto deploy = store.topology(store::ColumnId::kSysDeploy)->as_f64();
-
-    auto windows_for_system = [&](std::uint32_t sys) -> std::size_t {
-      const double observed = horizon - deploy[sys];
-      return observed >= window_seconds
-                 ? static_cast<std::size_t>(std::floor(observed / window_seconds))
-                 : 0;
-    };
 
     const auto scope_systems =
         scope == Scope::kShelf
@@ -110,14 +117,15 @@ WindowCounts count_windows(const store::ShardStore& shards, Scope scope,
             : store.topology(store::ColumnId::kRgSystem)->as_u32();
     std::vector<std::size_t> scope_windows(scope_systems.size(), 0);
     for (std::size_t i = 0; i < scope_systems.size(); ++i) {
-      scope_windows[i] = windows_for_system(scope_systems[i]);
+      scope_windows[i] = complete_windows(horizon - deploy[scope_systems[i]], window_seconds);
+      windows_observed += scope_windows[i];
     }
-    for (const auto w : scope_windows) wc.windows_observed += w;
 
     for (const auto cls : model::kAllSystemClasses) {
       const store::EventView& view = store.events(cls);
       for (std::size_t i = 0; i < view.size(); ++i) {
-        if (view.type[i] != wanted) continue;
+        const std::size_t t = view.type[i];
+        if (!wanted[t]) continue;
         std::uint32_t local_scope;
         std::uint64_t global_scope;
         if (scope == Scope::kShelf) {
@@ -132,16 +140,56 @@ WindowCounts count_windows(const store::ShardStore& shards, Scope scope,
         if (offset < 0.0) continue;
         const auto window = static_cast<std::size_t>(std::floor(offset / window_seconds));
         if (window >= scope_windows[local_scope]) continue;  // partial trailing window
-        ++wc.counts[(global_scope << 20u) | window];
+        cells.push_back(Cell{global_scope, window, static_cast<std::uint8_t>(t)});
       }
     }
   }
+  return windows_observed;
+}
 
-  for (const auto& [_, n] : wc.counts) {
-    if (wc.histogram.size() <= n) wc.histogram.resize(n + 1, 0);
-    ++wc.histogram[n];
+/// Window counts for the failure types in `types`, indexed by type; one
+/// sweep of the source covers all of them. The cells are grouped by scope,
+/// and each scope's few cells ordered by (type, window) and run-length
+/// counted, so every type's counts come out in (scope, window) order.
+std::array<WindowCounts, kTypeCount> count_windows(
+    const Source& source, Scope scope, double window_seconds,
+    std::span<const model::FailureType> types) {
+  TypeMask wanted{};
+  for (const auto type : types) wanted[model::index_of(type)] = true;
+  std::vector<Cell> cells;
+  const std::size_t windows_observed =
+      source.dataset() != nullptr
+          ? collect_cells(*source.dataset(), scope, window_seconds, wanted, cells)
+          : collect_cells(*source.shards(), scope, window_seconds, wanted, cells);
+
+  std::array<WindowCounts, kTypeCount> out;
+  for (auto& wc : out) wc.windows_observed = windows_observed;
+  ScopeBuckets<Cell> buckets = bucket_by_scope(cells);
+  for (std::size_t sc = 0; sc < buckets.scopes(); ++sc) {
+    const std::span<Cell> c = buckets.scope(sc);
+    std::sort(c.begin(), c.end(), [](const Cell& a, const Cell& b) {
+      return a.type != b.type ? a.type < b.type : a.window < b.window;
+    });
+    for (std::size_t i = 0; i < c.size();) {
+      std::size_t j = i + 1;
+      while (j < c.size() && c[j].type == c[i].type && c[j].window == c[i].window) ++j;
+      const std::size_t n = j - i;
+      WindowCounts& wc = out[c[i].type];
+      wc.counts.push_back(n);
+      // Histogram of per-window multiplicities (windows with zero events
+      // are windows_observed - counts.size()).
+      if (wc.histogram.size() <= n) wc.histogram.resize(n + 1, 0);
+      ++wc.histogram[n];
+      i = j;
+    }
   }
-  return wc;
+  return out;
+}
+
+WindowCounts count_windows(const Source& source, Scope scope, model::FailureType type,
+                           double window_seconds) {
+  const model::FailureType types[] = {type};
+  return std::move(count_windows(source, scope, window_seconds, types)[model::index_of(type)]);
 }
 
 CorrelationResult result_from_counts(const WindowCounts& wc, Scope scope,
@@ -196,20 +244,20 @@ stats::TTestResult CorrelationResult::independence_test() const {
 
 CorrelationResult failure_correlation(const Source& source, Scope scope,
                                       model::FailureType type, double window_seconds) {
-  const WindowCounts wc =
-      source.dataset() != nullptr
-          ? count_windows(*source.dataset(), scope, type, window_seconds)
-          : count_windows(*source.shards(), scope, type, window_seconds);
-  return result_from_counts(wc, scope, type, window_seconds);
+  return result_from_counts(count_windows(source, scope, type, window_seconds), scope, type,
+                            window_seconds);
 }
 
 std::vector<CorrelationResult> failure_correlation_all_types(const Source& source,
                                                              Scope scope,
                                                              double window_seconds) {
+  const auto counts =
+      count_windows(source, scope, window_seconds, model::kAllFailureTypes);
   std::vector<CorrelationResult> out;
-  out.reserve(model::kAllFailureTypes.size());
+  out.reserve(kTypeCount);
   for (const auto type : model::kAllFailureTypes) {
-    out.push_back(failure_correlation(source, scope, type, window_seconds));
+    out.push_back(
+        result_from_counts(counts[model::index_of(type)], scope, type, window_seconds));
   }
   return out;
 }
@@ -244,7 +292,7 @@ double dispersion_index(const Dataset& dataset, Scope scope, model::FailureType 
   if (wc.windows_observed == 0) return 0.0;
   stats::Accumulator acc;
   std::size_t nonzero = 0;
-  for (const auto& [_, n] : wc.counts) {
+  for (const std::size_t n : wc.counts) {
     acc.add(static_cast<double>(n));
     ++nonzero;
   }

@@ -1,7 +1,8 @@
 #include "core/lifetime.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <cstdint>
+#include <vector>
 
 #include "model/time.h"
 
@@ -11,13 +12,13 @@ namespace {
 
 std::vector<stats::SurvivalObservation> observations_of(const Dataset& dataset) {
   // Which disks had a disk failure (the event that ends a record's life;
-  // other failure types leave the disk in place).
-  std::unordered_set<std::uint32_t> failed;
+  // other failure types leave the disk in place), one byte per disk id.
+  const auto& inv = dataset.inventory();
+  std::vector<std::uint8_t> failed(inv.disks.size(), 0);
   for (const auto& e : dataset.events()) {
-    if (e.type == model::FailureType::kDisk) failed.insert(e.disk.value());
+    if (e.type == model::FailureType::kDisk) failed[e.disk.value()] = 1;
   }
 
-  const auto& inv = dataset.inventory();
   std::vector<stats::SurvivalObservation> out;
   out.reserve(inv.disks.size());
   for (const auto& d : inv.disks) {
@@ -29,7 +30,7 @@ std::vector<stats::SurvivalObservation> observations_of(const Dataset& dataset) 
     obs.duration = end - start;
     // Only an in-window removal caused by a disk failure counts as an
     // observed event; otherwise the record is censored at the horizon.
-    obs.event = failed.contains(d.id.value()) && d.remove_time <= inv.horizon_seconds;
+    obs.event = failed[d.id.value()] != 0 && d.remove_time <= inv.horizon_seconds;
     out.push_back(obs);
   }
   return out;
@@ -65,15 +66,16 @@ std::vector<stats::SurvivalObservation> observations_of(const store::ShardStore&
   // replacement rows — reproduce the single-file observation sequence
   // exactly (a single file counts every disk as initial, so its second pass
   // is empty). Events reference shard-local disk ids, so each shard gets its
-  // own failed-disk set.
-  std::vector<std::unordered_set<std::uint32_t>> failed(shards.shard_count());
+  // own failed-disk byte map.
+  std::vector<std::vector<std::uint8_t>> failed(shards.shard_count());
   for (std::size_t s = 0; s < shards.shard_count(); ++s) {
     const store::EventStore& store = shards.shard(s);
+    failed[s].assign(store.topology(store::ColumnId::kDiskInstall)->as_f64().size(), 0);
     for (const auto cls : model::kAllSystemClasses) {
       const store::EventView& view = store.events(cls);
       for (std::size_t i = 0; i < view.size(); ++i) {
         if (view.type[i] == static_cast<std::uint8_t>(model::FailureType::kDisk)) {
-          failed[s].insert(view.disk[i]);
+          failed[s][view.disk[i]] = 1;
         }
       }
     }
@@ -96,8 +98,7 @@ std::vector<stats::SurvivalObservation> observations_of(const store::ShardStore&
         if (stop <= start) continue;  // never observed inside the window
         stats::SurvivalObservation obs;
         obs.duration = stop - start;
-        obs.event = failed[s].contains(static_cast<std::uint32_t>(i)) &&
-                    remove[i] <= horizon;
+        obs.event = failed[s][i] != 0 && remove[i] <= horizon;
         out.push_back(obs);
       }
     }

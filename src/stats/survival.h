@@ -30,6 +30,15 @@ struct SurvivalPoint {
 /// Product-limit (Kaplan-Meier) survival curve.
 class KaplanMeier {
  public:
+  /// Throws std::invalid_argument on a negative or NaN duration.
+  ///
+  /// Cost: O(n + e log e) time and O(e) extra space for n subjects of which
+  /// e are events. Only the event durations are sorted; each subject is
+  /// counted into the resulting grid of distinct event times through a
+  /// bucket index over the grid's range, and the at-risk counts are suffix
+  /// sums of those counts. The curve is bit-identical to sorting all n
+  /// subjects and walking the ties. Disk cohorts are mostly censored (~3%
+  /// events), so this is about one pass over the subjects.
   static KaplanMeier fit(std::span<const SurvivalObservation> observations);
 
   /// S(t): probability of surviving beyond t.
