@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -17,19 +18,9 @@ namespace storsubsim::core {
 
 namespace {
 
-/// Rough bytes-per-failure for pre-sizing a shard's log buffer: chains are
-/// 3-6 lines of ~60-190 characters (see log/emitter.cc tables).
+/// Rough bytes-per-failure for pre-sizing the log buffer: chains are 3-6
+/// lines of ~60-190 characters (see log/emitter.cc tables).
 constexpr std::size_t kLogBytesPerFailure = 768;
-
-/// A failure's emit -> parse -> classify costs about as much time as writing
-/// and parsing this many config-snapshot bytes (the standard fleet at scale
-/// 0.25: ~640 log bytes per failure, each a little cheaper than a snapshot
-/// byte). Used only to cut the snapshot chunks.
-constexpr std::size_t kSnapshotBytesPerFailure = 560;
-
-/// Sizing the final inventory touches every page of it; per disk record
-/// that costs about as much as this many snapshot bytes.
-constexpr std::size_t kSnapshotBytesPerSizedDisk = 6;
 
 /// parse_text -> classify over one log text, under the pipeline.parse and
 /// pipeline.classify spans: fills the parse and classify counts and seconds
@@ -57,196 +48,57 @@ log::ParseStats parse_and_classify(std::string_view text, std::vector<log::LogVi
   return parse_stats;
 }
 
-/// One shard's emit -> parse -> classify round-trip. The emitter, parser and
-/// classifier are stateless across records except for the classifier's
-/// (disk, type) de-duplication window — and a disk lives in exactly one
-/// system, so sharding by system keeps every dedup decision within a shard.
-///
-/// The whole trip happens in one retained text buffer: the emitter appends
-/// rendered lines to it, the parser walks it yielding views that alias it,
-/// and the classifier consumes the views — the buffer outlives all of them
-/// (it dies when this function returns, after classification).
-struct ShardOutput {
-  std::vector<log::ClassifiedFailure> failures;
-  PipelineStats stats;
-  log::SnapshotParseResult snapshot;  ///< this shard's snapshot chunk, parsed
-};
-
-ShardOutput roundtrip_shard(const model::Fleet& fleet,
-                            std::span<const sim::SimFailure> failures) {
-  ShardOutput out;
-  obs::Span span("pipeline.emit");
-  log::LineWriter log_text(failures.size() * kLogBytesPerFailure);
-  out.stats.log_lines_written = sim::write_failure_logs(log_text, fleet, failures);
-  out.stats.stage_seconds.emit = span.stop();
-
-  std::vector<log::LogView> records;
-  parse_and_classify(log_text.view(), records, out.failures, out.stats);
-  return out;
-}
-
-/// One snapshot chunk's write -> parse round trip, in its own text buffer.
-log::SnapshotParseResult roundtrip_snapshot_chunk(const model::Fleet& fleet,
-                                                  const log::SnapshotChunk& chunk) {
-  log::LineWriter text(chunk.bytes + chunk.bytes / 4);
-  log::write_snapshot_range(text, fleet, chunk.first, chunk.last);
-  log::SnapshotParseResult parsed = log::parse_snapshot_chunk(text.view(), chunk);
-  if (!parsed.ok()) {
-    throw std::runtime_error(
-        std::string("pipeline: snapshot round-trip failed: ").append(parsed.error));
-  }
-  return parsed;
-}
-
-template <typename T>
-void place_slice(const std::vector<T>& slice, std::uint32_t base, std::uint32_t count,
-                 std::vector<T>& into) {
-  if (slice.size() != count) {
-    throw std::runtime_error("pipeline: snapshot chunk holds the wrong records");
-  }
-  std::copy(slice.begin(), slice.end(), into.begin() + base);
-}
-
-/// Copies a parsed chunk to its final offsets in `inv` and frees the chunk's
-/// own copy. Chunks own disjoint slices, and only the chunk that held the
-/// header writes the horizon.
-void place_snapshot_chunk(const log::SnapshotChunk& chunk, log::SnapshotParseResult& parsed,
-                          log::Inventory& inv) {
-  log::Inventory& slice = parsed.inventory;
-  place_slice(slice.systems, chunk.bases.systems, chunk.counts.systems, inv.systems);
-  place_slice(slice.shelves, chunk.bases.shelves, chunk.counts.shelves, inv.shelves);
-  place_slice(slice.raid_groups, chunk.bases.raid_groups, chunk.counts.raid_groups,
-              inv.raid_groups);
-  place_slice(slice.disks, chunk.bases.disks, chunk.counts.disks, inv.disks);
-  if (parsed.saw_header) inv.horizon_seconds = slice.horizon_seconds;
-  slice = log::Inventory{};
-}
-
-void accumulate(PipelineStats& into, const PipelineStats& shard) {
-  into.log_lines_written += shard.log_lines_written;
-  into.log_lines_parsed += shard.log_lines_parsed;
-  into.raid_records += shard.raid_records;
-  into.failures_classified += shard.failures_classified;
-  into.duplicates_dropped += shard.duplicates_dropped;
-  into.missing_disk_dropped += shard.missing_disk_dropped;
-  into.stage_seconds.emit += shard.stage_seconds.emit;
-  into.stage_seconds.parse += shard.stage_seconds.parse;
-  into.stage_seconds.classify += shard.stage_seconds.classify;
-  into.stage_seconds.snapshot += shard.stage_seconds.snapshot;
+/// Adds one chunk's counts and stage seconds to `into`.
+void accumulate(PipelineStats& into, const PipelineStats& chunk) {
+  into.log_lines_written += chunk.log_lines_written;
+  into.log_lines_parsed += chunk.log_lines_parsed;
+  into.raid_records += chunk.raid_records;
+  into.failures_classified += chunk.failures_classified;
+  into.duplicates_dropped += chunk.duplicates_dropped;
+  into.missing_disk_dropped += chunk.missing_disk_dropped;
+  into.stage_seconds.simulate += chunk.stage_seconds.simulate;
+  into.stage_seconds.emit += chunk.stage_seconds.emit;
+  into.stage_seconds.parse += chunk.stage_seconds.parse;
+  into.stage_seconds.classify += chunk.stage_seconds.classify;
+  into.stage_seconds.snapshot += chunk.stage_seconds.snapshot;
 }
 
 }  // namespace
 
 Dataset dataset_via_logs(const model::Fleet& fleet, const sim::SimResult& result,
                          PipelineStats* stats) {
-  const std::size_t n_systems = fleet.systems().size();
-  std::size_t shards = std::min<std::size_t>(util::thread_count(),
-                                             n_systems == 0 ? 1 : n_systems);
-  if (result.failures.size() < 2048) shards = 1;  // not worth the fan-out
-  STORSIM_OBS_COUNTER(c_shards, "pipeline.shards",
-                      ::storsubsim::obs::Stability::kSchedulingDependent);
-  STORSIM_OBS_ADD(c_shards, shards);
-
-  // Partition failures by contiguous system ranges (shard s owns systems
-  // [s*n/S, (s+1)*n/S)), preserving detection order within each bucket.
-  std::vector<std::vector<sim::SimFailure>> buckets;
-  if (shards > 1) {
-    std::vector<std::uint32_t> shard_of_system(n_systems);
-    for (std::size_t s = 0; s < shards; ++s) {
-      const std::size_t begin = n_systems * s / shards;
-      const std::size_t end = n_systems * (s + 1) / shards;
-      for (std::size_t sys = begin; sys < end; ++sys) {
-        shard_of_system[sys] = static_cast<std::uint32_t>(s);
-      }
-    }
-    buckets.resize(shards);
-    for (auto& b : buckets) b.reserve(result.failures.size() / shards + 1);
-    for (const auto& f : result.failures) {
-      buckets[shard_of_system[f.system.value()]].push_back(f);
-    }
-  }
-  auto failures_of = [&](std::size_t s) {
-    return shards == 1 ? std::span<const sim::SimFailure>(result.failures)
-                       : std::span<const sim::SimFailure>(buckets[s]);
-  };
-
-  // The config snapshot rides the same fan-out: shard s round-trips snapshot
-  // chunk s after its logs. The cut levels each shard's estimated other work
-  // plus its chunk's bytes.
-  std::vector<std::size_t> busy(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    busy[s] = failures_of(s).size() * kSnapshotBytesPerFailure;
-  }
-  busy[0] += fleet.disks().size() * kSnapshotBytesPerSizedDisk;
-  const std::vector<log::SnapshotChunk> chunks = log::plan_snapshot_chunks(fleet, busy);
-
-  auto inventory = std::make_shared<log::Inventory>();
-  std::vector<ShardOutput> outputs(shards);
-  util::parallel_for(shards, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t s = begin; s < end; ++s) {
-      // Shard 0 also sizes the final inventory, off the serial path: its
-      // first touch of every page is the dominant cost.
-      if (s == 0) {
-        inventory->systems.resize(fleet.systems().size());
-        inventory->shelves.resize(fleet.shelves().size());
-        inventory->raid_groups.resize(fleet.raid_groups().size());
-        inventory->disks.resize(fleet.disks().size());
-      }
-      outputs[s] = roundtrip_shard(fleet, failures_of(s));
-      obs::Span span("pipeline.snapshot");
-      outputs[s].snapshot = roundtrip_snapshot_chunk(fleet, chunks[s]);
-      outputs[s].stats.stage_seconds.snapshot = span.stop();
-    }
-  });
-  // Every parsed chunk to its final offsets, on the same workers.
-  util::parallel_for(shards, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t s = begin; s < end; ++s) {
-      obs::Span span("pipeline.snapshot");
-      place_snapshot_chunk(chunks[s], outputs[s].snapshot, *inventory);
-      outputs[s].stats.stage_seconds.snapshot += span.stop();
-    }
-  });
-
-  // parse_snapshot's whole-section checks, over the assembled chunks.
-  bool saw_header = false;
-  bool saw_end = false;
-  for (const ShardOutput& out : outputs) {
-    saw_header = saw_header || out.snapshot.saw_header;
-    saw_end = saw_end || out.snapshot.saw_end;
-  }
-  const std::string snapshot_error = log::check_snapshot(*inventory, saw_header, saw_end);
-  if (!snapshot_error.empty()) {
-    throw std::runtime_error(
-        std::string("pipeline: snapshot round-trip failed: ").append(snapshot_error));
-  }
-
+  // The emitter, parser and classifier are stateless across records except
+  // for the classifier's (disk, type) de-duplication window, and a disk
+  // lives in exactly one system, so a chunk of systems round-trips alone.
+  // The parsed views alias `log_text`, which outlives classification.
   PipelineStats local;
   std::vector<log::ClassifiedFailure> classified;
-  if (shards == 1) {
-    classified = std::move(outputs[0].failures);
-    local = outputs[0].stats;
-  } else {
-    std::size_t total = 0;
-    for (const auto& out : outputs) total += out.failures.size();
-    classified.reserve(total);
-    for (auto& out : outputs) {
-      classified.insert(classified.end(), out.failures.begin(), out.failures.end());
-      accumulate(local, out.stats);
-    }
-    // Restore the classifier's global output order (time, disk, type) so the
-    // sharded pipeline is bit-identical to the serial one.
-    obs::Span sort_span("pipeline.sort");
-    std::sort(classified.begin(), classified.end(),
-              [](const log::ClassifiedFailure& a, const log::ClassifiedFailure& b) {
-                if (a.time != b.time) return a.time < b.time;
-                if (a.disk != b.disk) return a.disk < b.disk;
-                return static_cast<int>(a.type) < static_cast<int>(b.type);
-              });
-    local.stage_seconds.sort = sort_span.stop();
+  {
+    obs::Span span("pipeline.emit");
+    log::LineWriter log_text(result.failures.size() * kLogBytesPerFailure);
+    local.log_lines_written = sim::write_failure_logs(log_text, fleet, result.failures);
+    local.stage_seconds.emit = span.stop();
+    std::vector<log::LogView> records;
+    parse_and_classify(log_text.view(), records, classified, local);
   }
 
+  obs::Span span("pipeline.snapshot");
+  log::LineWriter snapshot_text;
+  log::write_snapshot(snapshot_text, fleet);
+  const log::SnapshotCounts counts{static_cast<std::uint32_t>(fleet.systems().size()),
+                                   static_cast<std::uint32_t>(fleet.shelves().size()),
+                                   static_cast<std::uint32_t>(fleet.raid_groups().size()),
+                                   static_cast<std::uint32_t>(fleet.disks().size())};
+  log::SnapshotParseResult snapshot = log::parse_snapshot(snapshot_text.view(), counts);
+  if (!snapshot.ok()) {
+    throw std::runtime_error(
+        std::string("pipeline: snapshot round-trip failed: ").append(snapshot.error));
+  }
+  local.stage_seconds.snapshot = span.stop();
+
   if (stats != nullptr) *stats = local;
-  return Dataset(std::move(inventory), std::move(classified));
+  return Dataset(std::make_shared<log::Inventory>(std::move(snapshot.inventory)),
+                 std::move(classified));
 }
 
 TextDataset dataset_from_text(std::string_view log_text, std::string_view snapshot_text,
@@ -288,17 +140,185 @@ Dataset dataset_in_memory(const model::Fleet& fleet, const sim::SimResult& resul
                  std::move(events));
 }
 
+std::vector<std::size_t> chunk_bounds(const model::FleetPlan& plan, std::size_t chunks) {
+  const std::size_t n_systems = plan.system_count();
+  const std::uint64_t total_disks = plan.disks.back();
+  std::vector<std::size_t> bounds(chunks + 1, 0);
+  bounds[chunks] = n_systems;
+  for (std::size_t s = 1; s < chunks; ++s) {
+    const std::uint64_t target = total_disks * s / chunks;
+    const auto it = std::lower_bound(plan.disks.begin(), plan.disks.end(), target);
+    bounds[s] = static_cast<std::size_t>(it - plan.disks.begin());
+  }
+  // Enforce strict monotonicity (possible ties when systems are huge or
+  // chunks ~ systems): every chunk must own at least one system.
+  for (std::size_t s = 1; s < chunks; ++s) {
+    bounds[s] = std::max(bounds[s], bounds[s - 1] + 1);
+  }
+  for (std::size_t s = chunks; s-- > 1;) {
+    bounds[s] = std::min(bounds[s], bounds[s + 1] - 1);
+  }
+  return bounds;
+}
+
+ChunkRun run_chunk(const model::FleetConfig& config, const sim::SimParams& params,
+                   std::size_t sys_begin, std::size_t sys_end, std::uint64_t shelf_base,
+                   bool through_text_logs) {
+  obs::Span span("pipeline.simulate");
+  model::Fleet fleet = model::Fleet::build_chunk(config, sys_begin, sys_end);
+  sim::SimIndexBases bases;
+  bases.system = sys_begin;
+  bases.shelf = shelf_base;
+  sim::Simulator simulator(fleet, params, bases);
+  const sim::SimResult result = simulator.run();
+  const double simulate_seconds = span.stop();
+
+  PipelineStats pipeline;
+  Dataset dataset = through_text_logs ? dataset_via_logs(fleet, result, &pipeline)
+                                      : dataset_in_memory(fleet, result);
+  pipeline.stage_seconds.simulate = simulate_seconds;
+  return ChunkRun{SimulationDataset{std::move(dataset), result.counters, pipeline},
+                  fleet.initial_disk_count()};
+}
+
+Dataset stitch_chunks(std::span<const DatasetChunk> chunks, double horizon_seconds) {
+  // Global id of each chunk's first record of each kind: prefix sums. A
+  // chunk's replacement disks follow every chunk's initial disks.
+  struct Bases {
+    std::uint32_t system = 0;
+    std::uint32_t shelf = 0;
+    std::uint32_t raid_group = 0;
+    std::uint32_t disk = 0;         ///< the chunk's first initial disk
+    std::uint32_t replacement = 0;  ///< the chunk's first replacement disk
+    std::size_t event = 0;          ///< the chunk's first event slot
+  };
+  std::vector<Bases> bases(chunks.size() + 1);
+  std::uint32_t disks_initial = 0;
+  for (const DatasetChunk& chunk : chunks) {
+    disks_initial += static_cast<std::uint32_t>(chunk.disks_initial);
+  }
+  bases[0].replacement = disks_initial;
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    const log::Inventory& local = *chunks[c].inventory;
+    const auto initial = static_cast<std::uint32_t>(chunks[c].disks_initial);
+    bases[c + 1] = bases[c];
+    bases[c + 1].system += static_cast<std::uint32_t>(local.systems.size());
+    bases[c + 1].shelf += static_cast<std::uint32_t>(local.shelves.size());
+    bases[c + 1].raid_group += static_cast<std::uint32_t>(local.raid_groups.size());
+    bases[c + 1].disk += initial;
+    bases[c + 1].replacement += static_cast<std::uint32_t>(local.disks.size()) - initial;
+    bases[c + 1].event += chunks[c].events.size();
+  }
+  const Bases& total = bases.back();
+
+  // Every record lands at its global id (entry i of each local vector has
+  // local id i), so the chunks fill disjoint slots in parallel.
+  log::Inventory inv;
+  inv.horizon_seconds = horizon_seconds;
+  inv.systems.resize(total.system);
+  inv.shelves.resize(total.shelf);
+  inv.raid_groups.resize(total.raid_group);
+  inv.disks.resize(total.replacement);
+  std::vector<FailureEvent> events(total.event);
+  util::parallel_for(chunks.size(), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t c = begin; c < end; ++c) {
+      const Bases& at = bases[c];
+      const log::Inventory& local = *chunks[c].inventory;
+      const auto initial = static_cast<std::uint32_t>(chunks[c].disks_initial);
+      auto system = [&](model::SystemId id) { return model::SystemId(at.system + id.value()); };
+      auto disk = [&](model::DiskId id) {
+        return model::DiskId(id.value() < initial ? at.disk + id.value()
+                                                  : at.replacement + (id.value() - initial));
+      };
+      for (log::InventorySystem s : local.systems) {
+        s.id = system(s.id);
+        inv.systems[s.id.value()] = s;
+      }
+      for (log::InventoryShelf sh : local.shelves) {
+        sh.id = model::ShelfId(at.shelf + sh.id.value());
+        sh.system = system(sh.system);
+        inv.shelves[sh.id.value()] = sh;
+      }
+      for (log::InventoryRaidGroup g : local.raid_groups) {
+        g.id = model::RaidGroupId(at.raid_group + g.id.value());
+        g.system = system(g.system);
+        inv.raid_groups[g.id.value()] = g;
+      }
+      for (log::InventoryDisk d : local.disks) {
+        d.id = disk(d.id);
+        d.system = system(d.system);
+        d.shelf = model::ShelfId(at.shelf + d.shelf.value());
+        if (d.raid_group.valid()) {
+          d.raid_group = model::RaidGroupId(at.raid_group + d.raid_group.value());
+        }
+        inv.disks[d.id.value()] = d;
+      }
+      std::size_t slot = at.event;
+      for (FailureEvent e : chunks[c].events) {
+        e.disk = disk(e.disk);
+        e.system = system(e.system);
+        events[slot++] = e;
+      }
+    }
+  });
+
+  // The classifier's order; global ids make the key the whole fleet's.
+  obs::Span sort_span("pipeline.sort");
+  std::sort(events.begin(), events.end(), [](const FailureEvent& a, const FailureEvent& b) {
+    if (a.time != b.time) return a.time < b.time;
+    if (a.disk != b.disk) return a.disk < b.disk;
+    return static_cast<int>(a.type) < static_cast<int>(b.type);
+  });
+  sort_span.stop();
+  return Dataset(std::make_shared<log::Inventory>(std::move(inv)), std::move(events));
+}
+
 SimulationDataset simulate_and_analyze(const model::FleetConfig& config,
                                        const sim::SimParams& params, bool through_text_logs) {
-  obs::Span sim_span("pipeline.simulate");
-  sim::FleetSimulation simulation = sim::simulate_fleet(config, params);
-  const double simulate_seconds = sim_span.stop();
+  // One chunk per worker: each runs whole on one worker, so the chunk count
+  // is the parallelism. The plan's cumulative counts cut the chunks and
+  // place each chunk's shelves; one chunk is the whole fleet and needs none.
+  const std::size_t n_systems = config.total_systems();
+  const std::size_t chunks =
+      std::max<std::size_t>(1, std::min<std::size_t>(util::thread_count(), n_systems));
+  STORSIM_OBS_COUNTER(c_chunks, "pipeline.chunks",
+                      ::storsubsim::obs::Stability::kSchedulingDependent);
+  STORSIM_OBS_ADD(c_chunks, chunks);
+  std::vector<std::size_t> bounds{0, n_systems};
+  std::vector<std::uint64_t> shelf_bases(chunks, 0);
+  if (chunks > 1) {
+    obs::Span span("pipeline.plan");
+    const model::FleetPlan plan = model::Fleet::plan(config);
+    bounds = chunk_bounds(plan, chunks);
+    for (std::size_t c = 0; c < chunks; ++c) shelf_bases[c] = plan.shelves[bounds[c]];
+  }
+
+  std::vector<std::optional<ChunkRun>> runs(chunks);
+  util::parallel_for(chunks, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t c = begin; c < end; ++c) {
+      obs::Span span("pipeline.chunk");
+      runs[c] = run_chunk(config, params, bounds[c], bounds[c + 1], shelf_bases[c],
+                          through_text_logs);
+    }
+  });
+  if (chunks == 1) return std::move(runs[0]->run);
+
+  obs::Span span("pipeline.stitch");
+  sim::SimCounters counters;
   PipelineStats pipeline;
-  Dataset dataset = through_text_logs
-                        ? dataset_via_logs(simulation.fleet, simulation.result, &pipeline)
-                        : dataset_in_memory(simulation.fleet, simulation.result);
-  pipeline.stage_seconds.simulate = simulate_seconds;
-  return SimulationDataset{std::move(dataset), simulation.result.counters, pipeline};
+  std::vector<DatasetChunk> pieces;
+  pieces.reserve(chunks);
+  for (const std::optional<ChunkRun>& chunk : runs) {
+    counters += chunk->run.counters;
+    accumulate(pipeline, chunk->run.pipeline);
+    pieces.push_back(DatasetChunk{&chunk->run.dataset.inventory(),
+                                  chunk->run.dataset.events(), chunk->disks_initial});
+  }
+  // The chunks' inventories carry the horizon as the snapshot round trip
+  // left it.
+  Dataset dataset = stitch_chunks(pieces, pieces[0].inventory->horizon_seconds);
+  pipeline.stage_seconds.sort = span.stop();
+  return SimulationDataset{std::move(dataset), counters, pipeline};
 }
 
 }  // namespace storsubsim::core

@@ -12,9 +12,7 @@
 
 #include "core/pipeline.h"
 #include "core/store_bridge.h"
-#include "model/fleet.h"
 #include "obs/obs.h"
-#include "sim/simulator.h"
 #include "util/parallel.h"
 #include "util/rss.h"
 
@@ -35,31 +33,6 @@ std::string shard_file_name(std::size_t index) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "shard-%04zu.store", index);
   return std::string(buf);
-}
-
-/// Chunk boundaries in global system indices: `shards + 1` cut points,
-/// strictly increasing, chosen so each chunk carries roughly the same
-/// number of *initial* disks (the memory driver), using the plan's
-/// cumulative disk counts.
-std::vector<std::size_t> chunk_bounds(const model::FleetPlan& plan, std::size_t shards) {
-  const std::size_t n_systems = plan.system_count();
-  const std::uint64_t total_disks = plan.disks.back();
-  std::vector<std::size_t> bounds(shards + 1, 0);
-  bounds[shards] = n_systems;
-  for (std::size_t s = 1; s < shards; ++s) {
-    const std::uint64_t target = total_disks * s / shards;
-    const auto it = std::lower_bound(plan.disks.begin(), plan.disks.end(), target);
-    bounds[s] = static_cast<std::size_t>(it - plan.disks.begin());
-  }
-  // Enforce strict monotonicity (possible ties when systems are huge or
-  // shards ~ systems): every chunk must own at least one system.
-  for (std::size_t s = 1; s < shards; ++s) {
-    bounds[s] = std::max(bounds[s], bounds[s - 1] + 1);
-  }
-  for (std::size_t s = shards; s-- > 1;) {
-    bounds[s] = std::min(bounds[s], bounds[s + 1] - 1);
-  }
-  return bounds;
 }
 
 }  // namespace
@@ -134,34 +107,26 @@ store::Error build_sharded_store(const std::string& dir, const model::FleetConfi
           const std::size_t sys_begin = bounds[s];
           const std::size_t sys_end = bounds[s + 1];
 
-          // Chunk fleet with global RNG positioning, then the monolithic
-          // simulate -> emit -> parse -> classify flow on the chunk alone.
-          model::Fleet fleet = model::Fleet::build_chunk(config, sys_begin, sys_end);
-          sim::SimIndexBases bases;
-          bases.system = sys_begin;
-          bases.shelf = plan.shelves[sys_begin];
-          sim::Simulator simulator(fleet, options.params, bases);
-          sim::SimResult sim_result = simulator.run();
-
-          PipelineStats pipeline;
-          Dataset dataset = dataset_via_logs(fleet, sim_result, &pipeline);
-          SimulationDataset run{std::move(dataset), sim_result.counters, pipeline};
+          const ChunkRun chunk =
+              run_chunk(config, options.params, sys_begin, sys_end,
+                        plan.shelves[sys_begin], /*through_text_logs=*/true);
+          const log::Inventory& inv = chunk.run.dataset.inventory();
 
           store::ShardInfo& info = infos[s];
           info.file = shard_file_name(s);
           info.sys_begin = sys_begin;
           info.sys_end = sys_end;
-          info.systems = fleet.systems().size();
-          info.shelves = fleet.shelves().size();
-          info.raid_groups = fleet.raid_groups().size();
-          info.disks_initial = fleet.initial_disk_count();
-          info.disks_total = fleet.disks().size();
-          info.events = run.dataset.events().size();
+          info.systems = inv.systems.size();
+          info.shelves = inv.shelves.size();
+          info.raid_groups = inv.raid_groups.size();
+          info.disks_initial = chunk.disks_initial;
+          info.disks_total = inv.disks.size();
+          info.events = chunk.run.dataset.events().size();
 
           std::string path = dir;
           path += '/';
           path += info.file;
-          errors[s] = write_store(path, run, config.seed, config.scale);
+          errors[s] = write_store(path, chunk.run, config.seed, config.scale);
           seconds[s] = shard_span.stop();
         }
       },

@@ -1,18 +1,19 @@
-// Streaming sharded store builds: mega-fleets in bounded memory.
+// Sharded store builds: mega-fleets in bounded memory.
 //
-// The monolithic path (simulate_and_analyze + write_store) materializes the
-// whole fleet, every failure and the full store image at once — peak RSS
-// grows linearly with --scale. build_sharded_store instead drives the
-// simulator in contiguous global system ranges ("chunks"), feeds each chunk
-// through the unchanged emit -> parse -> classify pipeline, and writes each
-// chunk out as a standalone STORCOL1 shard before the next chunk is built —
-// so peak memory is bounded by the largest chunk, not the fleet.
+// The single-file path (simulate_and_analyze + write_store) runs the same
+// chunks but keeps every chunk's dataset and stitches them into one fleet-
+// wide Dataset and one store image, so its peak RSS grows linearly with
+// --scale. build_sharded_store instead writes each chunk out as a
+// standalone STORCOL1 shard as soon as its worker finishes it, so peak
+// memory is bounded by the chunks in flight, not the fleet. Both run each
+// chunk through core::run_chunk (chunk fleet -> simulate -> emit -> parse
+// -> classify, snapshot round trip).
 //
 // Bit-identity: a chunk's fleet is positioned by RNG fork replay
 // (model::Fleet::build_chunk) and its simulator substreams are keyed by
 // global indices (sim::SimIndexBases), so every sampled value equals the
-// corresponding slice of the monolithic run. The MANIFEST's merged exposure
-// table reproduces the monolithic accumulation order, making every analysis
+// corresponding slice of the whole-fleet run. The MANIFEST's merged exposure
+// table reproduces the single-file accumulation order, making every analysis
 // over the shard directory byte-identical to the single-file store
 // (docs/STORE.md).
 //
@@ -66,7 +67,7 @@ inline constexpr std::uint64_t estimate_build_bytes(std::uint64_t chunk_disks,
 /// shards + MANIFEST) to `dir`, creating it if needed. Returns the first
 /// error encountered; on success the directory opens with
 /// store::ShardStore::open and analyses over it are byte-identical to the
-/// monolithic store of the same config/seed.
+/// single-file store of the same config/seed.
 [[nodiscard]] store::Error build_sharded_store(const std::string& dir, const model::FleetConfig& config,
                                  const ShardedBuildOptions& options,
                                  ShardedBuildResult* result = nullptr);

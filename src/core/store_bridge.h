@@ -34,14 +34,12 @@ PipelineStats pipeline_stats_from_meta(const store::StoreMeta& meta);
 
 /// Rebuilds the exact in-memory Dataset the pipeline produced from an opened
 /// store (a shard directory, or a single file as one shard): every shard's
-/// local ids are rebased through the manifest bases and the inventory is
-/// stitched in the global order (systems/shelves/RAID groups shard-major;
-/// disks as initial blocks shard-major, then replacement blocks
-/// shard-major), and events are re-sorted into the canonical (time, disk,
-/// type) order the classifier produces — so every analysis over the result
-/// is bit-identical to the pipeline's. This materializes the whole fleet —
-/// reach for the streaming Source(ShardStore) analyses when the fleet is
-/// too large. Requires every shard open (open_all).
+/// local inventory and events go through stitch_chunks, the same id
+/// rebasing and (time, disk, type) sort simulate_and_analyze stitches its
+/// chunks with — so every analysis over the result is bit-identical to the
+/// pipeline's. This materializes the whole fleet — reach for the streaming
+/// Source(ShardStore) analyses when the fleet is too large. Requires every
+/// shard open (open_all).
 Dataset dataset_from_shards(const store::ShardStore& shards);
 
 /// Dataset plus the original run's counters from the store's meta block.

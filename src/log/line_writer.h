@@ -27,6 +27,9 @@ class LineWriter {
   /// Pre-sizes the buffer (bytes) so steady-state appends never reallocate.
   explicit LineWriter(std::size_t reserve_bytes) { buf_.reserve(reserve_bytes); }
 
+  /// Grows the capacity to at least `bytes` (never shrinks it).
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
+
   /// Drops the content, keeps the capacity.
   void clear() noexcept { buf_.clear(); }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <utility>
 #include <vector>
 
 #include "model/fleet.h"
@@ -88,55 +87,35 @@ class TokenReader {
 };
 
 /// Mean rendered bytes of one record of each kind (newline included; the
-/// standard fleet at scale 0.25), for cutting chunks by text size and
-/// pre-sizing their buffers. DISK lines are two to three times the
-/// SHELF/GROUP ones, so a cut by record count would leave the DISK-heavy
-/// chunks slowest.
+/// standard fleet at scale 0.25), for pre-sizing the output buffer.
 constexpr std::size_t kSystemBytes = 106;
 constexpr std::size_t kShelfBytes = 32;
 constexpr std::size_t kGroupBytes = 52;
 constexpr std::size_t kDiskBytes = 97;
-constexpr std::size_t kFrameBytes = 48;  ///< SNAPSHOT header + END
 
-std::size_t record_count(const model::Fleet& fleet) {
-  return fleet.systems().size() + fleet.shelves().size() + fleet.raid_groups().size() +
-         fleet.disks().size();
-}
-
-/// Per-kind ids of the first `pos` records of the sequence (pos clipped to
-/// the record count): the bases of a chunk starting at `pos`.
-SnapshotCounts counts_before(const model::Fleet& fleet, std::size_t pos) {
-  auto take = [&pos](std::size_t n) {
-    const std::size_t k = std::min(pos, n);
-    pos -= k;
-    return static_cast<std::uint32_t>(k);
-  };
-  SnapshotCounts at;
-  at.systems = take(fleet.systems().size());
-  at.shelves = take(fleet.shelves().size());
-  at.raid_groups = take(fleet.raid_groups().size());
-  at.disks = take(fleet.disks().size());
-  return at;
-}
-
-std::size_t estimated_bytes(const SnapshotCounts& n) {
-  return n.systems * kSystemBytes + n.shelves * kShelfBytes + n.raid_groups * kGroupBytes +
-         n.disks * kDiskBytes;
-}
-
-/// The first record position whose prefix holds at least `bytes` estimated
-/// text bytes.
-std::size_t position_at_bytes(const model::Fleet& fleet, std::size_t bytes) {
-  std::size_t pos = 0;
-  for (const auto& [n, per] : {std::pair{fleet.systems().size(), kSystemBytes},
-                               std::pair{fleet.shelves().size(), kShelfBytes},
-                               std::pair{fleet.raid_groups().size(), kGroupBytes},
-                               std::pair{fleet.disks().size(), kDiskBytes}}) {
-    if (bytes <= n * per) return pos + (bytes + per - 1) / per;
-    bytes -= n * per;
-    pos += n;
+/// The whole-section checks of a parsed inventory: the header and END were
+/// seen, and every reference resolves. Returns empty, or the message naming
+/// the first failure.
+std::string check_snapshot(const Inventory& inv, bool saw_header, bool saw_end) {
+  if (!saw_header) return "snapshot: missing SNAPSHOT header";
+  if (!saw_end) return "snapshot: missing END marker";
+  for (const auto& sh : inv.shelves) {
+    if (sh.system.value() >= inv.systems.size()) {
+      return "snapshot: SHELF references unknown system";
+    }
   }
-  return pos;
+  for (const auto& g : inv.raid_groups) {
+    if (g.system.value() >= inv.systems.size()) {
+      return "snapshot: GROUP references unknown system";
+    }
+  }
+  for (const auto& d : inv.disks) {
+    if (d.system.value() >= inv.systems.size() || d.shelf.value() >= inv.shelves.size() ||
+        (d.raid_group.valid() && d.raid_group.value() >= inv.raid_groups.size())) {
+      return "snapshot: DISK references unknown entity";
+    }
+  }
+  return {};
 }
 
 }  // namespace
@@ -147,55 +126,17 @@ double Inventory::disk_exposure_years(const InventoryDisk& disk) const {
   return end > start ? model::years(end - start) : 0.0;
 }
 
-std::vector<SnapshotChunk> plan_snapshot_chunks(const model::Fleet& fleet,
-                                                std::span<const std::size_t> busy) {
-  const std::size_t total = record_count(fleet);
-  const std::size_t total_bytes = estimated_bytes(counts_before(fleet, total));
-
-  // Water level: fill the least busy workers first, until the snapshot's
-  // bytes are spent; each chunk gets the level minus its worker's load.
-  std::vector<std::size_t> loads(busy.begin(), busy.end());
-  std::sort(loads.begin(), loads.end());
-  std::size_t level = 0;
-  std::size_t below = 0;
-  for (std::size_t m = 0; m < loads.size(); ++m) {
-    below += loads[m];
-    level = (total_bytes + below) / (m + 1);
-    if (m + 1 == loads.size() || level <= loads[m + 1]) break;
-  }
-
-  std::vector<SnapshotChunk> plan(busy.size());
-  std::size_t first = 0;
-  std::size_t filled = 0;
-  for (std::size_t c = 0; c < plan.size(); ++c) {
-    filled += level > busy[c] ? level - busy[c] : 0;
-    const std::size_t last =
-        c + 1 == plan.size() ? total : std::clamp(position_at_bytes(fleet, filled), first, total);
-    SnapshotChunk& chunk = plan[c];
-    chunk.first = first;
-    chunk.last = last;
-    chunk.bases = counts_before(fleet, first);
-    const SnapshotCounts end = counts_before(fleet, last);
-    chunk.counts = {end.systems - chunk.bases.systems, end.shelves - chunk.bases.shelves,
-                    end.raid_groups - chunk.bases.raid_groups, end.disks - chunk.bases.disks};
-    chunk.bytes = estimated_bytes(chunk.counts) + kFrameBytes;
-    first = last;
-  }
-  return plan;
-}
-
-void write_snapshot_range(LineWriter& out, const model::Fleet& fleet, std::size_t first,
-                          std::size_t last) {
-  const std::size_t total = record_count(fleet);
-  if (first == last && total != 0) return;
-  if (first == 0) {
-    out.text("SNAPSHOT horizon=");
-    append_time(out, fleet.horizon_seconds());
-    out.newline();
-  }
-  const SnapshotCounts lo = counts_before(fleet, first);
-  const SnapshotCounts hi = counts_before(fleet, last);
-  for (const auto& s : fleet.systems().subspan(lo.systems, hi.systems - lo.systems)) {
+void write_snapshot(LineWriter& out, const model::Fleet& fleet) {
+  // Room for the whole section up front, a quarter over the estimate, so
+  // rendering never regrows (and recopies) a buffer of tens of MB.
+  const std::size_t estimate =
+      fleet.systems().size() * kSystemBytes + fleet.shelves().size() * kShelfBytes +
+      fleet.raid_groups().size() * kGroupBytes + fleet.disks().size() * kDiskBytes;
+  out.reserve(out.size() + estimate + estimate / 4);
+  out.text("SNAPSHOT horizon=");
+  append_time(out, fleet.horizon_seconds());
+  out.newline();
+  for (const auto& s : fleet.systems()) {
     out.text("SYSTEM id=").u32(s.id.value());
     out.text(" class=").text(model::to_string(s.cls));
     out.text(" paths=").text(model::to_string(s.paths));
@@ -206,20 +147,19 @@ void write_snapshot_range(LineWriter& out, const model::Fleet& fleet, std::size_
     append_time(out, s.deploy_time);
     out.text(" cohort=").u32(s.cohort).newline();
   }
-  for (const auto& sh : fleet.shelves().subspan(lo.shelves, hi.shelves - lo.shelves)) {
+  for (const auto& sh : fleet.shelves()) {
     out.text("SHELF id=").u32(sh.id.value());
     out.text(" sys=").u32(sh.system.value());
     out.text(" model=").ch(sh.model.letter).newline();
   }
-  for (const auto& g :
-       fleet.raid_groups().subspan(lo.raid_groups, hi.raid_groups - lo.raid_groups)) {
+  for (const auto& g : fleet.raid_groups()) {
     out.text("GROUP id=").u32(g.id.value());
     out.text(" sys=").u32(g.system.value());
     out.text(" type=").text(model::to_string(g.type));
     out.text(" members=").u64(g.members.size());
     out.text(" span=").u32(g.shelf_span()).newline();
   }
-  for (const auto& d : fleet.disks().subspan(lo.disks, hi.disks - lo.disks)) {
+  for (const auto& d : fleet.disks()) {
     out.text("DISK id=").u32(d.id.value());
     out.text(" model=");
     append_disk_model(out, d.model);
@@ -238,11 +178,7 @@ void write_snapshot_range(LineWriter& out, const model::Fleet& fleet, std::size_
     append_time(out, d.remove_time);
     out.newline();
   }
-  if (last == total) out.text("END\n");
-}
-
-void write_snapshot(LineWriter& out, const model::Fleet& fleet) {
-  write_snapshot_range(out, fleet, 0, record_count(fleet));
+  out.text("END\n");
 }
 
 Inventory inventory_from_fleet(const model::Fleet& fleet) {
@@ -382,30 +318,8 @@ SnapshotParseResult parse_snapshot_chunk(std::string_view text, const SnapshotCh
   return result;
 }
 
-std::string check_snapshot(const Inventory& inv, bool saw_header, bool saw_end) {
-  if (!saw_header) return "snapshot: missing SNAPSHOT header";
-  if (!saw_end) return "snapshot: missing END marker";
-  for (const auto& sh : inv.shelves) {
-    if (sh.system.value() >= inv.systems.size()) {
-      return "snapshot: SHELF references unknown system";
-    }
-  }
-  for (const auto& g : inv.raid_groups) {
-    if (g.system.value() >= inv.systems.size()) {
-      return "snapshot: GROUP references unknown system";
-    }
-  }
-  for (const auto& d : inv.disks) {
-    if (d.system.value() >= inv.systems.size() || d.shelf.value() >= inv.shelves.size() ||
-        (d.raid_group.valid() && d.raid_group.value() >= inv.raid_groups.size())) {
-      return "snapshot: DISK references unknown entity";
-    }
-  }
-  return {};
-}
-
-SnapshotParseResult parse_snapshot(std::string_view text) {
-  SnapshotParseResult result = parse_snapshot_chunk(text, SnapshotChunk{});
+SnapshotParseResult parse_snapshot(std::string_view text, const SnapshotCounts& expected) {
+  SnapshotParseResult result = parse_snapshot_chunk(text, SnapshotChunk{{}, expected});
   if (result.ok()) {
     result.error = check_snapshot(result.inventory, result.saw_header, result.saw_end);
   }

@@ -13,17 +13,14 @@
 // buffer and `parse_snapshot(std::string_view)` walks text in place — a
 // LineWriter's or a mapped file's.
 //
-// The records form one global sequence SYSTEM ⧺ SHELF ⧺ GROUP ⧺ DISK, so
-// the section can also be written and parsed in contiguous chunks (the
-// pipeline round-trips one chunk per worker): `write_snapshot_range` renders
-// records [first, last), and concatenating the chunks of any partition gives
-// exactly `write_snapshot`'s bytes. `parse_snapshot_chunk` parses one chunk
-// against per-kind id bases; `parse_snapshot` is its zero-base, one-chunk
-// case plus `check_snapshot` (header, END, referential integrity).
+// The records form one sequence SYSTEM ⧺ SHELF ⧺ GROUP ⧺ DISK.
+// `parse_snapshot_chunk` parses a contiguous run of those records against
+// per-kind id bases; `parse_snapshot` is its zero-base case over the whole
+// section, plus the whole-section checks (header, END, referential
+// integrity).
 #pragma once
 
 #include <limits>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -97,31 +94,14 @@ struct SnapshotCounts {
   std::uint32_t disks = 0;
 };
 
-/// Records [first, last) of a fleet's snapshot sequence.
+/// A contiguous run of a snapshot's records, for parse_snapshot_chunk.
 struct SnapshotChunk {
-  std::size_t first = 0;
-  std::size_t last = 0;
   SnapshotCounts bases;   ///< id of the chunk's first record of each kind
   SnapshotCounts counts;  ///< records of each kind in the chunk
-  std::size_t bytes = 0;  ///< text size estimate, header/END included
 };
 
-/// Cuts the fleet's snapshot into one contiguous chunk per worker, in order,
-/// by estimated text bytes. `busy[k]` is the work worker k has besides its
-/// chunk, in the same byte units; the cut levels busy[k] + chunk k's bytes,
-/// so a worker already past the level gets an empty chunk. All-zero loads
-/// give equal cuts. The cut depends only on the fleet's counts and `busy`.
-std::vector<SnapshotChunk> plan_snapshot_chunks(const model::Fleet& fleet,
-                                                std::span<const std::size_t> busy);
-
-/// Appends records [first, last) of the fleet's snapshot sequence. The range
-/// starting at record 0 carries the SNAPSHOT header and the one ending at
-/// the last record carries END; any other empty range appends nothing.
-void write_snapshot_range(LineWriter& out, const model::Fleet& fleet, std::size_t first,
-                          std::size_t last);
-
-/// Appends the fleet's full inventory (including retired disk records): the
-/// whole record range.
+/// Appends the fleet's full inventory (including retired disk records),
+/// framed by the SNAPSHOT header and END.
 void write_snapshot(LineWriter& out, const model::Fleet& fleet);
 
 /// Result of parsing a snapshot; `error` is empty on success.
@@ -142,15 +122,12 @@ struct SnapshotParseResult {
 /// `saw_header`/`saw_end`; references are not checked.
 SnapshotParseResult parse_snapshot_chunk(std::string_view text, const SnapshotChunk& chunk);
 
-/// The whole-section checks of an inventory assembled from chunks: some
-/// chunk held the header, some chunk held END, and every reference
-/// resolves. Returns empty, or the message naming the first failure.
-std::string check_snapshot(const Inventory& inv, bool saw_header, bool saw_end);
-
 /// Parses a snapshot section from an in-memory buffer — a mapped file or a
 /// pipeline LineWriter — with no per-line copies. The result owns
-/// everything; `text` may die after.
-SnapshotParseResult parse_snapshot(std::string_view text);
+/// everything; `text` may die after. `expected` only pre-sizes the
+/// inventory's vectors (a writer that knows its record counts saves their
+/// regrowth).
+SnapshotParseResult parse_snapshot(std::string_view text, const SnapshotCounts& expected = {});
 
 /// Builds the same Inventory directly from a live fleet (bypassing text) —
 /// used by tests to verify write/parse round-trips and by callers that do

@@ -37,17 +37,6 @@ double sample_lognormal_mean(double mean, double sigma, Rng& rng) {
   return d.sample(rng);
 }
 
-void accumulate(SimCounters& into, const SimCounters& from) {
-  for (std::size_t i = 0; i < into.events_by_type.size(); ++i) {
-    into.events_by_type[i] += from.events_by_type[i];
-  }
-  into.replacements += from.replacements;
-  into.triggered_disk_failures += from.triggered_disk_failures;
-  into.shelf_faults += from.shelf_faults;
-  into.path_faults += from.path_faults;
-  into.masked_path_faults += from.masked_path_faults;
-}
-
 }  // namespace
 
 // Per-shelf simulation state, including a shelf-local occupancy overlay so
@@ -498,7 +487,7 @@ SimResult Simulator::run() {
     }
     result.failures.insert(result.failures.end(), out.result.failures.begin(),
                            out.result.failures.end());
-    accumulate(result.counters, out.result.counters);
+    result.counters += out.result.counters;
     out = ShelfOutcome{};  // release per-shelf buffers eagerly
   }
   replay_span.stop();
@@ -520,7 +509,7 @@ SimResult Simulator::run() {
   for (std::size_t i = 0; i < n_systems; ++i) {
     result.failures.insert(result.failures.end(), sys_out[i].failures.begin(),
                            sys_out[i].failures.end());
-    accumulate(result.counters, sys_out[i].counters);
+    result.counters += sys_out[i].counters;
   }
   system_span.stop();
 

@@ -52,6 +52,19 @@ struct SimCounters {
     for (const auto c : events_by_type) n += c;
     return n;
   }
+
+  /// Field-wise sum: the counters of two disjoint parts of one fleet.
+  SimCounters& operator+=(const SimCounters& other) {
+    for (std::size_t i = 0; i < events_by_type.size(); ++i) {
+      events_by_type[i] += other.events_by_type[i];
+    }
+    replacements += other.replacements;
+    triggered_disk_failures += other.triggered_disk_failures;
+    shelf_faults += other.shelf_faults;
+    path_faults += other.path_faults;
+    masked_path_faults += other.masked_path_faults;
+    return *this;
+  }
 };
 
 struct SimResult {

@@ -164,8 +164,7 @@ INSTANTIATE_TEST_SUITE_P(Fractions, DualPathFraction, ::testing::Values(0.3, 0.6
 // The fleet-parallel execution layer's contract: the full pipeline
 // (simulate -> emit logs -> parse -> classify, snapshot write -> parse) and
 // bootstrap CIs are bit-identical for any worker count. Exercised at two
-// scales; the larger one is big enough to engage the sharded log pipeline,
-// and 3 workers cut the snapshot unevenly.
+// scales; 3 workers cut the fleet into 3 chunks of uneven system counts.
 class ThreadInvariance : public ::testing::TestWithParam<double> {
  protected:
   void TearDown() override { storsubsim::util::set_thread_count(0); }
@@ -244,6 +243,83 @@ TEST_P(ThreadInvariance, BootstrapCiBitIdenticalAcrossThreadCounts) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Scales, ThreadInvariance, ::testing::Values(0.05, 0.2));
+
+// simulate_and_analyze runs one chunk per worker and stitches the chunks;
+// the reference here shares none of that: the whole fleet simulated at once
+// (sim::simulate_fleet), its failure logs and config snapshot written whole,
+// and both read back through dataset_from_text. Events, inventory, simulator
+// counters and pipeline counts must all match at every thread count, with
+// the standard parameters and with a Hawkes-heavy set — so an RNG stream
+// keyed by a chunk-local index, or an id rebased off by one chunk, fails.
+class ChunkedPipeline : public ::testing::TestWithParam<bool> {
+ protected:
+  void TearDown() override { storsubsim::util::set_thread_count(0); }
+};
+
+TEST_P(ChunkedPipeline, MatchesWholeFleetTextRoute) {
+  auto params = sim::SimParams::standard();
+  if (GetParam()) params.hawkes_branching = 0.25;
+  const auto config = model::standard_fleet_config(0.05, 17);
+
+  const auto fs = sim::simulate_fleet(config, params);
+  log_ns::LineWriter logs;
+  sim::write_failure_logs(logs, fs.fleet, fs.result.failures);
+  log_ns::LineWriter snapshot;
+  log_ns::write_snapshot(snapshot, fs.fleet);
+  const auto text = core::dataset_from_text(logs.view(), snapshot.view());
+  ASSERT_TRUE(text.error.empty()) << text.error;
+  ASSERT_TRUE(text.dataset.has_value());
+  const core::Dataset& reference = *text.dataset;
+  ASSERT_GT(reference.events().size(), 0u);
+
+  for (const unsigned threads : {1u, 3u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    storsubsim::util::set_thread_count(threads);
+    const auto sd = core::simulate_and_analyze(config, params);
+
+    expect_inventory_identical(reference.inventory(), sd.dataset.inventory());
+    const auto a = reference.events();
+    const auto b = sd.dataset.events();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(bits(a[i].time), bits(b[i].time)) << "event " << i;
+      EXPECT_EQ(a[i].disk, b[i].disk) << "event " << i;
+      EXPECT_EQ(a[i].system, b[i].system) << "event " << i;
+      EXPECT_EQ(a[i].type, b[i].type) << "event " << i;
+    }
+
+    const sim::SimCounters& c = fs.result.counters;
+    EXPECT_EQ(sd.counters.events_by_type, c.events_by_type);
+    EXPECT_EQ(sd.counters.replacements, c.replacements);
+    EXPECT_EQ(sd.counters.triggered_disk_failures, c.triggered_disk_failures);
+    EXPECT_EQ(sd.counters.shelf_faults, c.shelf_faults);
+    EXPECT_EQ(sd.counters.path_faults, c.path_faults);
+    EXPECT_EQ(sd.counters.masked_path_faults, c.masked_path_faults);
+
+    const core::PipelineStats& s = text.pipeline;
+    EXPECT_EQ(sd.pipeline.log_lines_written, s.log_lines_written);
+    EXPECT_EQ(sd.pipeline.log_lines_parsed, s.log_lines_parsed);
+    EXPECT_EQ(sd.pipeline.raid_records, s.raid_records);
+    EXPECT_EQ(sd.pipeline.failures_classified, s.failures_classified);
+    EXPECT_EQ(sd.pipeline.duplicates_dropped, s.duplicates_dropped);
+    EXPECT_EQ(sd.pipeline.missing_disk_dropped, s.missing_disk_dropped);
+
+    // The in-memory route stitches the same way.
+    const auto memory = core::simulate_and_analyze(config, params, false);
+    const auto whole = core::dataset_in_memory(fs.fleet, fs.result);
+    expect_inventory_identical(whole.inventory(), memory.dataset.inventory());
+    ASSERT_EQ(whole.events().size(), memory.dataset.events().size());
+    for (std::size_t i = 0; i < whole.events().size(); ++i) {
+      EXPECT_EQ(whole.events()[i], memory.dataset.events()[i]) << "in-memory event " << i;
+    }
+    EXPECT_EQ(memory.counters.events_by_type, c.events_by_type);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Params, ChunkedPipeline, ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& param_info) {
+                           return param_info.param ? "HawkesHeavy" : "Standard";
+                         });
 
 TEST(CalibrationInvariant, WindowNormalizationPreservesMeanRates) {
   // Cranking the modulation multipliers up (with the built-in average-

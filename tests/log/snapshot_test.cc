@@ -31,11 +31,6 @@ model::Fleet test_fleet(std::uint64_t seed = 3) {
       model::single_cohort_config(cohort, model::from_years(2.0), seed));
 }
 
-std::size_t record_count(const model::Fleet& fleet) {
-  return fleet.systems().size() + fleet.shelves().size() + fleet.raid_groups().size() +
-         fleet.disks().size();
-}
-
 /// A fleet with a retired disk record, so DISK lines carry both time forms
 /// and the replacement path is exercised.
 model::Fleet fleet_with_replacement() {
@@ -47,71 +42,6 @@ model::Fleet fleet_with_replacement() {
 }
 
 }  // namespace
-
-TEST(SnapshotRange, ConcatenatedChunksEqualTheWholeSnapshot) {
-  const auto fleet = fleet_with_replacement();
-  log_ns::LineWriter whole;
-  log_ns::write_snapshot(whole, fleet);
-  const std::size_t records = record_count(fleet);
-  for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
-                              std::size_t{7}, records + 1}) {
-    // Cut by record count: with records + 1 chunks one range is empty.
-    log_ns::LineWriter joined;
-    for (std::size_t c = 0; c < k; ++c) {
-      log_ns::write_snapshot_range(joined, fleet, records * c / k, records * (c + 1) / k);
-    }
-    EXPECT_EQ(joined.view(), whole.view()) << k << " chunks";
-  }
-}
-
-TEST(SnapshotRange, PlannedChunksPartitionTheRecordsAndParseBack) {
-  const auto fleet = fleet_with_replacement();
-  const std::size_t records = record_count(fleet);
-  const auto direct = log_ns::inventory_from_fleet(fleet);
-  log_ns::LineWriter whole;
-  log_ns::write_snapshot(whole, fleet);
-  const std::vector<std::vector<std::size_t>> loads = {
-      {0}, {0, 0, 0}, {0, 0, 0, 0}, std::vector<std::size_t>(records + 1, 0),
-      // A worker busier than the whole snapshot gets an empty chunk.
-      {0, whole.size() * 2, 0, 0}, {whole.size() * 2, 0, 1000}};
-  for (const auto& busy : loads) {
-    SCOPED_TRACE(::testing::Message() << busy.size() << " chunks, busy[0]=" << busy[0]);
-    const auto plan = log_ns::plan_snapshot_chunks(fleet, busy);
-    ASSERT_EQ(plan.size(), busy.size());
-    std::size_t next = 0;
-    std::size_t headers = 0;
-    std::size_t ends = 0;
-    log_ns::LineWriter joined;
-    for (const auto& chunk : plan) {
-      ASSERT_EQ(chunk.first, next);
-      ASSERT_LE(chunk.first, chunk.last);
-      next = chunk.last;
-      log_ns::LineWriter text;
-      log_ns::write_snapshot_range(text, fleet, chunk.first, chunk.last);
-      joined.text(text.view());
-      const auto parsed = log_ns::parse_snapshot_chunk(text.view(), chunk);
-      ASSERT_TRUE(parsed.ok()) << parsed.error;
-      headers += parsed.saw_header ? 1 : 0;
-      ends += parsed.saw_end ? 1 : 0;
-      EXPECT_EQ(parsed.inventory.systems.size(), chunk.counts.systems);
-      EXPECT_EQ(parsed.inventory.shelves.size(), chunk.counts.shelves);
-      EXPECT_EQ(parsed.inventory.raid_groups.size(), chunk.counts.raid_groups);
-      ASSERT_EQ(parsed.inventory.disks.size(), chunk.counts.disks);
-      for (std::size_t i = 0; i < parsed.inventory.disks.size(); ++i) {
-        EXPECT_EQ(parsed.inventory.disks[i].id, direct.disks[chunk.bases.disks + i].id);
-      }
-    }
-    EXPECT_EQ(next, records);
-    EXPECT_EQ(headers, 1U);
-    EXPECT_EQ(ends, 1U);
-    EXPECT_EQ(joined.view(), whole.view());
-  }
-  // Loads shift bytes between chunks: with equal loads the cut is even.
-  const auto even = log_ns::plan_snapshot_chunks(fleet, std::vector<std::size_t>{0, 0});
-  const auto skewed = log_ns::plan_snapshot_chunks(fleet, std::vector<std::size_t>{0, 4000});
-  EXPECT_GT(skewed[0].last, even[0].last);
-  EXPECT_TRUE(log_ns::plan_snapshot_chunks(fleet, {}).empty());
-}
 
 TEST(SnapshotRange, ChunkRejectsIdsNotDenseFromItsBase) {
   const std::string system =

@@ -3,6 +3,7 @@
 // path (everything else in the suite uses in-memory streams).
 #include <sys/stat.h>
 #include <sys/types.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -316,16 +317,6 @@ TEST_F(CliTest, ServeAnswersClientIdenticallyToAnalyzeThenDrains) {
   std::remove(pid_path.c_str());
 }
 
-TEST(CliUsage, BadInvocationsFail) {
-  EXPECT_NE(run_cli("").first, 0);
-  EXPECT_NE(run_cli("frobnicate").first, 0);
-  EXPECT_NE(run_cli("analyze --report afr").first, 0);  // missing files
-  EXPECT_NE(run_cli("analyze --logs /nonexistent.log --snapshot /nonexistent.snap "
-                    "--report afr")
-                .first,
-            0);
-}
-
 namespace {
 
 /// Like run_cli, but captures stderr (stdout dropped): the unified
@@ -349,6 +340,50 @@ std::string slurp(const std::string& path) {
 }
 
 }  // namespace
+
+TEST(CliUsage, BadInvocationsFail) {
+  EXPECT_NE(run_cli("").first, 0);
+  EXPECT_NE(run_cli("frobnicate").first, 0);
+  EXPECT_NE(run_cli("analyze --report afr").first, 0);  // missing files
+  EXPECT_NE(run_cli("analyze --logs /nonexistent.log --snapshot /nonexistent.snap "
+                    "--report afr")
+                .first,
+            0);
+
+  // A number flag that does not parse, or a count that is negative, not an
+  // integer or too large for its type, is a usage error naming the flag —
+  // never an escaped exception or a wrapped-around cast. No case here may
+  // parse to a large --threads: that would start that many threads.
+  const std::string out = temp_path("cli_bad_value");
+  const struct {
+    std::string args;
+    const char* flag;
+  } cases[] = {
+      {"store build --out " + out + " --scale abc", "scale"},
+      {"store build --out " + out + " --shards -3 --scale 0.01", "shards"},
+      {"store build --out " + out + " --shards 2.5 --scale 0.01", "shards"},
+      {"store build --out " + out + " --max-rss-mb 1e3 --scale 0.01", "max-rss-mb"},
+      {"store build --out " + out + " --seed -1 --scale 0.01", "seed"},
+      {"store build --out " + out + " --seed 18446744073709551616 --scale 0.01", "seed"},
+      {"store build --out " + out + " --scale nan", "scale"},
+      {"simulate --logs " + out + " --snapshot " + out + " --threads -1", "threads"},
+      {"simulate --logs " + out + " --snapshot " + out + " --threads 4x", "threads"},
+      {"replicate --out " + out + " --batch abc", "batch"},
+      {"predict --logs " + out + " --snapshot " + out + " --threshold -1", "threshold"},
+      {"serve --input " + out + " --socket " + out + " --max-open-shards -2",
+       "max-open-shards"},
+  };
+  for (const auto& c : cases) {
+    const auto [status, err] = run_cli_stderr(c.args);
+    ASSERT_TRUE(WIFEXITED(status)) << c.args;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << c.args;
+    EXPECT_NE(err.find(std::string("bad value for --") + c.flag), std::string::npos)
+        << c.args << ": " << err;
+  }
+  struct ::stat st {};
+  EXPECT_NE(::stat(out.c_str(), &st), 0) << "a rejected build wrote " << out;
+}
+
 
 // End-to-end replication: the table and report are thread-invariant,
 // `analyze --replicates` re-renders the table byte-identically without

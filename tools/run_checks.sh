@@ -26,7 +26,7 @@
 #      BENCH_pipeline.json numbers are the cross-machine reference)
 #   7. sharded store gate (docs/STORE.md): a full-scale `store build
 #      --max-rss-mb 256` must fit the budget the monolithic writer exceeds
-#      (~630 MiB on this fleet), and `analyze --input <shard-dir>` (afr,
+#      (~430-500 MiB on this fleet), and `analyze --input <shard-dir>` (afr,
 #      burstiness, correlation, lifetime) plus a grouped and a windowed
 #      `store query` must print byte-identical output to the single-file
 #      store from step 5
@@ -56,7 +56,7 @@
 #      fixed budget with its provenance manifest recording why
 #  12. store-build thread invariance (docs/performance.md): `store build
 #      --scale 0.25` at --threads 1, 3 and 4 must write cmp-identical files
-#      (3 threads cut the config snapshot unevenly), and a --shards 4
+#      (3 threads cut the fleet into 3 chunks of unequal size), and a --shards 4
 #      build's shard files must be identical at 1 and 4 threads
 #  13. text-log ingest identity (docs/performance.md): every `analyze --logs`
 #      report (and events --csv) over scale-0.25 logs is identical at
@@ -176,7 +176,7 @@ fi
 
 echo "== [7/13] sharded store: bounded-memory build + merged-answer identity =="
 # Full-scale sharded build under a budget the monolithic writer exceeds
-# (step 5's single-file build peaks around 630 MiB on this fleet). The build
+# (step 5's single-file build peaks around 430-500 MiB on this fleet). The build
 # records its own peak RSS in the directory's build.manifest.json.
 ./build/tools/storsubsim store build --out build/BENCH_checks.shards \
   --scale 1.0 --max-rss-mb 256

@@ -8,7 +8,7 @@
 # tsan      — races the fleet-parallel execution layer: thread-pool, simulator,
 #             and stats unit tests under ThreadSanitizer, then the cross-
 #             thread-count determinism tests at 1 and 8 workers. Any data race
-#             in the parallel shelf/system fan-out, the sharded log pipeline,
+#             in the parallel shelf/system fan-out, the chunked pipeline,
 #             or the bootstrap replicate split fails the script.
 # asan/ubsan — the full ctest suite under AddressSanitizer + UBSan with
 #             -fno-sanitize-recover=all, so any heap error, leak, signed

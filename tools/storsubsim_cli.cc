@@ -36,12 +36,16 @@
 // None of these change a single stdout byte — analysis output is identical
 // with observability on or off, at any --threads value.
 #include <atomic>
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <unistd.h>
@@ -97,9 +101,37 @@ struct Args {
     const auto it = options.find(name);
     return it == options.end() ? fallback : it->second;
   }
+  /// A finite number; anything else ends the process (bad_value).
   double get_double(const std::string& name, double fallback) const {
     const auto it = options.find(name);
-    return it == options.end() ? fallback : std::stod(it->second);
+    if (it == options.end()) return fallback;
+    const std::string& text = it->second;
+    double value = 0.0;
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc{} || end != text.data() + text.size() || !std::isfinite(value)) {
+      bad_value(name);
+    }
+    return value;
+  }
+  /// A non-negative integer that fits T (decimal digits only); anything
+  /// else ends the process (bad_value).
+  template <typename T>
+  T get_count(const std::string& name, T fallback) const {
+    static_assert(std::is_unsigned_v<T>);
+    const auto it = options.find(name);
+    if (it == options.end()) return fallback;
+    const std::string& text = it->second;
+    T value = 0;
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc{} || end != text.data() + text.size()) bad_value(name);
+    return value;
+  }
+
+ private:
+  /// Usage error for a value that does not parse: exit status 2, like usage().
+  [[noreturn]] static void bad_value(const std::string& name) {
+    std::cerr << "bad value for --" << name << "\n";
+    std::exit(2);
   }
 };
 
@@ -166,7 +198,7 @@ int cmd_simulate(const Args& args) {
   const std::string snap_path = args.get("snapshot");
   if (log_path.empty() || snap_path.empty()) return usage();
   const double scale = args.get_double("scale", 0.1);
-  const auto seed = static_cast<std::uint64_t>(args.get_double("seed", 20080226));
+  const auto seed = args.get_count<std::uint64_t>("seed", 20080226);
 
   std::cerr << "simulating the standard fleet at scale " << scale << " (seed " << seed
             << ")...\n";
@@ -427,6 +459,11 @@ int cmd_inspect(const Args& args) {
 }
 
 int cmd_predict(const Args& args) {
+  core::PredictorConfig config;
+  config.threshold = args.get_count<std::size_t>("threshold", 3);
+  config.window_seconds = args.get_double("window-days", 14.0) * model::kSecondsPerDay;
+  config.horizon_seconds = args.get_double("horizon-days", 30.0) * model::kSecondsPerDay;
+
   TextInput text;
   std::vector<log::LogView> records;
   if (!load_text(args.get("logs"), args.get("snapshot"), text, &records)) return usage();
@@ -437,11 +474,6 @@ int cmd_predict(const Args& args) {
     std::cerr << "no component-error records in the logs — simulate with --precursors\n";
     return 1;
   }
-
-  core::PredictorConfig config;
-  config.threshold = static_cast<std::size_t>(args.get_double("threshold", 3));
-  config.window_seconds = args.get_double("window-days", 14.0) * model::kSecondsPerDay;
-  config.horizon_seconds = args.get_double("horizon-days", 30.0) * model::kSecondsPerDay;
 
   core::TextTable table({"signal -> target", "alarms", "precision", "recall", "median lead",
                          "false alarms / 1000 dy"});
@@ -468,16 +500,42 @@ int cmd_predict(const Args& args) {
   return 0;
 }
 
+/// Every store build leaves a provenance manifest beside its artifact, so a
+/// store can always be traced back to the run that produced it. `shards` is
+/// recorded for a shard directory only (0 = a single file). Returns the
+/// command's exit status.
+int publish_build_manifest(const std::string& manifest_path, const std::string& out,
+                           const char* source, std::uint64_t seed, double scale,
+                           std::uint64_t events, std::uint64_t disk_records,
+                           std::size_t shards, std::uint64_t peak_rss_bytes) {
+  obs::RunManifest manifest;
+  manifest.tool = "storsubsim store build";
+  manifest.seed = seed;
+  manifest.scale = scale;
+  manifest.threads = util::thread_count();
+  manifest.info.emplace_back("out", out);
+  manifest.info.emplace_back("source", source);
+  manifest.numbers.emplace_back("events", static_cast<double>(events));
+  manifest.numbers.emplace_back("disk_records", static_cast<double>(disk_records));
+  if (shards > 0) manifest.numbers.emplace_back("shards", static_cast<double>(shards));
+  manifest.numbers.emplace_back("peak_rss_bytes", static_cast<double>(peak_rss_bytes));
+  if (util::publish_file(manifest_path, obs::manifest_json(manifest)) != 0) {
+    std::cerr << "cannot write manifest " << manifest_path << "\n";
+    return 1;
+  }
+  return 0;
+}
+
 /// `store build --shards N [--max-rss-mb M]`: the streaming sharded build.
 /// Simulates the fleet in bounded chunks and writes a shard directory whose
 /// analyses are byte-identical to the monolithic store (docs/STORE.md).
 int cmd_store_build_sharded(const Args& args, const std::string& out) {
-  const auto seed = static_cast<std::uint64_t>(args.get_double("seed", 20080226));
+  const auto seed = args.get_count<std::uint64_t>("seed", 20080226);
   const double scale = args.get_double("scale", 0.1);
 
   core::ShardedBuildOptions options;
-  options.shards = static_cast<std::size_t>(args.get_double("shards", 0.0));
-  options.max_rss_mb = static_cast<std::uint64_t>(args.get_double("max-rss-mb", 0.0));
+  options.shards = args.get_count<std::size_t>("shards", 0);
+  options.max_rss_mb = args.get_count<std::uint64_t>("max-rss-mb", 0);
   if (options.shards == 0 && options.max_rss_mb == 0) {
     std::cerr << "sharded build needs --shards N and/or --max-rss-mb M\n";
     return usage();
@@ -500,24 +558,9 @@ int cmd_store_build_sharded(const Args& args, const std::string& out) {
     std::cerr << "peak RSS " << result.peak_rss_bytes / (1024 * 1024) << " MiB\n";
   }
 
-  obs::RunManifest manifest;
-  manifest.tool = "storsubsim store build";
-  manifest.seed = seed;
-  manifest.scale = scale;
-  manifest.threads = util::thread_count();
-  manifest.info.emplace_back("out", out);
-  manifest.info.emplace_back("source", "simulate-sharded");
-  manifest.numbers.emplace_back("events", static_cast<double>(result.events));
-  manifest.numbers.emplace_back("disk_records", static_cast<double>(result.disk_records));
-  manifest.numbers.emplace_back("shards", static_cast<double>(result.shards));
-  manifest.numbers.emplace_back("peak_rss_bytes",
-                                static_cast<double>(result.peak_rss_bytes));
-  const std::string manifest_path = out + "/build.manifest.json";
-  if (util::publish_file(manifest_path, obs::manifest_json(manifest)) != 0) {
-    std::cerr << "cannot write manifest " << manifest_path << "\n";
-    return 1;
-  }
-  return 0;
+  return publish_build_manifest(out + "/build.manifest.json", out, "simulate-sharded", seed,
+                                scale, result.events, result.disk_records, result.shards,
+                                result.peak_rss_bytes);
 }
 
 int cmd_store_build(const Args& args) {
@@ -531,7 +574,7 @@ int cmd_store_build(const Args& args) {
   const bool from_logs = !log_path.empty() && !snap_path.empty();
   // Provenance recorded in the header; unknown (0) when converting foreign
   // log/snapshot artifacts unless given explicitly.
-  const auto seed = static_cast<std::uint64_t>(args.get_double("seed", from_logs ? 0 : 20080226));
+  const auto seed = args.get_count<std::uint64_t>("seed", from_logs ? 0 : 20080226);
   const double scale = args.get_double("scale", from_logs ? 0.0 : 0.1);
 
   std::optional<core::SimulationDataset> run;
@@ -554,27 +597,10 @@ int cmd_store_build(const Args& args) {
   std::cerr << "wrote " << run->dataset.events().size() << "-event store ("
             << run->dataset.inventory().disks.size() << " disk records) to " << out << "\n";
 
-  // Every store build leaves a provenance manifest beside the artifact, so a
-  // store file can always be traced back to the run that produced it.
-  obs::RunManifest manifest;
-  manifest.tool = "storsubsim store build";
-  manifest.seed = seed;
-  manifest.scale = scale;
-  manifest.threads = util::thread_count();
-  manifest.info.emplace_back("out", out);
-  manifest.info.emplace_back("source", from_logs ? "logs" : "simulate");
-  manifest.numbers.emplace_back("events",
-                                static_cast<double>(run->dataset.events().size()));
-  manifest.numbers.emplace_back(
-      "disk_records", static_cast<double>(run->dataset.inventory().disks.size()));
-  manifest.numbers.emplace_back("peak_rss_bytes",
-                                static_cast<double>(util::peak_rss_bytes()));
-  const std::string manifest_path = out + ".manifest.json";
-  if (util::publish_file(manifest_path, obs::manifest_json(manifest)) != 0) {
-    std::cerr << "cannot write manifest " << manifest_path << "\n";
-    return 1;
-  }
-  return 0;
+  return publish_build_manifest(out + ".manifest.json", out, from_logs ? "logs" : "simulate",
+                                seed, scale, run->dataset.events().size(),
+                                run->dataset.inventory().disks.size(), 0,
+                                util::peak_rss_bytes());
 }
 
 int cmd_store_query(const Args& args) {
@@ -715,13 +741,10 @@ int cmd_replicate(const Args& args) {
 
   replicate::ReplicateOptions options;
   options.scale = args.get_double("scale", options.scale);
-  options.seed = static_cast<std::uint64_t>(args.get_double("seed", 20080226));
-  options.max_replicates = static_cast<std::size_t>(
-      args.get_double("max-replicates", static_cast<double>(options.max_replicates)));
-  options.min_replicates = static_cast<std::size_t>(
-      args.get_double("min-replicates", static_cast<double>(options.min_replicates)));
-  options.batch =
-      static_cast<std::size_t>(args.get_double("batch", static_cast<double>(options.batch)));
+  options.seed = args.get_count<std::uint64_t>("seed", 20080226);
+  options.max_replicates = args.get_count("max-replicates", options.max_replicates);
+  options.min_replicates = args.get_count("min-replicates", options.min_replicates);
+  options.batch = args.get_count("batch", options.batch);
   options.confidence = args.get_double("confidence", options.confidence);
   options.ci_rel = args.get_double("ci-rel", options.ci_rel);
 
@@ -801,9 +824,8 @@ int cmd_serve(const Args& args) {
   options.input = args.get("input");
   options.socket_path = args.get("socket");
   if (options.input.empty() || options.socket_path.empty()) return usage();
-  options.max_open_shards =
-      static_cast<std::size_t>(args.get_double("max-open-shards", 0.0));
-  options.threads = static_cast<unsigned>(args.get_double("threads", 0.0));
+  options.max_open_shards = args.get_count<std::size_t>("max-open-shards", 0);
+  options.threads = args.get_count<unsigned>("threads", 0);
   options.replicates = args.get("replicates");
 
   serve::Daemon daemon;
@@ -884,8 +906,7 @@ int main(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
   // 0 = auto (STORSIM_THREADS env var, else hardware concurrency). Results
   // are identical for any thread count; see docs/performance.md.
-  util::set_thread_count(
-      static_cast<unsigned>(args.get_double("threads", 0.0)));
+  util::set_thread_count(args.get_count<unsigned>("threads", 0));
 
   // Observability is opt-in and side-channel only: stdout (the analysis
   // output) carries the same bytes whether these flags are set or not.
@@ -904,7 +925,7 @@ int main(int argc, char** argv) {
     obs::RunManifest manifest;
     manifest.tool = "storsubsim " + args.command +
                     (args.subcommand.empty() ? "" : " " + args.subcommand);
-    manifest.seed = static_cast<std::uint64_t>(args.get_double("seed", 0.0));
+    manifest.seed = args.get_count<std::uint64_t>("seed", 0);
     manifest.scale = args.get_double("scale", 0.0);
     manifest.threads = util::thread_count();
     for (const char* key :
