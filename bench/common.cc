@@ -1,10 +1,10 @@
 #include "common.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string_view>
@@ -15,6 +15,7 @@
 #include "obs/obs.h"
 #include "store/shards.h"
 #include "util/file.h"
+#include "util/flags.h"
 #include "util/parallel.h"
 
 namespace storsubsim::bench {
@@ -29,11 +30,12 @@ Options parse_options(int& argc, char** argv) {
     } else if (arg == "--csv") {
       options.csv = true;
     } else if (arg.starts_with("--scale=")) {
-      options.scale = std::stod(std::string(arg.substr(8)));
+      options.scale = util::flag_double("scale", arg.substr(8));
     } else if (arg.starts_with("--seed=")) {
-      options.seed = std::stoull(std::string(arg.substr(7)));
+      options.seed = util::flag_count("seed", arg.substr(7));
     } else if (arg.starts_with("--threads=")) {
-      options.threads = static_cast<unsigned>(std::stoul(std::string(arg.substr(10))));
+      options.threads = static_cast<unsigned>(
+          util::flag_count("threads", arg.substr(10), std::numeric_limits<unsigned>::max()));
     } else if (arg.starts_with("--store=")) {
       options.store = std::string(arg.substr(8));
     } else if (arg == "--metrics") {

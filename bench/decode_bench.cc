@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -41,6 +42,7 @@
 #include "store/query.h"
 #include "store/reader.h"
 #include "util/file.h"
+#include "util/flags.h"
 
 namespace {
 
@@ -121,7 +123,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg.starts_with("--repeat=")) {
-      repeat = static_cast<int>(std::stoul(std::string(arg.substr(9))));
+      repeat = static_cast<int>(
+          util::flag_count("repeat", arg.substr(9), std::numeric_limits<int>::max()));
     } else if (arg.starts_with("--out=")) {
       out_path = std::string(arg.substr(6));
     }

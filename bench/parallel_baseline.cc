@@ -22,6 +22,7 @@
 // Scales measured: 0.25 and 1.0 (the paper's full ~39k-system fleet).
 #include <chrono>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -31,6 +32,7 @@
 #include "model/fleet_config.h"
 #include "obs/obs.h"
 #include "util/file.h"
+#include "util/flags.h"
 #include "util/parallel.h"
 #include "util/rss.h"
 
@@ -87,8 +89,11 @@ std::vector<unsigned> parse_threads_list(std::string_view text) {
   std::vector<unsigned> out;
   while (!text.empty()) {
     const std::size_t comma = text.find(',');
-    const std::string token(text.substr(0, comma));
-    if (!token.empty()) out.push_back(static_cast<unsigned>(std::stoul(token)));
+    const std::string_view token = text.substr(0, comma);
+    if (!token.empty()) {
+      out.push_back(static_cast<unsigned>(
+          util::flag_count("threads-list", token, std::numeric_limits<unsigned>::max())));
+    }
     if (comma == std::string_view::npos) break;
     text.remove_prefix(comma + 1);
   }
@@ -107,9 +112,10 @@ int main(int argc, char** argv) {
     if (arg.starts_with("--threads-list=")) {
       threads_list = parse_threads_list(arg.substr(15));
     } else if (arg.starts_with("--seed=")) {
-      seed = std::stoull(std::string(arg.substr(7)));
+      seed = util::flag_count("seed", arg.substr(7));
     } else if (arg.starts_with("--repeat=")) {
-      repeat = static_cast<int>(std::stoul(std::string(arg.substr(9))));
+      repeat = static_cast<int>(
+          util::flag_count("repeat", arg.substr(9), std::numeric_limits<int>::max()));
     } else if (arg.starts_with("--out=")) {
       out_path = std::string(arg.substr(6));
     }

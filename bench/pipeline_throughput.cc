@@ -26,6 +26,7 @@
 #include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -42,6 +43,7 @@
 #include "sim/log_bridge.h"
 #include "sim/simulator.h"
 #include "util/file.h"
+#include "util/flags.h"
 #include "util/parallel.h"
 
 namespace {
@@ -322,11 +324,12 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg.starts_with("--scale=")) {
-      scale = std::stod(std::string(arg.substr(8)));
+      scale = util::flag_double("scale", arg.substr(8));
     } else if (arg.starts_with("--seed=")) {
-      seed = std::stoull(std::string(arg.substr(7)));
+      seed = util::flag_count("seed", arg.substr(7));
     } else if (arg.starts_with("--repeat=")) {
-      repeat = static_cast<int>(std::stoul(std::string(arg.substr(9))));
+      repeat = static_cast<int>(
+          util::flag_count("repeat", arg.substr(9), std::numeric_limits<int>::max()));
     } else if (arg.starts_with("--out=")) {
       out_path = std::string(arg.substr(6));
     } else if (arg == "--metrics") {

@@ -27,6 +27,7 @@
 #include "replicate/replicate.h"
 #include "replicate/table.h"
 #include "util/file.h"
+#include "util/flags.h"
 #include "util/parallel.h"
 #include "util/rss.h"
 
@@ -63,7 +64,7 @@ int main(int argc, char** argv) {
     if (arg.starts_with("--out=")) {
       out_path = arg.substr(6);
     } else if (arg.starts_with("--ci-rel=")) {
-      ci_rel = std::stod(std::string(arg.substr(9)));
+      ci_rel = util::flag_double("ci-rel", arg.substr(9));
     }
   }
   if (options.manifest.empty()) {

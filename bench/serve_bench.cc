@@ -41,6 +41,7 @@
 #include "store/query.h"
 #include "store/shards.h"
 #include "util/file.h"
+#include "util/flags.h"
 #include "util/parallel.h"
 #include "util/rss.h"
 
@@ -131,7 +132,7 @@ int main(int argc, char** argv) {
     if (arg.starts_with("--out=")) {
       out_path = std::string(arg.substr(6));
     } else if (arg.starts_with("--requests=")) {
-      per_client = std::stoull(std::string(arg.substr(11)));
+      per_client = util::flag_count("requests", arg.substr(11));
     }
   }
   if (options.manifest.empty()) {

@@ -36,6 +36,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -53,6 +54,7 @@
 #include "store/query.h"
 #include "store/shards.h"
 #include "util/file.h"
+#include "util/flags.h"
 #include "util/parallel.h"
 #include "util/rss.h"
 
@@ -151,17 +153,19 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg.starts_with("--scale=")) {
-      scale = std::stod(std::string(arg.substr(8)));
+      scale = util::flag_double("scale", arg.substr(8));
     } else if (arg.starts_with("--seed=")) {
-      seed = std::stoull(std::string(arg.substr(7)));
+      seed = util::flag_count("seed", arg.substr(7));
     } else if (arg.starts_with("--repeat=")) {
-      repeat = static_cast<int>(std::stoul(std::string(arg.substr(9))));
+      repeat = static_cast<int>(
+          util::flag_count("repeat", arg.substr(9), std::numeric_limits<int>::max()));
     } else if (arg.starts_with("--threads=")) {
-      threads = static_cast<unsigned>(std::stoul(std::string(arg.substr(10))));
+      threads = static_cast<unsigned>(
+          util::flag_count("threads", arg.substr(10), std::numeric_limits<unsigned>::max()));
     } else if (arg.starts_with("--shards=")) {
-      shard_opt = std::stoul(std::string(arg.substr(9)));
+      shard_opt = util::flag_count("shards", arg.substr(9));
     } else if (arg.starts_with("--max-rss-mb=")) {
-      max_rss_mb = std::stoull(std::string(arg.substr(13)));
+      max_rss_mb = util::flag_count("max-rss-mb", arg.substr(13));
     } else if (arg.starts_with("--store=")) {
       store_path = std::string(arg.substr(8));
     } else if (arg.starts_with("--out=")) {

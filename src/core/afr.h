@@ -51,9 +51,6 @@ std::vector<AfrBreakdown> afr_by_class(const Source& source);
 /// AFR by disk model within one class+shelf cohort (paper Figure 5 panels).
 std::vector<AfrBreakdown> afr_by_disk_model(const Dataset& dataset);
 
-/// AFR by shelf enclosure model within a cohort (paper Figure 6 panels).
-std::vector<AfrBreakdown> afr_by_shelf_model(const Dataset& dataset);
-
 /// AFR by path configuration (paper Figure 7 panels).
 std::vector<AfrBreakdown> afr_by_path_config(const Dataset& dataset);
 

@@ -44,12 +44,16 @@ std::optional<StatisticId> statistic_from_report(std::string_view name) noexcept
   return std::nullopt;
 }
 
+namespace {
+
 RequestError make_request_error(std::string_view code, std::string_view message) {
   RequestError err;
   err.code.assign(code);
   err.message.assign(message);
   return err;
 }
+
+}  // namespace
 
 RequestError AnalysisRequest::from_params(StatisticId statistic,
                                           const RequestParams& params, bool csv,
@@ -114,17 +118,6 @@ RequestError AnalysisRequest::from_params(StatisticId statistic,
   }
   *out = request;
   return RequestError{};
-}
-
-store::Error run_source_query(const Source& source, const store::Query& query,
-                              store::QueryResult* out) {
-  const store::ShardStore* shards = source.shards();
-  if (shards == nullptr) {
-    return store::make_error(store::ErrorCode::kBadValue,
-                             "query statistic needs a store-backed source", 0);
-  }
-  *out = store::run_query(*shards, query);
-  return store::Error{};
 }
 
 std::string render_statistic(const Source& source, const AnalysisRequest& request) {

@@ -56,6 +56,7 @@ inline constexpr std::array<StatisticId, 6> kAllStatistics = {
 
 /// Wire spelling (storsimd endpoint names): "afr", "afr_by_class", "tbf",
 /// "correlation", "lifetime", "query".
+// storsim-lint: allow(unused-export) reason=docs/API.md entry (the StatisticId spellings)
 std::string_view endpoint_name(StatisticId id) noexcept;
 
 /// CLI spelling (`analyze --report` names): "afr-total", "afr", "burstiness",
@@ -94,8 +95,6 @@ struct RequestError {
   bool ok() const noexcept { return code.empty(); }
 };
 
-RequestError make_request_error(std::string_view code, std::string_view message);
-
 /// A fully validated analysis request: the typed statistic plus, for kQuery,
 /// the typed store::Query the raw params parsed into.
 struct AnalysisRequest {
@@ -113,13 +112,6 @@ struct AnalysisRequest {
                                                 const RequestParams& params, bool csv,
                                                 AnalysisRequest* out);
 };
-
-/// Runs a kQuery request's scan over a store-backed Source (every shard open,
-/// per the Source precondition). Dataset-backed sources have no column scan
-/// to run and yield a typed error.
-[[nodiscard]] store::Error run_source_query(const Source& source,
-                                            const store::Query& query,
-                                            store::QueryResult* out);
 
 /// The single renderer entry point: the exact bytes `storsubsim analyze` /
 /// `store query` print and every storsimd endpoint returns, for any

@@ -7,15 +7,19 @@
 
 namespace storsubsim::core {
 
-bool Filter::matches(const log::InventorySystem& system) const {
-  if (system_class && system.cls != *system_class) return false;
-  if (disk_model && !(system.disk_model == *disk_model)) return false;
-  if (disk_family && system.disk_model.family != *disk_family) return false;
-  if (shelf_model && !(system.shelf_model == *shelf_model)) return false;
-  if (paths && system.paths != *paths) return false;
-  if (exclude_family_h && system.disk_model.family == 'H') return false;
+namespace {
+
+bool matches(const Filter& f, const log::InventorySystem& system) {
+  if (f.system_class && system.cls != *f.system_class) return false;
+  if (f.disk_model && !(system.disk_model == *f.disk_model)) return false;
+  if (f.disk_family && system.disk_model.family != *f.disk_family) return false;
+  if (f.shelf_model && !(system.shelf_model == *f.shelf_model)) return false;
+  if (f.paths && system.paths != *f.paths) return false;
+  if (f.exclude_family_h && system.disk_model.family == 'H') return false;
   return true;
 }
+
+}  // namespace
 
 Dataset::Dataset(std::shared_ptr<const log::Inventory> inventory,
                  std::vector<FailureEvent> events)
@@ -25,7 +29,6 @@ Dataset::Dataset(std::shared_ptr<const log::Inventory> inventory,
   events_.reserve(events.size());
   for (auto& e : events) {
     if (!e.disk.valid() || e.disk.value() >= inventory_->disks.size()) {
-      ++dropped_unknown_disk_;
       continue;
     }
     // Trust the inventory's system mapping over the event's (log lines can
@@ -42,7 +45,7 @@ Dataset Dataset::filter(const Filter& f) const {
   out.inventory_ = inventory_;
   out.system_mask_.assign(inventory_->systems.size(), 0);
   for (const auto& sys : inventory_->systems) {
-    if (system_mask_[sys.id.value()] != 0 && f.matches(sys)) {
+    if (system_mask_[sys.id.value()] != 0 && matches(f, sys)) {
       out.system_mask_[sys.id.value()] = 1;
     }
   }
@@ -50,7 +53,6 @@ Dataset Dataset::filter(const Filter& f) const {
   for (const auto& e : events_) {
     if (out.system_mask_[e.system.value()] != 0) out.events_.push_back(e);
   }
-  out.dropped_unknown_disk_ = dropped_unknown_disk_;
   return out;
 }
 
@@ -96,17 +98,6 @@ double Dataset::disk_exposure_years() const {
   double total = 0.0;
   for (const auto& d : inventory_->disks) {
     if (system_mask_[d.system.value()] != 0) total += inventory_->disk_exposure_years(d);
-  }
-  return total;
-}
-
-double Dataset::shelf_exposure_years() const {
-  double total = 0.0;
-  for (const auto& sh : inventory_->shelves) {
-    if (system_mask_[sh.system.value()] == 0) continue;
-    const auto& sys = inventory_->systems[sh.system.value()];
-    const double span = inventory_->horizon_seconds - sys.deploy_time;
-    if (span > 0.0) total += model::years(span);
   }
   return total;
 }

@@ -33,14 +33,12 @@ struct Filter {
   std::optional<model::PathConfig> paths;
   /// Excludes systems using the problematic disk family H (paper Figure 4(b)).
   bool exclude_family_h = false;
-
-  bool matches(const log::InventorySystem& system) const;
 };
 
 class Dataset {
  public:
   /// Builds from a parsed inventory + classified events (the end-to-end log
-  /// path). Events referencing unknown disks are dropped and counted.
+  /// path). Events referencing unknown disks are dropped.
   Dataset(std::shared_ptr<const log::Inventory> inventory, std::vector<FailureEvent> events);
 
   /// Applies a cohort filter; shares the inventory with the parent.
@@ -50,7 +48,6 @@ class Dataset {
   /// Events sorted by detection time.
   std::span<const FailureEvent> events() const { return events_; }
   std::size_t event_count(model::FailureType type) const;
-  std::size_t dropped_unknown_disk() const { return dropped_unknown_disk_; }
 
   // --- inventory ------------------------------------------------------------
   const log::Inventory& inventory() const { return *inventory_; }
@@ -65,10 +62,8 @@ class Dataset {
 
   /// Total disk exposure of the cohort, in disk-years.
   double disk_exposure_years() const;
-
-  /// Observed shelf time in shelf-years (shelves accrue time from their
+  /// Observed RAID-group time in group-years (groups accrue time from their
   /// system's deployment to the horizon).
-  double shelf_exposure_years() const;
   double raid_group_exposure_years() const;
 
   /// Per-event enrichment helpers.
@@ -81,7 +76,6 @@ class Dataset {
   std::shared_ptr<const log::Inventory> inventory_;
   std::vector<FailureEvent> events_;
   std::vector<char> system_mask_;
-  std::size_t dropped_unknown_disk_ = 0;
 };
 
 }  // namespace storsubsim::core

@@ -59,6 +59,7 @@ struct PipelineStats {
 /// round-trip, serially on the calling thread: emit -> parse -> classify,
 /// then write -> parse the config snapshot, and join. Throws if the
 /// snapshot does not parse back.
+// storsim-lint: allow(unused-export) reason=test oracle: Pipeline.DatasetFromTextMatchesDatasetViaLogs checks dataset_from_text
 Dataset dataset_via_logs(const model::Fleet& fleet, const sim::SimResult& result,
                          PipelineStats* stats = nullptr);
 

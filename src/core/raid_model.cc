@@ -27,8 +27,6 @@ double lambda_per_hour(const RaidGroupModel& model) {
   return -std::log(1.0 - model.disk_afr_fraction) / kHoursPerYear;
 }
 
-}  // namespace
-
 double mttdl_single_parity_hours(const RaidGroupModel& model) {
   validate(model, 2);
   const double lambda = lambda_per_hour(model);
@@ -44,6 +42,8 @@ double mttdl_double_parity_hours(const RaidGroupModel& model) {
   const double n = static_cast<double>(model.disks);
   return mu * mu / (n * (n - 1.0) * (n - 2.0) * lambda * lambda * lambda);
 }
+
+}  // namespace
 
 double defeat_probability_single_parity(const RaidGroupModel& model, double years) {
   return -std::expm1(-years * kHoursPerYear / mttdl_single_parity_hours(model));

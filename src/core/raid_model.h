@@ -19,16 +19,11 @@ struct RaidGroupModel {
   double repair_hours = 24.0;            ///< mean time to rebuild/replace one disk
 };
 
-/// Mean time to data loss (hours) for single-parity RAID (RAID4/5):
-/// MTTDL = mu / (n (n-1) lambda^2) for repair rate mu >> lambda.
-double mttdl_single_parity_hours(const RaidGroupModel& model);
-
-/// Mean time to data loss (hours) for double-parity RAID (RAID6):
-/// MTTDL = mu^2 / (n (n-1) (n-2) lambda^3).
-double mttdl_double_parity_hours(const RaidGroupModel& model);
-
 /// Probability that a group suffers a defeating multi-failure within
-/// `years` (exponential approximation: 1 - exp(-t / MTTDL)).
+/// `years` (exponential approximation: 1 - exp(-t / MTTDL)), from the mean
+/// time to data loss (MTTDL) of single-parity RAID (RAID4/5),
+/// mu / (n (n-1) lambda^2) for repair rate mu >> lambda, or of double-parity
+/// RAID (RAID6), mu^2 / (n (n-1) (n-2) lambda^3).
 double defeat_probability_single_parity(const RaidGroupModel& model, double years);
 double defeat_probability_double_parity(const RaidGroupModel& model, double years);
 

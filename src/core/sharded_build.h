@@ -56,13 +56,6 @@ struct ShardedBuildResult {
 /// from --max-rss-mb.
 inline constexpr std::uint64_t kBuildBytesPerDisk = 1536;
 
-/// Estimated peak working set of a build with `chunk_disks`-disk chunks and
-/// `in_flight` of them resident at once.
-inline constexpr std::uint64_t estimate_build_bytes(std::uint64_t chunk_disks,
-                                                    std::uint64_t in_flight) {
-  return chunk_disks * kBuildBytesPerDisk * in_flight;
-}
-
 /// Simulates `config` in chunks and writes a shard directory (STORCOL1
 /// shards + MANIFEST) to `dir`, creating it if needed. Returns the first
 /// error encountered; on success the directory opens with

@@ -7,6 +7,8 @@
 
 namespace storsubsim::core {
 
+namespace {
+
 stats::TTestResult rate_comparison_test(std::size_t events_a, double exposure_a_years,
                                         std::size_t events_b, double exposure_b_years) {
   if (!(exposure_a_years > 0.0) || !(exposure_b_years > 0.0)) {
@@ -34,6 +36,8 @@ stats::TTestResult rate_comparison_test(std::size_t events_a, double exposure_a_
   r.p_value_two_sided = 2.0 * (1.0 - stats::normal_cdf(std::fabs(r.t_statistic)));
   return r;
 }
+
+}  // namespace
 
 double CohortComparison::focus_reduction() const {
   const double afr_a = a.afr_pct(focus);

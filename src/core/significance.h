@@ -12,16 +12,13 @@
 
 namespace storsubsim::core {
 
-/// Poisson-rate z-test for two cohorts' per-type AFR: events k over exposure
-/// E per cohort. Returned as a TTestResult (statistic + two-sided p).
-stats::TTestResult rate_comparison_test(std::size_t events_a, double exposure_a_years,
-                                        std::size_t events_b, double exposure_b_years);
-
 struct CohortComparison {
   AfrBreakdown a;
   AfrBreakdown b;
   model::FailureType focus = model::FailureType::kPhysicalInterconnect;
-  stats::TTestResult focus_test;  ///< rate test on the focus failure type
+  /// Poisson-rate z-test on the focus failure type: events k over exposure E
+  /// per cohort (statistic + two-sided p).
+  stats::TTestResult focus_test;
   stats::Interval focus_ci_a;     ///< CI on cohort A's focus AFR (percent)
   stats::Interval focus_ci_b;
 

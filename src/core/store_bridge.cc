@@ -24,6 +24,10 @@ store::StoreMeta make_store_meta(const sim::SimCounters& counters,
   return meta;
 }
 
+namespace {
+
+/// Reverse mapping, for store-backed reruns that report the original run's
+/// statistics.
 sim::SimCounters sim_counters_from_meta(const store::StoreMeta& meta) {
   sim::SimCounters counters;
   for (std::size_t i = 0; i < counters.events_by_type.size(); ++i) {
@@ -48,6 +52,8 @@ PipelineStats pipeline_stats_from_meta(const store::StoreMeta& meta) {
   stats.missing_disk_dropped = static_cast<std::size_t>(meta.missing_disk_dropped);
   return stats;
 }
+
+}  // namespace
 
 store::Error write_store(const std::string& path, const SimulationDataset& run,
                          std::uint64_t seed, double scale) {

@@ -19,13 +19,9 @@
 namespace storsubsim::core {
 
 /// Mirrors a completed run's counters into the store's meta block.
+// storsim-lint: allow(unused-export) reason=test seam: StoreRoundTrip.* and ThreadInvariance build store images of a run through it
 store::StoreMeta make_store_meta(const sim::SimCounters& counters,
                                  const PipelineStats& pipeline);
-
-/// Reverse mapping, for store-backed reruns that report the original run's
-/// statistics.
-sim::SimCounters sim_counters_from_meta(const store::StoreMeta& meta);
-PipelineStats pipeline_stats_from_meta(const store::StoreMeta& meta);
 
 /// Serializes a completed run to `path`. `seed`/`scale` are provenance
 /// recorded in the header (the dataset does not know them).

@@ -274,14 +274,13 @@ void LogEmitter::emit(const LogRecord& record) {
   render_line_to(scratch_, record);
   scratch_.newline();
   *out_ << scratch_.view();
-  ++lines_;
 }
 
 void LogEmitter::emit(const EmittableFailure& failure) {
   scratch_.clear();
-  lines_ += emit_chain(scratch_, FailureLineInput{failure.detect_time, failure.type,
-                                                  failure.disk, failure.system,
-                                                  failure.device_address, failure.serial});
+  emit_chain(scratch_, FailureLineInput{failure.detect_time, failure.type, failure.disk,
+                                        failure.system, failure.device_address,
+                                        failure.serial});
   *out_ << scratch_.view();
 }
 

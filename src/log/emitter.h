@@ -84,12 +84,9 @@ class LogEmitter {
   /// Emits a single already-built record.
   void emit(const LogRecord& record);
 
-  std::size_t lines_written() const { return lines_; }
-
  private:
   std::ostream* out_;
   LineWriter scratch_;
-  std::size_t lines_ = 0;
 };
 
 }  // namespace storsubsim::log

@@ -40,6 +40,7 @@ struct LogView {
 
 /// Parses one rendered line into `out` without copying text; returns false
 /// if the line is not a log record (out is unspecified then).
+// storsim-lint: allow(unused-export) reason=test oracle: ParseTextFuzz.BufferAndPerLinePathsAgreeUnderCorruption checks parse_text
 bool parse_line_view(std::string_view line, LogView& out);
 
 /// Parses a whole text buffer (lines separated by '\n'); appends view

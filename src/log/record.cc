@@ -18,12 +18,4 @@ std::optional<Severity> parse_severity(std::string_view s) {
   return std::nullopt;
 }
 
-Layer layer_of_code(std::string_view code) {
-  if (code.starts_with("fci.")) return Layer::kFibreChannel;
-  if (code.starts_with("scsi.")) return Layer::kScsi;
-  if (code.starts_with("disk.")) return Layer::kDiskDriver;
-  if (code.starts_with("raid.")) return Layer::kRaid;
-  return Layer::kOther;
-}
-
 }  // namespace storsubsim::log

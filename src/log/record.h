@@ -23,11 +23,6 @@ enum class Severity : std::uint8_t { kInfo, kWarning, kError };
 std::string_view to_string(Severity s);
 std::optional<Severity> parse_severity(std::string_view s);
 
-/// Which software layer produced a record, derived from the code prefix.
-enum class Layer : std::uint8_t { kFibreChannel, kScsi, kDiskDriver, kRaid, kOther };
-
-Layer layer_of_code(std::string_view code);
-
 struct LogRecord {
   double time = 0.0;  ///< seconds since study start
   std::string code;   ///< e.g. "scsi.cmd.selectionTimeout"
@@ -35,8 +30,6 @@ struct LogRecord {
   model::DiskId disk;      ///< affected disk (invalid if none)
   model::SystemId system;  ///< reporting system
   std::string message;     ///< free-form human text
-
-  Layer layer() const { return layer_of_code(code); }
 };
 
 }  // namespace storsubsim::log

@@ -206,16 +206,15 @@ Inventory inventory_from_fleet(const model::Fleet& fleet) {
   return inv;
 }
 
-SnapshotParseResult parse_snapshot_chunk(std::string_view text, const SnapshotChunk& chunk) {
+SnapshotParseResult parse_snapshot(std::string_view text, const SnapshotCounts& expected) {
   SnapshotParseResult result;
   Inventory& inv = result.inventory;
-  const SnapshotCounts& bases = chunk.bases;
-  inv.systems.reserve(chunk.counts.systems);
-  inv.shelves.reserve(chunk.counts.shelves);
-  inv.raid_groups.reserve(chunk.counts.raid_groups);
-  inv.disks.reserve(chunk.counts.disks);
-  bool& saw_header = result.saw_header;
-  bool& saw_end = result.saw_end;
+  inv.systems.reserve(expected.systems);
+  inv.shelves.reserve(expected.shelves);
+  inv.raid_groups.reserve(expected.raid_groups);
+  inv.disks.reserve(expected.disks);
+  bool saw_header = false;
+  bool saw_end = false;
 
   auto fail = [&](std::string_view why, std::string_view detail = {}) {
     LineWriter msg;
@@ -264,7 +263,7 @@ SnapshotParseResult parse_snapshot_chunk(std::string_view text, const SnapshotCh
       s.shelf_model = *sm_v;
       s.deploy_time = *deploy;
       s.cohort = *cohort;
-      if (s.id.value() != bases.systems + inv.systems.size()) {
+      if (s.id.value() != inv.systems.size()) {
         return fail("SYSTEM ids not dense"), result;
       }
       inv.systems.push_back(s);
@@ -275,7 +274,7 @@ SnapshotParseResult parse_snapshot_chunk(std::string_view text, const SnapshotCh
       if (!id || !sys || !m) return fail("bad SHELF record"), result;
       const auto m_v = model::parse_shelf_model_name(*m);
       if (!m_v) return fail("bad SHELF model"), result;
-      if (*id != bases.shelves + inv.shelves.size()) return fail("SHELF ids not dense"), result;
+      if (*id != inv.shelves.size()) return fail("SHELF ids not dense"), result;
       inv.shelves.push_back(InventoryShelf{ShelfId(*id), SystemId(*sys), *m_v});
     } else if (line.starts_with("GROUP ")) {
       const auto id = tokens.get_u32("id");
@@ -286,7 +285,7 @@ SnapshotParseResult parse_snapshot_chunk(std::string_view text, const SnapshotCh
       if (!id || !sys || !type || !members || !span) return fail("bad GROUP record"), result;
       const auto type_v = model::parse_raid_type(*type);
       if (!type_v) return fail("bad GROUP type"), result;
-      if (*id != bases.raid_groups + inv.raid_groups.size()) {
+      if (*id != inv.raid_groups.size()) {
         return fail("GROUP ids not dense"), result;
       }
       inv.raid_groups.push_back(
@@ -305,7 +304,7 @@ SnapshotParseResult parse_snapshot_chunk(std::string_view text, const SnapshotCh
       }
       const auto m_v = model::parse_disk_model_name(*m);
       if (!m_v) return fail("bad DISK model"), result;
-      if (*id != bases.disks + inv.disks.size()) return fail("DISK ids not dense"), result;
+      if (*id != inv.disks.size()) return fail("DISK ids not dense"), result;
       inv.disks.push_back(InventoryDisk{DiskId(*id), *m_v, SystemId(*sys), ShelfId(*shelf),
                                         RaidGroupId(*group), *slot, *install, *remove});
     } else if (line == "END") {
@@ -315,14 +314,7 @@ SnapshotParseResult parse_snapshot_chunk(std::string_view text, const SnapshotCh
     }
   }
 
-  return result;
-}
-
-SnapshotParseResult parse_snapshot(std::string_view text, const SnapshotCounts& expected) {
-  SnapshotParseResult result = parse_snapshot_chunk(text, SnapshotChunk{{}, expected});
-  if (result.ok()) {
-    result.error = check_snapshot(result.inventory, result.saw_header, result.saw_end);
-  }
+  result.error = check_snapshot(inv, saw_header, saw_end);
   return result;
 }
 

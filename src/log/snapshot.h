@@ -13,11 +13,9 @@
 // buffer and `parse_snapshot(std::string_view)` walks text in place — a
 // LineWriter's or a mapped file's.
 //
-// The records form one sequence SYSTEM ⧺ SHELF ⧺ GROUP ⧺ DISK.
-// `parse_snapshot_chunk` parses a contiguous run of those records against
-// per-kind id bases; `parse_snapshot` is its zero-base case over the whole
-// section, plus the whole-section checks (header, END, referential
-// integrity).
+// The records form one sequence SYSTEM ⧺ SHELF ⧺ GROUP ⧺ DISK, each kind's
+// ids dense from zero. `parse_snapshot` checks that, the header and END, and
+// referential integrity.
 #pragma once
 
 #include <limits>
@@ -85,19 +83,12 @@ struct Inventory {
   double disk_exposure_years(const InventoryDisk& disk) const;
 };
 
-/// Per-kind record numbers, in record order: the count of each kind, or the
-/// dense id of a chunk's first record of each kind.
+/// Per-kind record counts, in record order.
 struct SnapshotCounts {
   std::uint32_t systems = 0;
   std::uint32_t shelves = 0;
   std::uint32_t raid_groups = 0;
   std::uint32_t disks = 0;
-};
-
-/// A contiguous run of a snapshot's records, for parse_snapshot_chunk.
-struct SnapshotChunk {
-  SnapshotCounts bases;   ///< id of the chunk's first record of each kind
-  SnapshotCounts counts;  ///< records of each kind in the chunk
 };
 
 /// Appends the fleet's full inventory (including retired disk records),
@@ -109,18 +100,9 @@ struct SnapshotParseResult {
   Inventory inventory;
   std::string error;
   std::size_t lines = 0;
-  bool saw_header = false;
-  bool saw_end = false;
 
   bool ok() const { return error.empty(); }
 };
-
-/// Parses the text of one chunk: record ids must continue densely from
-/// `chunk.bases`, so the inventory holds only the chunk's records (entry i
-/// of each vector has id base + i). `chunk.counts` only pre-sizes the
-/// vectors. The header and END are optional here and reported through
-/// `saw_header`/`saw_end`; references are not checked.
-SnapshotParseResult parse_snapshot_chunk(std::string_view text, const SnapshotChunk& chunk);
 
 /// Parses a snapshot section from an in-memory buffer — a mapped file or a
 /// pipeline LineWriter — with no per-line copies. The result owns

@@ -48,8 +48,6 @@ struct DiskModelInfo {
   double protocol_hazard_multiplier = 1.0;
   /// Multiplier applied to the host system's performance-failure hazard.
   double performance_hazard_multiplier = 1.0;
-
-  bool is_problematic() const { return name.family == 'H'; }
 };
 
 /// Immutable registry of the 20 disk models used across the studied fleet.
@@ -65,9 +63,6 @@ class DiskModelRegistry {
   const DiskModelInfo& at(const DiskModelName& name) const;
   std::span<const DiskModelInfo> all() const { return models_; }
   std::size_t size() const { return models_.size(); }
-
-  /// All models of the given interface type.
-  std::vector<DiskModelName> models_of_type(DiskType type) const;
 
  private:
   std::vector<DiskModelInfo> models_;

@@ -44,7 +44,6 @@ std::string_view to_string(FailureType t);
 std::string_view to_string(PathConfig p);
 
 std::optional<SystemClass> parse_system_class(std::string_view s);
-std::optional<DiskType> parse_disk_type(std::string_view s);
 std::optional<RaidType> parse_raid_type(std::string_view s);
 std::optional<FailureType> parse_failure_type(std::string_view s);
 std::optional<PathConfig> parse_path_config(std::string_view s);

@@ -103,6 +103,7 @@ class Fleet {
   double disk_exposure_years(const DiskRecord& disk) const;
 
   /// Total disk exposure of the whole fleet in disk-years.
+  // storsim-lint: allow(unused-export) reason=test oracle: Snapshot.ExposureMatchesFleet checks the inventory's exposure sums
   double total_disk_exposure_years() const;
 
   std::size_t initial_disk_count() const { return initial_disk_count_; }

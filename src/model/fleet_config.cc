@@ -181,14 +181,4 @@ FleetConfig standard_fleet_config(double scale, std::uint64_t seed) {
   return config;
 }
 
-FleetConfig single_cohort_config(const CohortSpec& cohort, double horizon_seconds,
-                                 std::uint64_t seed) {
-  FleetConfig config;
-  config.cohorts.push_back(cohort);
-  config.horizon_seconds = horizon_seconds;
-  config.seed = seed;
-  validate(config);
-  return config;
-}
-
 }  // namespace storsubsim::model

@@ -78,10 +78,6 @@ struct FleetConfig {
 /// ≈155k shelves, ≈1.8M disks at scale = 1).
 FleetConfig standard_fleet_config(double scale = 1.0, std::uint64_t seed = 20080226);
 
-/// Smaller convenience fleets for examples and tests.
-FleetConfig single_cohort_config(const CohortSpec& cohort, double horizon_seconds,
-                                 std::uint64_t seed);
-
 /// Validates invariants (nonempty mixes, sane sizes); throws
 /// std::invalid_argument with a descriptive message on violation.
 void validate(const FleetConfig& config);

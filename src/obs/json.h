@@ -32,7 +32,6 @@ struct JsonValue {
   std::map<std::string, JsonValue> object;
 
   bool is_object() const noexcept { return type == Type::kObject; }
-  bool is_array() const noexcept { return type == Type::kArray; }
   bool is_string() const noexcept { return type == Type::kString; }
   bool is_number() const noexcept { return type == Type::kNumber; }
 

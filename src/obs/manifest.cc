@@ -28,8 +28,8 @@ void append_string_field(std::string& out, std::string_view key,
   out += '\n';
 }
 
-}  // namespace
-
+/// The `git describe --always --dirty` of the source tree at configure time
+/// ("unknown" when git was unavailable).
 std::string_view git_describe() noexcept {
 #ifdef STORSUBSIM_GIT_DESCRIBE
   return STORSUBSIM_GIT_DESCRIBE;
@@ -37,6 +37,8 @@ std::string_view git_describe() noexcept {
   return "unknown";
 #endif
 }
+
+}  // namespace
 
 std::string manifest_json(const RunManifest& manifest) {
   std::string out = "{\n";

@@ -27,10 +27,6 @@ struct RunManifest {
   bool include_metrics = true;
 };
 
-/// The `git describe --always --dirty` of the source tree at configure time
-/// ("unknown" when git was unavailable).
-std::string_view git_describe() noexcept;
-
 /// Serializes the manifest (plus the current metric snapshot) as JSON.
 std::string manifest_json(const RunManifest& manifest);
 

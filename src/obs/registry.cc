@@ -238,7 +238,7 @@ Registry& registry() noexcept {
 std::string Snapshot::to_text(bool deterministic_only) const {
   std::string out;
   for (const auto& m : metrics) {
-    if (deterministic_only && !m.deterministic()) continue;
+    if (deterministic_only && m.stability != Stability::kDeterministic) continue;
     append_metric_text(out, m);
   }
   return out;
@@ -257,7 +257,7 @@ std::string Snapshot::to_json() const {
            : m.kind == Kind::kGauge ? "gauge"
                                     : "histogram";
     out += "\", \"stability\": \"";
-    out += m.deterministic() ? "deterministic" : "scheduling-dependent";
+    out += m.stability == Stability::kDeterministic ? "deterministic" : "scheduling-dependent";
     out += "\", \"value\": ";
     out += std::to_string(m.value);
     if (m.kind == Kind::kHistogram) {

@@ -90,10 +90,6 @@ struct MetricValue {
   std::uint64_t value = 0;  ///< counter sum / gauge max / histogram count
   std::uint64_t sum = 0;    ///< histogram only: sum of observed samples
   std::vector<std::uint64_t> buckets;  ///< histogram only: trailing zeros trimmed
-
-  bool deterministic() const noexcept {
-    return stability == Stability::kDeterministic;
-  }
 };
 
 /// Point-in-time merge of all shards, sorted by metric name.

@@ -69,22 +69,6 @@ bool tracing_enabled() noexcept {
   return state().enabled.load(std::memory_order_relaxed);
 }
 
-void reset_trace() noexcept {
-  TraceState& s = state();
-  const std::lock_guard<std::mutex> lock(s.mutex);
-  for (const auto& buffer : s.buffers) buffer->events.clear();
-}
-
-std::size_t trace_event_count() {
-  TraceState& s = state();
-  const std::lock_guard<std::mutex> lock(s.mutex);
-  std::size_t n = 0;
-  for (const auto& buffer : s.buffers) n += buffer->events.size();
-  return n;
-}
-
-std::uint32_t trace_thread_id() { return this_buffer().tid; }
-
 namespace detail {
 
 void record_span(const char* name, double start_seconds, double dur_seconds) {

@@ -15,16 +15,6 @@ namespace storsubsim::obs {
 void set_tracing_enabled(bool enabled) noexcept;
 bool tracing_enabled() noexcept;
 
-/// Drops every buffered event (registrations of thread buffers survive).
-void reset_trace() noexcept;
-
-/// Number of events currently buffered across all threads.
-std::size_t trace_event_count();
-
-/// Small dense id of the calling thread in registration order (0 = first
-/// thread to record or ask). Used as the "tid" field of trace events.
-std::uint32_t trace_thread_id();
-
 /// Serializes all buffered events as a Chrome trace_event JSON document
 /// ("X" complete events, microsecond timestamps, sorted by start time).
 std::string trace_json();

@@ -67,23 +67,8 @@ bool meets_target(const stats::Interval& ci, double mean, double ci_rel) {
   return ci.half_width() <= ci_rel * std::abs(mean);
 }
 
-}  // namespace
-
-std::string_view to_string(StopReason reason) noexcept {
-  switch (reason) {
-    case StopReason::kMaxReplicates: return "max-replicates";
-    case StopReason::kConverged: return "converged";
-  }
-  return "unknown";
-}
-
-std::vector<std::string> statistic_names() {
-  std::vector<std::string> names;
-  names.reserve(kStatCount);
-  for (const auto& def : kStatDefs) names.emplace_back(def.name);
-  return names;
-}
-
+/// Extracts the headline-statistic vector (kStatDefs order) from one
+/// simulated replicate's dataset.
 std::vector<double> headline_statistics(const core::Dataset& dataset) {
   std::vector<double> out;
   out.reserve(kStatCount);
@@ -114,6 +99,16 @@ std::vector<double> headline_statistics(const core::Dataset& dataset) {
   out.push_back(life.censored_fraction);
 
   return out;
+}
+
+}  // namespace
+
+std::string_view to_string(StopReason reason) noexcept {
+  switch (reason) {
+    case StopReason::kMaxReplicates: return "max-replicates";
+    case StopReason::kConverged: return "converged";
+  }
+  return "unknown";
 }
 
 ReplicateSummary run_replication(const ReplicateOptions& options) {

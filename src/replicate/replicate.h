@@ -74,14 +74,6 @@ struct ReplicateSummary {
   std::vector<std::vector<double>> values;
 };
 
-/// The fixed headline-statistic names, in table order. The list is part of
-/// the STORREP1 contract: tables always carry exactly these statistics.
-std::vector<std::string> statistic_names();
-
-/// Extracts the headline-statistic vector (statistic_names() order) from one
-/// simulated replicate's dataset.
-std::vector<double> headline_statistics(const core::Dataset& dataset);
-
 /// Runs the replication driver: simulates replicates under keyed substreams,
 /// fanned across the process-wide thread pool, accumulating until every
 /// statistic converges (ci_rel > 0) or the budget is exhausted.

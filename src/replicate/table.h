@@ -38,6 +38,7 @@ std::string encode_table(const ReplicateSummary& summary);
 /// Parses a STORREP1 image. Corruption and truncation come back as typed
 /// store errors (kTruncated/kBadMagic/kBadVersion/kChecksum/kBadValue) —
 /// never as undefined behavior or a partially-filled summary.
+// storsim-lint: allow(unused-export) reason=test seam: ReplicateTable.* check read_table's parser on in-memory images
 [[nodiscard]] store::Error decode_table(std::string_view bytes, ReplicateSummary* out);
 
 /// Whole-file write/read wrappers (kIo on filesystem failure).

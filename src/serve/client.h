@@ -25,11 +25,11 @@ class Client {
   /// client closes the old connection first.
   [[nodiscard]] store::Error connect(const std::string& socket_path);
   void close() noexcept;
-  bool connected() const noexcept { return fd_ >= 0; }
 
   /// One raw framed round trip: writes `request_body`, reads the response
   /// frame into `response_body`. The connection is closed on any transport
   /// error (the stream is unusable after one).
+  // storsim-lint: allow(unused-export) reason=docs/API.md entry (the raw framed round trip)
   [[nodiscard]] store::Error call(std::string_view request_body,
                                   std::string* response_body);
 

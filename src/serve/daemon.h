@@ -77,12 +77,15 @@ class Daemon {
   /// True when the input is split over more than one shard.
   bool sharded() const noexcept { return store_.shard_count() > 1; }
   /// Non-null after a successful start() (test introspection).
+  // storsim-lint: allow(unused-export) reason=test oracle: ServeSuite.*Lru*/*Shard* check the max-open-shards bound through it
   const ShardLru* lru() const noexcept { return lru_.get(); }
   /// Connections served at once; past it a peer is answered `busy`.
+  // storsim-lint: allow(unused-export) reason=test oracle: ServeSuite.PastTheConnectionBudgetPeersAreAnsweredBusy sizes its peers by it
   std::size_t connection_budget() const noexcept { return connection_budget_; }
 
   /// Computes the response body for one request body (exposed for the
   /// in-process protocol tests; never throws).
+  // storsim-lint: allow(unused-export) reason=test seam: ServeSuite.HandleRequestAnswersWithoutASocket drives dispatch in process
   std::string handle_request(std::string_view body);
 
  private:

@@ -53,8 +53,10 @@ class ShardLru {
   void unpin_all() noexcept;
 
   /// Shards evicted so far (serve.shard_evictions mirrors this).
+  // storsim-lint: allow(unused-export) reason=test oracle: ServeSuite.MaxOpenShardsBoundsTheLruAndStillAnswersRight
   std::uint64_t evictions() const noexcept;
   /// Currently mapped shards (pinned or cached).
+  // storsim-lint: allow(unused-export) reason=test oracle: ServeSuite.MaxOpenShardsBoundsTheLruAndStillAnswersRight
   std::size_t open_count() const noexcept;
 
  private:

@@ -29,9 +29,11 @@ std::string device_address(const model::Fleet& fleet, model::DiskId disk);
 
 /// Log message code used for a precursor kind (non-terminal: the failure
 /// classifier ignores these records).
+// storsim-lint: allow(unused-export) reason=test oracle: PrecursorCodes.RoundTrip checks failure_type_of never classifies them
 std::string_view code_for(PrecursorKind kind);
 
 /// Inverse of `code_for`; nullopt for non-precursor codes.
+// storsim-lint: allow(unused-export) reason=test oracle: PrecursorCodes.RoundTrip pins the code table extract_precursors reads
 std::optional<PrecursorKind> precursor_kind_of_code(std::string_view code);
 
 /// Appends one log line per precursor event. Returns lines written.

@@ -39,13 +39,13 @@ struct WindowProcess {
   double sigma_log = 0.5;
   double multiplier = 1.0;
 
-  /// Long-run fraction of time spent inside windows.
-  double duty_cycle() const {
-    return per_year * mean_duration_seconds / model::kSecondsPerYear;
+  /// Long-run average multiplier, 1 + duty cycle * (multiplier - 1) with the
+  /// duty cycle (the fraction of time inside windows) per_year * mean
+  /// duration; base rates are divided by this so the calibrated AFR is
+  /// preserved.
+  double average_multiplier() const {
+    return 1.0 + (per_year * mean_duration_seconds / model::kSecondsPerYear) * (multiplier - 1.0);
   }
-  /// Long-run average multiplier; base rates are divided by this so the
-  /// calibrated AFR is preserved.
-  double average_multiplier() const { return 1.0 + duty_cycle() * (multiplier - 1.0); }
 };
 
 /// Clustered "incident" process: a fraction of a failure type's events come

@@ -67,12 +67,10 @@ struct RecoveryResult {
   std::size_t rebuilds_stalled_on_spares = 0;
   std::size_t rebuilds_total = 0;
 
-  double data_loss_events_total() const {
-    return static_cast<double>(data_loss_events_raid4 + data_loss_events_raid6);
-  }
   /// Data-loss incidents per 1000 group-years (the fleet-level SLA number).
   double loss_rate_per_kilo_group_year() const {
-    return group_years > 0.0 ? 1000.0 * data_loss_events_total() / group_years : 0.0;
+    const auto losses = static_cast<double>(data_loss_events_raid4 + data_loss_events_raid6);
+    return group_years > 0.0 ? 1000.0 * losses / group_years : 0.0;
   }
   /// Fraction of group time spent degraded.
   double degraded_fraction() const {

@@ -44,6 +44,7 @@ struct MechanismToggles {
 /// Applies knockouts to a parameter set, preserving calibrated mean rates:
 /// disabling a mechanism redistributes its probability mass into the
 /// homogeneous base rate rather than deleting it.
+// storsim-lint: allow(unused-export) reason=test seam: ApplyToggles.* check run_mechanism_ablation's knockouts without a simulation
 SimParams apply_toggles(SimParams params, const MechanismToggles& toggles);
 
 /// Ablation: the standard fleet with selected mechanisms knocked out.

@@ -41,9 +41,6 @@ class ModulatedPoissonSampler {
 
   double base_rate() const { return base_rate_; }
 
-  /// Re-targets the base rate (e.g. when a scope's population changes).
-  void set_base_rate(double base_rate_per_second) { base_rate_ = base_rate_per_second; }
-
  private:
   double base_rate_;
   std::span<const Window> windows_;

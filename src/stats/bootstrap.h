@@ -20,11 +20,13 @@ namespace storsubsim::stats {
 /// draws from its own substream of a fork of `rng`, so results are
 /// deterministic given `rng` and bit-identical for any thread count.
 /// `statistic` may be called concurrently and must be thread-safe.
+// storsim-lint: allow(unused-export) reason=deferred: only Bootstrap.* and ThreadInvariance tests call it
 Interval bootstrap_ci(std::span<const double> sample,
                       const std::function<double(std::span<const double>)>& statistic,
                       double confidence, std::size_t replicates, Rng& rng);
 
 /// Raw bootstrap distribution of a statistic (sorted ascending).
+// storsim-lint: allow(unused-export) reason=deferred: only Bootstrap.DistributionSortedAndSized calls it
 std::vector<double> bootstrap_distribution(
     std::span<const double> sample,
     const std::function<double(std::span<const double>)>& statistic, std::size_t replicates,

@@ -17,6 +17,8 @@ void require(bool cond, const char* what) {
   if (!cond) throw std::invalid_argument(what);
 }
 
+double sample_standard_gamma(Rng& rng, double shape);
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -239,12 +241,10 @@ Poisson::Poisson(double mean) : mean_(mean) {
   require(mean >= 0.0 && std::isfinite(mean), "Poisson: mean must be nonnegative and finite");
 }
 
-double Poisson::pmf(std::uint64_t k) const { return std::exp(log_pmf(k)); }
-
-double Poisson::log_pmf(std::uint64_t k) const {
-  if (mean_ == 0.0) return k == 0 ? 0.0 : -kInf;
+double Poisson::pmf(std::uint64_t k) const {
+  if (mean_ == 0.0) return k == 0 ? 1.0 : 0.0;
   const double kd = static_cast<double>(k);
-  return kd * std::log(mean_) - mean_ - lgamma_fn(kd + 1.0);
+  return std::exp(kd * std::log(mean_) - mean_ - lgamma_fn(kd + 1.0));
 }
 
 double Poisson::cdf(std::uint64_t k) const {
@@ -305,6 +305,9 @@ double sample_standard_normal(Rng& rng) {
   return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * 3.14159265358979323846 * u2);
 }
 
+namespace {
+
+/// Samples Gamma(shape, 1) via Marsaglia–Tsang; valid for any shape > 0.
 double sample_standard_gamma(Rng& rng, double shape) {
   if (!(shape > 0.0)) throw std::invalid_argument("sample_standard_gamma: shape must be > 0");
   if (shape < 1.0) {
@@ -328,5 +331,7 @@ double sample_standard_gamma(Rng& rng, double shape) {
     if (std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v))) return d * v;
   }
 }
+
+}  // namespace
 
 }  // namespace storsubsim::stats

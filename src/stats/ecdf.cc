@@ -36,13 +36,6 @@ double Ecdf::max() const {
   return sorted_.empty() ? std::numeric_limits<double>::quiet_NaN() : sorted_.back();
 }
 
-std::vector<double> Ecdf::evaluate(std::span<const double> grid) const {
-  std::vector<double> out;
-  out.reserve(grid.size());
-  for (const double x : grid) out.push_back((*this)(x));
-  return out;
-}
-
 std::vector<double> log_grid(double lo, double hi, std::size_t points) {
   if (!(lo > 0.0) || !(hi > lo) || points < 2) {
     throw std::invalid_argument("log_grid: need 0 < lo < hi and points >= 2");

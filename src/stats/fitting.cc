@@ -34,24 +34,6 @@ FitResult fit_exponential_mle(std::span<const double> xs) {
   return fit;
 }
 
-FitResult fit_gamma_moments(std::span<const double> xs) {
-  require_positive_sample(xs, "fit_gamma_moments");
-  const double m = mean_of(xs);
-  const double v = variance_of(xs);
-  FitResult fit;
-  if (v <= 0.0) {
-    // Degenerate sample: all values equal; approximate with a very peaked fit.
-    fit.param1 = 1e6;
-    fit.param2 = m / fit.param1;
-  } else {
-    fit.param1 = m * m / v;
-    fit.param2 = v / m;
-  }
-  fit.converged = true;
-  fit.log_likelihood = log_likelihood(Gamma(fit.param1, fit.param2), xs);
-  return fit;
-}
-
 FitResult fit_gamma_mle(std::span<const double> xs) {
   require_positive_sample(xs, "fit_gamma_mle");
   const double m = mean_of(xs);

@@ -1,4 +1,4 @@
-// Maximum-likelihood and method-of-moments fitters for the distributions the
+// Maximum-likelihood fitters for the distributions the
 // paper fits to time-between-failure samples (Figure 9): Exponential, Gamma,
 // and Weibull.
 #pragma once
@@ -26,9 +26,6 @@ FitResult fit_exponential_mle(std::span<const double> xs);
 /// MLE for Gamma(shape, scale) by Newton iteration on the digamma equation
 /// ln(shape) - digamma(shape) = ln(mean) - mean(ln x). Requires x > 0.
 FitResult fit_gamma_mle(std::span<const double> xs);
-
-/// Method-of-moments Gamma fit: shape = mean^2/var, scale = var/mean.
-FitResult fit_gamma_moments(std::span<const double> xs);
 
 /// MLE for Weibull(shape, scale) by Newton iteration on the profile
 /// likelihood in the shape parameter. Requires x > 0.

@@ -9,14 +9,9 @@
 
 namespace storsubsim::stats {
 
-TTestResult welch_t_test(std::span<const double> a, std::span<const double> b) {
-  Accumulator aa, ab;
-  for (const double x : a) aa.add(x);
-  for (const double x : b) ab.add(x);
-  return welch_t_test_summary(aa.mean(), aa.variance(), aa.count(), ab.mean(), ab.variance(),
-                              ab.count());
-}
+namespace {
 
+/// Welch's t-test from sufficient statistics (mean, sample variance, n).
 TTestResult welch_t_test_summary(double mean_a, double var_a, std::size_t n_a, double mean_b,
                                  double var_b, std::size_t n_b) {
   if (n_a < 2 || n_b < 2) throw std::invalid_argument("welch_t_test: need n >= 2 per group");
@@ -42,6 +37,42 @@ TTestResult welch_t_test_summary(double mean_a, double var_a, std::size_t n_a, d
       se2 * se2 / (sa * sa / (na - 1.0) + sb * sb / (nb - 1.0));
   r.p_value_two_sided = student_t_two_sided_p(r.t_statistic, r.degrees_of_freedom);
   return r;
+}
+
+/// Chi-square test from pre-binned observed/expected counts.
+ChiSquareResult chi_square_from_counts(std::span<const double> observed,
+                                       std::span<const double> expected,
+                                       std::size_t fitted_params) {
+  if (observed.size() != expected.size() || observed.empty()) {
+    throw std::invalid_argument("chi_square_from_counts: size mismatch");
+  }
+  ChiSquareResult r;
+  double stat = 0.0;
+  std::size_t used = 0;
+  for (std::size_t i = 0; i < observed.size(); ++i) {
+    if (expected[i] <= 0.0) continue;
+    const double d = observed[i] - expected[i];
+    stat += d * d / expected[i];
+    ++used;
+  }
+  if (used <= fitted_params + 1) {
+    throw std::invalid_argument("chi_square_from_counts: not enough usable bins");
+  }
+  r.statistic = stat;
+  r.bins_used = used;
+  r.degrees_of_freedom = static_cast<double>(used - 1 - fitted_params);
+  r.p_value = chi_square_sf(stat, r.degrees_of_freedom);
+  return r;
+}
+
+}  // namespace
+
+TTestResult welch_t_test(std::span<const double> a, std::span<const double> b) {
+  Accumulator aa, ab;
+  for (const double x : a) aa.add(x);
+  for (const double x : b) ab.add(x);
+  return welch_t_test_summary(aa.mean(), aa.variance(), aa.count(), ab.mean(), ab.variance(),
+                              ab.count());
 }
 
 TTestResult two_proportion_test(std::size_t successes_a, std::size_t total_a,
@@ -105,31 +136,6 @@ ChiSquareResult chi_square_gof(std::span<const double> xs,
   }
   expected[b - 1] = (1.0 - prev) * static_cast<double>(n);
   return chi_square_from_counts(observed, expected, fitted_params);
-}
-
-ChiSquareResult chi_square_from_counts(std::span<const double> observed,
-                                       std::span<const double> expected,
-                                       std::size_t fitted_params) {
-  if (observed.size() != expected.size() || observed.empty()) {
-    throw std::invalid_argument("chi_square_from_counts: size mismatch");
-  }
-  ChiSquareResult r;
-  double stat = 0.0;
-  std::size_t used = 0;
-  for (std::size_t i = 0; i < observed.size(); ++i) {
-    if (expected[i] <= 0.0) continue;
-    const double d = observed[i] - expected[i];
-    stat += d * d / expected[i];
-    ++used;
-  }
-  if (used <= fitted_params + 1) {
-    throw std::invalid_argument("chi_square_from_counts: not enough usable bins");
-  }
-  r.statistic = stat;
-  r.bins_used = used;
-  r.degrees_of_freedom = static_cast<double>(used - 1 - fitted_params);
-  r.p_value = chi_square_sf(stat, r.degrees_of_freedom);
-  return r;
 }
 
 double kolmogorov_sf(double x) {

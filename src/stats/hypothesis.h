@@ -25,11 +25,8 @@ struct TTestResult {
 };
 
 /// Welch's unequal-variance two-sample t-test on raw samples.
+// storsim-lint: allow(unused-export) reason=deferred: only WelchTTest.* tests call it
 TTestResult welch_t_test(std::span<const double> a, std::span<const double> b);
-
-/// Welch's t-test from sufficient statistics (mean, sample variance, n).
-TTestResult welch_t_test_summary(double mean_a, double var_a, std::size_t n_a, double mean_b,
-                                 double var_b, std::size_t n_b);
 
 /// Two-proportion z-test expressed as a t-test result (large-sample), used
 /// for comparing failure fractions between cohorts.
@@ -57,11 +54,6 @@ ChiSquareResult chi_square_gof(std::span<const double> xs,
                                const std::function<double(double)>& model_quantile,
                                std::size_t fitted_params, std::size_t bins = 20);
 
-/// Chi-square test from pre-binned observed/expected counts.
-ChiSquareResult chi_square_from_counts(std::span<const double> observed,
-                                       std::span<const double> expected,
-                                       std::size_t fitted_params);
-
 struct KsResult {
   double statistic = 0.0;  ///< sup |F_n - F|
   double p_value = 1.0;    ///< asymptotic Kolmogorov tail
@@ -72,12 +64,14 @@ struct KsResult {
 
 /// Survival function of the Kolmogorov distribution:
 /// P(sqrt(n) D_n > x) for large n.
+// storsim-lint: allow(unused-export) reason=deferred: only KolmogorovSf.* tests and ks_test call it
 double kolmogorov_sf(double x);
 
 /// One-sample Kolmogorov-Smirnov test of a sample against a fully-specified
 /// model CDF. (With fitted parameters the p-value is anti-conservative, as
 /// for any plug-in GoF test — prefer chi_square_gof with its df correction
 /// when parameters were estimated from the same data.)
+// storsim-lint: allow(unused-export) reason=deferred: only KsTest.* and KsDistance.* tests call it
 KsResult ks_test(std::span<const double> xs,
                  const std::function<double(double)>& model_cdf);
 

@@ -19,15 +19,6 @@ double z_for(double confidence) {
 
 }  // namespace
 
-Interval proportion_ci_wald(std::size_t successes, std::size_t total, double confidence) {
-  if (total == 0) throw std::invalid_argument("proportion_ci: total == 0");
-  const double n = static_cast<double>(total);
-  const double p = static_cast<double>(successes) / n;
-  const double z = z_for(confidence);
-  const double hw = z * std::sqrt(p * (1.0 - p) / n);
-  return {std::max(0.0, p - hw), std::min(1.0, p + hw), p};
-}
-
 Interval proportion_ci_wilson(std::size_t successes, std::size_t total, double confidence) {
   if (total == 0) throw std::invalid_argument("proportion_ci: total == 0");
   const double n = static_cast<double>(total);

@@ -14,13 +14,7 @@ struct Interval {
 
   double half_width() const { return 0.5 * (upper - lower); }
   bool contains(double x) const { return x >= lower && x <= upper; }
-  bool overlaps(const Interval& other) const {
-    return lower <= other.upper && other.lower <= upper;
-  }
 };
-
-/// Normal-approximation (Wald) CI for a binomial proportion.
-Interval proportion_ci_wald(std::size_t successes, std::size_t total, double confidence);
 
 /// Wilson score interval — well-behaved for small counts and extreme p.
 Interval proportion_ci_wilson(std::size_t successes, std::size_t total, double confidence);
@@ -31,6 +25,7 @@ Interval proportion_ci_wilson(std::size_t successes, std::size_t total, double c
 Interval rate_ci_garwood(std::size_t events, double exposure, double confidence);
 
 /// Normal-approximation CI for a Poisson rate (events / exposure).
+// storsim-lint: allow(unused-export) reason=test oracle: NormalRateCi.MatchesGarwoodForLargeCounts checks rate_ci_garwood
 Interval rate_ci_normal(std::size_t events, double exposure, double confidence);
 
 /// t-based CI for a mean from summary statistics.

@@ -13,82 +13,6 @@
 
 namespace storsubsim::stats {
 
-/// PCG64 (XSL-RR variant) — O'Neill's permuted congruential generator.
-/// 128-bit state, 64-bit output. Small, fast, and passes BigCrush; we use it
-/// instead of std::mt19937_64 because its state is trivially seedable from a
-/// hash without warm-up bias and it supports cheap distinct streams.
-class Pcg64 {
- public:
-  using result_type = std::uint64_t;
-
-  /// Seeds state and stream selector. Any values are acceptable; the
-  /// constructor scrambles them through the output function before first use.
-  explicit Pcg64(std::uint64_t seed_hi = 0x853c49e6748fea9bULL,
-                 std::uint64_t seed_lo = 0xda3e39cb94b95bdbULL,
-                 std::uint64_t stream = 0x5851f42d4c957f2dULL) noexcept {
-    state_hi_ = 0;
-    state_lo_ = 0;
-    // Stream selector must be odd; fold the requested stream into it.
-    inc_hi_ = stream;
-    inc_lo_ = (stream << 1u) | 1u;
-    step();
-    add128(state_hi_, state_lo_, seed_hi, seed_lo);
-    step();
-  }
-
-  static constexpr result_type min() noexcept { return 0; }
-  static constexpr result_type max() noexcept { return ~std::uint64_t{0}; }
-
-  result_type operator()() noexcept {
-    step();
-    return output();
-  }
-
-  /// Advances the generator by one step without producing output.
-  void discard(std::uint64_t n) noexcept {
-    for (std::uint64_t i = 0; i < n; ++i) step();
-  }
-
- private:
-  static void add128(std::uint64_t& hi, std::uint64_t& lo, std::uint64_t add_hi,
-                     std::uint64_t add_lo) noexcept {
-    const std::uint64_t old_lo = lo;
-    lo += add_lo;
-    hi += add_hi + (lo < old_lo ? 1u : 0u);
-  }
-
-  static void mul128(std::uint64_t& hi, std::uint64_t& lo, std::uint64_t m_hi,
-                     std::uint64_t m_lo) noexcept {
-    // 128x128 -> low 128 bits.
-    const std::uint64_t a = lo >> 32u, b = lo & 0xffffffffULL;
-    const std::uint64_t c = m_lo >> 32u, d = m_lo & 0xffffffffULL;
-    const std::uint64_t bd = b * d;
-    const std::uint64_t ad = a * d, bc = b * c;
-    std::uint64_t mid = (bd >> 32u) + (ad & 0xffffffffULL) + (bc & 0xffffffffULL);
-    const std::uint64_t new_lo = (mid << 32u) | (bd & 0xffffffffULL);
-    std::uint64_t new_hi = a * c + (ad >> 32u) + (bc >> 32u) + (mid >> 32u);
-    new_hi += hi * m_lo + lo * m_hi;
-    hi = new_hi;
-    lo = new_lo;
-  }
-
-  void step() noexcept {
-    // Multiplier from the PCG reference implementation.
-    mul128(state_hi_, state_lo_, 0x2360ed051fc65da4ULL, 0x4385df649fccf645ULL);
-    add128(state_hi_, state_lo_, inc_hi_, inc_lo_);
-  }
-
-  result_type output() const noexcept {
-    // XSL-RR: xor-fold the state and rotate by the top 6 bits.
-    const std::uint64_t xored = state_hi_ ^ state_lo_;
-    const unsigned rot = static_cast<unsigned>(state_hi_ >> 58u);
-    return (xored >> rot) | (xored << ((64u - rot) & 63u));
-  }
-
-  std::uint64_t state_hi_, state_lo_;
-  std::uint64_t inc_hi_, inc_lo_;
-};
-
 /// 64-bit mixing (splitmix64 finalizer). Used to derive stream keys.
 constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
   x += 0x9e3779b97f4a7c15ULL;
@@ -112,6 +36,78 @@ constexpr std::uint64_t hash_label(std::string_view label) noexcept {
 /// value. Derive child streams with `fork` rather than sharing one stream
 /// between components.
 class Rng {
+ private:
+  /// PCG64 (XSL-RR variant) — O'Neill's permuted congruential generator.
+  /// 128-bit state, 64-bit output. Small, fast, and passes BigCrush; we use it
+  /// instead of std::mt19937_64 because its state is trivially seedable from a
+  /// hash without warm-up bias and it supports cheap distinct streams.
+  class Pcg64 {
+   public:
+    using result_type = std::uint64_t;
+
+    /// Seeds state and stream selector. Any values are acceptable; the
+    /// constructor scrambles them through the output function before first use.
+    explicit Pcg64(std::uint64_t seed_hi = 0x853c49e6748fea9bULL,
+                   std::uint64_t seed_lo = 0xda3e39cb94b95bdbULL,
+                   std::uint64_t stream = 0x5851f42d4c957f2dULL) noexcept {
+      state_hi_ = 0;
+      state_lo_ = 0;
+      // Stream selector must be odd; fold the requested stream into it.
+      inc_hi_ = stream;
+      inc_lo_ = (stream << 1u) | 1u;
+      step();
+      add128(state_hi_, state_lo_, seed_hi, seed_lo);
+      step();
+    }
+
+    static constexpr result_type min() noexcept { return 0; }
+    static constexpr result_type max() noexcept { return ~std::uint64_t{0}; }
+
+    result_type operator()() noexcept {
+      step();
+      return output();
+    }
+
+   private:
+    static void add128(std::uint64_t& hi, std::uint64_t& lo, std::uint64_t add_hi,
+                       std::uint64_t add_lo) noexcept {
+      const std::uint64_t old_lo = lo;
+      lo += add_lo;
+      hi += add_hi + (lo < old_lo ? 1u : 0u);
+    }
+
+    static void mul128(std::uint64_t& hi, std::uint64_t& lo, std::uint64_t m_hi,
+                       std::uint64_t m_lo) noexcept {
+      // 128x128 -> low 128 bits.
+      const std::uint64_t a = lo >> 32u, b = lo & 0xffffffffULL;
+      const std::uint64_t c = m_lo >> 32u, d = m_lo & 0xffffffffULL;
+      const std::uint64_t bd = b * d;
+      const std::uint64_t ad = a * d, bc = b * c;
+      std::uint64_t mid = (bd >> 32u) + (ad & 0xffffffffULL) + (bc & 0xffffffffULL);
+      const std::uint64_t new_lo = (mid << 32u) | (bd & 0xffffffffULL);
+      std::uint64_t new_hi = a * c + (ad >> 32u) + (bc >> 32u) + (mid >> 32u);
+      new_hi += hi * m_lo + lo * m_hi;
+      hi = new_hi;
+      lo = new_lo;
+    }
+
+    void step() noexcept {
+      // Multiplier from the PCG reference implementation.
+      mul128(state_hi_, state_lo_, 0x2360ed051fc65da4ULL, 0x4385df649fccf645ULL);
+      add128(state_hi_, state_lo_, inc_hi_, inc_lo_);
+    }
+
+    result_type output() const noexcept {
+      // XSL-RR: xor-fold the state and rotate by the top 6 bits.
+      const std::uint64_t xored = state_hi_ ^ state_lo_;
+      const unsigned rot = static_cast<unsigned>(state_hi_ >> 58u);
+      return (xored >> rot) | (xored << ((64u - rot) & 63u));
+    }
+
+    std::uint64_t state_hi_, state_lo_;
+    std::uint64_t inc_hi_, inc_lo_;
+  };
+
  public:
   using result_type = Pcg64::result_type;
 
@@ -170,20 +166,11 @@ class Rng {
 
  private:
   Pcg64 engine_;
+  /// The root seed, so `stream` derivations are consumption-independent.
   std::uint64_t root_ = 0;
-
- public:
-  /// Remembers the root seed so `stream` derivations are consumption-
-  /// independent. Set automatically by the seeding constructors.
-  [[nodiscard]] std::uint64_t root_seed() const noexcept { return root_; }
-  void set_root_seed(std::uint64_t s) noexcept { root_ = s; }
 };
 
 /// Builds the canonical root stream for a simulation run.
-inline Rng make_root_rng(std::uint64_t seed) noexcept {
-  Rng rng(seed);
-  rng.set_root_seed(seed);
-  return rng;
-}
+inline Rng make_root_rng(std::uint64_t seed) noexcept { return Rng(seed); }
 
 }  // namespace storsubsim::stats

@@ -155,10 +155,6 @@ double gamma_p_inv(double a, double p) {
   return x;
 }
 
-double erf_fn(double x) { return std::erf(x); }
-
-double erfc_fn(double x) { return std::erfc(x); }
-
 double normal_cdf(double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); }
 
 double normal_quantile(double p) {
@@ -202,9 +198,9 @@ double normal_quantile(double p) {
   return x;
 }
 
-double lbeta(double a, double b) { return lgamma_fn(a) + lgamma_fn(b) - lgamma_fn(a + b); }
-
 namespace {
+
+double lbeta(double a, double b) { return lgamma_fn(a) + lgamma_fn(b) - lgamma_fn(a + b); }
 
 // Continued fraction for the incomplete beta function (Lentz).
 double beta_cf(double a, double b, double x) {
@@ -256,18 +252,20 @@ double beta_inc(double a, double b, double x) {
   return 1.0 - front * beta_cf(b, a, 1.0 - x) / b;
 }
 
-double student_t_cdf(double t, double nu) {
-  if (!(nu > 0.0)) return std::numeric_limits<double>::quiet_NaN();
-  const double x = nu / (nu + t * t);
-  const double p_half = 0.5 * beta_inc(0.5 * nu, 0.5, x);
-  return (t >= 0.0) ? 1.0 - p_half : p_half;
-}
-
 double student_t_two_sided_p(double t, double nu) {
   if (!(nu > 0.0)) return std::numeric_limits<double>::quiet_NaN();
   const double x = nu / (nu + t * t);
   return beta_inc(0.5 * nu, 0.5, x);
 }
+
+namespace {
+
+double student_t_cdf(double t, double nu) {
+  const double p_half = 0.5 * student_t_two_sided_p(t, nu);
+  return (t >= 0.0) ? 1.0 - p_half : p_half;
+}
+
+}  // namespace
 
 double student_t_quantile(double p, double nu) {
   if (!(p > 0.0) || !(p < 1.0) || !(nu > 0.0)) {

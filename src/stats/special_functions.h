@@ -29,12 +29,6 @@ double gamma_q(double a, double x);
 /// Inverse of gamma_p in x for fixed a: returns x with P(a, x) = p.
 double gamma_p_inv(double a, double p);
 
-/// Error function.
-double erf_fn(double x);
-
-/// Complementary error function, accurate for large |x|.
-double erfc_fn(double x);
-
 /// Standard normal CDF.
 double normal_cdf(double z);
 
@@ -43,13 +37,8 @@ double normal_cdf(double z);
 double normal_quantile(double p);
 
 /// Regularized incomplete beta I_x(a, b); a, b > 0; x in [0, 1].
+// storsim-lint: allow(unused-export) reason=test seam: BetaInc.* check the incomplete beta student_t_two_sided_p evaluates
 double beta_inc(double a, double b, double x);
-
-/// Log of the beta function B(a, b).
-double lbeta(double a, double b);
-
-/// Student-t CDF with `nu` degrees of freedom.
-double student_t_cdf(double t, double nu);
 
 /// Two-sided p-value for a Student-t statistic.
 double student_t_two_sided_p(double t, double nu);

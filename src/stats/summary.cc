@@ -42,22 +42,9 @@ double Accumulator::variance() const {
   return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_ - 1);
 }
 
-double Accumulator::population_variance() const {
-  return n_ < 1 ? 0.0 : m2_ / static_cast<double>(n_);
-}
-
 double Accumulator::stddev() const { return std::sqrt(variance()); }
 
-double Accumulator::std_error() const {
-  return n_ == 0 ? 0.0 : stddev() / std::sqrt(static_cast<double>(n_));
-}
-
 double Accumulator::sum() const { return mean_ * static_cast<double>(n_); }
-
-double Accumulator::coefficient_of_variation() const {
-  const double m = mean();
-  return m == 0.0 ? 0.0 : stddev() / m;
-}
 
 void WeightedAccumulator::add(double x, double weight) {
   if (weight <= 0.0) return;
@@ -79,13 +66,5 @@ double mean_of(std::span<const double> xs) {
   for (const double x : xs) acc.add(x);
   return acc.mean();
 }
-
-double variance_of(std::span<const double> xs) {
-  Accumulator acc;
-  for (const double x : xs) acc.add(x);
-  return acc.variance();
-}
-
-double stddev_of(std::span<const double> xs) { return std::sqrt(variance_of(xs)); }
 
 }  // namespace storsubsim::stats

@@ -10,22 +10,17 @@ namespace storsubsim::stats {
 class Accumulator {
  public:
   void add(double x);
+  // storsim-lint: allow(unused-export) reason=deferred: only Accumulator.Merge* tests call it
   void merge(const Accumulator& other);
 
   std::size_t count() const { return n_; }
   double mean() const;
   /// Unbiased sample variance (n-1 denominator); 0 for n < 2.
   double variance() const;
-  /// Population variance (n denominator); 0 for n < 1.
-  double population_variance() const;
   double stddev() const;
-  /// Standard error of the mean.
-  double std_error() const;
   double min() const { return min_; }
   double max() const { return max_; }
   double sum() const;
-  /// Coefficient of variation stddev/mean; 0 when mean == 0.
-  double coefficient_of_variation() const;
 
  private:
   std::size_t n_ = 0;
@@ -41,7 +36,6 @@ class WeightedAccumulator {
  public:
   void add(double x, double weight);
 
-  double total_weight() const { return w_; }
   double mean() const;
   /// Frequency-weighted population variance.
   double variance() const;
@@ -55,9 +49,7 @@ class WeightedAccumulator {
   double m2_ = 0.0;
 };
 
-/// One-shot helpers over a span.
+/// One-shot mean over a span.
 double mean_of(std::span<const double> xs);
-double variance_of(std::span<const double> xs);  // sample variance (n-1)
-double stddev_of(std::span<const double> xs);
 
 }  // namespace storsubsim::stats

@@ -52,7 +52,6 @@ class KaplanMeier {
   double greenwood_variance(double t) const;
 
   const std::vector<SurvivalPoint>& curve() const { return points_; }
-  std::size_t subjects() const { return n_; }
   std::size_t total_events() const { return events_; }
 
  private:

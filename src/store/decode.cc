@@ -122,8 +122,6 @@ inline std::uint64_t load_le64(const char* p) noexcept {
 
 bool simd_compiled() noexcept { return kSimdCompiled; }
 
-bool simd_enabled() noexcept { return use_simd(); }
-
 void set_simd_enabled(bool enabled) noexcept {
   g_simd_enabled.store(enabled, std::memory_order_relaxed);
 }
@@ -479,14 +477,6 @@ void bitmap_time_window(const double* time, std::size_t n, bool have_begin,
 void bitmap_and(std::uint64_t* dst, const std::uint64_t* src,
                 std::size_t words) noexcept {
   for (std::size_t w = 0; w < words; ++w) dst[w] &= src[w];
-}
-
-std::uint64_t popcount_words(const std::uint64_t* bm, std::size_t words) noexcept {
-  std::uint64_t total = 0;
-  for (std::size_t w = 0; w < words; ++w) {
-    total += static_cast<std::uint64_t>(std::popcount(bm[w]));
-  }
-  return total;
 }
 
 std::uint64_t popcount_and(const std::uint64_t* a, const std::uint64_t* b,

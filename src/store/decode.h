@@ -46,9 +46,8 @@ namespace storsubsim::store {
 /// True when a wide (SSE2/NEON) code path was compiled into this binary.
 bool simd_compiled() noexcept;
 
-/// Whether dispatching kernels take the wide path right now. Defaults to
-/// simd_compiled(); tests force the scalar path to prove equivalence.
-bool simd_enabled() noexcept;
+/// Whether dispatching kernels take the wide path (when compiled in).
+/// Defaults to on; tests force the scalar path to prove equivalence.
 void set_simd_enabled(bool enabled) noexcept;
 
 /// Short name of the kernel path currently dispatched ("sse2+pclmul" when
@@ -109,9 +108,6 @@ void bitmap_time_window(const double* time, std::size_t n, bool have_begin,
 /// dst &= src over `words` words.
 void bitmap_and(std::uint64_t* dst, const std::uint64_t* src,
                 std::size_t words) noexcept;
-
-/// Population count of `words` words.
-std::uint64_t popcount_words(const std::uint64_t* bm, std::size_t words) noexcept;
 
 /// popcount(a & b) without materializing the intersection.
 std::uint64_t popcount_and(const std::uint64_t* a, const std::uint64_t* b,

@@ -86,6 +86,8 @@ std::string_view column_name(ColumnId id) noexcept {
   return "unknown";
 }
 
+namespace {
+
 std::string_view error_code_name(ErrorCode code) noexcept {
   switch (code) {
     case ErrorCode::kOk: return "ok";
@@ -102,6 +104,8 @@ std::string_view error_code_name(ErrorCode code) noexcept {
   }
   return "unknown";
 }
+
+}  // namespace
 
 std::string Error::describe() const {
   std::string out(error_code_name(code));

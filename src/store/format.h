@@ -102,8 +102,6 @@ enum class ErrorCode : std::uint8_t {
   kBadValue,     ///< a decoded value is out of domain (enum, id, varint)
 };
 
-std::string_view error_code_name(ErrorCode code) noexcept;
-
 struct Error {
   ErrorCode code = ErrorCode::kOk;
   std::string detail;       ///< human-readable context

@@ -38,7 +38,6 @@ class MmapFile {
   const char* data() const noexcept { return data_; }
   std::size_t size() const noexcept { return size_; }
   std::string_view view() const noexcept { return {data_, size_}; }
-  bool mapped() const noexcept { return data_ != nullptr; }
 
  private:
   void reset() noexcept;

@@ -103,6 +103,7 @@ class EventStore {
   [[nodiscard]] Error open(const std::string& path);
 
   /// Validates an in-memory image (tests, fuzzing); takes ownership.
+  // storsim-lint: allow(unused-export) reason=test seam: StoreCorruption.* check open()'s validation on in-memory images
   [[nodiscard]] Error open_image(std::string image);
 
   const Header& header() const noexcept { return header_; }

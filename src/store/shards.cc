@@ -186,7 +186,7 @@ std::uint32_t header_crc(const Header& header) {
 
 /// A shard file must be exactly what its MANIFEST entry recorded: the same
 /// length, the same header CRC, and header counts that agree with the
-/// entry's. open() applies it to every shard up front and ensure_open() to
+/// entry's. open() applies it to every shard up front and open_shard() to
 /// every lazy (re)open, so a shard replaced after open() — a rebuild in
 /// place — is a typed error, never a silent mix of two generations.
 [[nodiscard]] Error check_shard(const ShardInfo& info, std::uint64_t seed,
@@ -707,7 +707,7 @@ Error ShardStore::open_directory(const std::string& dir) {
 
   // Cheap cross-check of every shard file: it must exist and match its
   // manifest entry (check_shard). Only the header is parsed; full column
-  // validation is deferred to ensure_open.
+  // validation is deferred to open_shard.
   for (const auto& info : manifest_.shards) {
     const std::string path = shard_path(dir, info.file);
     MmapFile file;
@@ -723,7 +723,7 @@ Error ShardStore::open_directory(const std::string& dir) {
   return Error{};
 }
 
-Error ShardStore::ensure_open(std::size_t i) const {
+Error ShardStore::open_shard(std::size_t i) const {
   if (shards_[i] != nullptr) return Error{};
   auto store = std::make_unique<EventStore>();
   const ShardInfo& info = manifest_.shards[i];
@@ -749,7 +749,7 @@ std::size_t ShardStore::open_count() const noexcept {
 
 Error ShardStore::open_all() const {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (Error err = ensure_open(i); !err.ok()) return err;
+    if (Error err = open_shard(i); !err.ok()) return err;
   }
   return Error{};
 }

@@ -88,10 +88,12 @@ struct ShardManifest {
 
 /// Renders the MANIFEST text, including the trailing CRC line. Doubles are
 /// written as their u64 bit patterns in hex so the round trip is bit-exact.
+// storsim-lint: allow(unused-export) reason=test oracle: ShardedBuildThreadInvariance and ShardCorruption compare manifests through it
 std::string render_manifest(const ShardManifest& manifest);
 
 /// Parses and CRC-checks a MANIFEST image, deriving the per-shard bases.
 /// Truncated, reordered or corrupted input yields a typed Error.
+// storsim-lint: allow(unused-export) reason=test seam: ShardCorruption.Manifest* fuzz open()'s MANIFEST parser in memory
 [[nodiscard]] Error parse_manifest(std::string_view text, ShardManifest* out);
 
 /// Writes dir/MANIFEST (render_manifest + one-shot write).
@@ -157,32 +159,26 @@ class ShardStore {
   std::size_t shard_count() const noexcept { return manifest_.shards.size(); }
   const ShardInfo& info(std::size_t i) const noexcept { return manifest_.shards[i]; }
 
-  /// Fully opens shard i if it is not open yet. Const because lazy opening
-  /// is a caching concern. Every open is held to the MANIFEST read by
-  /// open() (size, header CRC, header counts), so a shard file replaced
-  /// since — a rebuild in place — fails typed instead of mixing generations.
-  /// A shard failing validation reports its path in the typed error, so a
-  /// mid-analysis failure names the offending file.
-  [[nodiscard]] Error ensure_open(std::size_t i) const;
   bool is_open(std::size_t i) const noexcept { return shards_[i] != nullptr; }
   /// Shards currently held open (mmap + validated).
   std::size_t open_count() const noexcept;
 
   // --- explicit open/close hooks (the storsimd shard LRU drives these) -----
-  /// ensure_open under its cache-management name: maps + fully validates
-  /// shard i, or returns the typed error naming the shard file.
-  [[nodiscard]] Error open_shard(std::size_t i) const { return ensure_open(i); }
+  /// Maps and fully validates shard i if it is not open yet. Const because
+  /// lazy opening is a caching concern. Every open is held to the MANIFEST
+  /// read by open() (size, header CRC, header counts), so a shard file
+  /// replaced since — a rebuild in place — fails typed instead of mixing
+  /// generations. A shard failing validation reports its path in the typed
+  /// error, so a mid-analysis failure names the offending file.
+  [[nodiscard]] Error open_shard(std::size_t i) const;
   /// Drops shard i's mapping (a later open_shard revalidates and remaps).
   /// The caller must guarantee no live views into the shard — serve::ShardLru
   /// only releases shards whose pin count is zero.
   void release_shard(std::size_t i) const noexcept { shards_[i].reset(); }
-  /// Requires a successful ensure_open(i) / open_all().
+  /// Requires a successful open_shard(i) / open_all().
   const EventStore& shard(std::size_t i) const noexcept { return *shards_[i]; }
 
   // --- global id rebasing (see header comment) -----------------------------
-  std::uint64_t global_system(std::size_t i, std::uint32_t local) const noexcept {
-    return manifest_.shards[i].system_base + local;
-  }
   std::uint64_t global_shelf(std::size_t i, std::uint32_t local) const noexcept {
     return manifest_.shards[i].shelf_base + local;
   }
@@ -204,7 +200,7 @@ class ShardStore {
 
   std::string dir_;  ///< directory holding the shard files
   ShardManifest manifest_;
-  // Lazy-open cache (see ensure_open); mutable so const readers can fault
+  // Lazy-open cache (see open_shard); mutable so const readers can fault
   // shards in. Not synchronized — open shards before sharing across threads.
   mutable std::vector<std::unique_ptr<EventStore>> shards_;
 };

@@ -66,6 +66,7 @@ struct StoreContents {
 
 /// Builds the complete file image in memory. Deterministic: byte-identical
 /// across thread counts and rebuilds from the same inputs.
+// storsim-lint: allow(unused-export) reason=test seam: StoreGolden.* and StoreCorruption.* pin write_store_file's bytes through it
 [[nodiscard]] Error build_store_image(const StoreContents& contents, std::string* image);
 
 /// build_store_image + atomic-ish write (whole image in one stream).

@@ -90,8 +90,6 @@ void ThreadPool::submit(std::function<void()> task) {
   queue_depth_gauge().update_max(depth);
 }
 
-bool ThreadPool::on_worker_thread() const { return tl_current_pool == this; }
-
 void ThreadPool::worker_loop() {
   tl_current_pool = this;
   for (;;) {

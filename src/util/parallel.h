@@ -43,9 +43,6 @@ class ThreadPool {
   /// Enqueues a task. Safe to call from any thread, including pool workers.
   void submit(std::function<void()> task);
 
-  /// True when called from one of this pool's worker threads.
-  bool on_worker_thread() const;
-
  private:
   void worker_loop();
 

@@ -124,9 +124,6 @@ TEST(AfrGroupings, ByDiskAndShelfModelLabels) {
   const auto by_disk = core::afr_by_disk_model(ds);
   ASSERT_EQ(by_disk.size(), 1u);
   EXPECT_EQ(by_disk[0].label, "Disk D-3");
-  const auto by_shelf = core::afr_by_shelf_model(ds);
-  ASSERT_EQ(by_shelf.size(), 1u);
-  EXPECT_EQ(by_shelf[0].label, "Shelf Model B");
 }
 
 TEST(AfrGroupings, ByPathConfig) {

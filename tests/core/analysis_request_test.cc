@@ -152,10 +152,3 @@ TEST(RenderStatistic, MatchesThePerStatisticRenderersByteForByte) {
   }
 }
 
-TEST(RunSourceQuery, DatasetBackedSourcesYieldTypedError) {
-  const core::Dataset dataset = small_dataset();
-  const core::Source source = dataset;
-  store::QueryResult result;
-  const store::Error err = core::run_source_query(source, store::Query{}, &result);
-  EXPECT_FALSE(err.ok());
-}

@@ -87,7 +87,6 @@ TEST(Dataset, DropsEventsWithUnknownDisks) {
   core::Dataset ds(inv, {event(1.0, 99, model::FailureType::kDisk),
                          event(2.0, 0, model::FailureType::kDisk)});
   EXPECT_EQ(ds.events().size(), 1u);
-  EXPECT_EQ(ds.dropped_unknown_disk(), 1u);
 }
 
 TEST(Dataset, SystemAttributionFromInventoryNotEvent) {
@@ -162,7 +161,6 @@ TEST(Dataset, ScopeCountsAndExposures) {
   EXPECT_EQ(ds.selected_shelf_count(), 2u);
   EXPECT_EQ(ds.selected_raid_group_count(), 2u);
   // Both systems deployed at 0 over a 1-year horizon.
-  EXPECT_NEAR(ds.shelf_exposure_years(), 2.0, 1e-9);
   EXPECT_NEAR(ds.raid_group_exposure_years(), 2.0, 1e-9);
 }
 

@@ -27,7 +27,6 @@ TEST(Pipeline, StatsAreConsistent) {
   // dedup window may only collapse same-disk duplicates; the simulator
   // never emits them, so counts match exactly).
   EXPECT_EQ(sd.pipeline.failures_classified, sd.counters.total_events());
-  EXPECT_EQ(sd.dataset.dropped_unknown_disk(), 0u);
 }
 
 TEST(Pipeline, InMemoryPathMatchesCounters) {

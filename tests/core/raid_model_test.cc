@@ -15,6 +15,20 @@
 
 namespace core = storsubsim::core;
 
+namespace {
+
+/// MTTDL in hours, recovered from the one-year defeat probability
+/// P = 1 - exp(-8766 h / MTTDL).
+double mttdl_single_parity_hours(const core::RaidGroupModel& m) {
+  return -8766.0 / std::log1p(-core::defeat_probability_single_parity(m, 1.0));
+}
+
+double mttdl_double_parity_hours(const core::RaidGroupModel& m) {
+  return -8766.0 / std::log1p(-core::defeat_probability_double_parity(m, 1.0));
+}
+
+}  // namespace
+
 TEST(RaidModel, ClosedFormValues) {
   // n=8, AFR ~ 0.876% => lambda = 1e-6/h exactly; repair 24 h.
   core::RaidGroupModel m;
@@ -22,12 +36,12 @@ TEST(RaidModel, ClosedFormValues) {
   m.disk_afr_fraction = 1.0 - std::exp(-1e-6 * 8766.0);
   m.repair_hours = 24.0;
   // MTTDL_1 = mu / (n(n-1) lambda^2) = (1/24) / (56 * 1e-12).
-  EXPECT_NEAR(core::mttdl_single_parity_hours(m), (1.0 / 24.0) / (56.0 * 1e-12), 1e3);
+  EXPECT_NEAR(mttdl_single_parity_hours(m), (1.0 / 24.0) / (56.0 * 1e-12), 1e3);
   // MTTDL_2 = mu^2 / (n(n-1)(n-2) lambda^3).
-  EXPECT_NEAR(core::mttdl_double_parity_hours(m),
+  EXPECT_NEAR(mttdl_double_parity_hours(m),
               (1.0 / 576.0) / (336.0 * 1e-18), 1e7);
   // Double parity buys a factor of mu / ((n-2) lambda) ~ 6.9e3 here.
-  EXPECT_NEAR(core::mttdl_double_parity_hours(m) / core::mttdl_single_parity_hours(m),
+  EXPECT_NEAR(mttdl_double_parity_hours(m) / mttdl_single_parity_hours(m),
               (1.0 / 24.0) / (6.0 * 1e-6), 10.0);
 }
 
@@ -40,29 +54,29 @@ TEST(RaidModel, ScalingLaws) {
   // Halving the repair time doubles single-parity MTTDL.
   auto fast = base;
   fast.repair_hours = 12.0;
-  EXPECT_NEAR(core::mttdl_single_parity_hours(fast),
-              2.0 * core::mttdl_single_parity_hours(base), 1.0);
+  EXPECT_NEAR(mttdl_single_parity_hours(fast),
+              2.0 * mttdl_single_parity_hours(base), 1.0);
 
   // Doubling lambda quarters single-parity MTTDL (lambda^2 law).
   auto frail = base;
   frail.disk_afr_fraction = 1.0 - std::pow(1.0 - base.disk_afr_fraction, 2.0);
-  EXPECT_NEAR(core::mttdl_single_parity_hours(frail),
-              0.25 * core::mttdl_single_parity_hours(base),
-              0.01 * core::mttdl_single_parity_hours(base));
+  EXPECT_NEAR(mttdl_single_parity_hours(frail),
+              0.25 * mttdl_single_parity_hours(base),
+              0.01 * mttdl_single_parity_hours(base));
 }
 
 TEST(RaidModel, RejectsBadParameters) {
   core::RaidGroupModel m;
   m.disks = 1;
-  EXPECT_THROW(core::mttdl_single_parity_hours(m), std::invalid_argument);
+  EXPECT_THROW(mttdl_single_parity_hours(m), std::invalid_argument);
   m.disks = 2;
-  EXPECT_THROW(core::mttdl_double_parity_hours(m), std::invalid_argument);
+  EXPECT_THROW(mttdl_double_parity_hours(m), std::invalid_argument);
   m.disks = 8;
   m.disk_afr_fraction = 0.0;
-  EXPECT_THROW(core::mttdl_single_parity_hours(m), std::invalid_argument);
+  EXPECT_THROW(mttdl_single_parity_hours(m), std::invalid_argument);
   m.disk_afr_fraction = 0.01;
   m.repair_hours = 0.0;
-  EXPECT_THROW(core::mttdl_single_parity_hours(m), std::invalid_argument);
+  EXPECT_THROW(mttdl_single_parity_hours(m), std::invalid_argument);
 }
 
 TEST(RaidModel, MatchesMonteCarloUnderItsOwnAssumptions) {

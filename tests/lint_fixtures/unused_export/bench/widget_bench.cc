@@ -1,0 +1,3 @@
+#include "widget/widget.h"
+
+int main() { return fixture::widget_count() + fixture::Widget().size(); }

@@ -27,8 +27,11 @@ model::Fleet test_fleet(std::uint64_t seed = 3) {
   cohort.raid_group_size = 7;
   cohort.raid_span_shelves = 2;
   cohort.dual_path_fraction = 0.5;
-  return model::Fleet::build(
-      model::single_cohort_config(cohort, model::from_years(2.0), seed));
+  model::FleetConfig config;
+  config.cohorts = {cohort};
+  config.horizon_seconds = model::from_years(2.0);
+  config.seed = seed;
+  return model::Fleet::build(config);
 }
 
 /// A fleet with a retired disk record, so DISK lines carry both time forms
@@ -44,29 +47,24 @@ model::Fleet fleet_with_replacement() {
 }  // namespace
 
 TEST(SnapshotRange, ChunkRejectsIdsNotDenseFromItsBase) {
-  const std::string system =
-      "SYSTEM id=5 class=low-end paths=single-path disk-model=A-2 shelf-model=A "
-      "deploy=0.0 cohort=0\n";
-  log_ns::SnapshotChunk chunk;
-  chunk.bases.systems = 5;
-  const auto ok = log_ns::parse_snapshot_chunk(system, chunk);
-  ASSERT_TRUE(ok.ok()) << ok.error;
-  EXPECT_FALSE(ok.saw_header);
-  EXPECT_FALSE(ok.saw_end);
-  ASSERT_EQ(ok.inventory.systems.size(), 1U);
+  // Each record kind's ids run densely from zero; a gap fails on its line
+  // before the whole-section checks run.
+  const auto system = [](int id) {
+    return "SYSTEM id=" + std::to_string(id) +
+           " class=low-end paths=single-path disk-model=A-2 shelf-model=A deploy=0.0 "
+           "cohort=0\n";
+  };
+  const auto dense = log_ns::parse_snapshot(system(0));
+  EXPECT_EQ(dense.error.find("not dense"), std::string::npos) << dense.error;
 
-  chunk.bases.systems = 4;
-  const auto off_by_one = log_ns::parse_snapshot_chunk(system, chunk);
+  const auto off_by_one = log_ns::parse_snapshot(system(1));
   EXPECT_FALSE(off_by_one.ok());
   EXPECT_NE(off_by_one.error.find("SYSTEM ids not dense"), std::string::npos);
   EXPECT_NE(off_by_one.error.find("line 1"), std::string::npos);
 
   const std::string disk =
-      "DISK id=41 model=A-2 sys=0 shelf=0 group=- slot=0 install=0.000 remove=inf\n";
-  chunk.bases.disks = 41;
-  EXPECT_TRUE(log_ns::parse_snapshot_chunk(disk, chunk).ok());
-  chunk.bases.disks = 42;
-  const auto behind = log_ns::parse_snapshot_chunk(disk, chunk);
+      "DISK id=1 model=A-2 sys=0 shelf=0 group=- slot=0 install=0.000 remove=inf\n";
+  const auto behind = log_ns::parse_snapshot(system(0) + disk);
   EXPECT_FALSE(behind.ok());
   EXPECT_NE(behind.error.find("DISK ids not dense"), std::string::npos);
 }

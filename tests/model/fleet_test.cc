@@ -25,7 +25,11 @@ model::FleetConfig small_config(std::uint64_t seed = 11) {
   cohort.raid_group_size = 8;
   cohort.raid_span_shelves = 3;
   cohort.dual_path_fraction = 0.4;
-  return model::single_cohort_config(cohort, model::from_years(2.0), seed);
+  model::FleetConfig config;
+  config.cohorts = {cohort};
+  config.horizon_seconds = model::from_years(2.0);
+  config.seed = seed;
+  return config;
 }
 
 }  // namespace

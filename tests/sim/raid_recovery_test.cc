@@ -33,8 +33,11 @@ struct Rig {
     c.raid_group_size = 6;
     c.raid_span_shelves = 2;
     c.raid6_fraction = raid6_fraction;
-    return model::Fleet::build(
-        model::single_cohort_config(c, model::from_years(2.0), 12345));
+    model::FleetConfig config;
+    config.cohorts = {c};
+    config.horizon_seconds = model::from_years(2.0);
+    config.seed = 12345;
+    return model::Fleet::build(config);
   }
 
   double deploy() const { return fleet.systems()[0].deploy_time; }

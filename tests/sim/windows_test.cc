@@ -43,7 +43,9 @@ TEST(GenerateWindows, DutyCycleMatchesExpectation) {
   for (const auto& w : windows) covered += w.end - w.start;
   // Skipped overlapping arrivals make the empirical duty cycle slightly
   // lower than the ideal; accept a broad band.
-  EXPECT_NEAR(covered / horizon, process.duty_cycle(), 0.4 * process.duty_cycle());
+  const double duty_cycle =
+      process.per_year * process.mean_duration_seconds / model::kSecondsPerYear;
+  EXPECT_NEAR(covered / horizon, duty_cycle, 0.4 * duty_cycle);
 }
 
 TEST(MultiplierAt, LookupSemantics) {
@@ -148,6 +150,6 @@ TEST(ModulatedSampler, ExactAcrossWindowBoundaries) {
 
 TEST(WindowProcess, AverageMultiplierFormula) {
   const sim::WindowProcess p{2.0, 0.05 * model::kSecondsPerYear, 0.5, 11.0};
-  EXPECT_NEAR(p.duty_cycle(), 0.1, 1e-12);
+  // Duty cycle 2 / year * 0.05 year = 0.1.
   EXPECT_NEAR(p.average_multiplier(), 1.0 + 0.1 * 10.0, 1e-12);
 }

@@ -188,7 +188,7 @@ TEST(StandardGamma, SmallShapeMean) {
   // The shape < 1 augmentation path must keep the mean = shape.
   Rng rng(99);
   stats::Accumulator acc;
-  for (int i = 0; i < 80000; ++i) acc.add(stats::sample_standard_gamma(rng, 0.25));
+  for (int i = 0; i < 80000; ++i) acc.add(stats::Gamma(0.25, 1.0).sample(rng));
   EXPECT_NEAR(acc.mean(), 0.25, 0.02);
 }
 

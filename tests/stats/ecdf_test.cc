@@ -47,9 +47,8 @@ TEST(Ecdf, MonotoneOnGrid) {
   for (auto& x : xs) x = rng.uniform(0.0, 100.0);
   const stats::Ecdf e(std::move(xs));
   const auto grid = stats::log_grid(0.1, 1000.0, 50);
-  const auto values = e.evaluate(grid);
-  for (std::size_t i = 1; i < values.size(); ++i) {
-    EXPECT_GE(values[i], values[i - 1]);
+  for (std::size_t i = 1; i < grid.size(); ++i) {
+    EXPECT_GE(e(grid[i]), e(grid[i - 1]));
   }
 }
 
@@ -68,27 +67,4 @@ TEST(LogGrid, RejectsBadArguments) {
   EXPECT_THROW(stats::log_grid(0.0, 10.0, 5), std::invalid_argument);
   EXPECT_THROW(stats::log_grid(10.0, 1.0, 5), std::invalid_argument);
   EXPECT_THROW(stats::log_grid(1.0, 10.0, 1), std::invalid_argument);
-}
-
-TEST(KsDistance, ZeroForPerfectModel) {
-  // The ECDF of a sample against its own ECDF-like step model: compare a
-  // uniform sample against the uniform CDF; KS should be small.
-  stats::Rng rng(17);
-  std::vector<double> xs(20000);
-  for (auto& x : xs) x = rng.uniform();
-  const stats::Ecdf e(std::move(xs));
-  const double d = stats::ks_distance(e, [](double x) { return std::clamp(x, 0.0, 1.0); });
-  EXPECT_LT(d, 0.015);
-}
-
-TEST(KsDistance, LargeForWrongModel) {
-  stats::Rng rng(18);
-  const stats::Exponential exp_d(1.0);
-  std::vector<double> xs(5000);
-  for (auto& x : xs) x = exp_d.sample(rng);
-  const stats::Ecdf e(std::move(xs));
-  // Compare against a badly-scaled exponential.
-  const stats::Exponential wrong(10.0);
-  const double d = stats::ks_distance(e, [&](double x) { return wrong.cdf(x); });
-  EXPECT_GT(d, 0.3);
 }

@@ -2,6 +2,7 @@
 // calibration (size under the null, power under alternatives).
 #include "stats/hypothesis.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -66,31 +67,46 @@ TEST(TwoProportionTest, ReferenceValue) {
   EXPECT_NEAR(r.p_value_two_sided, 0.10247043485974934, 1e-6);
 }
 
+namespace {
+
+/// chi_square_gof against the uniform [0, 1] model, with observed[i] points
+/// at the centre of the i-th of observed.size() equal-probability bins, so
+/// the binned counts are exactly `observed` (n / bins expected in each).
+stats::ChiSquareResult uniform_gof(const std::vector<std::size_t>& observed,
+                                   std::size_t fitted) {
+  const double bins = static_cast<double>(observed.size());
+  std::vector<double> xs;
+  for (std::size_t i = 0; i < observed.size(); ++i) {
+    xs.insert(xs.end(), observed[i], (static_cast<double>(i) + 0.5) / bins);
+  }
+  return stats::chi_square_gof(
+      xs, [](double x) { return std::clamp(x, 0.0, 1.0); }, [](double p) { return p; }, fitted,
+      observed.size());
+}
+
+}  // namespace
+
 TEST(ChiSquareFromCounts, PerfectFitNotRejected) {
-  const std::vector<double> obs = {10, 10, 10, 10, 10};
-  const std::vector<double> exp = {10, 10, 10, 10, 10};
-  const auto r = stats::chi_square_from_counts(obs, exp, 0);
+  const auto r = uniform_gof({10, 10, 10, 10, 10}, 0);
   EXPECT_NEAR(r.statistic, 0.0, 1e-12);
   EXPECT_NEAR(r.p_value, 1.0, 1e-9);
   EXPECT_FALSE(r.rejected_at(0.05));
 }
 
 TEST(ChiSquareFromCounts, GrossMismatchRejected) {
-  const std::vector<double> obs = {50, 0, 0, 0, 0};
-  const std::vector<double> exp = {10, 10, 10, 10, 10};
-  const auto r = stats::chi_square_from_counts(obs, exp, 0);
+  const auto r = uniform_gof({50, 0, 0, 0, 0}, 0);
   EXPECT_TRUE(r.rejected_at(0.001));
 }
 
 TEST(ChiSquareFromCounts, DegreesOfFreedomAccounting) {
-  const std::vector<double> obs = {12, 9, 11, 8};
-  const std::vector<double> exp = {10, 10, 10, 10};
-  const auto r0 = stats::chi_square_from_counts(obs, exp, 0);
-  const auto r1 = stats::chi_square_from_counts(obs, exp, 1);
+  const std::vector<std::size_t> obs = {12, 9, 11, 8};
+  const auto r0 = uniform_gof(obs, 0);
+  const auto r1 = uniform_gof(obs, 1);
+  EXPECT_EQ(r0.bins_used, 4u);
   EXPECT_DOUBLE_EQ(r0.degrees_of_freedom, 3.0);
   EXPECT_DOUBLE_EQ(r1.degrees_of_freedom, 2.0);
   EXPECT_DOUBLE_EQ(r0.statistic, r1.statistic);
-  EXPECT_THROW(stats::chi_square_from_counts(obs, exp, 3), std::invalid_argument);
+  EXPECT_THROW(uniform_gof(obs, 3), std::invalid_argument);
 }
 
 TEST(ChiSquareGof, CorrectModelNotRejected) {

@@ -10,13 +10,6 @@
 
 namespace stats = storsubsim::stats;
 
-TEST(WaldCi, ReferenceValue) {
-  // p = 0.5, n = 100, 95%: half width = 1.96 * sqrt(0.25/100) = 0.098.
-  const auto ci = stats::proportion_ci_wald(50, 100, 0.95);
-  EXPECT_NEAR(ci.point, 0.5, 1e-12);
-  EXPECT_NEAR(ci.half_width(), 0.09799819922, 1e-6);
-}
-
 TEST(WilsonCi, StaysInUnitInterval) {
   // Extreme proportions must not escape [0, 1].
   const auto lo = stats::proportion_ci_wilson(0, 20, 0.99);
@@ -35,7 +28,6 @@ TEST(WilsonCi, ReferenceValue) {
 }
 
 TEST(ProportionCi, ZeroTotalThrows) {
-  EXPECT_THROW(stats::proportion_ci_wald(0, 0, 0.95), std::invalid_argument);
   EXPECT_THROW(stats::proportion_ci_wilson(0, 0, 0.95), std::invalid_argument);
 }
 
@@ -86,12 +78,9 @@ TEST(MeanCi, ReferenceValue) {
 }
 
 TEST(Interval, OverlapSemantics) {
+  // Both bounds are inside the interval.
   const stats::Interval a{1.0, 3.0, 2.0};
-  const stats::Interval b{2.5, 4.0, 3.0};
-  const stats::Interval c{3.5, 5.0, 4.0};
-  EXPECT_TRUE(a.overlaps(b));
-  EXPECT_TRUE(b.overlaps(a));
-  EXPECT_FALSE(a.overlaps(c));
   EXPECT_TRUE(a.contains(1.0));
+  EXPECT_TRUE(a.contains(3.0));
   EXPECT_FALSE(a.contains(3.5));
 }

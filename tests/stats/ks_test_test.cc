@@ -1,4 +1,5 @@
 // Kolmogorov-Smirnov test: distribution values, null calibration, power.
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -71,4 +72,27 @@ TEST(KsTest, NullCalibration) {
 TEST(KsTest, EmptySampleThrows) {
   EXPECT_THROW(stats::ks_test(std::vector<double>{}, [](double) { return 0.5; }),
                std::invalid_argument);
+}
+
+// ks_test's statistic is the KS distance sup |F_n - F| between the sample's
+// ECDF and the model.
+TEST(KsDistance, ZeroForPerfectModel) {
+  // A uniform sample against the uniform CDF: KS should be small.
+  stats::Rng rng(17);
+  std::vector<double> xs(20000);
+  for (auto& x : xs) x = rng.uniform();
+  const double d =
+      stats::ks_test(xs, [](double x) { return std::clamp(x, 0.0, 1.0); }).statistic;
+  EXPECT_LT(d, 0.015);
+}
+
+TEST(KsDistance, LargeForWrongModel) {
+  stats::Rng rng(18);
+  const stats::Exponential exp_d(1.0);
+  std::vector<double> xs(5000);
+  for (auto& x : xs) x = exp_d.sample(rng);
+  // Compare against a badly-scaled exponential.
+  const stats::Exponential wrong(10.0);
+  const double d = stats::ks_test(xs, [&](double x) { return wrong.cdf(x); }).statistic;
+  EXPECT_GT(d, 0.3);
 }

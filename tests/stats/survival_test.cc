@@ -82,7 +82,6 @@ void expect_same_fit(std::span<const stats::SurvivalObservation> data,
                      bool zero_sign_free = false) {
   const auto km = stats::KaplanMeier::fit(data);
   const ReferenceFit ref = sort_and_walk(data);
-  EXPECT_EQ(km.subjects(), data.size());
   EXPECT_EQ(km.total_events(), ref.events);
   ASSERT_EQ(km.curve().size(), ref.points.size());
   for (std::size_t i = 0; i < ref.points.size(); ++i) {
@@ -116,7 +115,6 @@ TEST(KaplanMeier, TextbookExample) {
   EXPECT_DOUBLE_EQ(km.survival(10.0), 0.0);
   EXPECT_DOUBLE_EQ(km.median(), 7.0);
   EXPECT_EQ(km.total_events(), 3u);
-  EXPECT_EQ(km.subjects(), 4u);
 }
 
 TEST(KaplanMeier, AllCensored) {

@@ -369,9 +369,6 @@ TEST_F(ShardEquivalence, SingleFileGlobalIdsAreTheIdentity) {
   const store::ShardStore& single = mono();
   const store::EventStore& file = single.shard(0);
   const auto& h = file.header();
-  for (std::uint32_t i = 0; i < h.system_count; ++i) {
-    ASSERT_EQ(single.global_system(0, i), i);
-  }
   for (std::uint32_t i = 0; i < h.shelf_count; ++i) {
     ASSERT_EQ(single.global_shelf(0, i), i);
   }
@@ -664,7 +661,7 @@ TEST_F(ShardCorruption, ShardHeaderCorruptionIsCaughtAtOpen) {
 }
 
 // Body corruption is past the cheap open()-time checks; it must surface as
-// a typed Error on first full validation (ensure_open) rather than a broken
+// a typed Error on first full validation (open_shard) rather than a broken
 // view.
 TEST_F(ShardCorruption, ShardBodyCorruptionIsCaughtOnFirstAccess) {
   std::size_t caught = 0;
@@ -680,7 +677,7 @@ TEST_F(ShardCorruption, ShardBodyCorruptionIsCaughtOnFirstAccess) {
       ++caught;  // mutation landed in header/size-checked territory
       continue;
     }
-    const auto err = shards.ensure_open(0);
+    const auto err = shards.open_shard(0);
     if (!err.ok()) {
       EXPECT_NE(err.code, store::ErrorCode::kOk) << "pos " << pos;
       ++caught;
@@ -706,7 +703,7 @@ TEST_F(ShardCorruption, LazyValidationErrorNamesTheShardPath) {
 
     store::ShardStore shards;
     if (!shards.open(*dir_).ok()) continue;  // caught by the cheap checks
-    const auto err = shards.ensure_open(0);
+    const auto err = shards.open_shard(0);
     if (err.ok()) continue;  // landed in padding no invariant covers
     EXPECT_NE(err.detail.find("shard-0000.store"), std::string::npos)
         << "pos " << pos << ": " << err.describe();
@@ -730,7 +727,7 @@ TEST_F(ShardCorruption, AShardReplacedAfterOpenFailsItsLazyOpenTyped) {
   ASSERT_TRUE(shards.open(*dir_).ok());
   ASSERT_FALSE(shards.is_open(0));
   write_file(*shard0_path_, read_file(*dir_ + "/shard-0001.store"));  // valid, but not shard 0
-  const auto err = shards.ensure_open(0);
+  const auto err = shards.open_shard(0);
   EXPECT_TRUE(err.code == store::ErrorCode::kTruncated ||
               err.code == store::ErrorCode::kChecksum)
       << err.describe();

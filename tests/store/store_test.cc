@@ -97,18 +97,23 @@ TEST_F(StoreRoundTrip, HeaderDescribesTheRun) {
 }
 
 TEST_F(StoreRoundTrip, MetaRoundTripsClassifierAndSimCounters) {
-  store::EventStore es;
-  ASSERT_TRUE(es.open_image(*image_).ok());
+  const std::string path = temp_path("meta_round_trip.store");
+  ASSERT_TRUE(core::write_store(path, *run_, 20080226, 0.05).ok());
+  store::ShardStore es;
+  ASSERT_TRUE(es.open(path).ok());
+  ASSERT_TRUE(es.open_all().ok());
+  const auto rerun = core::simulation_dataset_from_shards(es);
+  std::remove(path.c_str());
   // The ClassifierStats / pipeline counters the original run produced must
   // come back exactly (the "simulate once" provenance).
-  const auto pipeline = core::pipeline_stats_from_meta(es.meta());
+  const auto& pipeline = rerun.pipeline;
   EXPECT_EQ(pipeline.log_lines_written, run_->pipeline.log_lines_written);
   EXPECT_EQ(pipeline.log_lines_parsed, run_->pipeline.log_lines_parsed);
   EXPECT_EQ(pipeline.raid_records, run_->pipeline.raid_records);
   EXPECT_EQ(pipeline.failures_classified, run_->pipeline.failures_classified);
   EXPECT_EQ(pipeline.duplicates_dropped, run_->pipeline.duplicates_dropped);
   EXPECT_EQ(pipeline.missing_disk_dropped, run_->pipeline.missing_disk_dropped);
-  const auto counters = core::sim_counters_from_meta(es.meta());
+  const auto& counters = rerun.counters;
   EXPECT_EQ(counters.events_by_type, run_->counters.events_by_type);
   EXPECT_EQ(counters.replacements, run_->counters.replacements);
 }

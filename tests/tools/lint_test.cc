@@ -597,6 +597,103 @@ TEST(AnalysisOverloadRule, SourceOverloadsHelpersAndCallSitesAreClean) {
   EXPECT_TRUE(report.findings.empty()) << lint::render_json_report(report);
 }
 
+// --- rule: unused-export -------------------------------------------------------
+
+namespace {
+
+constexpr const char* kWidgetTree[] = {"src/widget/widget.h", "src/widget/widget.cc",
+                                       "bench/widget_bench.cc", "examples/widget_demo.cpp",
+                                       "tests/widget_test.cc"};
+
+/// Lints unused_export/ fixture files under display paths relative to that
+/// directory, as if it were the repo root (the rule keys off src/, bench/,
+/// examples/ and tests/ as the first path component).
+lint::TreeReport lint_widget_tree(const std::vector<std::string>& subpaths) {
+  std::vector<lint::MemoryFile> files;
+  for (const auto& s : subpaths) {
+    files.push_back(lint::MemoryFile{s, read_file(fixture_path("unused_export/" + s))});
+  }
+  return lint::lint_tree_memory(files);
+}
+
+/// The unused-export finding for `name`, or nullptr.
+const lint::Finding* unused_export_of(const lint::TreeReport& report, const std::string& name) {
+  for (const auto& f : report.findings) {
+    if (f.rule == lint::Rule::kUnusedExport && f.message.find("'" + name + "'") == 0) return &f;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+TEST(UnusedExportRule, HeaderFunctionWithoutACallerIsAFinding) {
+  const auto report = lint_widget_tree({std::begin(kWidgetTree), std::end(kWidgetTree)});
+  const lint::Finding* orphan = unused_export_of(report, "widget_orphan");
+  ASSERT_NE(orphan, nullptr) << lint::render_json_report(report);
+  EXPECT_EQ(orphan->path, "src/widget/widget.h");
+  EXPECT_EQ(orphan->line, 10u);
+  EXPECT_NE(orphan->message.find("delete it"), std::string::npos);
+  // The whole tree: orphan, tests-only, own-file-only and the reasonless allow.
+  EXPECT_EQ(count_rule(report, lint::Rule::kUnusedExport), 4u)
+      << lint::render_json_report(report);
+  // Private members are not exports.
+  EXPECT_EQ(unused_export_of(report, "resize_to"), nullptr);
+  EXPECT_EQ(run_cli("--check --root " + fixture_path("unused_export") + " " +
+                    fixture_path("unused_export")),
+            1);
+}
+
+TEST(UnusedExportRule, ACallerInBenchOrExamplesClearsIt) {
+  const auto full = lint_widget_tree({std::begin(kWidgetTree), std::end(kWidgetTree)});
+  EXPECT_EQ(unused_export_of(full, "widget_count"), nullptr);
+  EXPECT_EQ(unused_export_of(full, "widget_area"), nullptr);
+  // Without those callers both are findings.
+  const auto src_only = lint_widget_tree({"src/widget/widget.h", "src/widget/widget.cc"});
+  EXPECT_NE(unused_export_of(src_only, "widget_count"), nullptr);
+  EXPECT_NE(unused_export_of(src_only, "widget_area"), nullptr);
+}
+
+TEST(UnusedExportRule, ACallerOnlyInTestsDoesNot) {
+  const auto report = lint_widget_tree({std::begin(kWidgetTree), std::end(kWidgetTree)});
+  const lint::Finding* volume = unused_export_of(report, "widget_volume");
+  ASSERT_NE(volume, nullptr) << lint::render_json_report(report);
+  EXPECT_NE(volume->message.find("nothing outside tests calls it"), std::string::npos);
+}
+
+TEST(UnusedExportRule, UseOnlyInItsOwnFileIsMadeFileLocal) {
+  const auto report = lint_widget_tree({std::begin(kWidgetTree), std::end(kWidgetTree)});
+  const lint::Finding* helper = unused_export_of(report, "widget_helper");
+  ASSERT_NE(helper, nullptr) << lint::render_json_report(report);
+  EXPECT_NE(helper->message.find("make it file-local"), std::string::npos);
+}
+
+TEST(UnusedExportRule, AllowWithAReasonIsHonoured) {
+  const auto report = lint_widget_tree({std::begin(kWidgetTree), std::end(kWidgetTree)});
+  EXPECT_EQ(unused_export_of(report, "widget_documented"), nullptr);
+  bool suppressed = false;
+  for (const auto& s : report.suppressions) {
+    if (s.rule == lint::Rule::kUnusedExport && s.line == 14u) {
+      suppressed = true;
+      EXPECT_EQ(s.reason, "docs/API.md entry");
+    }
+  }
+  EXPECT_TRUE(suppressed) << lint::render_json_report(report);
+}
+
+TEST(UnusedExportRule, AReasonlessAllowIsABadSuppression) {
+  const auto report = lint_widget_tree({std::begin(kWidgetTree), std::end(kWidgetTree)});
+  bool bad = false;
+  for (const auto& f : report.findings) {
+    if (f.rule == lint::Rule::kBadSuppression && f.path == "src/widget/widget.h" &&
+        f.line == 16u) {
+      bad = true;
+    }
+  }
+  EXPECT_TRUE(bad) << lint::render_json_report(report);
+  // The malformed allow suppresses nothing.
+  EXPECT_NE(unused_export_of(report, "widget_unexplained"), nullptr);
+}
+
 // --- the two-phase engine -----------------------------------------------------
 
 TEST(TreeSuppressions, InlineAllowCoversPhaseTwoRules) {
@@ -648,7 +745,7 @@ TEST(TreeReportJson, RoundTripsThroughObsParseJson) {
 
   const obs::JsonValue* findings = doc->find("findings");
   ASSERT_NE(findings, nullptr);
-  ASSERT_TRUE(findings->is_array());
+  ASSERT_TRUE(findings->type == obs::JsonValue::Type::kArray);
   ASSERT_EQ(findings->array.size(), report.findings.size());
   const obs::JsonValue& first = findings->array.front();
   ASSERT_TRUE(first.is_object());
@@ -663,7 +760,7 @@ TEST(TreeReportJson, RoundTripsThroughObsParseJson) {
 
   const obs::JsonValue* sups = doc->find("suppressions");
   ASSERT_NE(sups, nullptr);
-  EXPECT_TRUE(sups->is_array());
+  EXPECT_TRUE(sups->type == obs::JsonValue::Type::kArray);
 }
 
 TEST(TreeReportJson, ExcerptsWithQuotesAndBackslashesSurviveTheRoundTrip) {

@@ -45,16 +45,6 @@ TEST(ThreadPool, ZeroRequestedThreadsStillWorks) {
   EXPECT_TRUE(ran.load());
 }
 
-TEST(ThreadPool, OnWorkerThreadDetection) {
-  std::atomic<int> inside{-1};
-  {
-    util::ThreadPool pool(1);
-    EXPECT_FALSE(pool.on_worker_thread());
-    pool.submit([&] { inside.store(pool.on_worker_thread() ? 1 : 0); });
-  }  // destructor drains the queue, so the task ran
-  EXPECT_EQ(inside.load(), 1);
-}
-
 TEST(ParallelFor, CoversRangeExactlyOnce) {
   ThreadCountGuard guard;
   util::set_thread_count(4);

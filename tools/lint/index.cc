@@ -297,6 +297,7 @@ void scan_functions(FileEntry* entry) {
     FuncDef fd;
     fd.name = std::string(tok.text);
     fd.line = line_of(entry->stripped, tok.begin);
+    fd.offset = tok.begin;
     fd.has_body = has_body;
     fd.body_begin = body_begin;
     fd.body_end = body_end;

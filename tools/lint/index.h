@@ -41,6 +41,7 @@ struct Param {
 struct FuncDef {
   std::string name;            ///< last identifier of the declarator
   std::size_t line = 0;        ///< 1-based line of the name
+  std::size_t offset = 0;      ///< offset of the name in stripped code
   TypeCategory ret = TypeCategory::kOther;
   bool nodiscard = false;      ///< [[nodiscard]] present on this declaration
   bool has_body = false;
@@ -91,6 +92,7 @@ void check_error_discipline(const TreeIndex& index, std::vector<Finding>* findin
 void check_layering(const TreeIndex& index, std::vector<Finding>* findings);
 void check_lock_discipline(const TreeIndex& index, std::vector<Finding>* findings);
 void check_analysis_overload(const TreeIndex& index, std::vector<Finding>* findings);
+void check_unused_export(const TreeIndex& index, std::vector<Finding>* findings);
 
 /// The declared layering DAG over src/ (docs/static-analysis.md): for each
 /// layer directory, the set of layers it may include (its transitive

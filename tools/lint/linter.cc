@@ -30,6 +30,7 @@ std::string_view rule_name(Rule rule) noexcept {
     case Rule::kLayering: return "layering";
     case Rule::kLockDiscipline: return "lock-discipline";
     case Rule::kAnalysisOverload: return "analysis-overload";
+    case Rule::kUnusedExport: return "unused-export";
     case Rule::kBadSuppression: return "bad-suppression";
   }
   return "unknown";
@@ -176,6 +177,7 @@ TreeReport run_engine(std::vector<Slot>& slots, const LintOptions& options) {
   check_layering(index, &tree_findings);
   check_lock_discipline(index, &tree_findings);
   check_analysis_overload(index, &tree_findings);
+  check_unused_export(index, &tree_findings);
   for (Finding& f : tree_findings) {
     bool suppressed = false;
     for (const FileEntry& e : index.files) {

@@ -22,7 +22,9 @@
 //     and their results must not be silently discarded), layering (the
 //     declared dependency DAG over src/, with include-cycle detection), and
 //     lock-discipline (mutexes are acquired via RAII guards only; no bare
-//     .lock()/.unlock(), no double-lock in one scope).
+//     .lock()/.unlock(), no double-lock in one scope), analysis-overload,
+//     and unused-export (a function a src/ header declares must have a
+//     caller in src/, tools/, bench/ or examples/ outside its own files).
 //
 // Intentional exceptions are either annotated inline,
 //
@@ -55,6 +57,7 @@ enum class Rule {
   kLayering,
   kLockDiscipline,
   kAnalysisOverload,
+  kUnusedExport,
   kBadSuppression,
 };
 
@@ -63,7 +66,7 @@ inline constexpr Rule kAllRules[] = {
     Rule::kHeaderHygiene,  Rule::kAllocHotpath,     Rule::kTimerDiscipline,
     Rule::kFilePublish,    Rule::kViewLifetime,     Rule::kErrorDiscipline,
     Rule::kLayering,       Rule::kLockDiscipline,   Rule::kAnalysisOverload,
-    Rule::kBadSuppression};
+    Rule::kUnusedExport,   Rule::kBadSuppression};
 
 std::string_view rule_name(Rule rule) noexcept;
 std::optional<Rule> rule_from_name(std::string_view name) noexcept;

@@ -107,8 +107,9 @@ struct Annotation {
   std::string reason;
 };
 
-/// Parses `storsim-lint: allow(<rule>) reason=<text>` annotations out of the
-/// comment text. Malformed annotations become kBadSuppression findings.
+/// Parses the inline suppression annotations (the storsim-lint marker, then
+/// allow of one rule name and a reason= text) out of the comment text.
+/// Malformed annotations become kBadSuppression findings.
 void collect_annotations(const Stripped& s, std::string_view path,
                          std::vector<Annotation>* annotations,
                          std::vector<Finding>* findings);

@@ -4,9 +4,10 @@
 #   tools/run_checks.sh [extra ctest args...]
 #
 #   1. configure + build the default preset
-#   2. ctest (633 unit/integration tests + the storsim_lint fixture suite
+#   2. ctest (the unit/integration tests + the storsim_lint fixture suite
 #      + the StorsimLint.TreeIsClean gate)
-#   3. storsim_lint --check over src/ bench/ tests/ (redundant with the ctest
+#   3. storsim_lint --check over src/ bench/ tests/ tools/ examples/ (the
+#      last two hold callers the unused-export rule counts; redundant with the ctest
 #      gate, but run standalone so its report is printed even when ctest is
 #      filtered down with extra args); also emits build/lint-report.json,
 #      the --format=json report CI consumes
@@ -78,9 +79,9 @@ ctest --test-dir build --output-on-failure -j "$(nproc)" "$@"
 echo "== [3/13] storsim_lint =="
 # Emit the machine-readable report first (it must exist even when the gate
 # below fails, so CI can surface the findings), then run the human gate.
-./build/tools/storsim_lint --format=json --root . src bench tests \
+./build/tools/storsim_lint --format=json --root . src bench tests tools examples \
   > build/lint-report.json || true
-./build/tools/storsim_lint --check --root . src bench tests
+./build/tools/storsim_lint --check --root . src bench tests tools examples
 echo "machine-readable report: build/lint-report.json"
 
 echo "== [4/13] pipeline_throughput smoke =="

@@ -42,7 +42,7 @@ cmake --build --preset "$preset" -j "$(nproc)"
 # The lint gate is milliseconds and the instrumented build just produced a
 # fresh storsim_lint; run it so a sanitizer pass cannot green-light a tree
 # the default verify loop would reject.
-"./build-${preset}/tools/storsim_lint" --check --root . src bench tests
+"./build-${preset}/tools/storsim_lint" --check --root . src bench tests tools examples
 
 run_ctest() {
   ctest --test-dir "build-${preset}" --output-on-failure "$@"

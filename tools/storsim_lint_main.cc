@@ -30,7 +30,7 @@ int usage(const char* argv0) {
                "Per-file rules: nondeterminism, unordered-iter, rng-discipline,\n"
                "                header-hygiene, alloc-hotpath, timer-discipline, file-publish.\n"
                "Cross-TU rules: view-lifetime, error-discipline, layering,\n"
-               "                lock-discipline.\n"
+               "                lock-discipline, analysis-overload, unused-export.\n"
                "\n"
                "  --check                 report findings, exit 1 if any (default)\n"
                "  --baseline FILE         ignore findings recorded in FILE\n"

@@ -36,12 +36,10 @@
 // None of these change a single stdout byte — analysis output is identical
 // with observability on or off, at any --threads value.
 #include <atomic>
-#include <charconv>
-#include <cmath>
 #include <csignal>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -78,6 +76,7 @@
 #include "store/query.h"
 #include "store/shards.h"
 #include "util/file.h"
+#include "util/flags.h"
 #include "util/parallel.h"
 #include "util/rss.h"
 
@@ -101,37 +100,19 @@ struct Args {
     const auto it = options.find(name);
     return it == options.end() ? fallback : it->second;
   }
-  /// A finite number; anything else ends the process (bad_value).
+  /// A finite number; anything else ends the process (util::flag_double).
   double get_double(const std::string& name, double fallback) const {
     const auto it = options.find(name);
-    if (it == options.end()) return fallback;
-    const std::string& text = it->second;
-    double value = 0.0;
-    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc{} || end != text.data() + text.size() || !std::isfinite(value)) {
-      bad_value(name);
-    }
-    return value;
+    return it == options.end() ? fallback : util::flag_double(name, it->second);
   }
   /// A non-negative integer that fits T (decimal digits only); anything
-  /// else ends the process (bad_value).
+  /// else ends the process (util::flag_count).
   template <typename T>
   T get_count(const std::string& name, T fallback) const {
     static_assert(std::is_unsigned_v<T>);
     const auto it = options.find(name);
     if (it == options.end()) return fallback;
-    const std::string& text = it->second;
-    T value = 0;
-    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc{} || end != text.data() + text.size()) bad_value(name);
-    return value;
-  }
-
- private:
-  /// Usage error for a value that does not parse: exit status 2, like usage().
-  [[noreturn]] static void bad_value(const std::string& name) {
-    std::cerr << "bad value for --" << name << "\n";
-    std::exit(2);
+    return static_cast<T>(util::flag_count(name, it->second, std::numeric_limits<T>::max()));
   }
 };
 
