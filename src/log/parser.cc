@@ -31,6 +31,25 @@ std::optional<std::uint32_t> parse_id_attr(std::string_view text, std::string_vi
 
 }  // namespace
 
+const char* read_fixed3(const char* first, const char* last, double& out) {
+  constexpr int kMaxWholeDigits = 15;
+  std::uint64_t millis = 0;
+  const char* p = first;
+  while (p != last && p - first < kMaxWholeDigits && *p >= '0' && *p <= '9') {
+    millis = millis * 10 + static_cast<std::uint64_t>(*p++ - '0');
+  }
+  if (p == first || last - p < 4 || *p != '.') return nullptr;
+  for (int i = 1; i <= 3; ++i) {
+    if (p[i] < '0' || p[i] > '9') return nullptr;
+    millis = millis * 10 + static_cast<std::uint64_t>(p[i] - '0');
+  }
+  // Below 2^53 the integer is exact, and one correctly rounded division
+  // yields the double nearest the decimal, which is what from_chars returns.
+  if (millis >= (std::uint64_t{1} << 53)) return nullptr;
+  out = static_cast<double>(millis) / 1000.0;
+  return p + 4;
+}
+
 bool parse_line_view(std::string_view line, LogView& out) {
   // Expected shape:
   //   D0012 03:14:15 t=<seconds> [<code>:<severity>] [sys=N disk=N]: <message>
@@ -38,13 +57,16 @@ bool parse_line_view(std::string_view line, LogView& out) {
   if (t_pos == std::string_view::npos) return false;
 
   {
-    std::string_view rest = line.substr(t_pos + 3);
-    // std::from_chars for double is available in GCC >= 11.
-    double t = 0.0;
-    const auto [ptr, ec] = std::from_chars(rest.data(), rest.data() + rest.size(), t);
-    if (ec != std::errc{}) return false;
-    out.time = t;
-    line = std::string_view(ptr, static_cast<std::size_t>(rest.data() + rest.size() - ptr));
+    const char* first = line.data() + t_pos + 3;
+    const char* last = line.data() + line.size();
+    // The fast read stands only where from_chars would stop too: at a space.
+    const char* ptr = read_fixed3(first, last, out.time);
+    if (ptr == nullptr || ptr == last || *ptr != ' ') {
+      const auto parsed = std::from_chars(first, last, out.time);
+      if (parsed.ec != std::errc{}) return false;
+      ptr = parsed.ptr;
+    }
+    line = std::string_view(ptr, static_cast<std::size_t>(last - ptr));
   }
 
   const auto code_open = line.find('[');

@@ -38,6 +38,14 @@ struct LogView {
   std::string_view message;  ///< aliases the parsed buffer
 };
 
+/// The fast path of both text formats' time reader. Reads the exact
+/// LineWriter::fixed3 shape at `first` — 1 to 15 digits, '.', 3 digits,
+/// worth under 2^53 thousandths — and returns one past the last decimal,
+/// with `out` bit-equal to what std::from_chars makes of those chars.
+/// Returns nullptr on any other text (a sign, an exponent, "inf", fewer or
+/// more decimals); callers then fall back to from_chars.
+const char* read_fixed3(const char* first, const char* last, double& out);
+
 /// Parses one rendered line into `out` without copying text; returns false
 /// if the line is not a log record (out is unspecified then).
 // storsim-lint: allow(unused-export) reason=test oracle: ParseTextFuzz.BufferAndPerLinePathsAgreeUnderCorruption checks parse_text

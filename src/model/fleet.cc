@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <stdexcept>
 
 #include "stats/distributions.h"
@@ -28,9 +27,16 @@ DiskModelName pick_from_mix(const std::vector<DiskMixEntry>& mix, Rng& rng) {
 }  // namespace
 
 std::uint32_t RaidGroup::shelf_span() const {
-  std::set<std::uint32_t> distinct;
-  for (const auto& m : members) distinct.insert(m.shelf.value());
-  return static_cast<std::uint32_t>(distinct.size());
+  // A group has a few dozen members at most, so a quadratic scan beats a
+  // std::set's node allocation per member (the snapshot writer asks once
+  // per group).
+  std::uint32_t span = 0;
+  for (auto m = members.begin(); m != members.end(); ++m) {
+    const bool first_on_shelf = std::none_of(
+        members.begin(), m, [&](const SlotRef& earlier) { return earlier.shelf == m->shelf; });
+    if (first_on_shelf) ++span;
+  }
+  return span;
 }
 
 Fleet::Fleet(const FleetConfig& config, const DiskModelRegistry& disk_models,

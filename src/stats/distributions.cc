@@ -197,43 +197,6 @@ std::string LogNormal::describe() const {
 }
 
 // ---------------------------------------------------------------------------
-// Pareto
-// ---------------------------------------------------------------------------
-
-Pareto::Pareto(double scale, double shape) : scale_(scale), shape_(shape) {
-  require(scale > 0.0 && std::isfinite(scale), "Pareto: scale must be positive and finite");
-  require(shape > 0.0 && std::isfinite(shape), "Pareto: shape must be positive and finite");
-}
-
-double Pareto::pdf(double x) const {
-  if (x < scale_) return 0.0;
-  return shape_ * std::pow(scale_, shape_) / std::pow(x, shape_ + 1.0);
-}
-
-double Pareto::cdf(double x) const {
-  return x < scale_ ? 0.0 : 1.0 - std::pow(scale_ / x, shape_);
-}
-
-double Pareto::quantile(double p) const {
-  require(p >= 0.0 && p < 1.0, "Pareto::quantile: p must be in [0,1)");
-  return scale_ / std::pow(1.0 - p, 1.0 / shape_);
-}
-
-double Pareto::sample(Rng& rng) const {
-  return scale_ / std::pow(rng.uniform_pos(), 1.0 / shape_);
-}
-
-double Pareto::mean() const {
-  return shape_ <= 1.0 ? kInf : shape_ * scale_ / (shape_ - 1.0);
-}
-
-std::string Pareto::describe() const {
-  std::ostringstream os;
-  os << "Pareto(scale=" << scale_ << ", shape=" << shape_ << ")";
-  return os.str();
-}
-
-// ---------------------------------------------------------------------------
 // Poisson
 // ---------------------------------------------------------------------------
 

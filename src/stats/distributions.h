@@ -113,27 +113,6 @@ class LogNormal {
   double sigma_;
 };
 
-/// Pareto(scale x_m, shape alpha): heavy-tailed durations (burst windows).
-class Pareto {
- public:
-  Pareto(double scale, double shape);
-
-  double pdf(double x) const;
-  double cdf(double x) const;
-  double quantile(double p) const;
-  double sample(Rng& rng) const;
-
-  double mean() const;  // +inf when shape <= 1
-  double scale() const { return scale_; }
-  double shape() const { return shape_; }
-
-  std::string describe() const;
-
- private:
-  double scale_;
-  double shape_;
-};
-
 /// Poisson(mean). Counting distribution for event counts in fixed windows.
 class Poisson {
  public:

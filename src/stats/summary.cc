@@ -46,21 +46,6 @@ double Accumulator::stddev() const { return std::sqrt(variance()); }
 
 double Accumulator::sum() const { return mean_ * static_cast<double>(n_); }
 
-void WeightedAccumulator::add(double x, double weight) {
-  if (weight <= 0.0) return;
-  ++n_;
-  w_ += weight;
-  const double delta = x - mean_;
-  mean_ += delta * weight / w_;
-  m2_ += weight * delta * (x - mean_);
-}
-
-double WeightedAccumulator::mean() const { return w_ == 0.0 ? 0.0 : mean_; }
-
-double WeightedAccumulator::variance() const { return w_ == 0.0 ? 0.0 : m2_ / w_; }
-
-double WeightedAccumulator::stddev() const { return std::sqrt(variance()); }
-
 double mean_of(std::span<const double> xs) {
   Accumulator acc;
   for (const double x : xs) acc.add(x);

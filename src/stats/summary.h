@@ -30,25 +30,6 @@ class Accumulator {
   double max_ = 0.0;
 };
 
-/// Weighted variant: each observation carries a nonnegative weight
-/// (e.g. exposure time in device-years).
-class WeightedAccumulator {
- public:
-  void add(double x, double weight);
-
-  double mean() const;
-  /// Frequency-weighted population variance.
-  double variance() const;
-  double stddev() const;
-  std::size_t count() const { return n_; }
-
- private:
-  std::size_t n_ = 0;
-  double w_ = 0.0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-};
-
 /// One-shot mean over a span.
 double mean_of(std::span<const double> xs);
 

@@ -11,7 +11,9 @@
 #include "log/emitter.h"
 #include "log/parser.h"
 #include "log/snapshot.h"
+#include "model/fleet.h"
 #include "per_line_parse.h"
+#include "reference_snapshot_parse.h"
 #include "stats/rng.h"
 
 namespace log_ns = storsubsim::log;
@@ -86,38 +88,52 @@ TEST_P(ParserFuzz, NeverCrashesAndStaysConsistent) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzz, ::testing::Range(0, 4));
 
+namespace {
+
+/// A small valid snapshot, its times spelled with one decimal (the
+/// TokenReader path) rather than fixed3's three.
+const std::string kSmallSnapshot =
+    "SNAPSHOT horizon=1000000.0\n"
+    "SYSTEM id=0 class=low-end paths=single-path disk-model=A-2 shelf-model=A "
+    "deploy=0.0 cohort=0\n"
+    "SHELF id=0 sys=0 model=A\n"
+    "GROUP id=0 sys=0 type=RAID4 members=2 span=1\n"
+    "DISK id=0 model=A-2 sys=0 shelf=0 group=0 slot=0 install=0.0 remove=inf\n"
+    "DISK id=1 model=A-2 sys=0 shelf=0 group=0 slot=1 install=0.0 remove=inf\n"
+    "END\n";
+
+/// Corrupts 1-4 random bytes of `text`: flips, span deletions and digit
+/// insertions.
+std::string corrupt_snapshot(const std::string& text, Rng& rng) {
+  std::string corrupted = text;
+  const auto mutations = 1 + rng.below(4);
+  for (std::uint64_t m = 0; m < mutations; ++m) {
+    const std::size_t pos = static_cast<std::size_t>(rng.below(corrupted.size()));
+    switch (rng.below(3)) {
+      case 0:
+        corrupted[pos] = static_cast<char>(rng.below(256));
+        break;
+      case 1:
+        corrupted.erase(pos, rng.below(10) + 1);
+        break;
+      default:
+        corrupted.insert(pos, 1, static_cast<char>('0' + rng.below(10)));
+        break;
+    }
+    if (corrupted.empty()) corrupted = "END\n";
+  }
+  return corrupted;
+}
+
+}  // namespace
+
 TEST(SnapshotFuzz, CorruptSnapshotsRejectedOrConsistent) {
   // Build one valid snapshot text, then corrupt random lines; the parser
   // must either reject with a message or produce a referentially-consistent
   // inventory.
-  const std::string valid =
-      "SNAPSHOT horizon=1000000.0\n"
-      "SYSTEM id=0 class=low-end paths=single-path disk-model=A-2 shelf-model=A "
-      "deploy=0.0 cohort=0\n"
-      "SHELF id=0 sys=0 model=A\n"
-      "GROUP id=0 sys=0 type=RAID4 members=2 span=1\n"
-      "DISK id=0 model=A-2 sys=0 shelf=0 group=0 slot=0 install=0.0 remove=inf\n"
-      "DISK id=1 model=A-2 sys=0 shelf=0 group=0 slot=1 install=0.0 remove=inf\n"
-      "END\n";
   Rng rng(31415);
   for (int iter = 0; iter < 2000; ++iter) {
-    std::string corrupted = valid;
-    const auto mutations = 1 + rng.below(4);
-    for (std::uint64_t m = 0; m < mutations; ++m) {
-      const std::size_t pos = static_cast<std::size_t>(rng.below(corrupted.size()));
-      switch (rng.below(3)) {
-        case 0:
-          corrupted[pos] = static_cast<char>(rng.below(256));
-          break;
-        case 1:
-          corrupted.erase(pos, rng.below(10) + 1);
-          break;
-        default:
-          corrupted.insert(pos, 1, static_cast<char>('0' + rng.below(10)));
-          break;
-      }
-      if (corrupted.empty()) corrupted = "END\n";
-    }
+    const std::string corrupted = corrupt_snapshot(kSmallSnapshot, rng);
     const auto result = log_ns::parse_snapshot(corrupted);
     if (!result.ok()) continue;
     const auto& inv = result.inventory;
@@ -131,6 +147,38 @@ TEST(SnapshotFuzz, CorruptSnapshotsRejectedOrConsistent) {
         ASSERT_LT(d.raid_group.value(), inv.raid_groups.size());
       }
     }
+  }
+}
+
+TEST(SnapshotFuzz, FastPathAgreesWithTokenReaderUnderCorruption) {
+  // The same mutator over a written snapshot, whose records take the fast
+  // path until corruption knocks them off it, and over the one-decimal
+  // snapshot above, which takes TokenReader throughout.
+  model::CohortSpec cohort;
+  cohort.label = "fuzz";
+  cohort.num_systems = 2;
+  cohort.mean_shelves_per_system = 1.5;
+  cohort.mean_disks_per_shelf = 4.0;
+  cohort.raid_group_size = 3;
+  cohort.disk_mix = {{{'A', 2}, 1.0}};
+  model::FleetConfig config;
+  config.cohorts = {cohort};
+  config.seed = 5;
+  auto fleet = model::Fleet::build(config);
+  const auto disk = fleet.shelves()[0].slots[0];
+  const double deploy = fleet.system(fleet.shelves()[0].system).deploy_time;
+  fleet.replace_disk(disk, deploy + 0.125, deploy + 9000.0);  // a finite remove time
+  log_ns::LineWriter written;
+  log_ns::write_snapshot(written, fleet);
+  const std::string texts[] = {std::string(written.view()), kSmallSnapshot};
+
+  Rng rng(27182);
+  for (int iter = 0; iter < 6000; ++iter) {
+    const std::string& text = texts[iter % 2];
+    const std::string corrupted = iter < 2 ? text : corrupt_snapshot(text, rng);
+    log_ns::testing::expect_same_parse(log_ns::parse_snapshot(corrupted),
+                                       log_ns::testing::reference_parse_snapshot(corrupted),
+                                       corrupted);
   }
 }
 

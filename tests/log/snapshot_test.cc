@@ -2,13 +2,16 @@
 // and exposure math on the parsed inventory.
 #include "log/snapshot.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "model/fleet.h"
+#include "reference_snapshot_parse.h"
 
 namespace log_ns = storsubsim::log;
 namespace model = storsubsim::model;
@@ -191,4 +194,120 @@ TEST(Snapshot, CommentsAndBlankLinesIgnored) {
   const auto parsed = log_ns::parse_snapshot(text);
   EXPECT_TRUE(parsed.ok()) << parsed.error;
   EXPECT_TRUE(parsed.inventory.systems.empty());
+}
+
+namespace {
+
+/// Rewrites every line of `text` that has tokens after its record kind
+/// (all but END) through `edit`, which gets those tokens.
+template <class Edit>
+std::string rewrite_records(std::string_view text, Edit edit) {
+  std::string out;
+  std::size_t line_no = 0;
+  while (!text.empty()) {
+    const auto nl = text.find('\n');
+    const std::string_view line = text.substr(0, nl);
+    text.remove_prefix(nl == std::string_view::npos ? text.size() : nl + 1);
+    std::vector<std::string> tokens;
+    for (std::size_t pos = 0;;) {
+      const auto space = line.find(' ', pos);
+      tokens.emplace_back(line.substr(pos, space - pos));
+      if (space == std::string_view::npos) break;
+      pos = space + 1;
+    }
+    if (tokens.size() > 1) {
+      std::vector<std::string> fields(tokens.begin() + 1, tokens.end());
+      edit(fields, line_no);
+      tokens.resize(1);
+      tokens.insert(tokens.end(), fields.begin(), fields.end());
+    }
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+      if (i > 0) out += ' ';
+      out += tokens[i];
+    }
+    out += '\n';
+    ++line_no;
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(SnapshotReader, AnyKeyOrderParsesLikeTokenReader) {
+  // Every record's keys rotated (by 1..n-1 places, so none keeps the
+  // written order): the reader falls back to TokenReader on each line and
+  // yields the written snapshot's inventory.
+  const auto fleet = fleet_with_replacement();
+  log_ns::LineWriter written;
+  log_ns::write_snapshot(written, fleet);
+  const std::string permuted =
+      rewrite_records(written.view(), [](std::vector<std::string>& fields, std::size_t line) {
+        if (fields.size() < 2) return;
+        const auto by = 1 + line % (fields.size() - 1);
+        std::rotate(fields.begin(), fields.begin() + static_cast<std::ptrdiff_t>(by),
+                    fields.end());
+      });
+  ASSERT_NE(permuted, written.view());
+  const auto parsed = log_ns::parse_snapshot(permuted);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  log_ns::testing::expect_same_parse(parsed, log_ns::testing::reference_parse_snapshot(permuted),
+                                     permuted);
+  log_ns::testing::expect_same_parse(parsed, log_ns::parse_snapshot(written.view()), permuted);
+
+  // An extra token anywhere is ignored the same way.
+  const std::string extra = rewrite_records(
+      written.view(), [](std::vector<std::string>& fields, std::size_t line) {
+        fields.insert(fields.begin() + static_cast<std::ptrdiff_t>(line % fields.size()),
+                      "note=x");
+      });
+  log_ns::testing::expect_same_parse(log_ns::parse_snapshot(extra),
+                                     log_ns::parse_snapshot(written.view()), extra);
+}
+
+TEST(SnapshotReader, TimeSpellingsParseLikeTokenReader) {
+  // Each time respelled in another from_chars form (or a form from_chars
+  // rejects): the reader must give what TokenReader gives, and every form
+  // TokenReader accepts must read to the written value.
+  const auto fleet = fleet_with_replacement();
+  log_ns::LineWriter written;
+  log_ns::write_snapshot(written, fleet);
+  const auto original = log_ns::parse_snapshot(written.view());
+  ASSERT_TRUE(original.ok()) << original.error;
+
+  const std::vector<std::pair<std::string, std::string (*)(const std::string&)>> spellings = {
+      {"exponent", [](const std::string& v) {
+         if (v == "inf") return std::string("INF");
+         std::string digits = v;
+         digits.erase(digits.find('.'), 1);
+         return digits + "e-3";
+       }},
+      {"long",
+       [](const std::string& v) { return v == "inf" ? std::string("infinity") : v + "000"; }},
+      {"short", [](const std::string& v) {
+         return v == "inf" ? v : v.substr(0, v.size() - 1);  // two decimals
+       }},
+      {"padded", [](const std::string& v) { return v == "inf" ? v : "00" + v; }},
+      {"plus", [](const std::string& v) { return "+" + v; }},
+  };
+  for (const auto& [name, respell] : spellings) {
+    const std::string text = rewrite_records(
+        written.view(), [&](std::vector<std::string>& fields, std::size_t) {
+          for (auto& field : fields) {
+            for (const std::string_view key : {"horizon=", "deploy=", "install=", "remove="}) {
+              if (field.starts_with(key)) {
+                field = std::string(key) + respell(field.substr(key.size()));
+              }
+            }
+          }
+        });
+    const auto parsed = log_ns::parse_snapshot(text);
+    log_ns::testing::expect_same_parse(parsed, log_ns::testing::reference_parse_snapshot(text),
+                                       text);
+    if (name == "plus") {
+      EXPECT_FALSE(parsed.ok()) << "from_chars takes no '+'";
+    } else if (name != "short") {
+      ASSERT_TRUE(parsed.ok()) << name << ": " << parsed.error;
+      log_ns::testing::expect_same_parse(parsed, original, text);
+    }
+  }
 }

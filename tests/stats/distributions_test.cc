@@ -103,15 +103,6 @@ TEST(LogNormal, Basics) {
   expect_pdf_integrates_cdf(d, 0.001, 40.0, 1e-5);
 }
 
-TEST(Pareto, Basics) {
-  const stats::Pareto d(2.0, 3.0);
-  EXPECT_NEAR(d.mean(), 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(d.cdf(1.9), 0.0);
-  EXPECT_NEAR(d.cdf(4.0), 1.0 - std::pow(0.5, 3.0), 1e-12);
-  for (const double p : {0.1, 0.5, 0.9}) expect_quantile_roundtrip(d, p);
-  EXPECT_TRUE(std::isinf(stats::Pareto(1.0, 0.9).mean()));
-}
-
 TEST(Poisson, PmfSumsToOne) {
   const stats::Poisson d(4.2);
   double total = 0.0;

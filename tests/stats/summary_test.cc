@@ -69,34 +69,6 @@ TEST(Accumulator, NumericalStabilityLargeOffset) {
   EXPECT_NEAR(acc.variance(), 1.0, 1e-6);
 }
 
-TEST(WeightedAccumulator, MatchesUnweightedForUnitWeights) {
-  stats::Accumulator plain;
-  stats::WeightedAccumulator weighted;
-  for (const double x : {1.0, 4.0, 9.0, 16.0}) {
-    plain.add(x);
-    weighted.add(x, 1.0);
-  }
-  EXPECT_NEAR(weighted.mean(), plain.mean(), 1e-12);
-  // The weighted variance is the population (n-denominator) variance.
-  EXPECT_NEAR(weighted.variance(), plain.variance() * 3.0 / 4.0, 1e-12);
-}
-
-TEST(WeightedAccumulator, WeightsActLikeRepeats) {
-  stats::WeightedAccumulator weighted;
-  weighted.add(2.0, 3.0);
-  weighted.add(8.0, 1.0);
-  // Equivalent to {2,2,2,8}: mean 3.5.
-  EXPECT_NEAR(weighted.mean(), 3.5, 1e-12);
-}
-
-TEST(WeightedAccumulator, IgnoresNonPositiveWeights) {
-  stats::WeightedAccumulator weighted;
-  weighted.add(5.0, 2.0);
-  weighted.add(1000.0, 0.0);
-  weighted.add(-1000.0, -3.0);
-  EXPECT_NEAR(weighted.mean(), 5.0, 1e-12);
-}
-
 TEST(SpanHelpers, MatchAccumulator) {
   const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0, 5.0};
   EXPECT_DOUBLE_EQ(stats::mean_of(xs), 3.0);

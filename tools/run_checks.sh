@@ -63,20 +63,25 @@
 #      report (and events --csv) over scale-0.25 logs is identical at
 #      --threads 1 and 4 and to the same run's store; `store build --logs`
 #      and `predict` (--precursors logs) are identical at 1 and 4 threads
+#  14. benchmark self-test (perfbench/selftest.py): builds the program the
+#      way perfbench does (Release; tests, benches and examples off) and
+#      runs every BENCHMARK.json workload, untraced and traced, at scale
+#      0.02; each must exit 0 with the named metrics, no failed operation
+#      and correct answers. No other step builds or runs that configuration
 #
 # Sanitizer passes are heavier and live in tools/run_sanitizer.sh.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "== [1/13] configure + build =="
+echo "== [1/14] configure + build =="
 cmake --preset default
 cmake --build --preset default -j "$(nproc)"
 
-echo "== [2/13] ctest =="
+echo "== [2/14] ctest =="
 ctest --test-dir build --output-on-failure -j "$(nproc)" "$@"
 
-echo "== [3/13] storsim_lint =="
+echo "== [3/14] storsim_lint =="
 # Emit the machine-readable report first (it must exist even when the gate
 # below fails, so CI can surface the findings), then run the human gate.
 ./build/tools/storsim_lint --format=json --root . src bench tests tools examples \
@@ -84,11 +89,11 @@ echo "== [3/13] storsim_lint =="
 ./build/tools/storsim_lint --check --root . src bench tests tools examples
 echo "machine-readable report: build/lint-report.json"
 
-echo "== [4/13] pipeline_throughput smoke =="
+echo "== [4/14] pipeline_throughput smoke =="
 ./build/bench/pipeline_throughput --scale=0.05 --repeat=1 \
   --out=build/BENCH_pipeline_smoke.json
 
-echo "== [5/13] store round-trip (full scale) + corruption smoke =="
+echo "== [5/14] store round-trip (full scale) + corruption smoke =="
 ./build/bench/store_bench --scale=1.0 --repeat=1 \
   --store=build/BENCH_checks.store --out=build/BENCH_store_checks.json
 # Corrupt stores must be rejected, never crash: truncate one copy, flip a
@@ -105,7 +110,7 @@ for broken in build/BENCH_checks_truncated.store build/BENCH_checks_flipped.stor
 done
 echo "corrupted stores rejected with typed errors"
 
-echo "== [6/13] observability: byte identity + manifest + overhead =="
+echo "== [6/14] observability: byte identity + manifest + overhead =="
 # Byte identity at full scale: the store built in step 5 feeds the same
 # analyze invocation with the obs stack off and fully on. --input also
 # exercises the STORCOL1 magic sniffing path.
@@ -175,7 +180,7 @@ else
   echo "python3 unavailable; skipping the <2% overhead comparison"
 fi
 
-echo "== [7/13] sharded store: bounded-memory build + merged-answer identity =="
+echo "== [7/14] sharded store: bounded-memory build + merged-answer identity =="
 # Full-scale sharded build under a budget the monolithic writer exceeds
 # (step 5's single-file build peaks around 430-500 MiB on this fleet). The build
 # records its own peak RSS in the directory's build.manifest.json.
@@ -226,7 +231,7 @@ else
   echo "python3 unavailable; skipping the RSS-budget assertion"
 fi
 
-echo "== [8/13] kernel identity: scalar build vs SIMD build =="
+echo "== [8/14] kernel identity: scalar build vs SIMD build =="
 # A scalar-only build (-DSTORSUBSIM_SIMD=OFF) must answer the full-scale
 # analyze byte for byte like the default build: the wide kernels may only
 # change speed, never output. Reuses the step-5 store so both binaries read
@@ -276,7 +281,7 @@ else
   echo "objdump unavailable; pclmul instruction count skipped"
 fi
 
-echo "== [9/13] storsimd: daemon byte-identity + QPS floor + drain =="
+echo "== [9/14] storsimd: daemon byte-identity + QPS floor + drain =="
 # A real `storsubsim serve` daemon over the full-scale store from step 5,
 # driven by parallel `storsubsim client` invocations: every endpoint must be
 # byte-identical to the offline path, and SIGTERM must drain cleanly
@@ -419,7 +424,7 @@ else
   echo "python3 unavailable; QPS floor grep-checked for identity only"
 fi
 
-echo "== [10/13] clang-tidy =="
+echo "== [10/14] clang-tidy =="
 if command -v clang-tidy > /dev/null 2>&1; then
   cmake --preset default -DCMAKE_EXPORT_COMPILE_COMMANDS=ON > /dev/null
   # Lint the library sources; headers are pulled in via HeaderFilterRegex.
@@ -429,7 +434,7 @@ else
   echo "clang-tidy not installed; skipping (config: .clang-tidy)"
 fi
 
-echo "== [11/13] replication: thread-invariance + analyze --replicates + early stop =="
+echo "== [11/14] replication: thread-invariance + analyze --replicates + early stop =="
 # The determinism contract on the Monte Carlo replicator: replicate seeds are
 # keyed substreams of the root seed, so the table and the report must not
 # depend on the thread count (docs/REPLICATION.md).
@@ -472,7 +477,7 @@ else
   echo "python3 unavailable; early-stop manifest grep-checked only"
 fi
 
-echo "== [12/13] store build: byte identity across thread counts =="
+echo "== [12/14] store build: byte identity across thread counts =="
 for threads in 1 3 4; do
   ./build/tools/storsubsim store build --out "build/CHECK_build_t$threads.store" \
     --scale 0.25 --seed 7 --threads "$threads" > /dev/null 2>&1
@@ -489,7 +494,7 @@ for shard in build/CHECK_build_t1.shards/shard-*.store; do
 done
 echo "store files byte-identical at --threads 1, 3 and 4; shard files at 1 and 4"
 
-echo "== [13/13] text-log ingest: byte identity across threads and backends =="
+echo "== [13/14] text-log ingest: byte identity across threads and backends =="
 # $text and $report are split on purpose: each holds flags.
 cli=./build/tools/storsubsim
 text="--logs build/CHECK_text.log --snapshot build/CHECK_text.snap"
@@ -516,5 +521,8 @@ $cli predict $text --threads 1 > build/CHECK_predict_t1.txt 2> /dev/null
 $cli predict $text --threads 4 > build/CHECK_predict_t4.txt 2> /dev/null
 cmp build/CHECK_predict_t1.txt build/CHECK_predict_t4.txt
 echo "store build --logs and predict identical at --threads 1 and 4"
+
+echo "== [14/14] benchmark self-test =="
+python3 perfbench/selftest.py
 
 echo "All checks passed."
