@@ -7,66 +7,7 @@
 
 namespace storsubsim::core {
 
-namespace {
-
 using model::FailureType;
-
-AfrBreakdown accumulate(const Dataset& dataset, std::string label) {
-  AfrBreakdown b;
-  b.label = std::move(label);
-  b.disk_years = dataset.disk_exposure_years();
-  for (const auto& e : dataset.events()) {
-    ++b.events[model::index_of(e.type)];
-  }
-  return b;
-}
-
-AfrBreakdown accumulate(const store::ShardStore& shards, std::string label) {
-  AfrBreakdown b;
-  b.label = std::move(label);
-  // Denominator from the store's exposure table (the merged MANIFEST table
-  // is bit-identical to the single-file footer); event counts are integer
-  // sums over shards.
-  b.disk_years = shards.exposure().total_disk_years;
-  for (std::size_t i = 0; i < shards.shard_count(); ++i) {
-    const store::EventStore& store = shards.shard(i);
-    for (const auto cls : model::kAllSystemClasses) {
-      for (const auto type : store.events(cls).type) ++b.events[type];
-    }
-  }
-  return b;
-}
-
-std::vector<AfrBreakdown> by_class(const Dataset& dataset) {
-  std::vector<AfrBreakdown> out;
-  for (const auto cls : model::kAllSystemClasses) {
-    Filter f;
-    f.system_class = cls;
-    const Dataset cohort = dataset.filter(f);
-    if (cohort.selected_system_count() == 0) continue;
-    out.push_back(compute_afr(cohort, std::string(model::to_string(cls))));
-  }
-  return out;
-}
-
-std::vector<AfrBreakdown> by_class(const store::ShardStore& shards) {
-  const store::ExposureTable& exposure = shards.exposure();
-  std::vector<AfrBreakdown> out;
-  for (const auto cls : model::kAllSystemClasses) {
-    const std::size_t c = model::index_of(cls);
-    if (exposure.class_system_count[c] == 0) continue;  // empty cohort
-    AfrBreakdown b;
-    b.label = std::string(model::to_string(cls));
-    b.disk_years = exposure.class_disk_years[c];
-    for (std::size_t i = 0; i < shards.shard_count(); ++i) {
-      for (const auto type : shards.shard(i).events(cls).type) ++b.events[type];
-    }
-    out.push_back(std::move(b));
-  }
-  return out;
-}
-
-}  // namespace
 
 std::size_t AfrBreakdown::total_events() const {
   std::size_t n = 0;
@@ -97,21 +38,34 @@ stats::Interval AfrBreakdown::afr_ci(FailureType type, double confidence) const 
 }
 
 AfrBreakdown compute_afr(const Source& source, std::string label) {
-  if (const Dataset* d = source.dataset()) return accumulate(*d, std::move(label));
-  return accumulate(*source.shards(), std::move(label));
+  AfrBreakdown b;
+  b.label = std::move(label);
+  b.disk_years = source.disk_years().total;
+  source.for_each_event([&](const EventRow& e) { ++b.events[model::index_of(e.type)]; });
+  return b;
 }
 
 std::vector<AfrBreakdown> afr_by_class(const Source& source) {
-  if (const Dataset* d = source.dataset()) return by_class(*d);
-  return by_class(*source.shards());
+  const DiskYears years = source.disk_years();
+  std::array<AfrBreakdown, store::kClassCount> by_class;
+  source.for_each_event(
+      [&](const EventRow& e) { ++by_class[model::index_of(e.cls)].events[model::index_of(e.type)]; });
+  std::vector<AfrBreakdown> out;
+  for (const auto cls : model::kAllSystemClasses) {
+    const std::size_t c = model::index_of(cls);
+    if (years.systems_by_class[c] == 0) continue;  // empty cohort
+    by_class[c].label = std::string(model::to_string(cls));
+    by_class[c].disk_years = years.by_class[c];
+    out.push_back(std::move(by_class[c]));
+  }
+  return out;
 }
 
 std::vector<AfrBreakdown> afr_by_disk_model(const Dataset& dataset) {
   // Discover models present among selected systems, in name order.
   std::map<model::DiskModelName, bool> present;
-  for (const auto& sys : dataset.inventory().systems) {
-    if (dataset.system_selected(sys.id)) present[sys.disk_model] = true;
-  }
+  Source(dataset).for_each_system(
+      [&](const log::InventorySystem& sys) { present[sys.disk_model] = true; });
   std::vector<AfrBreakdown> out;
   for (const auto& [name, _] : present) {
     Filter f;
@@ -141,11 +95,9 @@ std::vector<StabilityRow> afr_stability_by_disk_model(const Dataset& dataset) {
   // their spread.
   using EnvKey = std::pair<model::SystemClass, model::ShelfModelName>;
   std::map<model::DiskModelName, std::map<EnvKey, bool>> environments;
-  for (const auto& sys : dataset.inventory().systems) {
-    if (dataset.system_selected(sys.id)) {
-      environments[sys.disk_model][EnvKey(sys.cls, sys.shelf_model)] = true;
-    }
-  }
+  Source(dataset).for_each_system([&](const log::InventorySystem& sys) {
+    environments[sys.disk_model][EnvKey(sys.cls, sys.shelf_model)] = true;
+  });
 
   std::vector<StabilityRow> rows;
   for (const auto& [disk_model, envs] : environments) {

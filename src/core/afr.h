@@ -32,21 +32,14 @@ struct AfrBreakdown {
   stats::Interval afr_ci(model::FailureType type, double confidence) const;
 };
 
-/// AFR of the whole cohort — the unified entry point. Dataset-backed
-/// sources walk the in-memory events; store-backed sources read the column
-/// spans and the pre-computed exposure table, which the writer accumulated
-/// in the same order as Dataset::disk_exposure_years — the two paths are
-/// bit-identical (pinned by tests/core/source_test.cc).
+/// AFR of the whole cohort — the unified entry point: the Source's event
+/// rows over its disk-years (Source::disk_years, bit-identical on every
+/// backend; pinned by tests/core/source_test.cc).
 AfrBreakdown compute_afr(const Source& source, std::string label = {});
 
-/// AFR broken down by system class (paper Figure 4). Classes with no
-/// systems are skipped identically on both backends.
+/// AFR broken down by system class (paper Figure 4), from one event walk.
+/// Classes with no systems in the cohort are skipped.
 std::vector<AfrBreakdown> afr_by_class(const Source& source);
-
-// The pre-Source per-backend overloads (compute_afr(Dataset&), ...) were
-// retired in the AnalysisRequest redesign; pass any backend through the
-// implicit Source conversions above. storsim_lint's analysis-overload rule
-// rejects reintroduction (docs/static-analysis.md).
 
 /// AFR by disk model within one class+shelf cohort (paper Figure 5 panels).
 std::vector<AfrBreakdown> afr_by_disk_model(const Dataset& dataset);

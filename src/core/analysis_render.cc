@@ -1,11 +1,15 @@
 #include "core/analysis_render.h"
 
+#include <algorithm>
 #include <cmath>
+#include <tuple>
+#include <vector>
 
 #include "core/afr.h"
 #include "core/burstiness.h"
 #include "core/correlation.h"
 #include "core/lifetime.h"
+#include "core/raid_vulnerability.h"
 #include "core/report.h"
 #include "model/time.h"
 
@@ -100,6 +104,43 @@ std::string render_lifetime(const Source& source, bool csv) {
                     fmt(100.0 * bin.rate() * model::kSecondsPerYear, 2)});
   }
   return emit(summary, csv) + emit(hazard, csv);
+}
+
+std::string render_vulnerability(const Source& source, bool csv) {
+  TextTable table({"window", "mode", "double incidents", "independent model",
+                   "underestimation", "RAID4 defeated", "RAID6 defeated"});
+  for (const bool disk_only : {true, false}) {
+    for (const double hours : {6.0, 24.0, 72.0}) {
+      const auto r = raid_vulnerability(source, hours * 3600.0, disk_only);
+      table.add_row({fmt(hours, 0) + "h", disk_only ? "disk-only" : "all-types",
+                     std::to_string(r.double_failure_incidents),
+                     fmt(r.expected_double_incidents_independent, 1),
+                     fmt(r.underestimation_factor(), 1) + "x",
+                     std::to_string(r.raid4_groups_defeated),
+                     std::to_string(r.raid6_groups_defeated)});
+    }
+  }
+  return emit(table, csv);
+}
+
+std::string render_events(const Source& source, bool csv) {
+  std::vector<EventRow> rows;
+  rows.reserve(source.event_records());
+  source.for_each_event([&](const EventRow& e) { rows.push_back(e); });
+  std::sort(rows.begin(), rows.end(), [](const EventRow& a, const EventRow& b) {
+    return std::tie(a.time, a.disk, a.type) < std::tie(b.time, b.disk, b.type);
+  });
+  TextTable table({"time_s", "type", "disk", "system", "shelf", "raid_group", "disk_model",
+                   "shelf_model", "class", "paths"});
+  for (const EventRow& e : rows) {
+    table.add_row({fmt(e.time, 3), std::string(model::to_string(e.type)),
+                   std::to_string(e.disk), std::to_string(e.system), std::to_string(e.shelf),
+                   e.raid_group != kNoScope ? std::to_string(e.raid_group) : "-",
+                   model::to_string(e.disk_model), model::to_string(e.shelf_model),
+                   std::string(model::to_string(e.cls)),
+                   std::string(model::to_string(e.paths))});
+  }
+  return emit(table, csv);
 }
 
 std::string render_query_result(const store::QueryResult& result, bool csv) {

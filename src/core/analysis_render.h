@@ -33,6 +33,16 @@ std::string render_correlation(const Source& source, bool csv);
 /// lifetime`, endpoint `lifetime`): two tables, concatenated.
 std::string render_lifetime(const Source& source, bool csv);
 
+/// RAID multi-failure incidents against the independence model, disk-only
+/// and all-types at 6, 24 and 72 h windows (`analyze --report
+/// vulnerability`, endpoint `vulnerability`).
+std::string render_vulnerability(const Source& source, bool csv);
+
+/// One row per cohort failure in (time, disk, type) order, joined with its
+/// disk, system, shelf and RAID group (`analyze --report events`) — the raw
+/// export for R/pandas/duckdb.
+std::string render_events(const Source& source, bool csv);
+
 /// Group table of a store query (`store query`, endpoint `query`). The scan
 /// accounting (stats) goes to stderr in the CLI and is not part of these
 /// bytes.

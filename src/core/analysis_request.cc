@@ -14,6 +14,7 @@ std::string_view endpoint_name(StatisticId id) noexcept {
     case StatisticId::kCorrelation: return "correlation";
     case StatisticId::kLifetime: return "lifetime";
     case StatisticId::kQuery: return "query";
+    case StatisticId::kVulnerability: return "vulnerability";
   }
   return "unknown";
 }
@@ -26,6 +27,7 @@ std::string_view report_name(StatisticId id) noexcept {
     case StatisticId::kCorrelation: return "correlation";
     case StatisticId::kLifetime: return "lifetime";
     case StatisticId::kQuery: return "query";
+    case StatisticId::kVulnerability: return "vulnerability";
   }
   return "unknown";
 }
@@ -127,6 +129,7 @@ std::string render_statistic(const Source& source, const AnalysisRequest& reques
     case StatisticId::kTbf: return render_tbf(source, request.csv);
     case StatisticId::kCorrelation: return render_correlation(source, request.csv);
     case StatisticId::kLifetime: return render_lifetime(source, request.csv);
+    case StatisticId::kVulnerability: return render_vulnerability(source, request.csv);
     case StatisticId::kQuery: {
       store::QueryResult result;  // stays empty for a Dataset-backed source
       if (const store::ShardStore* shards = source.shards()) {

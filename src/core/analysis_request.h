@@ -1,12 +1,9 @@
 // core::AnalysisRequest — the one typed way to name "a statistic" and "an
 // analysis request" across every front end.
 //
-// Before this header, three hand-rolled parsers validated the same knobs:
-// `storsubsim analyze`/`store query` flag handling, the storsimd JSON body
-// validation (serve/protocol.cc), and ad-hoc call sites in the benches. Each
-// had its own error wording, so "the daemon rejects exactly what the offline
-// CLI rejects" was a convention, not a property. AnalysisRequest collapses
-// the fork:
+// Every front end (`storsubsim analyze` / `store query` flags, the storsimd
+// JSON bodies, the benches) goes through it, so "the daemon rejects exactly
+// what the offline CLI rejects" is a property, not a convention:
 //
 //   * StatisticId names each analysis statistic once, with both of its
 //     historical spellings (CLI `--report` name vs wire endpoint name —
@@ -21,10 +18,6 @@
 //     daemon, and the replication engine all produce report bytes through
 //     it, which is what makes "daemon == offline, byte for byte" true by
 //     construction.
-//
-// The pre-Source per-backend analysis overloads (compute_afr(Dataset&), ...)
-// were retired with this redesign; storsim_lint's analysis-overload rule
-// keeps them from coming back (docs/static-analysis.md).
 #pragma once
 
 #include <array>
@@ -47,20 +40,22 @@ enum class StatisticId : std::uint8_t {
   kCorrelation, ///< P(1)/P(2) correlation factors (paper Figure 10)
   kLifetime,    ///< Kaplan-Meier survival + age-binned hazard
   kQuery,       ///< predicate/group-by scan over a columnar store
+  kVulnerability,  ///< RAID multi-failure incidents vs independence (Findings 8-11)
 };
 
-inline constexpr std::array<StatisticId, 6> kAllStatistics = {
-    StatisticId::kAfrTotal, StatisticId::kAfrByClass,  StatisticId::kTbf,
-    StatisticId::kCorrelation, StatisticId::kLifetime, StatisticId::kQuery,
+inline constexpr std::array<StatisticId, 7> kAllStatistics = {
+    StatisticId::kAfrTotal,    StatisticId::kAfrByClass, StatisticId::kTbf,
+    StatisticId::kCorrelation, StatisticId::kLifetime,   StatisticId::kQuery,
+    StatisticId::kVulnerability,
 };
 
 /// Wire spelling (storsimd endpoint names): "afr", "afr_by_class", "tbf",
-/// "correlation", "lifetime", "query".
+/// "correlation", "lifetime", "query", "vulnerability".
 // storsim-lint: allow(unused-export) reason=docs/API.md entry (the StatisticId spellings)
 std::string_view endpoint_name(StatisticId id) noexcept;
 
 /// CLI spelling (`analyze --report` names): "afr-total", "afr", "burstiness",
-/// "correlation", "lifetime", "query". Note the historical mismatch: the
+/// "correlation", "lifetime", "query", "vulnerability". Note the historical mismatch: the
 /// report called "afr" is the by-class table (endpoint "afr_by_class"), and
 /// the endpoint called "afr" is the total (report "afr-total").
 std::string_view report_name(StatisticId id) noexcept;

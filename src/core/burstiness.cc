@@ -18,13 +18,21 @@ struct ScopedEvent {
   std::uint8_t type;
 };
 
-/// The shared gap walk: buckets the events by scope with a counting pass,
-/// orders each scope's few events by (time, disk, type) and pools
-/// inter-arrival gaps per series. The order is total, so the gaps do not
-/// depend on the order the events were collected in; both the Dataset and
-/// the store entry points feed the same ScopedEvent set, so their results
-/// are identical.
-BurstinessResult pooled_gaps(const std::vector<ScopedEvent>& events, Scope scope) {
+}  // namespace
+
+/// Buckets the events by scope with a counting pass, orders each scope's few
+/// events by (time, disk, type) and pools inter-arrival gaps per series. The
+/// order is total, so the gaps do not depend on the order the Source walks
+/// the events in.
+BurstinessResult time_between_failures(const Source& source, Scope scope) {
+  std::vector<ScopedEvent> events;
+  events.reserve(source.event_records());
+  source.for_each_event([&](const EventRow& e) {
+    const std::uint32_t scope_id = e.scope_id(scope);
+    if (scope_id == kNoScope) return;  // spare not in any group
+    events.push_back(ScopedEvent{e.time, scope_id, e.disk,
+                                 static_cast<std::uint8_t>(model::index_of(e.type))});
+  });
   BurstinessResult result;
   result.scope = scope;
   ScopeBuckets<ScopedEvent> buckets = bucket_by_scope(events);
@@ -65,62 +73,6 @@ BurstinessResult pooled_gaps(const std::vector<ScopedEvent>& events, Scope scope
     }
   }
   return result;
-}
-
-BurstinessResult gaps_of(const Dataset& dataset, Scope scope) {
-  // Bucket events by scope id.
-  std::vector<ScopedEvent> events;
-  events.reserve(dataset.events().size());
-  for (const auto& e : dataset.events()) {
-    const auto& disk = dataset.disk_of(e);
-    std::uint32_t scope_id;
-    if (scope == Scope::kShelf) {
-      scope_id = disk.shelf.value();
-    } else {
-      if (!disk.raid_group.valid()) continue;  // spare not in any group
-      scope_id = disk.raid_group.value();
-    }
-    events.push_back(ScopedEvent{e.time, scope_id, e.disk.value(),
-                                 static_cast<std::uint8_t>(model::index_of(e.type))});
-  }
-  return pooled_gaps(events, scope);
-}
-
-BurstinessResult gaps_of(const store::ShardStore& shards, Scope scope) {
-  // The store's event columns already carry the shelf/RAID-group join, so
-  // bucketing needs no inventory lookups; each shard's local ids are rebased
-  // through the manifest bases. pooled_gaps orders every scope's events
-  // totally by (time, disk, type), and a scope never spans shards, so the
-  // collection order is immaterial.
-  std::vector<ScopedEvent> events;
-  events.reserve(static_cast<std::size_t>(shards.manifest().events));
-  for (const auto cls : model::kAllSystemClasses) {
-    for (std::size_t s = 0; s < shards.shard_count(); ++s) {
-      const store::EventView& view = shards.shard(s).events(cls);
-      for (std::size_t i = 0; i < view.size(); ++i) {
-        std::uint32_t scope_id;
-        if (scope == Scope::kShelf) {
-          scope_id = static_cast<std::uint32_t>(shards.global_shelf(s, view.shelf[i]));
-        } else {
-          if (!model::RaidGroupId(view.raid_group[i]).valid()) continue;
-          scope_id =
-              static_cast<std::uint32_t>(shards.global_raid_group(s, view.raid_group[i]));
-        }
-        events.push_back(
-            ScopedEvent{view.time[i], scope_id,
-                        static_cast<std::uint32_t>(shards.global_disk(s, view.disk[i])),
-                        view.type[i]});
-      }
-    }
-  }
-  return pooled_gaps(events, scope);
-}
-
-}  // namespace
-
-BurstinessResult time_between_failures(const Source& source, Scope scope) {
-  if (const Dataset* d = source.dataset()) return gaps_of(*d, scope);
-  return gaps_of(*source.shards(), scope);
 }
 
 stats::Ecdf BurstinessResult::ecdf(std::size_t series) const {

@@ -10,16 +10,12 @@
 
 #include <array>
 #include <cstddef>
-#include <span>
 #include <vector>
 
-#include "core/dataset.h"
 #include "core/source.h"
 #include "stats/ecdf.h"
 
 namespace storsubsim::core {
-
-enum class Scope { kShelf, kRaidGroup };
 
 /// Index 0..3 = the four failure types; index 4 = overall (all types pooled).
 inline constexpr std::size_t kOverallSeries = 4;
@@ -38,13 +34,8 @@ struct BurstinessResult {
   std::size_t gap_count(std::size_t series) const { return gaps[series].size(); }
 };
 
-/// Pooled inter-arrival gaps per scope kind — the unified entry point.
-/// Dataset-backed sources join scope ids through the inventory; store-backed
-/// sources read the pre-joined scope columns straight from the mapped file.
-/// Both feed the same gap walk, so the pooled gaps are identical. Note a
-/// store-backed Source always covers the whole (unfiltered) cohort; for
-/// filtered cohorts, reconstruct a Dataset via core::dataset_from_shards and
-/// filter it.
+/// Pooled inter-arrival gaps per scope kind — the unified entry point, over
+/// the Source's event rows (every backend and cohort alike).
 BurstinessResult time_between_failures(const Source& source, Scope scope);
 
 /// Convenience index for a failure-type series.

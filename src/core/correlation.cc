@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <utility>
 
 #include "core/scope_buckets.h"
@@ -26,8 +25,6 @@ struct Cell {
   std::uint8_t type;
 };
 
-using TypeMask = std::array<bool, kTypeCount>;
-
 /// Per-scope, per-window failure counts for one failure type; only complete
 /// windows are counted.
 struct WindowCounts {
@@ -45,122 +42,37 @@ std::size_t complete_windows(double observed, double window_seconds) {
              : 0;
 }
 
-/// Sweeps the events once, filing every failure of a wanted type that lands
-/// in a complete window of its scope under that (scope, window) cell.
-/// Returns the cohort's complete scope-windows: from the owning system's
-/// deployment to the horizon, per scope.
-std::size_t collect_cells(const Dataset& dataset, Scope scope, double window_seconds,
-                          const TypeMask& wanted, std::vector<Cell>& cells) {
-  const auto& inv = dataset.inventory();
-  auto windows_for_system = [&](model::SystemId sys) {
-    return complete_windows(inv.horizon_seconds - inv.systems[sys.value()].deploy_time,
-                            window_seconds);
-  };
-
-  std::vector<std::size_t> scope_windows;  // per scope id
-  if (scope == Scope::kShelf) {
-    scope_windows.resize(inv.shelves.size(), 0);
-    for (const auto& sh : inv.shelves) {
-      if (dataset.system_selected(sh.system)) {
-        scope_windows[sh.id.value()] = windows_for_system(sh.system);
-      }
-    }
-  } else {
-    scope_windows.resize(inv.raid_groups.size(), 0);
-    for (const auto& g : inv.raid_groups) {
-      if (dataset.system_selected(g.system)) {
-        scope_windows[g.id.value()] = windows_for_system(g.system);
-      }
-    }
-  }
-  std::size_t windows_observed = 0;
-  for (const auto w : scope_windows) windows_observed += w;
-
-  cells.reserve(dataset.events().size());
-  for (const auto& e : dataset.events()) {
-    const std::size_t t = model::index_of(e.type);
-    if (!wanted[t]) continue;
-    const auto& disk = dataset.disk_of(e);
-    std::uint32_t scope_id;
-    if (scope == Scope::kShelf) {
-      scope_id = disk.shelf.value();
-    } else {
-      if (!disk.raid_group.valid()) continue;
-      scope_id = disk.raid_group.value();
-    }
-    const double offset = e.time - inv.systems[disk.system.value()].deploy_time;
-    if (offset < 0.0) continue;
-    const auto window = static_cast<std::size_t>(std::floor(offset / window_seconds));
-    if (window >= scope_windows[scope_id]) continue;  // partial trailing window
-    cells.push_back(Cell{scope_id, window, static_cast<std::uint8_t>(t)});
-  }
-  return windows_observed;
-}
-
-/// Store-backed twin of the Dataset sweep: the same cells fed from the
-/// mapped columns, per shard, with scope ids rebased into the global id
-/// space. A scope (shelf or RAID group) belongs to exactly one shard, so
-/// the per-shard cells are disjoint and windows_observed is an integer sum;
-/// the cells are ordered before counting, so the two paths cannot diverge.
-std::size_t collect_cells(const store::ShardStore& shards, Scope scope, double window_seconds,
-                          const TypeMask& wanted, std::vector<Cell>& cells) {
-  std::size_t windows_observed = 0;
-  cells.reserve(static_cast<std::size_t>(shards.manifest().events));
-  for (std::size_t s = 0; s < shards.shard_count(); ++s) {
-    const store::EventStore& store = shards.shard(s);
-    const double horizon = store.header().horizon_seconds;
-    const auto deploy = store.topology(store::ColumnId::kSysDeploy)->as_f64();
-
-    const auto scope_systems =
-        scope == Scope::kShelf
-            ? store.topology(store::ColumnId::kShelfSystem)->as_u32()
-            : store.topology(store::ColumnId::kRgSystem)->as_u32();
-    std::vector<std::size_t> scope_windows(scope_systems.size(), 0);
-    for (std::size_t i = 0; i < scope_systems.size(); ++i) {
-      scope_windows[i] = complete_windows(horizon - deploy[scope_systems[i]], window_seconds);
-      windows_observed += scope_windows[i];
-    }
-
-    for (const auto cls : model::kAllSystemClasses) {
-      const store::EventView& view = store.events(cls);
-      for (std::size_t i = 0; i < view.size(); ++i) {
-        const std::size_t t = view.type[i];
-        if (!wanted[t]) continue;
-        std::uint32_t local_scope;
-        std::uint64_t global_scope;
-        if (scope == Scope::kShelf) {
-          local_scope = view.shelf[i];
-          global_scope = shards.global_shelf(s, local_scope);
-        } else {
-          if (!model::RaidGroupId(view.raid_group[i]).valid()) continue;
-          local_scope = view.raid_group[i];
-          global_scope = shards.global_raid_group(s, local_scope);
-        }
-        const double offset = view.time[i] - deploy[view.system[i]];
-        if (offset < 0.0) continue;
-        const auto window = static_cast<std::size_t>(std::floor(offset / window_seconds));
-        if (window >= scope_windows[local_scope]) continue;  // partial trailing window
-        cells.push_back(Cell{global_scope, window, static_cast<std::uint8_t>(t)});
-      }
-    }
-  }
-  return windows_observed;
-}
-
 /// Window counts for the failure types in `types`, indexed by type; one
-/// sweep of the source covers all of them. The cells are grouped by scope,
+/// sweep of the source covers all of them. Every failure of a wanted type
+/// that lands in a complete window of its scope is filed under that (scope,
+/// window) cell; a scope's windows run from its owning system's deployment
+/// (the event's system's) to the horizon. The cells are grouped by scope,
 /// and each scope's few cells ordered by (type, window) and run-length
 /// counted, so every type's counts come out in (scope, window) order.
 std::array<WindowCounts, kTypeCount> count_windows(
     const Source& source, Scope scope, double window_seconds,
     std::span<const model::FailureType> types) {
-  TypeMask wanted{};
+  std::array<bool, kTypeCount> wanted{};
   for (const auto type : types) wanted[model::index_of(type)] = true;
+  const double horizon = source.horizon_seconds();
+  std::size_t windows_observed = 0;
+  source.for_each_scope(scope, [&](const ScopeRow& r) {
+    windows_observed += complete_windows(horizon - r.deploy_time, window_seconds);
+  });
   std::vector<Cell> cells;
-  const std::size_t windows_observed =
-      source.dataset() != nullptr
-          ? collect_cells(*source.dataset(), scope, window_seconds, wanted, cells)
-          : collect_cells(*source.shards(), scope, window_seconds, wanted, cells);
+  cells.reserve(source.event_records());
+  source.for_each_event([&](const EventRow& e) {
+    const std::size_t t = model::index_of(e.type);
+    const std::uint32_t scope_id = e.scope_id(scope);
+    if (!wanted[t] || scope_id == kNoScope) return;
+    const double offset = e.time - e.deploy_time;
+    if (offset < 0.0) return;
+    const auto window = static_cast<std::size_t>(std::floor(offset / window_seconds));
+    if (window >= complete_windows(horizon - e.deploy_time, window_seconds)) {
+      return;  // partial trailing window
+    }
+    cells.push_back(Cell{scope_id, window, static_cast<std::uint8_t>(t)});
+  });
 
   std::array<WindowCounts, kTypeCount> out;
   for (auto& wc : out) wc.windows_observed = windows_observed;
@@ -262,10 +174,10 @@ std::vector<CorrelationResult> failure_correlation_all_types(const Source& sourc
   return out;
 }
 
-std::vector<MultiplicityRow> failure_multiplicity(const Dataset& dataset, Scope scope,
+std::vector<MultiplicityRow> failure_multiplicity(const Source& source, Scope scope,
                                                   model::FailureType type, std::size_t max_n,
                                                   double window_seconds) {
-  const WindowCounts wc = count_windows(dataset, scope, type, window_seconds);
+  const WindowCounts wc = count_windows(source, scope, type, window_seconds);
   std::vector<MultiplicityRow> rows;
   if (wc.windows_observed == 0) return rows;
   const double p1 = wc.histogram.size() > 1 ? static_cast<double>(wc.histogram[1]) /
@@ -286,9 +198,9 @@ std::vector<MultiplicityRow> failure_multiplicity(const Dataset& dataset, Scope 
   return rows;
 }
 
-double dispersion_index(const Dataset& dataset, Scope scope, model::FailureType type,
+double dispersion_index(const Source& source, Scope scope, model::FailureType type,
                         double window_seconds) {
-  const WindowCounts wc = count_windows(dataset, scope, type, window_seconds);
+  const WindowCounts wc = count_windows(source, scope, type, window_seconds);
   if (wc.windows_observed == 0) return 0.0;
   stats::Accumulator acc;
   std::size_t nonzero = 0;
@@ -310,7 +222,7 @@ double CrossTypeResult::lift() const {
   return base > 0.0 ? conditional_probability() / base : 0.0;
 }
 
-CrossTypeResult cross_type_correlation(const Dataset& dataset, Scope scope,
+CrossTypeResult cross_type_correlation(const Source& source, Scope scope,
                                        model::FailureType trigger,
                                        model::FailureType response, double window_seconds) {
   CrossTypeResult result;
@@ -319,59 +231,49 @@ CrossTypeResult cross_type_correlation(const Dataset& dataset, Scope scope,
   result.scope = scope;
   result.window_seconds = window_seconds;
 
-  // Bucket trigger and response streams per scope.
-  std::unordered_map<std::uint32_t, std::vector<double>> trigger_times;
-  std::unordered_map<std::uint32_t, std::vector<double>> response_times;
-  std::size_t response_count = 0;
-  for (const auto& e : dataset.events()) {
-    if (e.type != trigger && e.type != response) continue;
-    const auto& disk = dataset.disk_of(e);
+  // Trigger and response streams, grouped by scope.
+  struct ScopedTime {
     std::uint32_t scope_id;
-    if (scope == Scope::kShelf) {
-      scope_id = disk.shelf.value();
-    } else {
-      if (!disk.raid_group.valid()) continue;
-      scope_id = disk.raid_group.value();
-    }
-    if (e.type == trigger) trigger_times[scope_id].push_back(e.time);
-    if (e.type == response) {
-      response_times[scope_id].push_back(e.time);
-      ++response_count;
-    }
-  }
+    double time;
+    model::FailureType type;
+  };
+  std::vector<ScopedTime> streams;
+  std::size_t response_count = 0;
+  source.for_each_event([&](const EventRow& e) {
+    if (e.type != trigger && e.type != response) return;
+    const std::uint32_t scope_id = e.scope_id(scope);
+    if (scope_id == kNoScope) return;
+    streams.push_back(ScopedTime{scope_id, e.time, e.type});
+    if (e.type == response) ++response_count;
+  });
 
   // The homogeneous-independence null: responses arrive as one Poisson
-  // stream at the cohort's mean per-scope rate.
-  const auto& inv = dataset.inventory();
+  // stream at the cohort's mean per-scope rate. Scopes are summed in id
+  // order.
+  const double horizon = source.horizon_seconds();
   double scope_seconds = 0.0;
-  if (scope == Scope::kShelf) {
-    for (const auto& sh : inv.shelves) {
-      if (!dataset.system_selected(sh.system)) continue;
-      scope_seconds +=
-          std::max(0.0, inv.horizon_seconds - inv.systems[sh.system.value()].deploy_time);
-    }
-  } else {
-    for (const auto& g : inv.raid_groups) {
-      if (!dataset.system_selected(g.system)) continue;
-      scope_seconds +=
-          std::max(0.0, inv.horizon_seconds - inv.systems[g.system.value()].deploy_time);
-    }
-  }
+  source.for_each_scope(scope, [&](const ScopeRow& r) {
+    scope_seconds += std::max(0.0, horizon - r.deploy_time);
+  });
   result.baseline_rate_per_scope_second =
       scope_seconds > 0.0 ? static_cast<double>(response_count) / scope_seconds : 0.0;
 
-  // Only order-insensitive integer counters accumulate across scopes.
-  // storsim-lint: allow(unordered-iter) reason=per-scope integer tallies; no cross-scope FP accumulation or ordered output
-  for (auto& [scope_id, triggers] : trigger_times) {
-    std::sort(triggers.begin(), triggers.end());
-    auto rit = response_times.find(scope_id);
-    if (rit != response_times.end()) std::sort(rit->second.begin(), rit->second.end());
-    for (const double t : triggers) {
+  ScopeBuckets<ScopedTime> buckets = bucket_by_scope(streams);
+  std::vector<double> responses;
+  for (std::size_t sc = 0; sc < buckets.scopes(); ++sc) {
+    const std::span<ScopedTime> stream = buckets.scope(sc);
+    responses.clear();
+    for (const ScopedTime& r : stream) {
+      if (r.type == response) responses.push_back(r.time);
+    }
+    std::sort(responses.begin(), responses.end());
+    for (const ScopedTime& r : stream) {
+      if (r.type != trigger) continue;
       ++result.triggers;
-      if (rit == response_times.end()) continue;
-      const auto& responses = rit->second;
-      const auto lo = std::upper_bound(responses.begin(), responses.end(), t);
-      if (lo != responses.end() && *lo <= t + window_seconds) ++result.triggers_followed;
+      const auto next = std::upper_bound(responses.begin(), responses.end(), r.time);
+      if (next != responses.end() && *next <= r.time + window_seconds) {
+        ++result.triggers_followed;
+      }
     }
   }
   return result;

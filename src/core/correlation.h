@@ -10,11 +10,8 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
-#include "core/burstiness.h"
-#include "core/dataset.h"
 #include "core/source.h"
 #include "model/time.h"
 #include "stats/hypothesis.h"
@@ -51,9 +48,8 @@ struct CorrelationResult {
 /// point. Each scope contributes floor(observed_time / window) complete
 /// windows; a scope deployed for less than one window is excluded (paper:
 /// "Only storage systems that have been in the field for one year or more
-/// are considered"). Dataset-backed sources join scopes via the inventory;
-/// store-backed sources (whole, unfiltered cohort) read the mapped event and
-/// topology columns — pure integer tallies, identical on both paths.
+/// are considered"). Pure integer tallies over the Source's event and scope
+/// rows, identical on every backend and cohort.
 CorrelationResult failure_correlation(const Source& source, Scope scope,
                                       model::FailureType type,
                                       double window_seconds = model::kSecondsPerYear);
@@ -70,7 +66,7 @@ struct MultiplicityRow {
   double theoretical = 0.0;
 };
 
-std::vector<MultiplicityRow> failure_multiplicity(const Dataset& dataset, Scope scope,
+std::vector<MultiplicityRow> failure_multiplicity(const Source& source, Scope scope,
                                                   model::FailureType type, std::size_t max_n,
                                                   double window_seconds =
                                                       model::kSecondsPerYear);
@@ -78,7 +74,7 @@ std::vector<MultiplicityRow> failure_multiplicity(const Dataset& dataset, Scope 
 /// Index of dispersion (variance-to-mean ratio) of per-scope-window failure
 /// counts: exactly 1 for a homogeneous Poisson process, > 1 under clustering
 /// or scope heterogeneity. A second, binning-free lens on Finding 11.
-double dispersion_index(const Dataset& dataset, Scope scope, model::FailureType type,
+double dispersion_index(const Source& source, Scope scope, model::FailureType type,
                         double window_seconds = model::kSecondsPerYear);
 
 /// Cross-type triggering: after a `trigger` failure in a scope, how often
@@ -109,7 +105,7 @@ struct CrossTypeResult {
   double lift() const;
 };
 
-CrossTypeResult cross_type_correlation(const Dataset& dataset, Scope scope,
+CrossTypeResult cross_type_correlation(const Source& source, Scope scope,
                                        model::FailureType trigger,
                                        model::FailureType response, double window_seconds);
 

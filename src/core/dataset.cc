@@ -2,24 +2,12 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <tuple>
 
+#include "core/source.h"
 #include "model/time.h"
 
 namespace storsubsim::core {
-
-namespace {
-
-bool matches(const Filter& f, const log::InventorySystem& system) {
-  if (f.system_class && system.cls != *f.system_class) return false;
-  if (f.disk_model && !(system.disk_model == *f.disk_model)) return false;
-  if (f.disk_family && system.disk_model.family != *f.disk_family) return false;
-  if (f.shelf_model && !(system.shelf_model == *f.shelf_model)) return false;
-  if (f.paths && system.paths != *f.paths) return false;
-  if (f.exclude_family_h && system.disk_model.family == 'H') return false;
-  return true;
-}
-
-}  // namespace
 
 Dataset::Dataset(std::shared_ptr<const log::Inventory> inventory,
                  std::vector<FailureEvent> events)
@@ -36,8 +24,13 @@ Dataset::Dataset(std::shared_ptr<const log::Inventory> inventory,
     e.system = inventory_->disks[e.disk.value()].system;
     events_.push_back(e);
   }
-  std::sort(events_.begin(), events_.end(),
-            [](const FailureEvent& a, const FailureEvent& b) { return a.time < b.time; });
+  // The full key, so events tied in time keep one order however they came.
+  const auto before = [](const FailureEvent& a, const FailureEvent& b) {
+    return std::tie(a.time, a.disk, a.type) < std::tie(b.time, b.disk, b.type);
+  };
+  if (!std::is_sorted(events_.begin(), events_.end(), before)) {
+    std::sort(events_.begin(), events_.end(), before);
+  }
 }
 
 Dataset Dataset::filter(const Filter& f) const {
@@ -45,7 +38,7 @@ Dataset Dataset::filter(const Filter& f) const {
   out.inventory_ = inventory_;
   out.system_mask_.assign(inventory_->systems.size(), 0);
   for (const auto& sys : inventory_->systems) {
-    if (system_mask_[sys.id.value()] != 0 && matches(f, sys)) {
+    if (system_mask_[sys.id.value()] != 0 && f.selects(sys)) {
       out.system_mask_[sys.id.value()] = 1;
     }
   }
@@ -56,69 +49,51 @@ Dataset Dataset::filter(const Filter& f) const {
   return out;
 }
 
+namespace {
+
+/// Records whose owning system the mask selects.
+template <class Records>
+std::size_t count_selected(const Records& records, const std::vector<char>& mask) {
+  return static_cast<std::size_t>(std::count_if(
+      records.begin(), records.end(), [&](const auto& r) { return mask[r.system.value()] != 0; }));
+}
+
+}  // namespace
+
 std::size_t Dataset::event_count(model::FailureType type) const {
-  std::size_t n = 0;
-  for (const auto& e : events_) {
-    if (e.type == type) ++n;
-  }
-  return n;
+  return static_cast<std::size_t>(std::count_if(
+      events_.begin(), events_.end(), [&](const FailureEvent& e) { return e.type == type; }));
 }
 
 std::size_t Dataset::selected_system_count() const {
-  std::size_t n = 0;
-  for (const char m : system_mask_) n += static_cast<std::size_t>(m);
-  return n;
+  return static_cast<std::size_t>(std::count(system_mask_.begin(), system_mask_.end(), 1));
 }
 
 std::size_t Dataset::selected_shelf_count() const {
-  std::size_t n = 0;
-  for (const auto& sh : inventory_->shelves) {
-    if (system_mask_[sh.system.value()] != 0) ++n;
-  }
-  return n;
+  return count_selected(inventory_->shelves, system_mask_);
 }
 
 std::size_t Dataset::selected_raid_group_count() const {
-  std::size_t n = 0;
-  for (const auto& g : inventory_->raid_groups) {
-    if (system_mask_[g.system.value()] != 0) ++n;
-  }
-  return n;
+  return count_selected(inventory_->raid_groups, system_mask_);
 }
 
 std::size_t Dataset::selected_disk_record_count() const {
-  std::size_t n = 0;
-  for (const auto& d : inventory_->disks) {
-    if (system_mask_[d.system.value()] != 0) ++n;
-  }
-  return n;
+  return count_selected(inventory_->disks, system_mask_);
 }
 
-double Dataset::disk_exposure_years() const {
-  double total = 0.0;
-  for (const auto& d : inventory_->disks) {
-    if (system_mask_[d.system.value()] != 0) total += inventory_->disk_exposure_years(d);
-  }
-  return total;
-}
+double Dataset::disk_exposure_years() const { return Source(*this).disk_years().total; }
 
 double Dataset::raid_group_exposure_years() const {
   double total = 0.0;
-  for (const auto& g : inventory_->raid_groups) {
-    if (system_mask_[g.system.value()] == 0) continue;
-    const auto& sys = inventory_->systems[g.system.value()];
-    const double span = inventory_->horizon_seconds - sys.deploy_time;
+  Source(*this).for_each_scope(Scope::kRaidGroup, [&](const ScopeRow& g) {
+    const double span = inventory_->horizon_seconds - g.deploy_time;
     if (span > 0.0) total += model::years(span);
-  }
+  });
   return total;
 }
 
-const log::InventoryDisk& Dataset::disk_of(const FailureEvent& event) const {
-  return inventory_->disks[event.disk.value()];
-}
-
 const log::InventorySystem& Dataset::system_of(const FailureEvent& event) const {
-  return inventory_->systems[disk_of(event).system.value()];
+  return inventory_->systems[inventory_->disks[event.disk.value()].system.value()];
 }
 
 }  // namespace storsubsim::core

@@ -33,6 +33,10 @@ struct Filter {
   std::optional<model::PathConfig> paths;
   /// Excludes systems using the problematic disk family H (paper Figure 4(b)).
   bool exclude_family_h = false;
+
+  /// The one cohort predicate: Dataset::filter and Source(store, filter)
+  /// both select the systems it accepts.
+  bool selects(const log::InventorySystem& system) const;
 };
 
 class Dataset {
@@ -45,7 +49,7 @@ class Dataset {
   Dataset filter(const Filter& f) const;
 
   // --- events ---------------------------------------------------------------
-  /// Events sorted by detection time.
+  /// Events in (time, disk, type) order, the classifier's.
   std::span<const FailureEvent> events() const { return events_; }
   std::size_t event_count(model::FailureType type) const;
 
@@ -66,8 +70,7 @@ class Dataset {
   /// system's deployment to the horizon).
   double raid_group_exposure_years() const;
 
-  /// Per-event enrichment helpers.
-  const log::InventoryDisk& disk_of(const FailureEvent& event) const;
+  /// The owning system of an event, by its disk.
   const log::InventorySystem& system_of(const FailureEvent& event) const;
 
  private:

@@ -10,7 +10,6 @@
 
 #include <vector>
 
-#include "core/dataset.h"
 #include "core/source.h"
 #include "stats/survival.h"
 
@@ -20,9 +19,8 @@ namespace storsubsim::core {
 /// duration is the record's observed lifetime (clipped to the study window);
 /// `event` is true iff a *disk* failure was recorded for that disk. Records
 /// alive at the horizon — the overwhelming majority — are right-censored.
-/// The unified entry point: dataset-backed sources sweep the inventory,
-/// store-backed sources (whole cohort) the mapped install/remove columns, in
-/// the same disk-id order — the same observations either way.
+/// The unified entry point: one walk of the Source's disk rows, in disk-id
+/// order on every backend — the same observations either way.
 std::vector<stats::SurvivalObservation> disk_lifetime_observations(const Source& source);
 
 struct LifetimeReport {

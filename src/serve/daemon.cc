@@ -299,16 +299,13 @@ std::string Daemon::dispatch(const Request& request) {
   // reads naturally; the canonical name is "stats".
   const std::string endpoint =
       request.endpoint == "/stats" ? std::string("stats") : request.endpoint;
-  const bool is_analysis = endpoint == "afr" || endpoint == "afr_by_class" ||
-                           endpoint == "correlation" || endpoint == "tbf" ||
-                           endpoint == "lifetime";
-  if (!is_analysis && endpoint != "query" && endpoint != "stats" &&
-      endpoint != "replicate_summary") {
+  const auto statistic = core::statistic_from_endpoint(endpoint);
+  if (!statistic.has_value() && endpoint != "stats" && endpoint != "replicate_summary") {
     std::string message("unknown endpoint '");
     message.append(request.endpoint).append("'");
     return render_error_response("unknown-endpoint", message);
   }
-  if (!request.params.empty() && endpoint != "query") {
+  if (!request.params.empty() && statistic != core::StatisticId::kQuery) {
     return render_error_response("bad-request",
                                  "params are only valid for the query endpoint");
   }
@@ -329,7 +326,7 @@ std::string Daemon::dispatch(const Request& request) {
   std::string response;
   if (endpoint == "stats") {
     response = render_ok_response(endpoint, obs::registry().snapshot().to_text());
-  } else if (endpoint == "query") {
+  } else if (statistic == core::StatisticId::kQuery) {
     response = run_store_query(request);
   } else if (endpoint == "replicate_summary") {
     Request canonical = request;
@@ -338,7 +335,7 @@ std::string Daemon::dispatch(const Request& request) {
   } else {
     Request canonical = request;
     canonical.endpoint = endpoint;
-    response = run_analysis(canonical);
+    response = run_analysis(canonical, *statistic);
   }
 
   const double seconds = span.stop();
@@ -350,19 +347,12 @@ std::string Daemon::dispatch(const Request& request) {
   return response;
 }
 
-std::string Daemon::run_analysis(const Request& request) {
-  // dispatch() vetted the endpoint name, so the lookup cannot fail; the
-  // typed request then renders through core::render_statistic — the same
+std::string Daemon::run_analysis(const Request& request, core::StatisticId statistic) {
+  // The typed request renders through core::render_statistic — the same
   // entry point `storsubsim analyze` uses, which is the byte-identity
   // guarantee by construction.
-  const auto statistic = core::statistic_from_endpoint(request.endpoint);
-  if (!statistic.has_value()) {
-    std::string message("unknown endpoint '");
-    message.append(request.endpoint).append("'");
-    return render_error_response("unknown-endpoint", message);
-  }
   core::AnalysisRequest analysis;
-  if (RequestError err = core::AnalysisRequest::from_params(*statistic, request.params,
+  if (RequestError err = core::AnalysisRequest::from_params(statistic, request.params,
                                                             request.csv, &analysis);
       !err.ok()) {
     return render_error_response(err.code, err.message);

@@ -92,7 +92,7 @@ class Daemon {
   void close_fds() noexcept;
   void submit(int fd, std::string body);
   std::string dispatch(const Request& request);
-  std::string run_analysis(const Request& request);
+  std::string run_analysis(const Request& request, core::StatisticId statistic);
   std::string run_store_query(const Request& request);
   std::string run_replicate_summary(const Request& request);
 

@@ -184,7 +184,7 @@ MapTally map_tally(const core::Dataset& ds, core::Scope scope, model::FailureTyp
   for (const auto w : scope_windows) tally.windows_observed += w;
   for (const auto& e : ds.events()) {
     if (e.type != type) continue;
-    const auto& disk = ds.disk_of(e);
+    const auto& disk = inv.disks[e.disk.value()];
     if (scope == core::Scope::kRaidGroup && !disk.raid_group.valid()) continue;
     const std::uint32_t id =
         scope == core::Scope::kShelf ? disk.shelf.value() : disk.raid_group.value();
@@ -440,7 +440,7 @@ TEST(Correlation, ShortWindowsDoNotAliasAcrossScopes) {
   ASSERT_LT(late, inv->horizon_seconds);
   const core::Dataset ds(inv, {ev(5.0, 1), ev(late, 0)});
   const StoreOf store(ds, "short_windows.store");
-  for (const core::Source source : {core::Source(ds), core::Source(store.get())}) {
+  for (const core::Source& source : {core::Source(ds), core::Source(store.get())}) {
     const auto r = core::failure_correlation(source, core::Scope::kShelf,
                                              model::FailureType::kDisk, window);
     EXPECT_EQ(r.windows_with_one, 2u);

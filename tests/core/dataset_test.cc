@@ -1,6 +1,7 @@
 // Dataset construction, filtering semantics, exposure accounting, joins.
 #include "core/dataset.h"
 
+#include <iterator>
 #include <limits>
 #include <memory>
 
@@ -82,6 +83,34 @@ TEST(Dataset, EventCountsAndSorting) {
   EXPECT_EQ(ds.event_count(model::FailureType::kPerformance), 0u);
 }
 
+TEST(Dataset, TiedTimesSortByDiskThenType) {
+  // Fed in reverse of the (time, disk, type) key: one order however the
+  // events arrive, the one the classifier and the store writer use.
+  const auto inv = tiny_inventory();
+  core::Dataset ds(inv, {event(200.0, 3, model::FailureType::kPerformance),
+                         event(200.0, 3, model::FailureType::kDisk),
+                         event(200.0, 2, model::FailureType::kProtocol),
+                         event(200.0, 0, model::FailureType::kPerformance),
+                         event(200.0, 0, model::FailureType::kPhysicalInterconnect),
+                         event(100.0, 4, model::FailureType::kDisk)});
+  const struct {
+    double time;
+    std::uint32_t disk;
+    model::FailureType type;
+  } want[] = {{100.0, 4, model::FailureType::kDisk},
+              {200.0, 0, model::FailureType::kPhysicalInterconnect},
+              {200.0, 0, model::FailureType::kPerformance},
+              {200.0, 2, model::FailureType::kProtocol},
+              {200.0, 3, model::FailureType::kDisk},
+              {200.0, 3, model::FailureType::kPerformance}};
+  ASSERT_EQ(ds.events().size(), std::size(want));
+  for (std::size_t i = 0; i < std::size(want); ++i) {
+    EXPECT_EQ(ds.events()[i].time, want[i].time) << i;
+    EXPECT_EQ(ds.events()[i].disk, model::DiskId(want[i].disk)) << i;
+    EXPECT_EQ(ds.events()[i].type, want[i].type) << i;
+  }
+}
+
 TEST(Dataset, DropsEventsWithUnknownDisks) {
   const auto inv = tiny_inventory();
   core::Dataset ds(inv, {event(1.0, 99, model::FailureType::kDisk),
@@ -95,7 +124,7 @@ TEST(Dataset, SystemAttributionFromInventoryNotEvent) {
   core::Dataset ds(inv, {event(1.0, 2, model::FailureType::kDisk)});
   EXPECT_EQ(ds.events()[0].system, model::SystemId(1));
   EXPECT_EQ(ds.system_of(ds.events()[0]).id, model::SystemId(1));
-  EXPECT_EQ(ds.disk_of(ds.events()[0]).id, model::DiskId(2));
+  EXPECT_EQ(ds.events()[0].disk, model::DiskId(2));
 }
 
 TEST(Dataset, ExposureAccountsReplacementChains) {

@@ -1,9 +1,11 @@
 // core::Source equivalence suite: the unified analysis entry points must be
-// bit-identical across the two backends — a Dataset from the live pipeline
-// and the serialized run's store file opened as a one-shard ShardStore — and
-// the implicit
-// backend-to-Source conversions must be exact (the pre-Source per-backend
-// overloads were retired; implicit conversion is the only bridge left).
+// bit-identical across the two backends — a Dataset from the live pipeline,
+// the serialized run's store file opened as a one-shard ShardStore, and a
+// 4-shard directory of the same fleet — for the whole fleet and for every
+// cohort, where Source(store, f) must answer exactly as
+// Source(dataset.filter(f)). The implicit backend-to-Source conversions must
+// be exact too (the pre-Source per-backend overloads were retired; implicit
+// conversion is the only bridge left).
 //
 // Scale 0.05 is the in-ctest fidelity point (same as the store round-trip
 // suite): large enough that every system class, failure type, and scope kind
@@ -12,15 +14,22 @@
 
 #include <unistd.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/afr.h"
+#include "core/analysis_render.h"
 #include "core/burstiness.h"
 #include "core/correlation.h"
 #include "core/lifetime.h"
 #include "core/pipeline.h"
+#include "core/raid_vulnerability.h"
+#include "core/sharded_build.h"
 #include "core/source.h"
 #include "core/store_bridge.h"
 #include "model/fleet_config.h"
@@ -49,6 +58,18 @@ class SourceEquivalence : public ::testing::Test {
     ASSERT_TRUE(core::write_store(*store_path_, *run_, 20080226, 0.05).ok());
     store_ = new store::ShardStore;
     ASSERT_TRUE(store_->open(*store_path_).ok());
+
+    shard_dir_ = new std::string(temp_path("source_equivalence.shards"));
+    core::ShardedBuildOptions options;
+    options.shards = 4;
+    ASSERT_TRUE(core::build_sharded_store(*shard_dir_,
+                                          model::standard_fleet_config(0.05, 20080226),
+                                          options)
+                    .ok());
+    shards_ = new store::ShardStore;
+    ASSERT_TRUE(shards_->open(*shard_dir_).ok());
+    ASSERT_TRUE(shards_->open_all().ok());
+    ASSERT_EQ(shards_->shard_count(), 4u);
   }
   static void TearDownTestSuite() {
     delete store_;
@@ -56,26 +77,145 @@ class SourceEquivalence : public ::testing::Test {
     std::remove(store_path_->c_str());
     delete store_path_;
     store_path_ = nullptr;
+    delete shards_;
+    shards_ = nullptr;
+    std::filesystem::remove_all(*shard_dir_);
+    delete shard_dir_;
+    shard_dir_ = nullptr;
     delete run_;
     run_ = nullptr;
   }
 
   static const core::Dataset& dataset() { return run_->dataset; }
   static const store::ShardStore& event_store() { return *store_; }
+  static const store::ShardStore& shard_dir() { return *shards_; }
 
   static core::SimulationDataset* run_;
   static std::string* store_path_;
   static store::ShardStore* store_;
+  static std::string* shard_dir_;
+  static store::ShardStore* shards_;
 };
 
 core::SimulationDataset* SourceEquivalence::run_ = nullptr;
 std::string* SourceEquivalence::store_path_ = nullptr;
 store::ShardStore* SourceEquivalence::store_ = nullptr;
+std::string* SourceEquivalence::shard_dir_ = nullptr;
+store::ShardStore* SourceEquivalence::shards_ = nullptr;
 
 void expect_breakdown_identical(const core::AfrBreakdown& a, const core::AfrBreakdown& b) {
   EXPECT_EQ(a.label, b.label);
   EXPECT_EQ(a.disk_years, b.disk_years);  // bit-identical, not approximate
   EXPECT_EQ(a.events, b.events);
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// The cohorts the CLI can ask for: --class, --exclude-h, and both.
+std::vector<std::pair<const char*, core::Filter>> cli_cohorts() {
+  core::Filter cls;
+  cls.system_class = model::SystemClass::kNearLine;
+  core::Filter no_h;
+  no_h.exclude_family_h = true;
+  core::Filter both = cls;
+  both.exclude_family_h = true;
+  return {{"class", cls}, {"exclude-h", no_h}, {"class+exclude-h", both}};
+}
+
+/// Every Source analysis, RAID vulnerability and the event rows, bit for bit.
+void expect_sources_identical(const core::Source& want, const core::Source& got) {
+  const core::DiskYears years_want = want.disk_years();
+  const core::DiskYears years_got = got.disk_years();
+  EXPECT_EQ(bits(years_want.total), bits(years_got.total));
+  for (std::size_t c = 0; c < years_want.by_class.size(); ++c) {
+    EXPECT_EQ(bits(years_want.by_class[c]), bits(years_got.by_class[c])) << c;
+    EXPECT_EQ(years_want.systems_by_class[c], years_got.systems_by_class[c]) << c;
+  }
+
+  expect_breakdown_identical(core::compute_afr(want, "cohort"), core::compute_afr(got, "cohort"));
+  const auto by_class_want = core::afr_by_class(want);
+  const auto by_class_got = core::afr_by_class(got);
+  ASSERT_EQ(by_class_want.size(), by_class_got.size());
+  for (std::size_t i = 0; i < by_class_want.size(); ++i) {
+    expect_breakdown_identical(by_class_want[i], by_class_got[i]);
+  }
+
+  for (const auto scope : {core::Scope::kShelf, core::Scope::kRaidGroup}) {
+    SCOPED_TRACE(scope == core::Scope::kShelf ? "shelf" : "raid-group");
+    const auto tbf_want = core::time_between_failures(want, scope);
+    const auto tbf_got = core::time_between_failures(got, scope);
+    for (std::size_t series = 0; series < core::kSeriesCount; ++series) {
+      EXPECT_EQ(tbf_want.gaps[series], tbf_got.gaps[series]) << series;
+    }
+
+    const auto corr_want = core::failure_correlation_all_types(want, scope);
+    const auto corr_got = core::failure_correlation_all_types(got, scope);
+    ASSERT_EQ(corr_want.size(), corr_got.size());
+    for (std::size_t i = 0; i < corr_want.size(); ++i) {
+      EXPECT_EQ(corr_want[i].windows_observed, corr_got[i].windows_observed);
+      EXPECT_EQ(corr_want[i].windows_with_one, corr_got[i].windows_with_one);
+      EXPECT_EQ(corr_want[i].windows_with_two, corr_got[i].windows_with_two);
+    }
+    const auto single_want =
+        core::failure_correlation(want, scope, model::FailureType::kPhysicalInterconnect);
+    const auto single_got =
+        core::failure_correlation(got, scope, model::FailureType::kPhysicalInterconnect);
+    EXPECT_EQ(single_want.windows_observed, single_got.windows_observed);
+    EXPECT_EQ(single_want.windows_with_one, single_got.windows_with_one);
+    EXPECT_EQ(single_want.windows_with_two, single_got.windows_with_two);
+
+    const auto rows_want = core::failure_multiplicity(want, scope, model::FailureType::kDisk, 4);
+    const auto rows_got = core::failure_multiplicity(got, scope, model::FailureType::kDisk, 4);
+    ASSERT_EQ(rows_want.size(), rows_got.size());
+    for (std::size_t i = 0; i < rows_want.size(); ++i) {
+      EXPECT_EQ(bits(rows_want[i].empirical), bits(rows_got[i].empirical));
+      EXPECT_EQ(bits(rows_want[i].theoretical), bits(rows_got[i].theoretical));
+    }
+    EXPECT_EQ(bits(core::dispersion_index(want, scope, model::FailureType::kDisk)),
+              bits(core::dispersion_index(got, scope, model::FailureType::kDisk)));
+
+    const auto cross_want = core::cross_type_correlation(
+        want, scope, model::FailureType::kDisk, model::FailureType::kPhysicalInterconnect,
+        7 * model::kSecondsPerDay);
+    const auto cross_got = core::cross_type_correlation(
+        got, scope, model::FailureType::kDisk, model::FailureType::kPhysicalInterconnect,
+        7 * model::kSecondsPerDay);
+    EXPECT_EQ(cross_want.triggers, cross_got.triggers);
+    EXPECT_EQ(cross_want.triggers_followed, cross_got.triggers_followed);
+    EXPECT_EQ(bits(cross_want.baseline_rate_per_scope_second),
+              bits(cross_got.baseline_rate_per_scope_second));
+  }
+
+  const auto obs_want = core::disk_lifetime_observations(want);
+  const auto obs_got = core::disk_lifetime_observations(got);
+  ASSERT_EQ(obs_want.size(), obs_got.size());
+  for (std::size_t i = 0; i < obs_want.size(); ++i) {
+    EXPECT_EQ(bits(obs_want[i].duration), bits(obs_got[i].duration)) << i;
+    EXPECT_EQ(obs_want[i].event, obs_got[i].event) << i;
+  }
+  const auto life_want = core::disk_lifetime_report(want);
+  const auto life_got = core::disk_lifetime_report(got);
+  EXPECT_EQ(life_want.disks, life_got.disks);
+  EXPECT_EQ(life_want.failures, life_got.failures);
+  EXPECT_EQ(bits(life_want.censored_fraction), bits(life_got.censored_fraction));
+
+  for (const bool disk_only : {true, false}) {
+    for (const double hours : {6.0, 24.0, 72.0}) {
+      const auto v_want = core::raid_vulnerability(want, hours * 3600.0, disk_only);
+      const auto v_got = core::raid_vulnerability(got, hours * 3600.0, disk_only);
+      EXPECT_EQ(v_want.groups_observed, v_got.groups_observed);
+      EXPECT_EQ(v_want.failures_considered, v_got.failures_considered);
+      EXPECT_EQ(v_want.double_failure_incidents, v_got.double_failure_incidents);
+      EXPECT_EQ(v_want.triple_failure_incidents, v_got.triple_failure_incidents);
+      EXPECT_EQ(v_want.raid4_groups_defeated, v_got.raid4_groups_defeated);
+      EXPECT_EQ(v_want.raid6_groups_defeated, v_got.raid6_groups_defeated);
+      EXPECT_EQ(bits(v_want.expected_double_incidents_independent),
+                bits(v_got.expected_double_incidents_independent));
+    }
+  }
+
+  // The event rows, every field: the export renders them in one order.
+  EXPECT_EQ(core::render_events(want, true), core::render_events(got, true));
 }
 
 }  // namespace
@@ -183,21 +323,40 @@ TEST_F(SourceEquivalence, ImplicitConversionsAreExact) {
   }
 }
 
-// Filtered cohorts flow through Source the same way the unfiltered dataset
-// does (stores always cover the whole cohort; the filter happens before the
-// Source wrap).
-TEST_F(SourceEquivalence, FilteredDatasetSourceMatchesLegacyFilterPath) {
-  core::Filter no_h;
-  no_h.exclude_family_h = true;
-  const auto cohort = dataset().filter(no_h);
-  const auto via_source = core::afr_by_class(core::Source(cohort));
-  const auto via_legacy = core::afr_by_class(cohort);
-  ASSERT_EQ(via_source.size(), via_legacy.size());
-  for (std::size_t i = 0; i < via_source.size(); ++i) {
-    expect_breakdown_identical(via_source[i], via_legacy[i]);
+TEST_F(SourceEquivalence, WholeFleetMatchesAcrossAllThreeBackends) {
+  expect_sources_identical(dataset(), event_store());
+  expect_sources_identical(dataset(), shard_dir());
+}
+
+// A cohort over a store is a mask over its columns; it must answer exactly
+// as the filtered Dataset, with no Dataset built.
+TEST_F(SourceEquivalence, CohortOverStoreFileMatchesFilteredDataset) {
+  const double fleet_years = core::Source(dataset()).disk_years().total;
+  for (const auto& [name, filter] : cli_cohorts()) {
+    SCOPED_TRACE(name);
+    const core::Dataset cohort = dataset().filter(filter);
+    const core::Source from_store(event_store(), filter);
+    expect_sources_identical(cohort, from_store);
+    const double years = from_store.disk_years().total;
+    EXPECT_GT(years, 0.0);
+    EXPECT_LT(years, fleet_years);
+    EXPECT_GT(core::compute_afr(from_store).total_events(), 0u);
   }
-  EXPECT_LT(core::compute_afr(core::Source(cohort)).total_events(),
-            core::compute_afr(core::Source(dataset())).total_events());
+}
+
+TEST_F(SourceEquivalence, CohortOverShardDirectoryMatchesFilteredDataset) {
+  for (const auto& [name, filter] : cli_cohorts()) {
+    SCOPED_TRACE(name);
+    const core::Dataset cohort = dataset().filter(filter);
+    expect_sources_identical(cohort, core::Source(shard_dir(), filter));
+  }
+}
+
+// A filter every system passes is the whole fleet: the exposure table is
+// read, and the answers do not move.
+TEST_F(SourceEquivalence, CohortOfEverySystemIsTheWholeFleet) {
+  core::Filter all;
+  expect_sources_identical(event_store(), core::Source(event_store(), all));
 }
 
 TEST_F(SourceEquivalence, SourceAccessorsReportBackend) {

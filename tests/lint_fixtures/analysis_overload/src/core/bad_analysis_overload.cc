@@ -1,15 +1,19 @@
 // Fixture: reintroductions of the retired per-backend analysis overloads.
 // Each unified entry point declared with a concrete-backend first parameter
 // (Dataset / EventStore / ShardStore) instead of core::Source must be
-// flagged once. Expected: 3 analysis-overload findings.
+// flagged once. Expected: 4 analysis-overload findings.
 namespace storsubsim::core {
 
 class Dataset;
 struct AfrReport;
 struct AfrByClass;
+struct VulnerabilityResult;
 
 // Violation: the Dataset overload of compute_afr was retired.
 AfrReport compute_afr(const Dataset& dataset);
+
+// Violation: RAID vulnerability reads its rows through Source too.
+VulnerabilityResult raid_vulnerability(const Dataset& dataset, double window_seconds);
 
 }  // namespace storsubsim::core
 

@@ -19,8 +19,10 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -222,11 +224,11 @@ std::vector<Expected> expected_matrix(const store::ShardStore& mono) {
   const core::Source source(mono);
   std::vector<Expected> matrix;
   const char* endpoints[] = {"afr", "afr_by_class", "correlation", "tbf",
-                             "lifetime"};
+                             "lifetime", "vulnerability"};
   std::string (*renderers[])(const core::Source&, bool) = {
-      core::render_afr_total, core::render_afr_by_class,
-      core::render_correlation, core::render_tbf, core::render_lifetime};
-  for (std::size_t e = 0; e < 5; ++e) {
+      core::render_afr_total, core::render_afr_by_class, core::render_correlation,
+      core::render_tbf,       core::render_lifetime,     core::render_vulnerability};
+  for (std::size_t e = 0; e < std::size(endpoints); ++e) {
     for (const bool csv : {false, true}) {
       Expected item;
       item.request.endpoint = endpoints[e];
@@ -343,6 +345,33 @@ TEST_F(ServeSuite, HandleRequestAnswersWithoutASocket) {
   for (const char* metric : {"serve.connections.peak", "serve.connections.shed",
                              "serve.queue_wait_us"}) {
     EXPECT_NE(response.table.find(metric), std::string::npos) << metric;
+  }
+}
+
+TEST_F(ServeSuite, VulnerabilityMatchesOfflineAnalyzeByteForByte) {
+  DaemonHarness harness;
+  ASSERT_TRUE(harness.start(mono_path(), "serve_vulnerability.sock").ok());
+  for (const bool csv : {false, true}) {
+    const std::string out_path = temp_path("serve_vulnerability_cli.txt");
+    const std::string command = std::string(STORSUBSIM_CLI_PATH) + " analyze --input " +
+                                mono_path() + " --report vulnerability" +
+                                (csv ? " --csv" : "") + " > " + out_path + " 2>/dev/null";
+    ASSERT_EQ(std::system(command.c_str()), 0);
+    std::ifstream in(out_path);
+    const std::string offline((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+    std::remove(out_path.c_str());
+    ASSERT_FALSE(offline.empty());
+
+    serve::Client client;
+    serve::Request request;
+    request.endpoint = "vulnerability";
+    request.csv = csv;
+    serve::Response response;
+    ASSERT_TRUE(client.connect(harness.socket_path()).ok());
+    ASSERT_TRUE(client.request(request, &response).ok());
+    EXPECT_TRUE(response.ok) << response.message;
+    EXPECT_EQ(response.table, offline) << (csv ? "csv" : "text");
   }
 }
 

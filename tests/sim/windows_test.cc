@@ -30,7 +30,9 @@ TEST(GenerateWindows, SortedNonOverlappingWithinHorizon) {
     EXPECT_LT(windows[i].start, windows[i].end);
     EXPECT_LE(windows[i].end, horizon);
     EXPECT_DOUBLE_EQ(windows[i].multiplier, 12.0);
-    if (i > 0) EXPECT_GE(windows[i].start, windows[i - 1].end);
+    if (i > 0) {
+      EXPECT_GE(windows[i].start, windows[i - 1].end);
+    }
   }
 }
 

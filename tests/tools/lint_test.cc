@@ -583,9 +583,10 @@ TEST(LockDisciplineRule, RaiiGuardsSiblingScopesAndDistinctMutexesAreClean) {
 TEST(AnalysisOverloadRule, FlagsEveryConcreteBackendRedeclaration) {
   const auto report =
       lint_fixture_tree({"analysis_overload/src/core/bad_analysis_overload.cc"});
-  EXPECT_EQ(count_rule(report, lint::Rule::kAnalysisOverload), 3u)
+  EXPECT_EQ(count_rule(report, lint::Rule::kAnalysisOverload), 4u)
       << lint::render_json_report(report);
   EXPECT_TRUE(any_finding_contains(report, "per-backend overloads were retired"));
+  EXPECT_TRUE(any_finding_contains(report, "raid_vulnerability"));
   for (const char* backend : {"Dataset", "EventStore", "ShardStore"}) {
     EXPECT_TRUE(any_finding_contains(report, backend)) << backend;
   }

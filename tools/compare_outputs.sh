@@ -8,7 +8,8 @@
 # store file, a 4-shard store directory, text logs with their config
 # snapshot, and --precursors logs. Then, per binary, it prints
 #   - every `analyze --report`, plain and --csv, on the store file, on the
-#     shard directory and on the text logs;
+#     shard directory and on the text logs, for the whole fleet and for the
+#     `--class near-line --exclude-h` cohort;
 #   - `replicate` (4 fixed replicates at scale 0.25): its report, its
 #     STORREP1 table and the table re-rendered by `analyze --replicates`;
 #   - `predict` over the --precursors logs,
@@ -45,13 +46,16 @@ run_all() {
     > /dev/null 2>&1
   for report in $reports; do
     for csv in "" --csv; do
-      tag="$report${csv:+-csv}"
-      "$bin" analyze --input "$dir/fleet.store" --report "$report" $csv \
-        > "$dir/out.file.$tag" 2> /dev/null
-      "$bin" analyze --input "$dir/fleet.shards" --report "$report" $csv \
-        > "$dir/out.shards.$tag" 2> /dev/null
-      "$bin" analyze --logs "$dir/fleet.log" --snapshot "$dir/fleet.snap" \
-        --report "$report" $csv > "$dir/out.logs.$tag" 2> /dev/null
+      for cohort in "" "--class near-line --exclude-h"; do
+        tag="$report${csv:+-csv}${cohort:+-cohort}"
+        # $csv and $cohort are split on purpose: each holds flags.
+        "$bin" analyze --input "$dir/fleet.store" --report "$report" $csv $cohort \
+          > "$dir/out.file.$tag" 2> /dev/null
+        "$bin" analyze --input "$dir/fleet.shards" --report "$report" $csv $cohort \
+          > "$dir/out.shards.$tag" 2> /dev/null
+        "$bin" analyze --logs "$dir/fleet.log" --snapshot "$dir/fleet.snap" \
+          --report "$report" $csv $cohort > "$dir/out.logs.$tag" 2> /dev/null
+      done
     done
   done
   # The table's provenance manifest names the build, so only the table and

@@ -25,7 +25,7 @@ namespace {
 
 /// The analysis entry points unified on core::Source. Declaring any of
 /// these with a concrete-backend first parameter re-forks the API.
-constexpr std::array<std::string_view, 7> kUnifiedEntryPoints = {
+constexpr std::array<std::string_view, 9> kUnifiedEntryPoints = {
     "compute_afr",
     "afr_by_class",
     "time_between_failures",
@@ -33,6 +33,8 @@ constexpr std::array<std::string_view, 7> kUnifiedEntryPoints = {
     "failure_correlation_all_types",
     "disk_lifetime_observations",
     "disk_lifetime_report",
+    "raid_vulnerability",
+    "cross_type_correlation",
 };
 
 constexpr std::array<std::string_view, 3> kBackendTypes = {

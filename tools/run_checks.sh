@@ -60,9 +60,11 @@
 #      (3 threads cut the fleet into 3 chunks of unequal size), and a --shards 4
 #      build's shard files must be identical at 1 and 4 threads
 #  13. text-log ingest identity (docs/performance.md): every `analyze --logs`
-#      report (and events --csv) over scale-0.25 logs is identical at
-#      --threads 1 and 4 and to the same run's store; `store build --logs`
-#      and `predict` (--precursors logs) are identical at 1 and 4 threads
+#      report (and events --csv), for the whole fleet and the `--class
+#      near-line --exclude-h` cohort, over scale-0.25 logs is identical at
+#      --threads 1 and 4, to the same run's store and to its --shards 4
+#      directory; `store build --logs` and `predict` (--precursors logs) are
+#      identical at 1 and 4 threads
 #  14. benchmark self-test (perfbench/selftest.py): builds the program the
 #      way perfbench does (Release; tests, benches and examples off) and
 #      runs every BENCHMARK.json workload, untraced and traced, at scale
@@ -495,21 +497,30 @@ done
 echo "store files byte-identical at --threads 1, 3 and 4; shard files at 1 and 4"
 
 echo "== [13/14] text-log ingest: byte identity across threads and backends =="
-# $text and $report are split on purpose: each holds flags.
+# $text, $report and $cohort are split on purpose: each holds flags.
 cli=./build/tools/storsubsim
 text="--logs build/CHECK_text.log --snapshot build/CHECK_text.snap"
 $cli simulate --scale 0.25 --seed 7 $text > /dev/null 2>&1
 $cli store build --out build/CHECK_text_sim.store --scale 0.25 --seed 7 > /dev/null 2>&1
-for report in afr afr-total burstiness correlation lifetime vulnerability events \
-    "events --csv"; do
-  $cli analyze $text --report $report --threads 1 > build/CHECK_text_t1.txt 2> /dev/null
-  $cli analyze $text --report $report --threads 4 > build/CHECK_text_t4.txt 2> /dev/null
-  $cli analyze --input build/CHECK_text_sim.store --report $report \
-    > build/CHECK_text_store.txt 2> /dev/null
-  cmp build/CHECK_text_t1.txt build/CHECK_text_t4.txt
-  cmp build/CHECK_text_t1.txt build/CHECK_text_store.txt
+rm -rf build/CHECK_text_sim.shards
+$cli store build --out build/CHECK_text_sim.shards --shards 4 --scale 0.25 --seed 7 \
+  > /dev/null 2>&1
+for cohort in "" "--class near-line --exclude-h"; do
+  for report in afr afr-total burstiness correlation lifetime vulnerability events \
+      "events --csv"; do
+    for threads in 1 4; do
+      $cli analyze $text --report $report $cohort --threads $threads \
+        > build/CHECK_text_t$threads.txt 2> /dev/null
+    done
+    for input in store shards; do
+      $cli analyze --input build/CHECK_text_sim.$input --report $report $cohort \
+        > build/CHECK_text_$input.txt 2> /dev/null
+    done
+    for out in t4 store shards; do cmp build/CHECK_text_t1.txt build/CHECK_text_$out.txt; done
+  done
 done
-echo "analyze --logs reports identical at --threads 1 and 4 and to the store"
+echo "analyze --logs reports (whole fleet and cohort) identical at --threads 1 and 4,"
+echo "to the store and to its 4-shard directory"
 for threads in 1 4; do
   $cli store build --out "build/CHECK_text_t$threads.store" $text --threads "$threads" \
     > /dev/null 2>&1

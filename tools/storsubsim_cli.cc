@@ -6,9 +6,9 @@
 //   storsubsim simulate --scale 0.1 --seed 7 --logs fleet.log
 //       --snapshot fleet.snap [--precursors]
 //   storsubsim analyze  --input fleet.log --snapshot fleet.snap
-//       --report afr|burstiness|correlation|vulnerability|events
+//       --report afr|afr-total|burstiness|correlation|lifetime|vulnerability|events
 //       [--class low-end] [--exclude-h] [--csv]
-//   storsubsim analyze  --input fleet.store --report afr
+//   storsubsim analyze  --input fleet.store --report afr [--class low-end]
 //   storsubsim inspect  --snapshot fleet.snap
 //   storsubsim predict  --logs fleet.log --snapshot fleet.snap
 //       [--threshold 3] [--window-days 14] [--horizon-days 30]
@@ -23,11 +23,12 @@
 // other tools (or hand-edited scenarios) work as well, from a file or a pipe
 // (`--logs <(zcat fleet.log.gz)`). `analyze --input PATH`
 // sniffs the path: a columnar store (STORCOL1 magic) is mapped and the reports
-// come straight off the column spans, a shard directory (STORSHARD1 MANIFEST,
-// produced by `store build --shards`) is analyzed shard by shard with
-// byte-identical results (see docs/STORE.md); anything else is treated as a
-// text log and needs `--snapshot`. The older `--logs`/`--store` spellings
-// remain as aliases and produce byte-identical output.
+// come straight off the column spans, a --class/--exclude-h cohort included; a
+// shard directory (STORSHARD1 MANIFEST, produced by `store build --shards`) is
+// analyzed shard by shard with byte-identical results (see docs/STORE.md);
+// anything else is treated as a text log and needs `--snapshot`. The older
+// `--logs`/`--store` spellings remain as aliases and produce byte-identical
+// output.
 //
 // Observability (docs/OBSERVABILITY.md): every command accepts
 //   --metrics          print the metric snapshot to stderr on success
@@ -48,14 +49,10 @@
 
 #include <unistd.h>
 
-#include "core/afr.h"
 #include "core/analysis_render.h"
 #include "core/analysis_request.h"
-#include "core/burstiness.h"
-#include "core/correlation.h"
 #include "core/pipeline.h"
 #include "core/prediction.h"
-#include "core/raid_vulnerability.h"
 #include "core/report.h"
 #include "core/sharded_build.h"
 #include "core/source.h"
@@ -154,7 +151,8 @@ int usage() {
   storsubsim serve    --input FILE|DIR --socket PATH [--max-open-shards N] [--threads N]
                       [--replicates FILE]
   storsubsim client   --socket PATH
-                      --endpoint afr|afr_by_class|tbf|correlation|lifetime|query|stats|replicate_summary
+                      --endpoint afr|afr_by_class|tbf|correlation|lifetime|vulnerability|query|
+                                 stats|replicate_summary
                       [--type TYPE] [--class CLASS] [--family F] [--from-days D]
                       [--to-days D] [--group-by class|type|family] [--csv]
 observability (any command): [--metrics] [--trace FILE] [--manifest FILE]
@@ -210,27 +208,15 @@ int cmd_simulate(const Args& args) {
   return 0;
 }
 
-/// Applies the `--class` / `--exclude-h` cohort selection shared by the
-/// log-backed and store-backed analysis paths.
-std::optional<core::Dataset> apply_cli_filter(const core::Dataset& dataset, const Args& args) {
-  core::Filter filter;
-  if (args.has_flag("exclude-h")) filter.exclude_family_h = true;
+/// The `--class` / `--exclude-h` cohort selection shared by the log-backed
+/// and store-backed analysis paths; false (after saying why) on a bad class.
+bool cli_filter(const Args& args, core::Filter* filter) {
+  filter->exclude_family_h = args.has_flag("exclude-h");
   const std::string cls = args.get("class");
-  if (!cls.empty()) {
-    const auto parsed = model::parse_system_class(cls);
-    if (!parsed) {
-      std::cerr << "unknown system class '" << cls << "'\n";
-      return std::nullopt;
-    }
-    filter.system_class = parsed;
-  }
-  return dataset.filter(filter);
-}
-
-/// True when the invocation asks for a cohort narrower than the whole fleet
-/// (the store fast paths cover only the unfiltered cohort).
-bool wants_filter(const Args& args) {
-  return args.has_flag("exclude-h") || !args.get("class").empty();
+  if (cls.empty()) return true;
+  filter->system_class = model::parse_system_class(cls);
+  if (!filter->system_class) std::cerr << "unknown system class '" << cls << "'\n";
+  return filter->system_class.has_value();
 }
 
 /// The text-log input of analyze, predict and store build: both files
@@ -311,24 +297,20 @@ int cmd_analyze(const Args& args) {
   store::ShardStore store;
   if (have_store && !open_store(store_path, store)) return 1;
   const std::string report = args.get("report", "afr");
+  core::Filter filter;
+  if (!cli_filter(args, &filter)) return usage();
 
-  // The store fast paths serve the whole-fleet cohort straight off the mapped
-  // columns; a filtered cohort (or a report that joins per-event inventory)
-  // goes through the reconstructed Dataset instead — same results either way.
-  const bool needs_dataset = !have_store || wants_filter(args) || report == "events" ||
-                             report == "vulnerability";
+  // A store's cohort is a mask over its mapped columns; text input is read
+  // into a Dataset and filtered. Every report reads its rows through the one
+  // Source either way.
   std::optional<core::Dataset> dataset;
   if (!have_store) {
     TextInput text;
     if (!load_text(log_path, args.get("snapshot"), text)) return usage();
-    dataset = apply_cli_filter(*text.read.dataset, args);
-  } else if (needs_dataset) {
-    dataset = apply_cli_filter(core::dataset_from_shards(store), args);
+    dataset = text.read.dataset->filter(filter);
   }
-  if (needs_dataset && !dataset) return usage();
-  // One polymorphic handle for the analysis calls below: the filtered Dataset
-  // when one was built, the mapped store otherwise.
-  const core::Source source = dataset ? core::Source(*dataset) : core::Source(store);
+  const core::Source source =
+      dataset ? core::Source(*dataset) : core::Source(store, filter);
 
   // The table-producing reports go through core::AnalysisRequest +
   // core::render_statistic — the same typed request and renderer the
@@ -345,37 +327,7 @@ int cmd_analyze(const Args& args) {
     }
     std::cout << core::render_statistic(source, request);
   } else if (report == "events") {
-    // Raw classified-failure export (one row per failure, joined with the
-    // inventory) — feed to R/pandas/duckdb for analyses this tool lacks.
-    core::TextTable table({"time_s", "type", "disk", "system", "shelf", "raid_group",
-                           "disk_model", "shelf_model", "class", "paths"});
-    for (const auto& e : dataset->events()) {
-      const auto& disk = dataset->disk_of(e);
-      const auto& sys = dataset->system_of(e);
-      table.add_row({core::fmt(e.time, 3), std::string(model::to_string(e.type)),
-                     std::to_string(e.disk.value()), std::to_string(sys.id.value()),
-                     std::to_string(disk.shelf.value()),
-                     disk.raid_group.valid() ? std::to_string(disk.raid_group.value()) : "-",
-                     model::to_string(disk.model), model::to_string(sys.shelf_model),
-                     std::string(model::to_string(sys.cls)),
-                     std::string(model::to_string(sys.paths))});
-    }
-    print(table, args);
-  } else if (report == "vulnerability") {
-    core::TextTable table({"window", "mode", "double incidents", "independent model",
-                           "underestimation", "RAID4 defeated", "RAID6 defeated"});
-    for (const bool disk_only : {true, false}) {
-      for (const double hours : {6.0, 24.0, 72.0}) {
-        const auto r = core::raid_vulnerability(*dataset, hours * 3600.0, disk_only);
-        table.add_row({core::fmt(hours, 0) + "h", disk_only ? "disk-only" : "all-types",
-                       std::to_string(r.double_failure_incidents),
-                       core::fmt(r.expected_double_incidents_independent, 1),
-                       core::fmt(r.underestimation_factor(), 1) + "x",
-                       std::to_string(r.raid4_groups_defeated),
-                       std::to_string(r.raid6_groups_defeated)});
-      }
-    }
-    print(table, args);
+    std::cout << core::render_events(source, csv);
   } else {
     std::cerr << "unknown report '" << report << "'\n";
     return usage();
@@ -410,11 +362,8 @@ int cmd_inspect(const Args& args) {
     const auto cohort = dataset.filter(f);
     if (cohort.selected_system_count() == 0) continue;
     std::size_t dual = 0;
-    for (const auto& sys : cohort.inventory().systems) {
-      if (cohort.system_selected(sys.id) && sys.paths == model::PathConfig::kDualPath) {
-        ++dual;
-      }
-    }
+    core::Source(cohort).for_each_system(
+        [&](const log::InventorySystem& sys) { dual += sys.paths == model::PathConfig::kDualPath; });
     table.add_row({std::string(model::to_string(cls)),
                    std::to_string(cohort.selected_system_count()),
                    std::to_string(cohort.selected_shelf_count()),
@@ -448,8 +397,9 @@ int cmd_predict(const Args& args) {
   TextInput text;
   std::vector<log::LogView> records;
   if (!load_text(args.get("logs"), args.get("snapshot"), text, &records)) return usage();
-  const auto dataset = apply_cli_filter(*text.read.dataset, args);
-  if (!dataset) return usage();
+  core::Filter filter;
+  if (!cli_filter(args, &filter)) return usage();
+  const core::Dataset dataset = text.read.dataset->filter(filter);
   const auto precursors = sim::extract_precursors(records);
   if (precursors.empty()) {
     std::cerr << "no component-error records in the logs — simulate with --precursors\n";
@@ -469,7 +419,7 @@ int cmd_predict(const Args& args) {
   for (const auto& p : pairs) {
     config.signal = p.signal;
     config.target = p.target;
-    const auto r = core::evaluate_predictor(*dataset, precursors, config);
+    const auto r = core::evaluate_predictor(dataset, precursors, config);
     table.add_row({std::string(sim::to_string(p.signal)) + " -> " +
                        std::string(model::to_string(p.target)),
                    std::to_string(r.alarms), core::fmt_pct(r.precision(), 1),
@@ -584,6 +534,19 @@ int cmd_store_build(const Args& args) {
                                 util::peak_rss_bytes());
 }
 
+/// The `store query` / `client` query flags, as the raw strings the one
+/// validator takes.
+core::RequestParams query_params(const Args& args) {
+  core::RequestParams params;
+  params.type = args.get("type");
+  params.cls = args.get("class");
+  params.family = args.get("family");
+  params.group_by = args.get("group-by");
+  if (args.options.contains("from-days")) params.from_days = args.get_double("from-days", 0.0);
+  if (args.options.contains("to-days")) params.to_days = args.get_double("to-days", 0.0);
+  return params;
+}
+
 int cmd_store_query(const Args& args) {
   const std::string path = args.get("store");
   if (path.empty()) return usage();
@@ -594,20 +557,9 @@ int cmd_store_query(const Args& args) {
   // (core::AnalysisRequest::from_params) — the daemon runs the identical
   // code on its JSON params, so a bad value gets the same message here and
   // over the socket.
-  core::RequestParams params;
-  params.type = args.get("type");
-  params.cls = args.get("class");
-  params.family = args.get("family");
-  params.group_by = args.get("group-by");
-  if (args.options.contains("from-days")) {
-    params.from_days = args.get_double("from-days", 0.0);
-  }
-  if (args.options.contains("to-days")) {
-    params.to_days = args.get_double("to-days", 0.0);
-  }
   core::AnalysisRequest request;
   if (const auto err = core::AnalysisRequest::from_params(
-          core::StatisticId::kQuery, params, args.has_flag("csv"), &request);
+          core::StatisticId::kQuery, query_params(args), args.has_flag("csv"), &request);
       !err.ok()) {
     std::cerr << err.message << "\n";
     return 1;
@@ -838,16 +790,7 @@ int cmd_client(const Args& args) {
   request.endpoint = args.get("endpoint");
   if (socket_path.empty() || request.endpoint.empty()) return usage();
   request.csv = args.has_flag("csv");
-  request.params.type = args.get("type");
-  request.params.cls = args.get("class");
-  request.params.family = args.get("family");
-  request.params.group_by = args.get("group-by");
-  if (args.options.contains("from-days")) {
-    request.params.from_days = args.get_double("from-days", 0.0);
-  }
-  if (args.options.contains("to-days")) {
-    request.params.to_days = args.get_double("to-days", 0.0);
-  }
+  request.params = query_params(args);
 
   serve::Client client;
   if (const auto err = client.connect(socket_path); !err.ok()) {
