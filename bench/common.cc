@@ -130,13 +130,13 @@ const core::SimulationDataset& standard_dataset(const Options& options) {
 
 void print_banner(std::ostream& out, const std::string& exhibit, const Options& options,
                   const core::SimulationDataset& dataset) {
+  const core::Source fleet(dataset.dataset);
+  const core::CohortCount count = fleet.count();
   out << "\n================================================================\n"
       << exhibit << "\n"
       << "fleet scale " << options.scale << " (seed " << options.seed << "): "
-      << dataset.dataset.selected_system_count() << " systems, "
-      << dataset.dataset.selected_shelf_count() << " shelves, "
-      << dataset.dataset.inventory().disks.size() << " disk records, "
-      << core::fmt(dataset.dataset.disk_exposure_years(), 0) << " disk-years, "
+      << count.systems << " systems, " << count.shelves << " shelves, " << count.disk_records
+      << " disk records, " << core::fmt(fleet.disk_years().total, 0) << " disk-years, "
       << dataset.dataset.events().size() << " subsystem failures\n"
       << "pipeline: " << dataset.pipeline.log_lines_written << " log lines emitted, "
       << dataset.pipeline.log_lines_parsed << " parsed, "

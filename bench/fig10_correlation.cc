@@ -87,11 +87,10 @@ void sensitivity_panel(const core::Dataset& ds, const bench::Options& options) {
   for (const auto cls : model::kAllSystemClasses) {
     core::Filter f;
     f.system_class = cls;
-    const auto cohort = ds.filter(f);
-    if (cohort.selected_system_count() == 0) continue;
+    const core::Source cohort(ds, f);
+    if (cohort.count().systems == 0) continue;
     std::vector<std::string> row = {std::string(model::to_string(cls))};
-    for (const auto& r :
-         core::failure_correlation_all_types(core::Source(cohort), core::Scope::kShelf)) {
+    for (const auto& r : core::failure_correlation_all_types(cohort, core::Scope::kShelf)) {
       row.push_back(core::fmt(r.correlation_factor(), 1) + "x");
     }
     by_class.add_row(std::move(row));

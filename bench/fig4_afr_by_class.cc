@@ -29,7 +29,7 @@ const PaperRef kPaperFig4b[4] = {
     {0.8, 1.7, 3.0},    // high-end (bar-read approximation)
 };
 
-void panel(const core::Dataset& ds, const char* title, bool with_paper,
+void panel(const core::Source& source, const char* title, bool with_paper,
            const bench::Options& options) {
   std::cout << title << "\n";
   std::vector<std::string> headers = {"class",       "disk",      "phys-interconnect",
@@ -37,7 +37,7 @@ void panel(const core::Dataset& ds, const char* title, bool with_paper,
                                       "disk share",  "PI share"};
   if (with_paper) headers.push_back("paper disk/PI/total");
   core::TextTable table(std::move(headers));
-  for (const auto& b : core::afr_by_class(core::Source(ds))) {
+  for (const auto& b : core::afr_by_class(source)) {
     std::vector<std::string> row = {
         b.label,
         bench::afr_cell(b, FailureType::kDisk),
@@ -70,8 +70,9 @@ void report(const bench::Options& options) {
   panel(sd.dataset, "(a) including storage subsystems using Disk H", false, options);
   core::Filter no_h;
   no_h.exclude_family_h = true;
-  panel(sd.dataset.filter(no_h), "(b) excluding storage subsystems using Disk H "
-                                 "(paper columns: Figure 4(b) reference)",
+  panel(core::Source(sd.dataset, no_h),
+        "(b) excluding storage subsystems using Disk H "
+        "(paper columns: Figure 4(b) reference)",
         true, options);
   std::cout << "Finding 1 check: disk failures are not always dominant; interconnects carry "
                "a comparable or larger share in the primary classes.\n"
@@ -85,8 +86,7 @@ void BM_AfrByClass(benchmark::State& state) {
   core::Filter no_h;
   no_h.exclude_family_h = true;
   for (auto _ : state) {
-    const auto cohort = sd.dataset.filter(no_h);
-    const auto rows = core::afr_by_class(core::Source(cohort));
+    const auto rows = core::afr_by_class(core::Source(sd.dataset, no_h));
     benchmark::DoNotOptimize(rows.size());
   }
 }
@@ -98,8 +98,8 @@ void BM_FilterExcludeH(benchmark::State& state) {
   core::Filter no_h;
   no_h.exclude_family_h = true;
   for (auto _ : state) {
-    const auto filtered = sd.dataset.filter(no_h);
-    benchmark::DoNotOptimize(filtered.events().size());
+    const core::Source filtered(sd.dataset, no_h);
+    benchmark::DoNotOptimize(filtered.whole());
   }
 }
 BENCHMARK(BM_FilterExcludeH)->Unit(benchmark::kMillisecond);

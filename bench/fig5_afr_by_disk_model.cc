@@ -41,8 +41,8 @@ void report(const bench::Options& options) {
     core::Filter f;
     f.system_class = panel.cls;
     f.shelf_model = model::ShelfModelName{panel.shelf};
-    const auto cohort = sd.dataset.filter(f);
-    if (cohort.selected_system_count() == 0) continue;
+    const core::Source cohort(sd.dataset, f);
+    if (cohort.count().systems == 0) continue;
     std::cout << panel.title << "\n";
     core::TextTable table({"disk model", "disk", "phys-interconnect", "protocol",
                            "performance", "total AFR", "disk-years"});
@@ -67,7 +67,7 @@ void report(const bench::Options& options) {
   core::Filter no_h;
   no_h.exclude_family_h = true;
   double disk_spread = 0.0, subsystem_spread = 0.0;
-  const auto rows = core::afr_stability_by_disk_model(sd.dataset.filter(no_h));
+  const auto rows = core::afr_stability_by_disk_model(core::Source(sd.dataset, no_h));
   for (const auto& row : rows) {
     stability.add_row({row.disk_model, std::to_string(row.environments),
                        core::fmt(row.mean_disk_afr, 2),
@@ -93,7 +93,7 @@ void BM_AfrByDiskModel(benchmark::State& state) {
   core::Filter f;
   f.system_class = model::SystemClass::kLowEnd;
   f.shelf_model = model::ShelfModelName{'A'};
-  const auto cohort = sd.dataset.filter(f);
+  const core::Source cohort(sd.dataset, f);
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::afr_by_disk_model(cohort).size());
   }

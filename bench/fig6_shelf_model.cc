@@ -50,8 +50,8 @@ void report(const bench::Options& options) {
     fa.shelf_model = model::ShelfModelName{'A'};
     core::Filter fb = fa;
     fb.shelf_model = model::ShelfModelName{'B'};
-    const auto cmp = core::compare_cohorts(sd.dataset.filter(fa), "shelf A",
-                                           sd.dataset.filter(fb), "shelf B",
+    const auto cmp = core::compare_cohorts(core::Source(sd.dataset, fa), "shelf A",
+                                           core::Source(sd.dataset, fb), "shelf B",
                                            FailureType::kPhysicalInterconnect, 0.995);
     const auto& paper = kPaper[i];
     const std::string paper_cell =
@@ -88,8 +88,8 @@ void BM_CohortComparison(benchmark::State& state) {
   fa.shelf_model = model::ShelfModelName{'A'};
   core::Filter fb = fa;
   fb.shelf_model = model::ShelfModelName{'B'};
-  const auto a = sd.dataset.filter(fa);
-  const auto b = sd.dataset.filter(fb);
+  const core::Source a(sd.dataset, fa);
+  const core::Source b(sd.dataset, fb);
   for (auto _ : state) {
     const auto cmp = core::compare_cohorts(a, "A", b, "B",
                                            model::FailureType::kPhysicalInterconnect, 0.995);

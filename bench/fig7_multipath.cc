@@ -30,7 +30,7 @@ void report(const bench::Options& options) {
 
   core::Filter no_h;
   no_h.exclude_family_h = true;
-  const auto ds = sd.dataset.filter(no_h);
+  const core::Source ds(sd.dataset, no_h);
 
   core::TextTable table({"class", "single PI AFR (99.9% CI)", "dual PI AFR (99.9% CI)",
                          "PI reduction", "single total", "dual total", "total reduction",
@@ -43,8 +43,9 @@ void report(const bench::Options& options) {
     fs.paths = model::PathConfig::kSinglePath;
     core::Filter fd = fs;
     fd.paths = model::PathConfig::kDualPath;
-    const auto cmp = core::compare_cohorts(ds.filter(fs), "single", ds.filter(fd), "dual",
-                                           FailureType::kPhysicalInterconnect, 0.999);
+    const auto cmp =
+        core::compare_cohorts(core::Source(ds, fs), "single", core::Source(ds, fd), "dual",
+                              FailureType::kPhysicalInterconnect, 0.999);
     table.add_row({std::string(model::to_string(classes[i])),
                    core::fmt(cmp.focus_ci_a.point, 2) + " [" +
                        core::fmt(cmp.focus_ci_a.lower, 2) + "," +
@@ -75,8 +76,8 @@ void BM_MultipathComparison(benchmark::State& state) {
   fs.paths = model::PathConfig::kSinglePath;
   core::Filter fd = fs;
   fd.paths = model::PathConfig::kDualPath;
-  const auto a = sd.dataset.filter(fs);
-  const auto b = sd.dataset.filter(fd);
+  const core::Source a(sd.dataset, fs);
+  const core::Source b(sd.dataset, fd);
   for (auto _ : state) {
     const auto cmp = core::compare_cohorts(a, "s", b, "d",
                                            model::FailureType::kPhysicalInterconnect, 0.999);

@@ -83,9 +83,8 @@ void per_class_panel(const core::Dataset& ds, const bench::Options& options) {
   for (const auto cls : model::kAllSystemClasses) {
     core::Filter f;
     f.system_class = cls;
-    const auto cohort = ds.filter(f);
-    if (cohort.selected_system_count() == 0) continue;
-    const core::Source source(cohort);
+    const core::Source source(ds, f);
+    if (source.count().systems == 0) continue;
     const auto shelf = core::time_between_failures(source, core::Scope::kShelf);
     const auto group = core::time_between_failures(source, core::Scope::kRaidGroup);
     table.add_row(

@@ -49,8 +49,7 @@ void report(const bench::Options& options) {
       f.system_class = model::SystemClass::kLowEnd;
       f.exclude_family_h = true;
     }
-    const auto cohort = sd.dataset.filter(f);
-    const auto report = core::disk_lifetime_report(core::Source(cohort));
+    const auto report = core::disk_lifetime_report(core::Source(sd.dataset, f));
     std::cout << (type == model::DiskType::kSata ? "SATA (near-line)" : "FC (low-end)")
               << ": " << report.disks << " disk records, " << report.failures
               << " disk failures, " << core::fmt_pct(report.censored_fraction, 1)
@@ -74,8 +73,7 @@ void report(const bench::Options& options) {
   const auto ds = core::dataset_in_memory(fs.fleet, fs.result);
   core::Filter nearline;
   nearline.system_class = model::SystemClass::kNearLine;
-  const auto nearline_cohort = ds.filter(nearline);
-  hazard_table(core::disk_lifetime_report(core::Source(nearline_cohort)), options);
+  hazard_table(core::disk_lifetime_report(core::Source(ds, nearline)), options);
   std::cout << "Default parameters keep the hazard flat with age (consistent with the "
                "paper's age-free disk model and Finding 5); the ablation shows how a "
                "bathtub edge would surface in the same tables.\n";

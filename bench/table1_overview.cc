@@ -48,29 +48,23 @@ void overview_table(const core::Dataset& dataset, const bench::Options& options)
   for (const auto cls : model::kAllSystemClasses) {
     core::Filter f;
     f.system_class = cls;
-    const auto cohort = dataset.filter(f);
+    const core::Source cohort(dataset, f);
+    const core::CohortCount count = cohort.count();
 
     // Disk type and multipath mix from the inventory.
     bool any_dual = false;
     const auto& disk_models = model::DiskModelRegistry::standard();
     model::DiskType disk_type = model::DiskType::kFc;
-    for (const auto& sys : cohort.inventory().systems) {
-      if (!cohort.system_selected(sys.id)) continue;
+    cohort.for_each_system([&](const log::InventorySystem& sys) {
       if (sys.paths == model::PathConfig::kDualPath) any_dual = true;
       disk_type = disk_models.at(sys.disk_model).type;
-    }
-    std::array<std::size_t, 4> events{};
-    for (const auto type : model::kAllFailureTypes) {
-      events[model::index_of(type)] = cohort.event_count(type);
-    }
+    });
+    const auto events = core::compute_afr(cohort).events;
     const auto& paper = kPaperRows[model::index_of(cls)];
-    table.add_row({std::string(model::to_string(cls)),
-                   std::to_string(cohort.selected_system_count()),
-                   std::to_string(cohort.selected_shelf_count()),
-                   any_dual ? "single+dual" : "single",
-                   std::to_string(cohort.selected_disk_record_count()),
-                   std::string(model::to_string(disk_type)),
-                   std::to_string(cohort.selected_raid_group_count()),
+    table.add_row({std::string(model::to_string(cls)), std::to_string(count.systems),
+                   std::to_string(count.shelves), any_dual ? "single+dual" : "single",
+                   std::to_string(count.disk_records), std::string(model::to_string(disk_type)),
+                   std::to_string(count.raid_groups),
                    std::to_string(events[0]) + "/" + std::to_string(events[1]) + "/" +
                        std::to_string(events[2]) + "/" + std::to_string(events[3]),
                    std::string(paper.systems) + "/" + paper.shelves + "/" + paper.disks +
@@ -130,9 +124,9 @@ void BM_Table1Aggregation(benchmark::State& state) {
     for (const auto cls : model::kAllSystemClasses) {
       core::Filter f;
       f.system_class = cls;
-      const auto cohort = sd.dataset.filter(f);
-      benchmark::DoNotOptimize(cohort.selected_disk_record_count());
-      benchmark::DoNotOptimize(cohort.disk_exposure_years());
+      const core::Source cohort(sd.dataset, f);
+      benchmark::DoNotOptimize(cohort.count().disk_records);
+      benchmark::DoNotOptimize(cohort.disk_years().total);
     }
   }
 }

@@ -15,6 +15,7 @@
 #include "core/pipeline.h"
 #include "core/raid_model.h"
 #include "core/report.h"
+#include "core/source.h"
 #include "model/time.h"
 #include "sim/raid_recovery.h"
 #include "sim/scenario.h"
@@ -58,7 +59,7 @@ int main() {
 
   // --- what the design-doc math predicts -------------------------------------
   const double per_disk_rate =
-      static_cast<double>(ds.events().size()) / ds.disk_exposure_years();
+      static_cast<double>(ds.events().size()) / core::Source(ds).disk_years().total;
   core::RaidGroupModel analytic;
   analytic.disks = 8;
   analytic.disk_afr_fraction = 1.0 - std::exp(-per_disk_rate);

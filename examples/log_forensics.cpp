@@ -12,10 +12,12 @@
 // Given a prebuilt columnar store (storsubsim store build, docs/STORE.md),
 // the ledger section reads the archived failures from the store instead of
 // replaying synthetic logs — the same forensics over a whole recorded fleet.
+#include <array>
 #include <iostream>
 #include <sstream>
 
 #include "core/report.h"
+#include "core/source.h"
 #include "core/store_bridge.h"
 #include "log/classifier.h"
 #include "log/emitter.h"
@@ -59,20 +61,18 @@ bool ledger_from_store(const char* path) {
   const auto dataset = core::dataset_from_shards(shards);
   core::TextTable table({"detected at (s)", "disk", "failure type", "class"});
   std::size_t shown = 0;
-  for (const auto& f : dataset.events()) {
-    if (++shown > 10) break;
-    table.add_row({core::fmt(f.time, 0), std::to_string(f.disk.value()),
-                   std::string(model::to_string(f.type)),
-                   std::string(model::to_string(dataset.system_of(f).cls))});
-  }
+  std::array<std::size_t, 4> by_type{};
+  core::Source(dataset).for_each_event([&](const core::EventRow& e) {
+    ++by_type[model::index_of(e.type)];
+    if (++shown > 10) return;
+    table.add_row({core::fmt(e.time, 0), std::to_string(e.disk),
+                   std::string(model::to_string(e.type)), std::string(model::to_string(e.cls))});
+  });
   table.print(std::cout);
   core::TextTable tally({"failure type", "events"});
   for (const auto type : model::kAllFailureTypes) {
-    std::size_t n = 0;
-    for (const auto& f : dataset.events()) {
-      if (f.type == type) ++n;
-    }
-    tally.add_row({std::string(model::to_string(type)), std::to_string(n)});
+    tally.add_row({std::string(model::to_string(type)),
+                   std::to_string(by_type[model::index_of(type)])});
   }
   std::cout << "\nFleet-wide breakdown:\n";
   tally.print(std::cout);

@@ -4,8 +4,8 @@
 //   $ ./build/examples/quickstart
 //
 // Walks the whole public API surface in ~60 lines:
-//   FleetConfig -> simulate_and_analyze -> Dataset -> AFR / burstiness /
-//   correlation.
+//   FleetConfig -> simulate_and_analyze -> Dataset -> Source -> AFR /
+//   burstiness / correlation.
 #include <iostream>
 
 #include "core/afr.h"
@@ -29,8 +29,10 @@ int main() {
   const core::SimulationDataset sd = core::simulate_and_analyze(config);
   const core::Dataset& dataset = sd.dataset;
 
-  std::cout << "Simulated " << dataset.selected_system_count() << " systems / "
-            << dataset.inventory().disks.size() << " disks over 44 months: "
+  const core::Source source(dataset);
+  const core::CohortCount count = source.count();
+  std::cout << "Simulated " << count.systems << " systems / " << count.disk_records
+            << " disks over 44 months: "
             << dataset.events().size() << " storage subsystem failures ("
             << sd.pipeline.log_lines_written << " log lines round-tripped)\n\n";
 
@@ -38,7 +40,6 @@ int main() {
   std::cout << "AFR by system class (percent per disk-year):\n";
   core::TextTable table({"class", "disk", "interconnect", "protocol", "performance",
                          "subsystem total"});
-  const core::Source source(dataset);
   for (const auto& b : core::afr_by_class(source)) {
     table.add_row({b.label, core::fmt(b.afr_pct(model::FailureType::kDisk), 2),
                    core::fmt(b.afr_pct(model::FailureType::kPhysicalInterconnect), 2),

@@ -61,41 +61,40 @@ std::vector<AfrBreakdown> afr_by_class(const Source& source) {
   return out;
 }
 
-std::vector<AfrBreakdown> afr_by_disk_model(const Dataset& dataset) {
+std::vector<AfrBreakdown> afr_by_disk_model(const Source& source) {
   // Discover models present among selected systems, in name order.
   std::map<model::DiskModelName, bool> present;
-  Source(dataset).for_each_system(
+  source.for_each_system(
       [&](const log::InventorySystem& sys) { present[sys.disk_model] = true; });
   std::vector<AfrBreakdown> out;
   for (const auto& [name, _] : present) {
     Filter f;
     f.disk_model = name;
-    const Dataset cohort = dataset.filter(f);
-    out.push_back(compute_afr(cohort, "Disk " + model::to_string(name)));
+    out.push_back(compute_afr(Source(source, f), "Disk " + model::to_string(name)));
   }
   return out;
 }
 
-std::vector<AfrBreakdown> afr_by_path_config(const Dataset& dataset) {
+std::vector<AfrBreakdown> afr_by_path_config(const Source& source) {
   std::vector<AfrBreakdown> out;
   for (const auto paths :
        {model::PathConfig::kSinglePath, model::PathConfig::kDualPath}) {
     Filter f;
     f.paths = paths;
-    const Dataset cohort = dataset.filter(f);
-    if (cohort.selected_system_count() == 0) continue;
+    const Source cohort(source, f);
+    if (cohort.count().systems == 0) continue;
     out.push_back(compute_afr(cohort, std::string(model::to_string(paths))));
   }
   return out;
 }
 
-std::vector<StabilityRow> afr_stability_by_disk_model(const Dataset& dataset) {
+std::vector<StabilityRow> afr_stability_by_disk_model(const Source& source) {
   // Environment = (system class, shelf model). For each disk model, compute
   // the per-environment disk-failure AFR and subsystem AFR, then summarize
   // their spread.
   using EnvKey = std::pair<model::SystemClass, model::ShelfModelName>;
   std::map<model::DiskModelName, std::map<EnvKey, bool>> environments;
-  Source(dataset).for_each_system([&](const log::InventorySystem& sys) {
+  source.for_each_system([&](const log::InventorySystem& sys) {
     environments[sys.disk_model][EnvKey(sys.cls, sys.shelf_model)] = true;
   });
 
@@ -109,8 +108,7 @@ std::vector<StabilityRow> afr_stability_by_disk_model(const Dataset& dataset) {
       f.disk_model = disk_model;
       f.system_class = env.first;
       f.shelf_model = env.second;
-      const Dataset cohort = dataset.filter(f);
-      const auto b = compute_afr(cohort);
+      const auto b = compute_afr(Source(source, f));
       if (b.disk_years <= 0.0) continue;
       disk_afr.add(b.afr_pct(FailureType::kDisk));
       subsystem_afr.add(b.total_afr_pct());

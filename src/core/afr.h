@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "core/dataset.h"
 #include "core/source.h"
 #include "stats/intervals.h"
 
@@ -42,10 +41,10 @@ AfrBreakdown compute_afr(const Source& source, std::string label = {});
 std::vector<AfrBreakdown> afr_by_class(const Source& source);
 
 /// AFR by disk model within one class+shelf cohort (paper Figure 5 panels).
-std::vector<AfrBreakdown> afr_by_disk_model(const Dataset& dataset);
+std::vector<AfrBreakdown> afr_by_disk_model(const Source& source);
 
 /// AFR by path configuration (paper Figure 7 panels).
-std::vector<AfrBreakdown> afr_by_path_config(const Dataset& dataset);
+std::vector<AfrBreakdown> afr_by_path_config(const Source& source);
 
 /// Cross-environment stability of a statistic (paper Finding 4): for each
 /// disk model appearing in >= 2 (class, shelf-model) environments, the mean,
@@ -59,6 +58,6 @@ struct StabilityRow {
   double rel_stddev_subsystem_afr = 0.0;
 };
 
-std::vector<StabilityRow> afr_stability_by_disk_model(const Dataset& dataset);
+std::vector<StabilityRow> afr_stability_by_disk_model(const Source& source);
 
 }  // namespace storsubsim::core

@@ -131,9 +131,11 @@ std::string render_statistic(const Source& source, const AnalysisRequest& reques
     case StatisticId::kLifetime: return render_lifetime(source, request.csv);
     case StatisticId::kVulnerability: return render_vulnerability(source, request.csv);
     case StatisticId::kQuery: {
-      store::QueryResult result;  // stays empty for a Dataset-backed source
-      if (const store::ShardStore* shards = source.shards()) {
-        result = store::run_query(*shards, request.query);
+      // The scan reads the whole store: a cohort or a Dataset gets the empty
+      // result.
+      store::QueryResult result;
+      if (source.shards() != nullptr && source.whole()) {
+        result = store::run_query(*source.shards(), request.query);
       }
       return render_query_result(result, request.csv);
     }

@@ -110,8 +110,9 @@ struct AnalysisRequest {
 
 /// The single renderer entry point: the exact bytes `storsubsim analyze` /
 /// `store query` print and every storsimd endpoint returns, for any
-/// statistic. kQuery requests run their scan first; over a Dataset-backed
-/// source, which has no columns to scan, they render the empty result.
+/// statistic. kQuery requests run their scan over a whole store first; any
+/// other source — a Dataset, which has no columns to scan, or a cohort,
+/// which the scan would not honour — renders the empty result.
 std::string render_statistic(const Source& source, const AnalysisRequest& request);
 
 }  // namespace storsubsim::core

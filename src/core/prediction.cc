@@ -7,7 +7,7 @@
 
 namespace storsubsim::core {
 
-PredictionOutcome evaluate_predictor(const Dataset& dataset,
+PredictionOutcome evaluate_predictor(const Source& source,
                                      std::span<const sim::PrecursorEvent> precursors,
                                      const PredictorConfig& config) {
   PredictionOutcome outcome;
@@ -15,19 +15,21 @@ PredictionOutcome evaluate_predictor(const Dataset& dataset,
 
   // Per-disk signal and failure streams (precursors arrive sorted; keep
   // order within each disk).
+  std::vector<char> in_cohort(source.disk_records(), 0);
+  source.for_each_disk([&](const DiskRow& d) { in_cohort[d.id] = 1; });
   std::unordered_map<std::uint32_t, std::vector<double>> signals;
   for (const auto& p : precursors) {
     if (p.kind != config.signal) continue;
-    if (!p.disk.valid() || p.disk.value() >= dataset.inventory().disks.size()) continue;
-    if (!dataset.system_selected(dataset.inventory().disks[p.disk.value()].system)) continue;
+    if (!p.disk.valid() || p.disk.value() >= in_cohort.size()) continue;
+    if (in_cohort[p.disk.value()] == 0) continue;
     signals[p.disk.value()].push_back(p.time);
   }
   std::unordered_map<std::uint32_t, std::vector<double>> failures;
-  for (const auto& e : dataset.events()) {
-    if (e.type != config.target) continue;
-    failures[e.disk.value()].push_back(e.time);
+  source.for_each_event([&](const EventRow& e) {
+    if (e.type != config.target) return;
+    failures[e.disk].push_back(e.time);
     ++outcome.failures_total;
-  }
+  });
 
   std::vector<double> leads;
 
@@ -122,7 +124,7 @@ PredictionOutcome evaluate_predictor(const Dataset& dataset,
     std::sort(leads.begin(), leads.end());
     outcome.median_lead_seconds = leads[leads.size() / 2];
   }
-  const double disk_years = dataset.disk_exposure_years();
+  const double disk_years = source.disk_years().total;
   if (disk_years > 0.0) {
     outcome.false_alarms_per_disk_year =
         static_cast<double>(outcome.alarms - outcome.true_alarms) / disk_years;
@@ -131,13 +133,13 @@ PredictionOutcome evaluate_predictor(const Dataset& dataset,
 }
 
 std::vector<PredictionOutcome> threshold_sweep(
-    const Dataset& dataset, std::span<const sim::PrecursorEvent> precursors,
+    const Source& source, std::span<const sim::PrecursorEvent> precursors,
     PredictorConfig base, std::span<const std::size_t> thresholds) {
   std::vector<PredictionOutcome> out;
   out.reserve(thresholds.size());
   for (const std::size_t k : thresholds) {
     base.threshold = k;
-    out.push_back(evaluate_predictor(dataset, precursors, base));
+    out.push_back(evaluate_predictor(source, precursors, base));
   }
   return out;
 }

@@ -13,7 +13,7 @@
 #include <span>
 #include <vector>
 
-#include "core/dataset.h"
+#include "core/source.h"
 #include "sim/precursors.h"
 
 namespace storsubsim::core {
@@ -50,7 +50,7 @@ struct PredictionOutcome {
 
   std::size_t alarms = 0;
   std::size_t true_alarms = 0;
-  std::size_t failures_total = 0;      ///< target failures in the dataset
+  std::size_t failures_total = 0;      ///< target failures in the cohort
   std::size_t failures_predicted = 0;  ///< preceded by an alarm within horizon
 
   /// Median time from the earliest in-horizon alarm to the failure.
@@ -69,16 +69,17 @@ struct PredictionOutcome {
   }
 };
 
-/// Evaluates one predictor over the dataset's failure history and the
-/// precursor stream. Alarms re-arm after each target failure of the disk or
-/// once the window count falls back below the threshold.
-PredictionOutcome evaluate_predictor(const Dataset& dataset,
+/// Evaluates one predictor over the cohort's failure history and the
+/// precursor stream; precursors of disks outside the cohort are ignored.
+/// Alarms re-arm after each target failure of the disk or once the window
+/// count falls back below the threshold.
+PredictionOutcome evaluate_predictor(const Source& source,
                                      std::span<const sim::PrecursorEvent> precursors,
                                      const PredictorConfig& config);
 
 /// Sweeps the alarm threshold (the precision/recall trade-off curve).
 std::vector<PredictionOutcome> threshold_sweep(
-    const Dataset& dataset, std::span<const sim::PrecursorEvent> precursors,
+    const Source& source, std::span<const sim::PrecursorEvent> precursors,
     PredictorConfig base, std::span<const std::size_t> thresholds);
 
 }  // namespace storsubsim::core

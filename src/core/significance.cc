@@ -51,8 +51,8 @@ double CohortComparison::total_reduction() const {
   return (afr_a - b.total_afr_pct()) / afr_a;
 }
 
-CohortComparison compare_cohorts(const Dataset& cohort_a, std::string label_a,
-                                 const Dataset& cohort_b, std::string label_b,
+CohortComparison compare_cohorts(const Source& cohort_a, std::string label_a,
+                                 const Source& cohort_b, std::string label_b,
                                  model::FailureType focus, double ci_confidence) {
   CohortComparison cmp;
   cmp.a = compute_afr(cohort_a, std::move(label_a));

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "core/afr.h"
-#include "core/dataset.h"
 #include "stats/hypothesis.h"
 #include "stats/intervals.h"
 
@@ -32,8 +31,8 @@ struct CohortComparison {
 };
 
 /// Compares two cohorts on one failure type at the given CI confidence.
-CohortComparison compare_cohorts(const Dataset& cohort_a, std::string label_a,
-                                 const Dataset& cohort_b, std::string label_b,
+CohortComparison compare_cohorts(const Source& cohort_a, std::string label_a,
+                                 const Source& cohort_b, std::string label_b,
                                  model::FailureType focus, double ci_confidence);
 
 }  // namespace storsubsim::core

@@ -38,18 +38,19 @@ log::InventorySystem Source::SystemColumns::row(std::uint32_t local,
   return sys;
 }
 
-Source::Source(const store::ShardStore& shards, const Filter& filter) : shards_(&shards) {
-  mask_.assign(static_cast<std::size_t>(shards.manifest().systems), 0);
-  bool every = true;
-  for (std::size_t s = 0; s < shards.shard_count(); ++s) {
-    const SystemColumns columns(shards.shard(s));
-    const auto base = static_cast<std::uint32_t>(shards.info(s).system_base);
-    for (std::uint32_t i = 0; i < columns.cls.size(); ++i) {
-      mask_[base + i] = filter.selects(columns.row(i, base + i)) ? 1 : 0;
-      every = every && mask_[base + i] != 0;
-    }
-  }
-  if (every) mask_.clear();  // the whole fleet, whose exposure table is read
+Source::Source(const Source& base, const Filter& filter)
+    : dataset_(base.dataset_), shards_(base.shards_) {
+  mask_.assign(dataset_ != nullptr ? dataset_->inventory().systems.size()
+                                   : static_cast<std::size_t>(shards_->manifest().systems),
+               0);
+  std::size_t selected = 0;
+  base.for_each_system([&](const log::InventorySystem& sys) {
+    if (!filter.selects(sys)) return;
+    mask_[sys.id.value()] = 1;
+    ++selected;
+  });
+  // Every system: no mask, so a whole store reads its exposure table.
+  if (selected == mask_.size()) mask_.clear();
 }
 
 double Source::horizon_seconds() const noexcept {
@@ -65,6 +66,15 @@ std::size_t Source::event_records() const noexcept {
 std::size_t Source::disk_records() const noexcept {
   return dataset_ != nullptr ? dataset_->inventory().disks.size()
                              : static_cast<std::size_t>(shards_->manifest().disks_total);
+}
+
+CohortCount Source::count() const {
+  CohortCount n;
+  for_each_system([&](const log::InventorySystem&) { ++n.systems; });
+  for_each_scope(Scope::kShelf, [&](const ScopeRow&) { ++n.shelves; });
+  for_each_scope(Scope::kRaidGroup, [&](const ScopeRow&) { ++n.raid_groups; });
+  for_each_disk([&](const DiskRow&) { ++n.disk_records; });
+  return n;
 }
 
 DiskYears Source::disk_years() const {

@@ -21,10 +21,14 @@
 //   - disk_years: the cohort's disk-years, summed in disk-id order (the
 //     exposure table of a whole-fleet store was summed in that order too).
 //
-// Cohorts: a Dataset-backed Source covers the Dataset's cohort.
-// Source(store, filter) masks the store's systems with Filter::selects, the
-// predicate Dataset::filter applies, read off the kSys* topology columns, so
-// it answers bit for bit as Source(dataset.filter(filter)), no Dataset built.
+// Cohorts: Source is the only place a cohort exists. Source(base, filter)
+// narrows any Source to the systems Filter::selects accepts among base's
+// own, so narrowing twice is the conjunction of both filters. The cohort is
+// a mask over the backend's global system ids, the same on either backend,
+// and every walk tests it; a Source over a whole Dataset or store has no
+// mask. On a store the predicate reads the kSys* topology columns, so
+// Source(store, filter) answers bit for bit as Source(dataset, filter) over
+// the Dataset the store was written from, no Dataset built.
 //
 // Precondition: a Source over a ShardStore has every shard open. The walks
 // read shard(i) directly and have no error channel. Every in-tree entry
@@ -32,14 +36,16 @@
 // shard (ShardLru::pin_all), and opening a single file validates it eagerly.
 //
 // Ownership: Source borrows. The referenced backend must outlive the
-// Source; construction from temporaries is deleted to make the obvious
-// dangling pattern (wrapping the result of dataset.filter(...) and keeping
-// it) a compile error. See docs/API.md.
+// Source; construction from temporary backends is deleted to make the
+// obvious dangling pattern (wrapping a Dataset returned by value and keeping
+// the Source) a compile error. A narrowed Source borrows base's backend, not
+// base itself. See docs/API.md.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -47,6 +53,22 @@
 #include "store/shards.h"
 
 namespace storsubsim::core {
+
+/// Cohort selector. All set fields must match (conjunction); matching is by
+/// the *system* owning each disk/event.
+struct Filter {
+  std::optional<model::SystemClass> system_class;
+  std::optional<model::DiskModelName> disk_model;
+  std::optional<char> disk_family;  ///< any capacity of the family
+  std::optional<model::ShelfModelName> shelf_model;
+  std::optional<model::PathConfig> paths;
+  /// Excludes systems using the problematic disk family H (paper Figure 4(b)).
+  bool exclude_family_h = false;
+
+  /// The one cohort predicate, which Source(base, filter) applies.
+  // storsim-lint: allow(unused-export) reason=test seam: the SourceEquivalence reference rows apply it without Source's mask
+  bool selects(const log::InventorySystem& system) const;
+};
 
 /// The scope kinds failures are grouped by (paper Section 5).
 enum class Scope { kShelf, kRaidGroup };
@@ -97,22 +119,33 @@ struct DiskYears {
   std::array<std::uint64_t, store::kClassCount> systems_by_class{};
 };
 
+/// Cohort sizes: systems, shelves, RAID groups and disk records (including
+/// replacements).
+struct CohortCount {
+  std::size_t systems = 0;
+  std::size_t shelves = 0;
+  std::size_t raid_groups = 0;
+  std::size_t disk_records = 0;
+};
+
 class Source {
  public:
   // Implicit by design: call sites read compute_afr(dataset) and
   // compute_afr(store), not compute_afr(Source(dataset)).
   Source(const Dataset& dataset) noexcept : dataset_(&dataset) {}          // NOLINT
   Source(const store::ShardStore& shards) noexcept : shards_(&shards) {}  // NOLINT
-  /// The cohort of `filter` over a store.
-  Source(const store::ShardStore& shards, const Filter& filter);
+  /// The systems of `base` that `filter` selects. Source(dataset, filter)
+  /// and Source(store, filter) read through the implicit conversions above.
+  Source(const Source& base, const Filter& filter);
   Source(Dataset&&) = delete;
   Source(store::ShardStore&&) = delete;
-  Source(store::ShardStore&&, const Filter&) = delete;
 
   /// The dataset backend, or nullptr otherwise.
   const Dataset* dataset() const noexcept { return dataset_; }
   /// The store backend, or nullptr otherwise (whatever the cohort).
   const store::ShardStore* shards() const noexcept { return shards_; }
+  /// True when the cohort is every system of the backend.
+  bool whole() const noexcept { return mask_.empty(); }
 
   double horizon_seconds() const noexcept;
   /// Events and disk records in the backend, whatever the cohort: sizes to
@@ -120,6 +153,7 @@ class Source {
   std::size_t event_records() const noexcept;
   std::size_t disk_records() const noexcept;
   DiskYears disk_years() const;
+  CohortCount count() const;
 
   template <class F>
   void for_each_event(F&& f) const;
@@ -132,7 +166,7 @@ class Source {
   void for_each_scope(Scope scope, F&& f) const;
 
  private:
-  /// Store cohort membership of a global system id.
+  /// Cohort membership of a global system id.
   bool selected(std::uint64_t system) const noexcept {
     return mask_.empty() || mask_[system] != 0;
   }
@@ -148,7 +182,7 @@ class Source {
 
   const Dataset* dataset_ = nullptr;
   const store::ShardStore* shards_ = nullptr;
-  std::vector<std::uint8_t> mask_;  ///< store cohort by global system id; empty = all
+  std::vector<std::uint8_t> mask_;  ///< cohort by global system id; empty = all
 };
 
 // --- row walks -------------------------------------------------------------
@@ -158,6 +192,7 @@ void Source::for_each_event(F&& f) const {
   if (dataset_ != nullptr) {
     const log::Inventory& inv = dataset_->inventory();
     for (const FailureEvent& e : dataset_->events()) {
+      if (!selected(e.system.value())) continue;
       const log::InventoryDisk& disk = inv.disks[e.disk.value()];
       const log::InventorySystem& sys = inv.systems[e.system.value()];
       f(EventRow{e.time, e.type, e.disk.value(), e.system.value(), disk.shelf.value(),
@@ -196,7 +231,7 @@ void Source::for_each_disk(F&& f) const {
   if (dataset_ != nullptr) {
     const log::Inventory& inv = dataset_->inventory();
     for (const log::InventoryDisk& d : inv.disks) {
-      if (!dataset_->system_selected(d.system)) continue;
+      if (!selected(d.system.value())) continue;
       f(DiskRow{d.id.value(), d.system.value(), d.install_time, d.remove_time});
     }
     return;
@@ -223,7 +258,7 @@ template <class F>
 void Source::for_each_system(F&& f) const {
   if (dataset_ != nullptr) {
     for (const log::InventorySystem& sys : dataset_->inventory().systems) {
-      if (dataset_->system_selected(sys.id)) f(sys);
+      if (selected(sys.id.value())) f(sys);
     }
     return;
   }
@@ -242,7 +277,7 @@ void Source::for_each_scope(Scope scope, F&& f) const {
   if (dataset_ != nullptr) {
     const log::Inventory& inv = dataset_->inventory();
     const auto yield = [&](std::uint32_t id, model::SystemId system, model::RaidType type) {
-      if (!dataset_->system_selected(system)) return;
+      if (!selected(system.value())) return;
       f(ScopeRow{id, inv.systems[system.value()].deploy_time, type});
     };
     if (shelves) {

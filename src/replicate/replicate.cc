@@ -50,7 +50,7 @@ constexpr StatDef kStatDefs[] = {
 constexpr std::size_t kStatCount = sizeof(kStatDefs) / sizeof(kStatDefs[0]);
 
 /// Percentile of a sorted sample, linearly interpolated between order
-/// statistics — the same convention stats::bootstrap_ci uses.
+/// statistics.
 double percentile_sorted(const std::vector<double>& sorted, double p) {
   if (sorted.empty()) return 0.0;
   if (sorted.size() == 1) return sorted.front();

@@ -5,39 +5,10 @@
 #include <stdexcept>
 
 #include "stats/special_functions.h"
-#include "stats/summary.h"
 
 namespace storsubsim::stats {
 
 namespace {
-
-/// Welch's t-test from sufficient statistics (mean, sample variance, n).
-TTestResult welch_t_test_summary(double mean_a, double var_a, std::size_t n_a, double mean_b,
-                                 double var_b, std::size_t n_b) {
-  if (n_a < 2 || n_b < 2) throw std::invalid_argument("welch_t_test: need n >= 2 per group");
-  TTestResult r;
-  r.mean_a = mean_a;
-  r.mean_b = mean_b;
-  r.difference = mean_a - mean_b;
-  const double na = static_cast<double>(n_a);
-  const double nb = static_cast<double>(n_b);
-  const double sa = var_a / na;
-  const double sb = var_b / nb;
-  const double se2 = sa + sb;
-  if (se2 <= 0.0) {
-    // Identical, dispersion-free groups: no evidence either way.
-    r.t_statistic = 0.0;
-    r.degrees_of_freedom = na + nb - 2.0;
-    r.p_value_two_sided = (mean_a == mean_b) ? 1.0 : 0.0;
-    return r;
-  }
-  r.t_statistic = (mean_a - mean_b) / std::sqrt(se2);
-  // Welch–Satterthwaite degrees of freedom.
-  r.degrees_of_freedom =
-      se2 * se2 / (sa * sa / (na - 1.0) + sb * sb / (nb - 1.0));
-  r.p_value_two_sided = student_t_two_sided_p(r.t_statistic, r.degrees_of_freedom);
-  return r;
-}
 
 /// Chi-square test from pre-binned observed/expected counts.
 ChiSquareResult chi_square_from_counts(std::span<const double> observed,
@@ -66,14 +37,6 @@ ChiSquareResult chi_square_from_counts(std::span<const double> observed,
 }
 
 }  // namespace
-
-TTestResult welch_t_test(std::span<const double> a, std::span<const double> b) {
-  Accumulator aa, ab;
-  for (const double x : a) aa.add(x);
-  for (const double x : b) ab.add(x);
-  return welch_t_test_summary(aa.mean(), aa.variance(), aa.count(), ab.mean(), ab.variance(),
-                              ab.count());
-}
 
 TTestResult two_proportion_test(std::size_t successes_a, std::size_t total_a,
                                 std::size_t successes_b, std::size_t total_b) {
@@ -136,55 +99,6 @@ ChiSquareResult chi_square_gof(std::span<const double> xs,
   }
   expected[b - 1] = (1.0 - prev) * static_cast<double>(n);
   return chi_square_from_counts(observed, expected, fitted_params);
-}
-
-double kolmogorov_sf(double x) {
-  if (x <= 0.0) return 1.0;
-  // Q(x) = 2 * sum_{k>=1} (-1)^{k-1} exp(-2 k^2 x^2); converges fast for the
-  // x range of interest. For tiny x use the complementary (theta-function)
-  // expansion to avoid catastrophic cancellation.
-  if (x < 0.4) {
-    // P(x) = sqrt(2 pi)/x * sum exp(-(2k-1)^2 pi^2 / (8 x^2)); Q = 1 - P.
-    const double pi = 3.14159265358979323846;
-    double p = 0.0;
-    for (int k = 1; k <= 5; ++k) {
-      const double m = (2.0 * k - 1.0) * pi / x;
-      p += std::exp(-m * m / 8.0);
-    }
-    p *= std::sqrt(2.0 * pi) / x;
-    return std::max(0.0, 1.0 - p);
-  }
-  double q = 0.0;
-  double sign = 1.0;
-  for (int k = 1; k <= 100; ++k) {
-    const double term = std::exp(-2.0 * k * k * x * x);
-    q += sign * term;
-    sign = -sign;
-    if (term < 1e-16) break;
-  }
-  return std::clamp(2.0 * q, 0.0, 1.0);
-}
-
-KsResult ks_test(std::span<const double> xs,
-                 const std::function<double(double)>& model_cdf) {
-  if (xs.empty()) throw std::invalid_argument("ks_test: empty sample");
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double n = static_cast<double>(sorted.size());
-  double d = 0.0;
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    const double f = model_cdf(sorted[i]);
-    const double lo = static_cast<double>(i) / n;
-    const double hi = static_cast<double>(i + 1) / n;
-    d = std::max(d, std::max(f - lo, hi - f));
-  }
-  KsResult r;
-  r.statistic = d;
-  r.n = sorted.size();
-  // Asymptotic with the Stephens small-sample correction.
-  const double sqrt_n = std::sqrt(n);
-  r.p_value = kolmogorov_sf((sqrt_n + 0.12 + 0.11 / sqrt_n) * d);
-  return r;
 }
 
 }  // namespace storsubsim::stats

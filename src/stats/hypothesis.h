@@ -1,5 +1,5 @@
 // Hypothesis tests used by the paper's analysis:
-//   * two-sample t-tests for cohort comparisons (Figures 6, 7, 10),
+//   * two-proportion tests for cohort comparisons (Figures 6, 7, 10),
 //   * chi-square goodness-of-fit for distribution fits (Figure 9).
 #pragma once
 
@@ -23,10 +23,6 @@ struct TTestResult {
   /// (e.g. confidence 0.995 for the paper's "99.5% confidence interval").
   bool significant_at(double confidence) const { return p_value_two_sided < 1.0 - confidence; }
 };
-
-/// Welch's unequal-variance two-sample t-test on raw samples.
-// storsim-lint: allow(unused-export) reason=deferred: only WelchTTest.* tests call it
-TTestResult welch_t_test(std::span<const double> a, std::span<const double> b);
 
 /// Two-proportion z-test expressed as a t-test result (large-sample), used
 /// for comparing failure fractions between cohorts.
@@ -53,26 +49,5 @@ ChiSquareResult chi_square_gof(std::span<const double> xs,
                                const std::function<double(double)>& model_cdf,
                                const std::function<double(double)>& model_quantile,
                                std::size_t fitted_params, std::size_t bins = 20);
-
-struct KsResult {
-  double statistic = 0.0;  ///< sup |F_n - F|
-  double p_value = 1.0;    ///< asymptotic Kolmogorov tail
-  std::size_t n = 0;
-
-  bool rejected_at(double alpha) const { return p_value < alpha; }
-};
-
-/// Survival function of the Kolmogorov distribution:
-/// P(sqrt(n) D_n > x) for large n.
-// storsim-lint: allow(unused-export) reason=deferred: only KolmogorovSf.* tests and ks_test call it
-double kolmogorov_sf(double x);
-
-/// One-sample Kolmogorov-Smirnov test of a sample against a fully-specified
-/// model CDF. (With fitted parameters the p-value is anti-conservative, as
-/// for any plug-in GoF test — prefer chi_square_gof with its df correction
-/// when parameters were estimated from the same data.)
-// storsim-lint: allow(unused-export) reason=deferred: only KsTest.* and KsDistance.* tests call it
-KsResult ks_test(std::span<const double> xs,
-                 const std::function<double(double)>& model_cdf);
 
 }  // namespace storsubsim::stats

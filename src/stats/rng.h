@@ -23,6 +23,7 @@ constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
 
 /// FNV-1a over a string, then finalized with mix64. Constexpr so stream
 /// labels can be hashed at compile time.
+// storsim-lint: allow(unused-export) reason=test seam: HashLabel.StableAndDistinct pins the hash Rng::stream keys substreams with
 constexpr std::uint64_t hash_label(std::string_view label) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const char c : label) {

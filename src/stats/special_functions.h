@@ -41,6 +41,7 @@ double normal_quantile(double p);
 double beta_inc(double a, double b, double x);
 
 /// Two-sided p-value for a Student-t statistic.
+// storsim-lint: allow(unused-export) reason=test seam: StudentT.* check the t CDF student_t_quantile inverts through it
 double student_t_two_sided_p(double t, double nu);
 
 /// Student-t quantile (inverse CDF), p in (0, 1).

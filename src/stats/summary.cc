@@ -19,23 +19,6 @@ void Accumulator::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void Accumulator::merge(const Accumulator& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  if (other.min_ < min_) min_ = other.min_;
-  if (other.max_ > max_) max_ = other.max_;
-}
-
 double Accumulator::mean() const { return n_ == 0 ? 0.0 : mean_; }
 
 double Accumulator::variance() const {

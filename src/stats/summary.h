@@ -10,8 +10,6 @@ namespace storsubsim::stats {
 class Accumulator {
  public:
   void add(double x);
-  // storsim-lint: allow(unused-export) reason=deferred: only Accumulator.Merge* tests call it
-  void merge(const Accumulator& other);
 
   std::size_t count() const { return n_; }
   double mean() const;

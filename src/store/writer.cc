@@ -286,7 +286,7 @@ void append_meta(std::string& out, const StoreMeta& meta) {
 
 /// Exposure table, one sweep over disks in id order with one accumulator
 /// per cohort: each sum sees the same addends in the same order as its own
-/// sweep would — Dataset::disk_exposure_years over the matching cohort — so
+/// sweep would — core::Source::disk_years over the matching cohort — so
 /// the FP rounding, and the bytes, are the same.
 void append_exposure(std::string& out, const log::Inventory& inv) {
   // Family cohorts match Filter::disk_family: the *system's* disk family

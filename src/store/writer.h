@@ -14,7 +14,7 @@
 // per-class, per-family, per-class-and-family disk-years). One sweep over
 // disks in id order feeds one accumulator per entry, so each entry adds
 // the same terms in the same order as a sweep over its own cohort would —
-// the exact iteration order Dataset::disk_exposure_years uses — and AFR
+// the exact iteration order core::Source::disk_years uses — and AFR
 // tables computed from a store reproduce the in-memory pipeline bit for
 // bit, FP rounding included.
 #pragma once

@@ -104,7 +104,8 @@ TEST(Afr, ExposureNotDiskCount) {
                                             ev(200.0, 1, model::FailureType::kDisk)};
   const core::Dataset full_ds(inv, events);
   const core::Dataset half_ds(half, events);
-  EXPECT_NEAR(half_ds.disk_exposure_years(), 0.5 * full_ds.disk_exposure_years(), 1e-9);
+  EXPECT_NEAR(core::Source(half_ds).disk_years().total,
+              0.5 * core::Source(full_ds).disk_years().total, 1e-9);
   EXPECT_NEAR(core::compute_afr(half_ds).total_afr_pct(),
               2.0 * core::compute_afr(full_ds).total_afr_pct(), 1e-9);
 }

@@ -163,9 +163,12 @@ struct MapTally {
   }
 };
 
-MapTally map_tally(const core::Dataset& ds, core::Scope scope, model::FailureType type,
-                   double window) {
+MapTally map_tally(const core::Dataset& ds, const core::Filter& cohort, core::Scope scope,
+                   model::FailureType type, double window) {
   const auto& inv = ds.inventory();
+  const auto selected = [&](model::SystemId sys) {
+    return cohort.selects(inv.systems[sys.value()]);
+  };
   auto windows_of = [&](model::SystemId sys) -> std::size_t {
     const double observed = inv.horizon_seconds - inv.systems[sys.value()].deploy_time;
     return observed >= window ? static_cast<std::size_t>(std::floor(observed / window)) : 0;
@@ -174,17 +177,18 @@ MapTally map_tally(const core::Dataset& ds, core::Scope scope, model::FailureTyp
   std::vector<std::size_t> scope_windows;
   if (scope == core::Scope::kShelf) {
     for (const auto& sh : inv.shelves) {
-      scope_windows.push_back(ds.system_selected(sh.system) ? windows_of(sh.system) : 0);
+      scope_windows.push_back(selected(sh.system) ? windows_of(sh.system) : 0);
     }
   } else {
     for (const auto& g : inv.raid_groups) {
-      scope_windows.push_back(ds.system_selected(g.system) ? windows_of(g.system) : 0);
+      scope_windows.push_back(selected(g.system) ? windows_of(g.system) : 0);
     }
   }
   for (const auto w : scope_windows) tally.windows_observed += w;
   for (const auto& e : ds.events()) {
     if (e.type != type) continue;
     const auto& disk = inv.disks[e.disk.value()];
+    if (!selected(disk.system)) continue;
     if (scope == core::Scope::kRaidGroup && !disk.raid_group.valid()) continue;
     const std::uint32_t id =
         scope == core::Scope::kShelf ? disk.shelf.value() : disk.raid_group.value();
@@ -456,7 +460,7 @@ TEST(Correlation, MatchesOrderedMapTally) {
   const core::Dataset ds(inv, bursts(*inv, 3000, rng));
   core::Filter mid_range;
   mid_range.system_class = model::SystemClass::kMidRange;
-  const core::Dataset cohort = ds.filter(mid_range);
+  const core::Source cohort(ds, mid_range);
   const StoreOf store(ds, "map_tally.store");
 
   for (const double window :
@@ -470,7 +474,7 @@ TEST(Correlation, MatchesOrderedMapTally) {
       ASSERT_EQ(all.size(), model::kAllFailureTypes.size());
       for (std::size_t t = 0; t < model::kAllFailureTypes.size(); ++t) {
         const auto type = model::kAllFailureTypes[t];
-        const MapTally want = map_tally(ds, scope, type, window);
+        const MapTally want = map_tally(ds, {}, scope, type, window);
         for (const auto& got : {all[t], all_store[t],
                                 core::failure_correlation(ds, scope, type, window)}) {
           EXPECT_EQ(got.type, type);
@@ -478,7 +482,7 @@ TEST(Correlation, MatchesOrderedMapTally) {
           EXPECT_EQ(got.windows_with_one, want.with(1));
           EXPECT_EQ(got.windows_with_two, want.with(2));
         }
-        const MapTally want_cohort = map_tally(cohort, scope, type, window);
+        const MapTally want_cohort = map_tally(ds, mid_range, scope, type, window);
         EXPECT_EQ(all_cohort[t].windows_observed, want_cohort.windows_observed);
         EXPECT_EQ(all_cohort[t].windows_with_one, want_cohort.with(1));
         EXPECT_EQ(all_cohort[t].windows_with_two, want_cohort.with(2));

@@ -1,13 +1,17 @@
-// Dataset construction, filtering semantics, exposure accounting, joins.
+// Dataset construction, and over it the cohort semantics of core::Source:
+// filtering, exposure accounting, joins.
 #include "core/dataset.h"
 
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/pipeline.h"
+#include "core/raid_vulnerability.h"
+#include "core/source.h"
 #include "model/fleet.h"
 #include "sim/scenario.h"
 
@@ -69,6 +73,19 @@ core::FailureEvent event(double t, std::uint32_t disk, model::FailureType type) 
   return core::FailureEvent{t, model::DiskId(disk), model::SystemId(0), type};
 }
 
+/// The cohort's events, in walk order.
+std::vector<core::EventRow> events_of(const core::Source& source) {
+  std::vector<core::EventRow> out;
+  source.for_each_event([&](const core::EventRow& e) { out.push_back(e); });
+  return out;
+}
+
+std::size_t event_count(const core::Source& source, model::FailureType type) {
+  std::size_t n = 0;
+  source.for_each_event([&](const core::EventRow& e) { n += e.type == type; });
+  return n;
+}
+
 }  // namespace
 
 TEST(Dataset, EventCountsAndSorting) {
@@ -78,9 +95,9 @@ TEST(Dataset, EventCountsAndSorting) {
                          event(300.0, 1, model::FailureType::kDisk)});
   ASSERT_EQ(ds.events().size(), 3u);
   EXPECT_DOUBLE_EQ(ds.events()[0].time, 100.0);
-  EXPECT_EQ(ds.event_count(model::FailureType::kDisk), 2u);
-  EXPECT_EQ(ds.event_count(model::FailureType::kProtocol), 1u);
-  EXPECT_EQ(ds.event_count(model::FailureType::kPerformance), 0u);
+  EXPECT_EQ(event_count(ds, model::FailureType::kDisk), 2u);
+  EXPECT_EQ(event_count(ds, model::FailureType::kProtocol), 1u);
+  EXPECT_EQ(event_count(ds, model::FailureType::kPerformance), 0u);
 }
 
 TEST(Dataset, TiedTimesSortByDiskThenType) {
@@ -123,7 +140,10 @@ TEST(Dataset, SystemAttributionFromInventoryNotEvent) {
   // Event claims system 0, but disk 2 belongs to system 1.
   core::Dataset ds(inv, {event(1.0, 2, model::FailureType::kDisk)});
   EXPECT_EQ(ds.events()[0].system, model::SystemId(1));
-  EXPECT_EQ(ds.system_of(ds.events()[0]).id, model::SystemId(1));
+  const auto rows = events_of(ds);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].system, 1u);
+  EXPECT_EQ(rows[0].cls, model::SystemClass::kHighEnd);
   EXPECT_EQ(ds.events()[0].disk, model::DiskId(2));
 }
 
@@ -132,8 +152,9 @@ TEST(Dataset, ExposureAccountsReplacementChains) {
   core::Dataset ds(inv, {});
   // System 0: disk0 full year + disk1 half year + disk4 half year = 2.0;
   // system 1: two full years. Total 4 disk-years.
-  EXPECT_NEAR(ds.disk_exposure_years(), 4.0, 1e-9);
-  EXPECT_EQ(ds.selected_disk_record_count(), 5u);
+  const core::Source source(ds);
+  EXPECT_NEAR(source.disk_years().total, 4.0, 1e-9);
+  EXPECT_EQ(source.count().disk_records, 5u);
 }
 
 TEST(Dataset, FilterByClassAndModelAndPaths) {
@@ -143,34 +164,34 @@ TEST(Dataset, FilterByClassAndModelAndPaths) {
 
   core::Filter low;
   low.system_class = model::SystemClass::kLowEnd;
-  const auto low_ds = ds.filter(low);
-  EXPECT_EQ(low_ds.selected_system_count(), 1u);
-  EXPECT_EQ(low_ds.events().size(), 1u);
-  EXPECT_NEAR(low_ds.disk_exposure_years(), 2.0, 1e-9);
+  const core::Source low_cohort(ds, low);
+  EXPECT_EQ(low_cohort.count().systems, 1u);
+  EXPECT_EQ(events_of(low_cohort).size(), 1u);
+  EXPECT_NEAR(low_cohort.disk_years().total, 2.0, 1e-9);
 
   core::Filter dual;
   dual.paths = model::PathConfig::kDualPath;
-  EXPECT_EQ(ds.filter(dual).selected_system_count(), 1u);
-  EXPECT_EQ(ds.filter(dual).events()[0].disk, model::DiskId(2));
+  EXPECT_EQ(core::Source(ds, dual).count().systems, 1u);
+  EXPECT_EQ(events_of(core::Source(ds, dual))[0].disk, 2u);
 
   core::Filter family;
   family.disk_family = 'H';
-  EXPECT_EQ(ds.filter(family).selected_system_count(), 1u);
+  EXPECT_EQ(core::Source(ds, family).count().systems, 1u);
 
   core::Filter no_h;
   no_h.exclude_family_h = true;
-  EXPECT_EQ(ds.filter(no_h).selected_system_count(), 1u);
-  EXPECT_EQ(ds.filter(no_h).events().size(), 1u);
+  EXPECT_EQ(core::Source(ds, no_h).count().systems, 1u);
+  EXPECT_EQ(events_of(core::Source(ds, no_h)).size(), 1u);
 
   core::Filter exact;
   exact.disk_model = model::DiskModelName{'A', 2};
   exact.shelf_model = model::ShelfModelName{'A'};
-  EXPECT_EQ(ds.filter(exact).selected_system_count(), 1u);
+  EXPECT_EQ(core::Source(ds, exact).count().systems, 1u);
 
   core::Filter nothing;
   nothing.system_class = model::SystemClass::kMidRange;
-  EXPECT_EQ(ds.filter(nothing).selected_system_count(), 0u);
-  EXPECT_TRUE(ds.filter(nothing).events().empty());
+  EXPECT_EQ(core::Source(ds, nothing).count().systems, 0u);
+  EXPECT_TRUE(events_of(core::Source(ds, nothing)).empty());
 }
 
 TEST(Dataset, FiltersCompose) {
@@ -181,16 +202,22 @@ TEST(Dataset, FiltersCompose) {
   core::Filter dual;
   dual.paths = model::PathConfig::kDualPath;
   // low-end AND dual-path matches nothing in the tiny inventory.
-  EXPECT_EQ(ds.filter(low).filter(dual).selected_system_count(), 0u);
+  EXPECT_EQ(core::Source(core::Source(ds, low), dual).count().systems, 0u);
+  // Narrowing twice by one filter is that filter's cohort.
+  const core::Source low_twice(core::Source(ds, low), low);
+  EXPECT_EQ(low_twice.count().systems, 1u);
+  EXPECT_FALSE(low_twice.whole());
 }
 
 TEST(Dataset, ScopeCountsAndExposures) {
   const auto inv = tiny_inventory();
   core::Dataset ds(inv, {});
-  EXPECT_EQ(ds.selected_shelf_count(), 2u);
-  EXPECT_EQ(ds.selected_raid_group_count(), 2u);
+  const core::CohortCount count = core::Source(ds).count();
+  EXPECT_EQ(count.systems, 2u);
+  EXPECT_EQ(count.shelves, 2u);
+  EXPECT_EQ(count.raid_groups, 2u);
   // Both systems deployed at 0 over a 1-year horizon.
-  EXPECT_NEAR(ds.raid_group_exposure_years(), 2.0, 1e-9);
+  EXPECT_NEAR(core::raid_group_years(ds), 2.0, 1e-9);
 }
 
 TEST(Dataset, NullInventoryRejected) {
@@ -208,5 +235,6 @@ TEST(Dataset, EndToEndMatchesInMemory) {
     EXPECT_EQ(via_logs.events()[i].type, in_memory.events()[i].type);
     EXPECT_NEAR(via_logs.events()[i].time, in_memory.events()[i].time, 1e-3);
   }
-  EXPECT_NEAR(via_logs.disk_exposure_years(), in_memory.disk_exposure_years(), 1.0);
+  EXPECT_NEAR(core::Source(via_logs).disk_years().total,
+              core::Source(in_memory).disk_years().total, 1.0);
 }

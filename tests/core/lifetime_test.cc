@@ -4,6 +4,7 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
+#include "core/afr.h"
 #include "core/pipeline.h"
 #include "model/time.h"
 #include "sim/scenario.h"
@@ -48,11 +49,12 @@ TEST(Lifetime, ObservationAccounting) {
     if (o.event) ++events;
     total_exposure += o.duration;
   }
-  EXPECT_LE(events, ds.event_count(model::FailureType::kDisk));
-  EXPECT_GE(events, ds.event_count(model::FailureType::kDisk) * 9 / 10);
+  const core::AfrBreakdown afr = core::compute_afr(ds);
+  const std::size_t disk_failures = afr.events[model::index_of(model::FailureType::kDisk)];
+  EXPECT_LE(events, disk_failures);
+  EXPECT_GE(events, disk_failures * 9 / 10);
   // Total exposure equals the dataset's disk-years (same clipping rules).
-  EXPECT_NEAR(model::years(total_exposure), ds.disk_exposure_years(),
-              0.01 * ds.disk_exposure_years());
+  EXPECT_NEAR(model::years(total_exposure), afr.disk_years, 0.01 * afr.disk_years);
 }
 
 TEST(Lifetime, ReportHeavilyCensoredWithFlatHazard) {

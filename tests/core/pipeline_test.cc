@@ -34,8 +34,9 @@ TEST(Pipeline, InMemoryPathMatchesCounters) {
   const auto sd = core::simulate_and_analyze(config, sim::SimParams::standard(),
                                              /*through_text_logs=*/false);
   EXPECT_EQ(sd.dataset.events().size(), sd.counters.total_events());
+  const auto afr = core::compute_afr(sd.dataset);
   for (const auto type : model::kAllFailureTypes) {
-    EXPECT_EQ(sd.dataset.event_count(type),
+    EXPECT_EQ(afr.events[model::index_of(type)],
               sd.counters.events_by_type[model::index_of(type)]);
   }
 }
@@ -45,9 +46,9 @@ TEST(Pipeline, DeterministicAcrossRuns) {
   const auto a = core::simulate_and_analyze(config);
   const auto b = core::simulate_and_analyze(config);
   ASSERT_EQ(a.dataset.events().size(), b.dataset.events().size());
-  EXPECT_NEAR(a.dataset.disk_exposure_years(), b.dataset.disk_exposure_years(), 1e-6);
   const auto afr_a = core::compute_afr(a.dataset);
   const auto afr_b = core::compute_afr(b.dataset);
+  EXPECT_NEAR(afr_a.disk_years, afr_b.disk_years, 1e-6);
   EXPECT_DOUBLE_EQ(afr_a.total_afr_pct(), afr_b.total_afr_pct());
 }
 
@@ -58,16 +59,16 @@ TEST(Pipeline, TableOneShapeAtSmallScale) {
   const auto sd = core::simulate_and_analyze(config, sim::SimParams::standard(), false);
   core::Filter nearline;
   nearline.system_class = model::SystemClass::kNearLine;
-  const auto nl = sd.dataset.filter(nearline);
-  const double shelves_per_system = static_cast<double>(nl.selected_shelf_count()) /
-                                    static_cast<double>(nl.selected_system_count());
+  const core::CohortCount nl = core::Source(sd.dataset, nearline).count();
+  const double shelves_per_system =
+      static_cast<double>(nl.shelves) / static_cast<double>(nl.systems);
   EXPECT_NEAR(shelves_per_system, 6.84, 0.8);
 
   core::Filter lowend;
   lowend.system_class = model::SystemClass::kLowEnd;
-  const auto le = sd.dataset.filter(lowend);
-  const double le_shelves_per_system = static_cast<double>(le.selected_shelf_count()) /
-                                       static_cast<double>(le.selected_system_count());
+  const core::CohortCount le = core::Source(sd.dataset, lowend).count();
+  const double le_shelves_per_system =
+      static_cast<double>(le.shelves) / static_cast<double>(le.systems);
   EXPECT_NEAR(le_shelves_per_system, 1.69, 0.3);
 }
 

@@ -131,13 +131,13 @@ TEST(RaidModel, CorrelatedRealityBeatsTheModel) {
 
   // Feed the model the measured whole-subsystem failure rate per disk.
   const double events_per_disk_year =
-      static_cast<double>(ds.events().size()) / ds.disk_exposure_years();
+      static_cast<double>(ds.events().size()) / core::Source(ds).disk_years().total;
   core::RaidGroupModel m;
   m.disks = 8;
   m.disk_afr_fraction = 1.0 - std::exp(-events_per_disk_year);
   m.repair_hours = 24.0;
 
-  const double group_years = ds.raid_group_exposure_years();
+  const double group_years = core::raid_group_years(ds);
   const double predicted_defeats =
       core::defeat_probability_single_parity(m, 1.0) * group_years;
 

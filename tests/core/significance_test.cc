@@ -58,11 +58,11 @@ core::Dataset with_pi_events(std::shared_ptr<log_ns::Inventory> inv, std::size_t
 /// `disks_*` disk-years per cohort (one-year horizon).
 storsubsim::stats::TTestResult rate_test(std::size_t events_a, std::size_t disks_a,
                                          std::size_t events_b, std::size_t disks_b) {
-  return core::compare_cohorts(
-             with_pi_events(cohort_inventory(disks_a, model::PathConfig::kSinglePath), events_a),
-             "a",
-             with_pi_events(cohort_inventory(disks_b, model::PathConfig::kDualPath), events_b),
-             "b", model::FailureType::kPhysicalInterconnect, 0.95)
+  const core::Dataset a =
+      with_pi_events(cohort_inventory(disks_a, model::PathConfig::kSinglePath), events_a);
+  const core::Dataset b =
+      with_pi_events(cohort_inventory(disks_b, model::PathConfig::kDualPath), events_b);
+  return core::compare_cohorts(a, "a", b, "b", model::FailureType::kPhysicalInterconnect, 0.95)
       .focus_test;
 }
 

@@ -2,9 +2,11 @@
 // bit-identical across the two backends — a Dataset from the live pipeline,
 // the serialized run's store file opened as a one-shard ShardStore, and a
 // 4-shard directory of the same fleet — for the whole fleet and for every
-// cohort, where Source(store, f) must answer exactly as
-// Source(dataset.filter(f)). The implicit backend-to-Source conversions must
-// be exact too (the pre-Source per-backend overloads were retired; implicit
+// cohort, where Source(backend, f) must answer alike on all three. The rows
+// a cohort walks are checked against a reference that applies
+// Filter::selects to the Dataset's inventory directly, independent of the
+// mask Source builds. The implicit backend-to-Source conversions must be
+// exact too (the pre-Source per-backend overloads were retired; implicit
 // conversion is the only bridge left).
 //
 // Scale 0.05 is the in-ctest fidelity point (same as the store round-trip
@@ -14,8 +16,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <tuple>
+#include <type_traits>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -24,12 +29,14 @@
 
 #include "core/afr.h"
 #include "core/analysis_render.h"
+#include "core/analysis_request.h"
 #include "core/burstiness.h"
 #include "core/correlation.h"
 #include "core/lifetime.h"
 #include "core/pipeline.h"
 #include "core/raid_vulnerability.h"
 #include "core/sharded_build.h"
+#include "core/significance.h"
 #include "core/source.h"
 #include "core/store_bridge.h"
 #include "model/fleet_config.h"
@@ -38,6 +45,11 @@
 namespace core = storsubsim::core;
 namespace model = storsubsim::model;
 namespace store = storsubsim::store;
+
+// A cohort borrows its backend, so a temporary backend must not bind.
+static_assert(std::is_constructible_v<core::Source, const core::Dataset&, const core::Filter&>);
+static_assert(!std::is_constructible_v<core::Source, core::Dataset&&, const core::Filter&>);
+static_assert(!std::is_constructible_v<core::Source, store::ShardStore&&, const core::Filter&>);
 
 namespace {
 
@@ -218,6 +230,136 @@ void expect_sources_identical(const core::Source& want, const core::Source& got)
   EXPECT_EQ(core::render_events(want, true), core::render_events(got, true));
 }
 
+/// A test-side cohort predicate: every filter in `filters` selects the system.
+using Filters = std::vector<core::Filter>;
+bool selects_all(const Filters& filters, const storsubsim::log::InventorySystem& sys) {
+  return std::all_of(filters.begin(), filters.end(),
+                     [&](const core::Filter& f) { return f.selects(sys); });
+}
+
+/// The rows `cohort` walks are the Dataset's rows whose owning system every
+/// filter selects — read off the inventory here, not through Source — and
+/// its disk-years are their exposures summed in disk-id order.
+void expect_rows_match_reference(const core::Source& cohort, const core::Dataset& ds,
+                                 const Filters& filters) {
+  const auto& inv = ds.inventory();
+  const auto owner_selected = [&](model::SystemId sys) {
+    return selects_all(filters, inv.systems[sys.value()]);
+  };
+
+  using EventKey = std::tuple<double, std::uint32_t, model::FailureType, std::uint32_t>;
+  std::vector<EventKey> want_events;
+  for (const core::FailureEvent& e : ds.events()) {
+    if (owner_selected(inv.disks[e.disk.value()].system)) {
+      want_events.emplace_back(e.time, e.disk.value(), e.type, e.system.value());
+    }
+  }
+  std::vector<EventKey> got_events;
+  cohort.for_each_event([&](const core::EventRow& e) {
+    got_events.emplace_back(e.time, e.disk, e.type, e.system);
+  });
+  std::sort(got_events.begin(), got_events.end());  // a store walks class by class
+  EXPECT_EQ(got_events, want_events);
+  EXPECT_FALSE(want_events.empty());
+
+  std::vector<core::DiskRow> want_disks;
+  double want_years = 0.0;
+  for (const auto& d : inv.disks) {
+    if (!owner_selected(d.system)) continue;
+    want_disks.push_back({d.id.value(), d.system.value(), d.install_time, d.remove_time});
+    want_years += inv.disk_exposure_years(d);
+  }
+  std::vector<core::DiskRow> got_disks;
+  cohort.for_each_disk([&](const core::DiskRow& d) { got_disks.push_back(d); });
+  ASSERT_EQ(got_disks.size(), want_disks.size());
+  for (std::size_t i = 0; i < got_disks.size(); ++i) {
+    EXPECT_EQ(got_disks[i].id, want_disks[i].id) << i;
+    EXPECT_EQ(got_disks[i].system, want_disks[i].system) << i;
+    EXPECT_EQ(bits(got_disks[i].install_time), bits(want_disks[i].install_time)) << i;
+    EXPECT_EQ(bits(got_disks[i].remove_time), bits(want_disks[i].remove_time)) << i;
+  }
+  EXPECT_EQ(bits(cohort.disk_years().total), bits(want_years));
+
+  std::vector<std::uint32_t> want_systems, got_systems;
+  for (const auto& sys : inv.systems) {
+    if (selects_all(filters, sys)) want_systems.push_back(sys.id.value());
+  }
+  cohort.for_each_system(
+      [&](const storsubsim::log::InventorySystem& sys) { got_systems.push_back(sys.id.value()); });
+  EXPECT_EQ(got_systems, want_systems);
+
+  std::vector<std::uint32_t> want_shelves, want_groups, got_shelves, got_groups;
+  for (const auto& sh : inv.shelves) {
+    if (owner_selected(sh.system)) want_shelves.push_back(sh.id.value());
+  }
+  for (const auto& g : inv.raid_groups) {
+    if (owner_selected(g.system)) want_groups.push_back(g.id.value());
+  }
+  cohort.for_each_scope(core::Scope::kShelf,
+                        [&](const core::ScopeRow& r) { got_shelves.push_back(r.id); });
+  cohort.for_each_scope(core::Scope::kRaidGroup,
+                        [&](const core::ScopeRow& r) { got_groups.push_back(r.id); });
+  EXPECT_EQ(got_shelves, want_shelves);
+  EXPECT_EQ(got_groups, want_groups);
+
+  const core::CohortCount count = cohort.count();
+  EXPECT_EQ(count.systems, want_systems.size());
+  EXPECT_EQ(count.shelves, want_shelves.size());
+  EXPECT_EQ(count.raid_groups, want_groups.size());
+  EXPECT_EQ(count.disk_records, want_disks.size());
+}
+
+/// The cohort analyses that narrow their Source again, bit for bit.
+void expect_cohort_analyses_identical(const core::Source& want, const core::Source& got) {
+  const auto by_model_want = core::afr_by_disk_model(want);
+  const auto by_model_got = core::afr_by_disk_model(got);
+  ASSERT_EQ(by_model_want.size(), by_model_got.size());
+  EXPECT_FALSE(by_model_want.empty());
+  for (std::size_t i = 0; i < by_model_want.size(); ++i) {
+    expect_breakdown_identical(by_model_want[i], by_model_got[i]);
+  }
+
+  const auto by_paths_want = core::afr_by_path_config(want);
+  const auto by_paths_got = core::afr_by_path_config(got);
+  ASSERT_EQ(by_paths_want.size(), by_paths_got.size());
+  for (std::size_t i = 0; i < by_paths_want.size(); ++i) {
+    expect_breakdown_identical(by_paths_want[i], by_paths_got[i]);
+  }
+
+  const auto stability_want = core::afr_stability_by_disk_model(want);
+  const auto stability_got = core::afr_stability_by_disk_model(got);
+  ASSERT_EQ(stability_want.size(), stability_got.size());
+  for (std::size_t i = 0; i < stability_want.size(); ++i) {
+    EXPECT_EQ(stability_want[i].disk_model, stability_got[i].disk_model);
+    EXPECT_EQ(stability_want[i].environments, stability_got[i].environments);
+    EXPECT_EQ(bits(stability_want[i].mean_disk_afr), bits(stability_got[i].mean_disk_afr));
+    EXPECT_EQ(bits(stability_want[i].rel_stddev_disk_afr),
+              bits(stability_got[i].rel_stddev_disk_afr));
+    EXPECT_EQ(bits(stability_want[i].mean_subsystem_afr),
+              bits(stability_got[i].mean_subsystem_afr));
+    EXPECT_EQ(bits(stability_want[i].rel_stddev_subsystem_afr),
+              bits(stability_got[i].rel_stddev_subsystem_afr));
+  }
+
+  core::Filter single;
+  single.paths = model::PathConfig::kSinglePath;
+  core::Filter dual;
+  dual.paths = model::PathConfig::kDualPath;
+  const auto cmp_want =
+      core::compare_cohorts(core::Source(want, single), "single", core::Source(want, dual),
+                            "dual", model::FailureType::kPhysicalInterconnect, 0.999);
+  const auto cmp_got =
+      core::compare_cohorts(core::Source(got, single), "single", core::Source(got, dual),
+                            "dual", model::FailureType::kPhysicalInterconnect, 0.999);
+  expect_breakdown_identical(cmp_want.a, cmp_got.a);
+  expect_breakdown_identical(cmp_want.b, cmp_got.b);
+  EXPECT_EQ(bits(cmp_want.focus_test.t_statistic), bits(cmp_got.focus_test.t_statistic));
+  EXPECT_EQ(bits(cmp_want.focus_test.p_value_two_sided),
+            bits(cmp_got.focus_test.p_value_two_sided));
+  EXPECT_EQ(bits(cmp_want.focus_ci_a.lower), bits(cmp_got.focus_ci_a.lower));
+  EXPECT_EQ(bits(cmp_want.focus_ci_b.upper), bits(cmp_got.focus_ci_b.upper));
+}
+
 }  // namespace
 
 TEST_F(SourceEquivalence, ComputeAfrMatchesAcrossBackends) {
@@ -328,35 +470,116 @@ TEST_F(SourceEquivalence, WholeFleetMatchesAcrossAllThreeBackends) {
   expect_sources_identical(dataset(), shard_dir());
 }
 
-// A cohort over a store is a mask over its columns; it must answer exactly
-// as the filtered Dataset, with no Dataset built.
+// A cohort is a mask over the backend's systems; on every backend it walks
+// exactly the reference rows, and every analysis over it agrees.
 TEST_F(SourceEquivalence, CohortOverStoreFileMatchesFilteredDataset) {
   const double fleet_years = core::Source(dataset()).disk_years().total;
   for (const auto& [name, filter] : cli_cohorts()) {
     SCOPED_TRACE(name);
-    const core::Dataset cohort = dataset().filter(filter);
+    const core::Source from_dataset(dataset(), filter);
     const core::Source from_store(event_store(), filter);
-    expect_sources_identical(cohort, from_store);
+    expect_rows_match_reference(from_dataset, dataset(), {filter});
+    expect_rows_match_reference(from_store, dataset(), {filter});
+    expect_sources_identical(from_dataset, from_store);
     const double years = from_store.disk_years().total;
     EXPECT_GT(years, 0.0);
     EXPECT_LT(years, fleet_years);
-    EXPECT_GT(core::compute_afr(from_store).total_events(), 0u);
+    EXPECT_FALSE(from_store.whole());
   }
 }
 
 TEST_F(SourceEquivalence, CohortOverShardDirectoryMatchesFilteredDataset) {
   for (const auto& [name, filter] : cli_cohorts()) {
     SCOPED_TRACE(name);
-    const core::Dataset cohort = dataset().filter(filter);
-    expect_sources_identical(cohort, core::Source(shard_dir(), filter));
+    const core::Source from_shards(shard_dir(), filter);
+    expect_rows_match_reference(from_shards, dataset(), {filter});
+    expect_sources_identical(core::Source(dataset(), filter), from_shards);
   }
+}
+
+// Narrowing a cohort again is the conjunction of both filters: a class and
+// shelf cohort, then each disk model in it, as Figure 5's panels narrow.
+TEST_F(SourceEquivalence, NestedCohortsAreConjunctionsOnEveryBackend) {
+  const std::pair<model::SystemClass, char> panels[] = {{model::SystemClass::kNearLine, 'C'},
+                                                        {model::SystemClass::kLowEnd, 'A'},
+                                                        {model::SystemClass::kMidRange, 'B'}};
+  for (const auto& [cls, shelf] : panels) {
+    core::Filter outer;
+    outer.system_class = cls;
+    outer.shelf_model = model::ShelfModelName{shelf};
+    std::vector<model::DiskModelName> models;
+    const auto collect = [&](const storsubsim::log::InventorySystem& sys) {
+      if (std::find(models.begin(), models.end(), sys.disk_model) == models.end()) {
+        models.push_back(sys.disk_model);
+      }
+    };
+    core::Source(dataset(), outer).for_each_system(collect);
+    ASSERT_FALSE(models.empty());
+    for (const auto& disk_model : models) {
+      SCOPED_TRACE(::testing::Message() << model::to_string(cls) << " shelf " << shelf
+                                        << " disk " << model::to_string(disk_model));
+      core::Filter inner;
+      inner.disk_model = disk_model;
+      const core::Source from_dataset(core::Source(dataset(), outer), inner);
+      const core::Source from_store(core::Source(event_store(), outer), inner);
+      const core::Source from_shards(core::Source(shard_dir(), outer), inner);
+      for (const core::Source* cohort : {&from_dataset, &from_store, &from_shards}) {
+        expect_rows_match_reference(*cohort, dataset(), {outer, inner});
+      }
+      expect_sources_identical(from_dataset, from_store);
+      expect_sources_identical(from_dataset, from_shards);
+    }
+  }
+}
+
+// The analyses that narrow their Source themselves — per disk model, per
+// path configuration, per environment, and the two-cohort comparison —
+// answer alike on every backend, for the whole fleet and for a cohort.
+TEST_F(SourceEquivalence, CohortAnalysesMatchAcrossAllThreeBackends) {
+  expect_cohort_analyses_identical(dataset(), event_store());
+  expect_cohort_analyses_identical(dataset(), shard_dir());
+  core::Filter no_h;
+  no_h.exclude_family_h = true;
+  core::Filter mid_range;
+  mid_range.system_class = model::SystemClass::kMidRange;
+  for (const core::Filter& filter : {no_h, mid_range}) {
+    expect_cohort_analyses_identical(core::Source(dataset(), filter),
+                                     core::Source(event_store(), filter));
+    expect_cohort_analyses_identical(core::Source(dataset(), filter),
+                                     core::Source(shard_dir(), filter));
+  }
+}
+
+// A query scans the whole store, so over a cohort it answers like a
+// Dataset-backed Source does — the empty result — never the whole store's
+// rows.
+TEST_F(SourceEquivalence, QueryOverACohortIsTheEmptyResult) {
+  core::RequestParams params;
+  params.group_by = "class";
+  core::AnalysisRequest request;
+  ASSERT_TRUE(
+      core::AnalysisRequest::from_params(core::StatisticId::kQuery, params, true, &request).ok());
+  core::Filter near_line;
+  near_line.system_class = model::SystemClass::kNearLine;
+  const std::string whole = core::render_statistic(event_store(), request);
+  const std::string empty = core::render_statistic(dataset(), request);
+  ASSERT_NE(whole, empty);
+  EXPECT_EQ(core::render_statistic(core::Source(event_store(), near_line), request), empty);
+  EXPECT_EQ(core::render_statistic(core::Source(shard_dir(), near_line), request), empty);
+  // A filter every system passes is no cohort: the scan runs.
+  EXPECT_EQ(core::render_statistic(core::Source(event_store(), core::Filter{}), request), whole);
 }
 
 // A filter every system passes is the whole fleet: the exposure table is
 // read, and the answers do not move.
 TEST_F(SourceEquivalence, CohortOfEverySystemIsTheWholeFleet) {
   core::Filter all;
-  expect_sources_identical(event_store(), core::Source(event_store(), all));
+  const core::Source store_cohort(event_store(), all);
+  const core::Source dataset_cohort(dataset(), all);
+  EXPECT_TRUE(store_cohort.whole());
+  EXPECT_TRUE(dataset_cohort.whole());
+  expect_sources_identical(event_store(), store_cohort);
+  expect_sources_identical(dataset(), dataset_cohort);
 }
 
 TEST_F(SourceEquivalence, SourceAccessorsReportBackend) {

@@ -33,10 +33,10 @@ const core::SimulationDataset& fleet_dataset() {
   return sd;
 }
 
-core::Dataset without_family_h(const core::Dataset& ds) {
+core::Source without_family_h(const core::Dataset& ds) {
   core::Filter f;
   f.exclude_family_h = true;
-  return ds.filter(f);
+  return core::Source(ds, f);
 }
 
 }  // namespace
@@ -62,8 +62,8 @@ TEST(Finding2, DiskAfrNotIndicativeOfSubsystemAfr) {
   nearline.system_class = model::SystemClass::kNearLine;
   core::Filter lowend;
   lowend.system_class = model::SystemClass::kLowEnd;
-  const auto nl_cohort = ds.filter(nearline);
-  const auto le_cohort = ds.filter(lowend);
+  const core::Source nl_cohort(ds, nearline);
+  const core::Source le_cohort(ds, lowend);
   const auto nl = core::compute_afr(nl_cohort);
   const auto le = core::compute_afr(le_cohort);
   EXPECT_GT(nl.afr_pct(FailureType::kDisk), 1.5 * le.afr_pct(FailureType::kDisk));
@@ -74,7 +74,7 @@ TEST(Finding3, ProblematicFamilyDoublesSubsystemAfr) {
   const auto& ds = fleet_dataset().dataset;
   core::Filter h_only;
   h_only.disk_family = 'H';
-  const auto h_cohort = ds.filter(h_only);
+  const core::Source h_cohort(ds, h_only);
   const auto rest_cohort = without_family_h(ds);
   const auto h = core::compute_afr(h_cohort);
   const auto rest = core::compute_afr(rest_cohort);
@@ -108,8 +108,8 @@ TEST(Finding5, AfrDoesNotGrowWithCapacity) {
   d1.disk_model = model::DiskModelName{'D', 1};
   core::Filter d2;
   d2.disk_model = model::DiskModelName{'D', 2};
-  const auto d1_cohort = ds.filter(d1);
-  const auto d2_cohort = ds.filter(d2);
+  const core::Source d1_cohort(ds, d1);
+  const core::Source d2_cohort(ds, d2);
   const auto b1 = core::compute_afr(d1_cohort);
   const auto b2 = core::compute_afr(d2_cohort);
   ASSERT_GT(b1.disk_years, 0.0);
@@ -127,7 +127,7 @@ TEST(Finding6, ShelfModelAffectsInterconnectWithFlip) {
     f.system_class = model::SystemClass::kLowEnd;
     f.disk_model = dm;
     f.shelf_model = model::ShelfModelName{shelf};
-    const auto cohort = ds.filter(f);
+    const core::Source cohort(ds, f);
     return core::compute_afr(cohort).afr_pct(FailureType::kPhysicalInterconnect);
   };
   EXPECT_GT(pi_for({'A', 2}, 'A'), pi_for({'A', 2}, 'B'));
@@ -145,9 +145,9 @@ TEST(Finding7, MultipathingCutsInterconnectFailures) {
     single.paths = model::PathConfig::kSinglePath;
     core::Filter dual = single;
     dual.paths = model::PathConfig::kDualPath;
-    const auto cmp =
-        core::compare_cohorts(ds.filter(single), "single", ds.filter(dual), "dual",
-                              FailureType::kPhysicalInterconnect, 0.999);
+    const auto cmp = core::compare_cohorts(core::Source(ds, single), "single",
+                                           core::Source(ds, dual), "dual",
+                                           FailureType::kPhysicalInterconnect, 0.999);
     EXPECT_GT(cmp.focus_reduction(), 0.32) << model::to_string(cls);
     EXPECT_LT(cmp.focus_reduction(), 0.70) << model::to_string(cls);
     EXPECT_GT(cmp.total_reduction(), 0.15) << model::to_string(cls);

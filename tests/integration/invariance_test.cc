@@ -14,8 +14,6 @@
 #include "model/fleet_config.h"
 #include "sim/log_bridge.h"
 #include "sim/scenario.h"
-#include "stats/bootstrap.h"
-#include "stats/summary.h"
 #include "util/parallel.h"
 
 namespace core = storsubsim::core;
@@ -108,15 +106,15 @@ TEST_P(SeedStability, HeadlineStatisticsStableAcrossSeeds) {
       model::standard_fleet_config(0.15, GetParam()), sim::SimParams::standard(), false);
   core::Filter no_h;
   no_h.exclude_family_h = true;
-  const auto ds = sd.dataset.filter(no_h);
+  const core::Source ds(sd.dataset, no_h);
 
   // Finding 2's inversion must hold for every seed.
   core::Filter nearline;
   nearline.system_class = model::SystemClass::kNearLine;
   core::Filter lowend;
   lowend.system_class = model::SystemClass::kLowEnd;
-  const auto nl_cohort = ds.filter(nearline);
-  const auto le_cohort = ds.filter(lowend);
+  const core::Source nl_cohort(ds, nearline);
+  const core::Source le_cohort(ds, lowend);
   const auto nl = core::compute_afr(nl_cohort);
   const auto le = core::compute_afr(le_cohort);
   EXPECT_GT(nl.afr_pct(model::FailureType::kDisk), le.afr_pct(model::FailureType::kDisk));
@@ -163,7 +161,7 @@ INSTANTIATE_TEST_SUITE_P(Fractions, DualPathFraction, ::testing::Values(0.3, 0.6
 
 // The fleet-parallel execution layer's contract: the full pipeline
 // (simulate -> emit logs -> parse -> classify, snapshot write -> parse) and
-// bootstrap CIs are bit-identical for any worker count. Exercised at two
+// the store image are bit-identical for any worker count. Exercised at two
 // scales; 3 workers cut the fleet into 3 chunks of uneven system counts.
 class ThreadInvariance : public ::testing::TestWithParam<double> {
  protected:
@@ -219,27 +217,6 @@ TEST_P(ThreadInvariance, StoreBytesIdenticalAcrossThreadCounts) {
 
   ASSERT_EQ(serial_image.size(), parallel_image.size());
   EXPECT_EQ(serial_image, parallel_image);
-}
-
-TEST_P(ThreadInvariance, BootstrapCiBitIdenticalAcrossThreadCounts) {
-  namespace stats = storsubsim::stats;
-  // Sample size scales with the parameter so both test points differ.
-  const std::size_t n = static_cast<std::size_t>(1000.0 * GetParam());
-  stats::Rng data_rng(13);
-  std::vector<double> xs(n);
-  for (auto& x : xs) x = data_rng.uniform(0.0, 10.0);
-  auto mean_stat = [](std::span<const double> s) { return stats::mean_of(s); };
-
-  storsubsim::util::set_thread_count(1);
-  stats::Rng r1(99);
-  const auto serial = stats::bootstrap_ci(xs, mean_stat, 0.95, 2000, r1);
-  storsubsim::util::set_thread_count(4);
-  stats::Rng r2(99);
-  const auto parallel = stats::bootstrap_ci(xs, mean_stat, 0.95, 2000, r2);
-
-  EXPECT_DOUBLE_EQ(serial.lower, parallel.lower);
-  EXPECT_DOUBLE_EQ(serial.upper, parallel.upper);
-  EXPECT_DOUBLE_EQ(serial.point, parallel.point);
 }
 
 INSTANTIATE_TEST_SUITE_P(Scales, ThreadInvariance, ::testing::Values(0.05, 0.2));

@@ -1,5 +1,6 @@
-// Hypothesis tests: t-test values against reference computations, chi-square
-// calibration (size under the null, power under alternatives).
+// Hypothesis tests: two-proportion test values against reference
+// computations, chi-square calibration (size under the null, power under
+// alternatives).
 #include "stats/hypothesis.h"
 
 #include <algorithm>
@@ -12,41 +13,6 @@
 #include "stats/rng.h"
 
 namespace stats = storsubsim::stats;
-
-TEST(WelchTTest, IdenticalSamplesNotSignificant) {
-  const std::vector<double> a = {1.0, 2.0, 3.0, 4.0, 5.0};
-  const auto r = stats::welch_t_test(a, a);
-  EXPECT_NEAR(r.t_statistic, 0.0, 1e-12);
-  EXPECT_NEAR(r.p_value_two_sided, 1.0, 1e-9);
-  EXPECT_FALSE(r.significant_at(0.95));
-}
-
-TEST(WelchTTest, ReferenceValue) {
-  // Cross-checked with scipy.stats.ttest_ind(equal_var=False):
-  //   a = [1..5], b = [2..6] -> t = -1.0, p ~ 0.3466.
-  const std::vector<double> a = {1, 2, 3, 4, 5};
-  const std::vector<double> b = {2, 3, 4, 5, 6};
-  const auto r = stats::welch_t_test(a, b);
-  EXPECT_NEAR(r.t_statistic, -1.0, 1e-9);
-  EXPECT_NEAR(r.degrees_of_freedom, 8.0, 1e-9);
-  EXPECT_NEAR(r.p_value_two_sided, 0.34659350708733416, 1e-6);
-}
-
-TEST(WelchTTest, DetectsLargeDifference) {
-  stats::Rng rng(10);
-  std::vector<double> a(200), b(200);
-  for (auto& x : a) x = stats::sample_standard_normal(rng);
-  for (auto& x : b) x = 1.0 + stats::sample_standard_normal(rng);
-  const auto r = stats::welch_t_test(a, b);
-  EXPECT_TRUE(r.significant_at(0.999));
-  EXPECT_LT(r.mean_a, r.mean_b);
-}
-
-TEST(WelchTTest, RequiresTwoPerGroup) {
-  const std::vector<double> one = {1.0};
-  const std::vector<double> two = {1.0, 2.0};
-  EXPECT_THROW(stats::welch_t_test(one, two), std::invalid_argument);
-}
 
 TEST(TwoProportionTest, ObviousDifference) {
   const auto r = stats::two_proportion_test(900, 1000, 100, 1000);

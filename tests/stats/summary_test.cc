@@ -1,11 +1,9 @@
-// Streaming accumulators: Welford correctness, merge associativity, weights.
+// Streaming accumulators: Welford correctness and numerical stability.
 #include "stats/summary.h"
 
 #include <vector>
 
 #include <gtest/gtest.h>
-
-#include "stats/rng.h"
 
 namespace stats = storsubsim::stats;
 
@@ -28,37 +26,6 @@ TEST(Accumulator, EmptyAndSingle) {
   acc.add(3.0);
   EXPECT_DOUBLE_EQ(acc.mean(), 3.0);
   EXPECT_DOUBLE_EQ(acc.variance(), 0.0);
-}
-
-TEST(Accumulator, MergeEqualsSequential) {
-  stats::Rng rng(5);
-  std::vector<double> xs(1000);
-  for (auto& x : xs) x = rng.uniform(-5.0, 17.0);
-
-  stats::Accumulator whole;
-  for (const double x : xs) whole.add(x);
-
-  stats::Accumulator left, right;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    (i < 300 ? left : right).add(xs[i]);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-10);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-8);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(Accumulator, MergeWithEmpty) {
-  stats::Accumulator a, empty;
-  a.add(1.0);
-  a.add(2.0);
-  const double mean_before = a.mean();
-  a.merge(empty);
-  EXPECT_DOUBLE_EQ(a.mean(), mean_before);
-  empty.merge(a);
-  EXPECT_DOUBLE_EQ(empty.mean(), mean_before);
 }
 
 TEST(Accumulator, NumericalStabilityLargeOffset) {

@@ -55,8 +55,14 @@ class StoreQuery : public ::testing::Test {
 core::SimulationDataset* StoreQuery::run_ = nullptr;
 store::EventStore* StoreQuery::store_ = nullptr;
 
+/// The system owning an event's disk.
+const storsubsim::log::InventorySystem& system_of(const core::Dataset& dataset,
+                                                  const core::FailureEvent& e) {
+  return dataset.inventory().systems[e.system.value()];
+}
+
 char family_of(const core::Dataset& dataset, const core::FailureEvent& e) {
-  return dataset.system_of(e).disk_model.family;
+  return system_of(dataset, e).disk_model.family;
 }
 
 }  // namespace
@@ -102,7 +108,7 @@ TEST_F(StoreQuery, ClassFilterSelectsOneShard) {
   ASSERT_EQ(result.groups.size(), 1u);
   std::uint64_t expected = 0;
   for (const auto& e : run_->dataset.events()) {
-    if (run_->dataset.system_of(e).cls == model::SystemClass::kNearLine) ++expected;
+    if (system_of(run_->dataset, e).cls == model::SystemClass::kNearLine) ++expected;
   }
   EXPECT_EQ(result.groups[0].events, expected);
   // Only the near-line shard was touched.
@@ -255,7 +261,7 @@ TEST_F(StoreQuery, FiltersCompose) {
   ASSERT_EQ(result.groups.size(), 1u);
   std::uint64_t expected = 0;
   for (const auto& e : run_->dataset.events()) {
-    if (run_->dataset.system_of(e).cls == model::SystemClass::kMidRange &&
+    if (system_of(run_->dataset, e).cls == model::SystemClass::kMidRange &&
         e.type == model::FailureType::kDisk && e.time >= 0.0 &&
         e.time < 600.0 * model::kSecondsPerDay) {
       ++expected;

@@ -181,7 +181,7 @@ TEST_F(StoreRoundTrip, AfrTableBitIdenticalToInMemoryPath) {
     EXPECT_EQ(mapped[i].label, memory[i].label);
     EXPECT_EQ(mapped[i].events, memory[i].events);
     // Exact FP equality is the contract: the writer accumulated exposure in
-    // the same order Dataset::disk_exposure_years does.
+    // the same order core::Source::disk_years does.
     EXPECT_EQ(mapped[i].disk_years, memory[i].disk_years);
   }
   const auto pooled_memory = core::compute_afr(run_->dataset);

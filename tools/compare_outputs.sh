@@ -10,9 +10,11 @@
 #   - every `analyze --report`, plain and --csv, on the store file, on the
 #     shard directory and on the text logs, for the whole fleet and for the
 #     `--class near-line --exclude-h` cohort;
+#   - `inspect` of the config snapshot, plain and --csv;
 #   - `replicate` (4 fixed replicates at scale 0.25): its report, its
 #     STORREP1 table and the table re-rendered by `analyze --replicates`;
-#   - `predict` over the --precursors logs,
+#   - `predict` over the --precursors logs, for the whole fleet and for the
+#     `--class near-line --exclude-h` cohort,
 # and cmp's each output against the other binary's. Exits 1 at the first
 # difference, naming it; the work directory is kept for a look and its path
 # printed. Both binaries run at --threads 4 where a command takes it.
@@ -58,6 +60,10 @@ run_all() {
       done
     done
   done
+  for csv in "" --csv; do
+    "$bin" inspect --snapshot "$dir/fleet.snap" $csv > "$dir/out.inspect${csv:+-csv}" \
+      2> /dev/null
+  done
   # The table's provenance manifest names the build, so only the table and
   # the reports are compared.
   "$bin" replicate --out "$dir/replicate.table" --scale $scale --seed "$seed" \
@@ -67,6 +73,8 @@ run_all() {
     2> /dev/null
   "$bin" predict --logs "$dir/precursors.log" --snapshot "$dir/precursors.snap" \
     > "$dir/out.predict" 2> /dev/null
+  "$bin" predict --logs "$dir/precursors.log" --snapshot "$dir/precursors.snap" \
+    --class near-line --exclude-h > "$dir/out.predict-cohort" 2> /dev/null
 }
 
 run_all "$old" "$work/old"

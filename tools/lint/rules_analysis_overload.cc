@@ -11,9 +11,8 @@
 // ShardStore) instead of Source.
 //
 // Call sites are unaffected: passing a Dataset lvalue to the Source overload
-// is the sanctioned implicit conversion, and the backend-specific helpers
-// with different names (afr_by_disk_model(const Dataset&), ...) stay legal —
-// only the unified entry-point names are reserved.
+// is the sanctioned implicit conversion. Only the entry-point names listed
+// below are reserved; a helper with another name may take a backend.
 #include <array>
 
 #include "lint/index.h"

@@ -8,8 +8,8 @@
 # tsan      — races the fleet-parallel execution layer: thread-pool, simulator,
 #             and stats unit tests under ThreadSanitizer, then the cross-
 #             thread-count determinism tests at 1 and 8 workers. Any data race
-#             in the parallel shelf/system fan-out, the chunked pipeline,
-#             or the bootstrap replicate split fails the script.
+#             in the parallel shelf/system fan-out or the chunked pipeline
+#             fails the script.
 # asan/ubsan — the full ctest suite under AddressSanitizer + UBSan with
 #             -fno-sanitize-recover=all, so any heap error, leak, signed
 #             overflow, or container overflow aborts the offending test.

@@ -300,17 +300,13 @@ int cmd_analyze(const Args& args) {
   core::Filter filter;
   if (!cli_filter(args, &filter)) return usage();
 
-  // A store's cohort is a mask over its mapped columns; text input is read
-  // into a Dataset and filtered. Every report reads its rows through the one
-  // Source either way.
-  std::optional<core::Dataset> dataset;
-  if (!have_store) {
-    TextInput text;
-    if (!load_text(log_path, args.get("snapshot"), text)) return usage();
-    dataset = text.read.dataset->filter(filter);
-  }
-  const core::Source source =
-      dataset ? core::Source(*dataset) : core::Source(store, filter);
+  // Text input is read into a Dataset; a store is read in place. Either way
+  // the cohort is the input's Source narrowed by the filter, and every
+  // report reads its rows through it.
+  TextInput text;
+  if (!have_store && !load_text(log_path, args.get("snapshot"), text)) return usage();
+  const core::Source source(
+      have_store ? core::Source(store) : core::Source(*text.read.dataset), filter);
 
   // The table-producing reports go through core::AnalysisRequest +
   // core::render_statistic — the same typed request and renderer the
@@ -359,17 +355,16 @@ int cmd_inspect(const Args& args) {
   for (const auto cls : model::kAllSystemClasses) {
     core::Filter f;
     f.system_class = cls;
-    const auto cohort = dataset.filter(f);
-    if (cohort.selected_system_count() == 0) continue;
+    const core::Source cohort(dataset, f);
+    const core::CohortCount count = cohort.count();
+    if (count.systems == 0) continue;
     std::size_t dual = 0;
-    core::Source(cohort).for_each_system(
+    cohort.for_each_system(
         [&](const log::InventorySystem& sys) { dual += sys.paths == model::PathConfig::kDualPath; });
-    table.add_row({std::string(model::to_string(cls)),
-                   std::to_string(cohort.selected_system_count()),
-                   std::to_string(cohort.selected_shelf_count()),
-                   std::to_string(cohort.selected_raid_group_count()),
-                   std::to_string(cohort.selected_disk_record_count()),
-                   core::fmt(cohort.disk_exposure_years(), 0), std::to_string(dual)});
+    table.add_row({std::string(model::to_string(cls)), std::to_string(count.systems),
+                   std::to_string(count.shelves), std::to_string(count.raid_groups),
+                   std::to_string(count.disk_records), core::fmt(cohort.disk_years().total, 0),
+                   std::to_string(dual)});
   }
   print(table, args);
 
@@ -399,7 +394,7 @@ int cmd_predict(const Args& args) {
   if (!load_text(args.get("logs"), args.get("snapshot"), text, &records)) return usage();
   core::Filter filter;
   if (!cli_filter(args, &filter)) return usage();
-  const core::Dataset dataset = text.read.dataset->filter(filter);
+  const core::Source cohort(*text.read.dataset, filter);
   const auto precursors = sim::extract_precursors(records);
   if (precursors.empty()) {
     std::cerr << "no component-error records in the logs — simulate with --precursors\n";
@@ -419,7 +414,7 @@ int cmd_predict(const Args& args) {
   for (const auto& p : pairs) {
     config.signal = p.signal;
     config.target = p.target;
-    const auto r = core::evaluate_predictor(dataset, precursors, config);
+    const auto r = core::evaluate_predictor(cohort, precursors, config);
     table.add_row({std::string(sim::to_string(p.signal)) + " -> " +
                        std::string(model::to_string(p.target)),
                    std::to_string(r.alarms), core::fmt_pct(r.precision(), 1),
