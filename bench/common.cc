@@ -1,17 +1,17 @@
 #include "common.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <limits>
+#include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "core/store_bridge.h"
 #include "obs/obs.h"
 #include "store/shards.h"
 #include "util/file.h"
@@ -78,69 +78,75 @@ void finish_run(const std::string& tool, const Options& options,
   }
 }
 
-const core::SimulationDataset& standard_dataset(const Options& options) {
+const StandardRun& standard_run(const Options& options) {
   if (!options.store.empty()) {
-    // Prebuilt-store fast path: mmap + rehydrate instead of simulating.
-    // Cached on path so repeated report sections don't re-open the file.
+    // Prebuilt-store fast path: mmap instead of simulating. Cached on path
+    // so repeated report sections don't re-open the file.
     static std::mutex store_mutex;
     static std::string store_path;
-    static std::unique_ptr<core::SimulationDataset> store_dataset;
+    static std::unique_ptr<store::ShardStore> shards;
+    static std::optional<StandardRun> cached;
     std::lock_guard<std::mutex> lock(store_mutex);
-    if (!store_dataset || store_path != options.store) {
-      store::ShardStore shards;
-      store::Error err = shards.open(options.store);
-      if (err.ok()) err = shards.open_all();
+    if (!cached || store_path != options.store) {
+      shards = std::make_unique<store::ShardStore>();
+      store::Error err = shards->open(options.store);
+      if (err.ok()) err = shards->open_all();
       if (!err.ok()) {
         std::cerr << "cannot open store " << options.store << ": " << err.describe() << "\n";
         std::exit(1);
       }
-      store_dataset = std::make_unique<core::SimulationDataset>(
-          core::simulation_dataset_from_shards(shards));
+      // The meta block carries the run's counters.
+      const store::StoreMeta& m = shards->meta();
+      cached = StandardRun{core::Source(*shards), m.log_lines_written, m.log_lines_parsed,
+                           m.failures_classified};
       store_path = options.store;
     }
-    return *store_dataset;
+    return *cached;
   }
 
   using Key = std::pair<double, std::uint64_t>;
   struct Entry {
     Key key;
-    std::unique_ptr<core::SimulationDataset> value;
+    std::unique_ptr<core::SimulationDataset> dataset;  ///< what `run` reads
+    StandardRun run;
   };
-  // LRU of at most 2 datasets (most-recently-used last): a seed or scale
-  // sweep touches many keys but only ever compares neighbors.
+  // LRU of at most 2 runs (most-recently-used last): a seed or scale
+  // sweep touches many keys but only ever compares neighbors. List nodes
+  // never move, so a returned run stays put while others come and go.
   static std::mutex mutex;
-  static std::vector<Entry> cache;
+  static std::list<Entry> cache;
   constexpr std::size_t kMaxEntries = 2;
 
   const Key key{options.scale, options.seed};
   std::lock_guard<std::mutex> lock(mutex);
-  for (std::size_t i = 0; i < cache.size(); ++i) {
-    if (cache[i].key == key) {
-      std::rotate(cache.begin() + static_cast<std::ptrdiff_t>(i),
-                  cache.begin() + static_cast<std::ptrdiff_t>(i) + 1, cache.end());
-      return *cache.back().value;
+  for (auto it = cache.begin(); it != cache.end(); ++it) {
+    if (it->key == key) {
+      cache.splice(cache.end(), cache, it);
+      return cache.back().run;
     }
   }
-  auto dataset = std::make_unique<core::SimulationDataset>(core::simulate_and_analyze(
-      model::standard_fleet_config(options.scale, options.seed)));
-  if (cache.size() >= kMaxEntries) cache.erase(cache.begin());
-  cache.push_back(Entry{key, std::move(dataset)});
-  return *cache.back().value;
+  auto sd = std::make_unique<core::SimulationDataset>(
+      core::simulate_and_analyze(model::standard_fleet_config(options.scale, options.seed)));
+  StandardRun run{core::Source(sd->dataset), sd->pipeline.log_lines_written,
+                  sd->pipeline.log_lines_parsed, sd->pipeline.failures_classified};
+  if (cache.size() >= kMaxEntries) cache.pop_front();
+  cache.push_back(Entry{key, std::move(sd), std::move(run)});
+  return cache.back().run;
 }
 
 void print_banner(std::ostream& out, const std::string& exhibit, const Options& options,
-                  const core::SimulationDataset& dataset) {
-  const core::Source fleet(dataset.dataset);
+                  const StandardRun& run) {
+  const core::Source& fleet = run.source;
   const core::CohortCount count = fleet.count();
   out << "\n================================================================\n"
       << exhibit << "\n"
       << "fleet scale " << options.scale << " (seed " << options.seed << "): "
       << count.systems << " systems, " << count.shelves << " shelves, " << count.disk_records
       << " disk records, " << core::fmt(fleet.disk_years().total, 0) << " disk-years, "
-      << dataset.dataset.events().size() << " subsystem failures\n"
-      << "pipeline: " << dataset.pipeline.log_lines_written << " log lines emitted, "
-      << dataset.pipeline.log_lines_parsed << " parsed, "
-      << dataset.pipeline.failures_classified << " failures classified\n"
+      << fleet.event_records() << " subsystem failures\n"
+      << "pipeline: " << run.log_lines_written << " log lines emitted, "
+      << run.log_lines_parsed << " parsed, " << run.failures_classified
+      << " failures classified\n"
       << "================================================================\n";
 }
 

@@ -15,9 +15,10 @@
 //                          bootstrap (default: STORSIM_THREADS env, else
 //                          hardware concurrency; results are identical for
 //                          any value — see docs/performance.md)
-//   --store=<path>         load the dataset from a prebuilt columnar store
-//                          (see docs/STORE.md) instead of simulating;
-//                          --scale/--seed are ignored for the report
+//   --store=<path>         read a prebuilt columnar store or shard directory
+//                          (see docs/STORE.md) through core::Source instead
+//                          of simulating; --scale/--seed are ignored for the
+//                          report
 //   --csv                  print tables as CSV instead of aligned text
 //   --metrics              print the obs metric snapshot to stderr at exit
 //   --trace=<path>         write a Chrome trace_event JSON of recorded spans
@@ -35,6 +36,7 @@
 #include "core/afr.h"
 #include "core/pipeline.h"
 #include "core/report.h"
+#include "core/source.h"
 
 namespace storsubsim::bench {
 
@@ -62,18 +64,28 @@ Options parse_options(int& argc, char** argv);
 void finish_run(const std::string& tool, const Options& options,
                 const std::vector<std::pair<std::string, double>>& numbers = {});
 
+/// The fleet a report reads — a Source over a simulated dataset or over an
+/// opened --store (no Dataset built) — and the run's log-pipeline counters.
+struct StandardRun {
+  core::Source source;
+  std::uint64_t log_lines_written = 0;
+  std::uint64_t log_lines_parsed = 0;
+  std::uint64_t failures_classified = 0;
+};
+
 /// Simulates the standard fleet and caches the result keyed on
 /// (scale, seed); the text-log round-trip is included so the report measures
 /// the same end-to-end path the paper's analysis took. The cache is a small
-/// LRU (at most 2 datasets) so seed/scale sweeps don't grow memory without
+/// LRU (at most 2 runs) so seed/scale sweeps don't grow memory without
 /// bound, and it is mutex-guarded for threaded benches. A returned reference
-/// stays valid until two further calls with *different* keys evict it.
-const core::SimulationDataset& standard_dataset(const Options& options);
+/// stays valid until two further calls with *different* keys evict it. With
+/// --store, the run is the opened store, cached on its path.
+const StandardRun& standard_run(const Options& options);
 
 /// Prints the exhibit banner: what is being reproduced, fleet scale, and the
-/// dataset's headline statistics.
+/// run's headline statistics.
 void print_banner(std::ostream& out, const std::string& exhibit, const Options& options,
-                  const core::SimulationDataset& dataset);
+                  const StandardRun& run);
 
 /// Renders a table honoring --csv.
 void print_table(std::ostream& out, const core::TextTable& table, const Options& options);

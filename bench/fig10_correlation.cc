@@ -17,7 +17,7 @@ namespace {
 
 using namespace storsubsim;
 
-void panel(const core::Dataset& ds, core::Scope scope, const char* title,
+void panel(const core::Source& ds, core::Scope scope, const char* title,
            const bench::Options& options) {
   std::cout << title << "\n";
   core::TextTable table({"failure type", "windows", "P(1)", "empirical P(2) (99.5% CI)",
@@ -39,7 +39,7 @@ void panel(const core::Dataset& ds, core::Scope scope, const char* title,
   bench::print_table(std::cout, table, options);
 }
 
-void multiplicity_panel(const core::Dataset& ds, const bench::Options& options) {
+void multiplicity_panel(const core::Source& ds, const bench::Options& options) {
   std::cout << "Generalized check, P(N) = P(1)^N / N! (paper equation 4), "
                "physical-interconnect failures per shelf-year:\n";
   core::TextTable table({"N", "empirical P(N)", "theoretical P(N)", "ratio"});
@@ -55,7 +55,7 @@ void multiplicity_panel(const core::Dataset& ds, const bench::Options& options) 
   bench::print_table(std::cout, table, options);
 }
 
-void sensitivity_panel(const core::Dataset& ds, const bench::Options& options) {
+void sensitivity_panel(const core::Source& ds, const bench::Options& options) {
   // The paper: "Although in Figure 10 we set T to be one year, the
   // conclusion is general to different values of T. We have set T to 3
   // months, 6 months, and 2 years ... In all cases, similar correlations
@@ -98,7 +98,7 @@ void sensitivity_panel(const core::Dataset& ds, const bench::Options& options) {
   bench::print_table(std::cout, by_class, options);
 }
 
-void dispersion_and_cross_panel(const core::Dataset& ds, const bench::Options& options) {
+void dispersion_and_cross_panel(const core::Source& ds, const bench::Options& options) {
   // A binning-free second lens: variance-to-mean of per-shelf-year counts
   // (1.0 under Poisson).
   std::cout << "Dispersion index (variance/mean of per-shelf-year counts; Poisson = 1)\n";
@@ -138,17 +138,17 @@ void dispersion_and_cross_panel(const core::Dataset& ds, const bench::Options& o
 }
 
 void report(const bench::Options& options) {
-  const auto& sd = bench::standard_dataset(options);
+  const auto& sd = bench::standard_run(options);
   bench::print_banner(std::cout,
                       "Figure 10: empirical vs theoretical P(2) under independence", options,
                       sd);
-  panel(sd.dataset, core::Scope::kShelf, "(a) shelf enclosure failures (T = 1 year)",
+  panel(sd.source, core::Scope::kShelf, "(a) shelf enclosure failures (T = 1 year)",
         options);
-  panel(sd.dataset, core::Scope::kRaidGroup, "(b) RAID group failures (T = 1 year)",
+  panel(sd.source, core::Scope::kRaidGroup, "(b) RAID group failures (T = 1 year)",
         options);
-  multiplicity_panel(sd.dataset, options);
-  sensitivity_panel(sd.dataset, options);
-  dispersion_and_cross_panel(sd.dataset, options);
+  multiplicity_panel(sd.source, options);
+  sensitivity_panel(sd.source, options);
+  dispersion_and_cross_panel(sd.source, options);
   std::cout << "Paper: empirical P(2) exceeds the independence prediction for every type "
                "(disk ~6x; interconnect/protocol/performance 10-25x), with t-tests "
                "significant at 99.5% — failures within a shelf or RAID group share "

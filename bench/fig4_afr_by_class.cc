@@ -63,14 +63,14 @@ void panel(const core::Source& source, const char* title, bool with_paper,
 }
 
 void report(const bench::Options& options) {
-  const auto& sd = bench::standard_dataset(options);
+  const auto& sd = bench::standard_run(options);
   bench::print_banner(std::cout,
                       "Figure 4: AFR by system class, broken down by failure type", options,
                       sd);
-  panel(sd.dataset, "(a) including storage subsystems using Disk H", false, options);
+  panel(sd.source, "(a) including storage subsystems using Disk H", false, options);
   core::Filter no_h;
   no_h.exclude_family_h = true;
-  panel(core::Source(sd.dataset, no_h),
+  panel(core::Source(sd.source, no_h),
         "(b) excluding storage subsystems using Disk H "
         "(paper columns: Figure 4(b) reference)",
         true, options);

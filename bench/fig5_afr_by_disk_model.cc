@@ -33,7 +33,7 @@ const Panel kPanels[6] = {
 };
 
 void report(const bench::Options& options) {
-  const auto& sd = bench::standard_dataset(options);
+  const auto& sd = bench::standard_run(options);
   bench::print_banner(std::cout, "Figure 5: AFR by disk model (6 class x shelf panels)",
                       options, sd);
 
@@ -41,7 +41,7 @@ void report(const bench::Options& options) {
     core::Filter f;
     f.system_class = panel.cls;
     f.shelf_model = model::ShelfModelName{panel.shelf};
-    const core::Source cohort(sd.dataset, f);
+    const core::Source cohort(sd.source, f);
     if (cohort.count().systems == 0) continue;
     std::cout << panel.title << "\n";
     core::TextTable table({"disk model", "disk", "phys-interconnect", "protocol",
@@ -67,7 +67,7 @@ void report(const bench::Options& options) {
   core::Filter no_h;
   no_h.exclude_family_h = true;
   double disk_spread = 0.0, subsystem_spread = 0.0;
-  const auto rows = core::afr_stability_by_disk_model(core::Source(sd.dataset, no_h));
+  const auto rows = core::afr_stability_by_disk_model(core::Source(sd.source, no_h));
   for (const auto& row : rows) {
     stability.add_row({row.disk_model, std::to_string(row.environments),
                        core::fmt(row.mean_disk_afr, 2),

@@ -34,7 +34,7 @@ const PaperRef kPaper[4] = {
 };
 
 void report(const bench::Options& options) {
-  const auto& sd = bench::standard_dataset(options);
+  const auto& sd = bench::standard_run(options);
   bench::print_banner(std::cout,
                       "Figure 6: low-end AFR by shelf enclosure model (per disk model)",
                       options, sd);
@@ -50,8 +50,8 @@ void report(const bench::Options& options) {
     fa.shelf_model = model::ShelfModelName{'A'};
     core::Filter fb = fa;
     fb.shelf_model = model::ShelfModelName{'B'};
-    const auto cmp = core::compare_cohorts(core::Source(sd.dataset, fa), "shelf A",
-                                           core::Source(sd.dataset, fb), "shelf B",
+    const auto cmp = core::compare_cohorts(core::Source(sd.source, fa), "shelf A",
+                                           core::Source(sd.source, fb), "shelf B",
                                            FailureType::kPhysicalInterconnect, 0.995);
     const auto& paper = kPaper[i];
     const std::string paper_cell =

@@ -24,13 +24,13 @@ struct PaperRef {
 const PaperRef kPaper[2] = {{1.82, 0.91}, {2.13, 0.90}};  // mid-range, high-end
 
 void report(const bench::Options& options) {
-  const auto& sd = bench::standard_dataset(options);
+  const auto& sd = bench::standard_run(options);
   bench::print_banner(std::cout, "Figure 7: AFR by number of interconnect paths", options,
                       sd);
 
   core::Filter no_h;
   no_h.exclude_family_h = true;
-  const core::Source ds(sd.dataset, no_h);
+  const core::Source ds(sd.source, no_h);
 
   core::TextTable table({"class", "single PI AFR (99.9% CI)", "dual PI AFR (99.9% CI)",
                          "PI reduction", "single total", "dual total", "total reduction",

@@ -21,7 +21,7 @@ namespace {
 using namespace storsubsim;
 using model::FailureType;
 
-void cdf_panel(const core::Dataset& ds, core::Scope scope, const char* title,
+void cdf_panel(const core::Source& ds, core::Scope scope, const char* title,
                const bench::Options& options) {
   const auto result = core::time_between_failures(core::Source(ds), scope);
   std::cout << title << "\n";
@@ -48,7 +48,7 @@ void cdf_panel(const core::Dataset& ds, core::Scope scope, const char* title,
                "interconnect burstiest, disk flattest)\n\n";
 }
 
-void fits_panel(const core::Dataset& ds, const bench::Options& options) {
+void fits_panel(const core::Source& ds, const bench::Options& options) {
   const auto shelf = core::time_between_failures(core::Source(ds), core::Scope::kShelf);
   std::cout << "Distribution fits to per-shelf interarrival gaps "
                "(chi-square GoF on a 150-sample cap; see EXPERIMENTS.md on test power)\n";
@@ -73,7 +73,7 @@ void fits_panel(const core::Dataset& ds, const bench::Options& options) {
                "bursty failure types.\n";
 }
 
-void per_class_panel(const core::Dataset& ds, const bench::Options& options) {
+void per_class_panel(const core::Source& ds, const bench::Options& options) {
   // Paper: "We repeated this analysis using data broken down by system
   // classes and shelf enclosure models. In all cases, similar patterns and
   // trends were observed."
@@ -100,14 +100,14 @@ void per_class_panel(const core::Dataset& ds, const bench::Options& options) {
 }
 
 void report(const bench::Options& options) {
-  const auto& sd = bench::standard_dataset(options);
+  const auto& sd = bench::standard_run(options);
   bench::print_banner(std::cout, "Figure 9: CDFs of time between failures", options, sd);
-  cdf_panel(sd.dataset, core::Scope::kShelf, "(a) failure distribution within a shelf",
+  cdf_panel(sd.source, core::Scope::kShelf, "(a) failure distribution within a shelf",
             options);
-  cdf_panel(sd.dataset, core::Scope::kRaidGroup,
+  cdf_panel(sd.source, core::Scope::kRaidGroup,
             "(b) failure distribution within a RAID group", options);
-  fits_panel(sd.dataset, options);
-  per_class_panel(sd.dataset, options);
+  fits_panel(sd.source, options);
+  per_class_panel(sd.source, options);
 }
 
 void BM_TimeBetweenFailures(benchmark::State& state) {

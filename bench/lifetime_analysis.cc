@@ -35,7 +35,7 @@ void hazard_table(const core::LifetimeReport& report, const bench::Options& opti
 }
 
 void report(const bench::Options& options) {
-  const auto& sd = bench::standard_dataset(options);
+  const auto& sd = bench::standard_run(options);
   bench::print_banner(std::cout, "Extension: disk lifetime survival and age-hazard",
                       options, sd);
 
@@ -49,7 +49,7 @@ void report(const bench::Options& options) {
       f.system_class = model::SystemClass::kLowEnd;
       f.exclude_family_h = true;
     }
-    const auto report = core::disk_lifetime_report(core::Source(sd.dataset, f));
+    const auto report = core::disk_lifetime_report(core::Source(sd.source, f));
     std::cout << (type == model::DiskType::kSata ? "SATA (near-line)" : "FC (low-end)")
               << ": " << report.disks << " disk records, " << report.failures
               << " disk failures, " << core::fmt_pct(report.censored_fraction, 1)

@@ -2,7 +2,7 @@
 //
 // Sweeps `simulate_and_analyze` (simulate -> emit logs -> parse -> classify)
 // across a thread ladder (default 1/2/4/8), verifies every configuration
-// produces the identical dataset, and writes the scaling curve to
+// produces the serial run's store image, and writes the scaling curve to
 // BENCH_parallel.json so later PRs can track the trajectory.
 //
 //   parallel_baseline [--threads-list=1,2,4,8] [--seed=<n>] [--repeat=<n>]
@@ -29,6 +29,8 @@
 #include <vector>
 
 #include "core/pipeline.h"
+#include "core/source.h"
+#include "core/store_bridge.h"
 #include "model/fleet_config.h"
 #include "obs/obs.h"
 #include "util/file.h"
@@ -43,7 +45,7 @@ using namespace storsubsim;
 struct Rung {
   unsigned threads = 1;
   double seconds = 0.0;
-  bool identical = true;  ///< dataset equals the serial rung's, event by event
+  bool identical = true;  ///< store image equals the serial rung's
 };
 
 struct Measurement {
@@ -58,7 +60,7 @@ double time_run(const model::FleetConfig& config, std::size_t* events_out,
   const auto start = std::chrono::steady_clock::now();
   const auto sd = core::simulate_and_analyze(config);
   const auto stop = std::chrono::steady_clock::now();
-  if (events_out != nullptr) *events_out = sd.dataset.events().size();
+  if (events_out != nullptr) *events_out = core::Source(sd.dataset).event_records();
   if (stages_out != nullptr) *stages_out = sd.pipeline.stage_seconds;
   return std::chrono::duration<double>(stop - start).count();
 }
@@ -77,12 +79,14 @@ double best_of(int repeat, const model::FleetConfig& config, std::size_t* events
   return best;
 }
 
+/// Runs are equal when they give the same store image, however each cut the
+/// fleet into parts.
 bool datasets_equal(const core::SimulationDataset& a, const core::SimulationDataset& b) {
-  if (a.dataset.events().size() != b.dataset.events().size()) return false;
-  for (std::size_t i = 0; i < a.dataset.events().size(); ++i) {
-    if (!(a.dataset.events()[i] == b.dataset.events()[i])) return false;
-  }
-  return true;
+  std::string image_a;
+  std::string image_b;
+  return store::build_store_image(core::store_contents(a, 0, 0.0), &image_a).ok() &&
+         store::build_store_image(core::store_contents(b, 0, 0.0), &image_b).ok() &&
+         image_a == image_b;
 }
 
 std::vector<unsigned> parse_threads_list(std::string_view text) {
@@ -172,8 +176,8 @@ int main(int argc, char** argv) {
     const auto& st = m.serial_stages;
     std::cout << "scale " << scale << ": " << m.events << " events\n"
               << "  serial stages: simulate " << st.simulate << " s, emit " << st.emit
-              << " s, parse " << st.parse << " s, classify " << st.classify << " s, sort "
-              << st.sort << " s, snapshot " << st.snapshot << " s\n";
+              << " s, parse " << st.parse << " s, classify " << st.classify << " s, snapshot "
+              << st.snapshot << " s\n";
     const double serial_seconds = m.sweep.front().seconds;
     for (const Rung& rung : m.sweep) {
       std::cout << "  " << rung.threads << " thread(s): " << rung.seconds << " s (speedup "
@@ -195,8 +199,7 @@ int main(int argc, char** argv) {
     out << "    {\"scale\": " << m.scale << ", \"events\": " << m.events
         << ",\n     \"serial_stage_seconds\": {\"simulate\": " << st.simulate
         << ", \"emit\": " << st.emit << ", \"parse\": " << st.parse
-        << ", \"classify\": " << st.classify << ", \"sort\": " << st.sort
-        << ", \"snapshot\": " << st.snapshot << "}"
+        << ", \"classify\": " << st.classify << ", \"snapshot\": " << st.snapshot << "}"
         << ",\n     \"sweep\": [";
     for (std::size_t r = 0; r < m.sweep.size(); ++r) {
       const Rung& rung = m.sweep[r];

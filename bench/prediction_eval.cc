@@ -48,7 +48,7 @@ void report(const bench::Options& options) {
   const auto precursors =
       sim::generate_precursors(fs.fleet, fs.result, sim::PrecursorParams::standard());
   const auto ds = core::dataset_in_memory(fs.fleet, fs.result);
-  std::cout << precursors.size() << " component-error events, " << ds.events().size()
+  std::cout << precursors.size() << " component-error events, " << core::Source(ds).event_records()
             << " failures\n\n";
 
   for (const auto& signal : kSignals) {

@@ -183,10 +183,11 @@ int main(int argc, char** argv) {
   double t0 = now_seconds();
   const auto run = core::simulate_and_analyze(model::standard_fleet_config(scale, seed));
   const double pipeline_seconds = now_seconds() - t0;
-  std::cout << "scale " << scale << ": " << run.dataset.events().size() << " failures, "
-            << run.dataset.inventory().disks.size() << " disk records ("
+  const core::Source fleet(run.dataset);
+  std::cout << "scale " << scale << ": " << fleet.event_records() << " failures, "
+            << fleet.disk_records() << " disk records ("
             << pipeline_seconds << " s full pipeline)\n";
-  const auto reference = core::afr_by_class(core::Source(run.dataset));
+  const auto reference = core::afr_by_class(fleet);
 
   // Build cost (paid once per simulation). The sharded path re-simulates in
   // chunks (that is the point: bounded memory), so its build time includes
@@ -332,8 +333,8 @@ int main(int argc, char** argv) {
   out << "{\n  \"benchmark\": \"store_rerun\",\n"
       << "  \"scale\": " << scale << ",\n  \"seed\": " << seed
       << ",\n  \"repeat\": " << repeat << ",\n"
-      << "  \"events\": " << run.dataset.events().size()
-      << ",\n  \"disk_records\": " << run.dataset.inventory().disks.size() << ",\n"
+      << "  \"events\": " << fleet.event_records()
+      << ",\n  \"disk_records\": " << fleet.disk_records() << ",\n"
       << "  \"store_bytes\": " << file_bytes << ",\n"
       << "  \"shards\": " << shard_count << ",\n";
   if (sharded) {

@@ -41,7 +41,7 @@ const PaperRow kPaperRows[4] = {
     {"5,003", "33,428", "single+dual", "454,684", "FC", "49,555", "8,240/7,395/1,576/153"},
 };
 
-void overview_table(const core::Dataset& dataset, const bench::Options& options) {
+void overview_table(const core::Source& dataset, const bench::Options& options) {
   core::TextTable table({"class", "systems", "shelves", "multipath", "disk records",
                          "disk type", "RAID groups", "events d/pi/pr/pe",
                          "paper: systems/shelves/disks/groups", "paper events"});
@@ -75,12 +75,12 @@ void overview_table(const core::Dataset& dataset, const bench::Options& options)
 }
 
 void report(const bench::Options& options) {
-  const auto& sd = bench::standard_dataset(options);
+  const auto& sd = bench::standard_run(options);
   bench::print_banner(std::cout, "Table 1: overview of the studied storage systems", options,
                       sd);
   std::cout << "(a) standard deployment model (uniform over the first half of the study; "
                "~2.7 y mean exposure)\n";
-  overview_table(sd.dataset, options);
+  overview_table(sd.source, options);
 
   // The paper's Table 1 event counts imply ~1 year of average per-disk
   // exposure (see EXPERIMENTS.md): reproduce them with a back-loaded
@@ -112,7 +112,7 @@ void BM_EndToEndPipeline(benchmark::State& state) {
   const auto config = model::standard_fleet_config(bench::kTimingScale, 1);
   for (auto _ : state) {
     const auto sd = core::simulate_and_analyze(config);
-    benchmark::DoNotOptimize(sd.dataset.events().size());
+    benchmark::DoNotOptimize(core::Source(sd.dataset).event_records());
   }
 }
 BENCHMARK(BM_EndToEndPipeline)->Unit(benchmark::kMillisecond);

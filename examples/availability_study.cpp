@@ -39,7 +39,7 @@ int main() {
 
   std::cout << "Fleet: " << fs.fleet.systems().size() << " systems, "
             << fs.fleet.raid_groups().size() << " RAID groups (50% RAID4 / 50% RAID6), "
-            << ds.events().size() << " subsystem failures over 44 months.\n\n";
+            << core::Source(ds).event_records() << " subsystem failures over 44 months.\n\n";
 
   // --- what actually happens under the measured, correlated failures --------
   sim::RecoveryPolicy policy;  // 12 h rebuilds, 2 hot spares, 3-day restock
@@ -59,7 +59,7 @@ int main() {
 
   // --- what the design-doc math predicts -------------------------------------
   const double per_disk_rate =
-      static_cast<double>(ds.events().size()) / core::Source(ds).disk_years().total;
+      static_cast<double>(core::Source(ds).event_records()) / core::Source(ds).disk_years().total;
   core::RaidGroupModel analytic;
   analytic.disks = 8;
   analytic.disk_afr_fraction = 1.0 - std::exp(-per_disk_rate);

@@ -27,7 +27,7 @@ int main() {
   const auto tbf = core::time_between_failures(core::Source(sd.dataset), core::Scope::kShelf);
 
   std::cout << "Fitting interarrival models to per-shelf failure gaps ("
-            << sd.dataset.events().size() << " failures)\n\n";
+            << core::Source(sd.dataset).event_records() << " failures)\n\n";
 
   for (const auto type : model::kAllFailureTypes) {
     const auto& gaps = tbf.gaps[core::series_of(type)];

@@ -12,13 +12,15 @@
 // Given a prebuilt columnar store (storsubsim store build, docs/STORE.md),
 // the ledger section reads the archived failures from the store instead of
 // replaying synthetic logs — the same forensics over a whole recorded fleet.
+#include <algorithm>
 #include <array>
 #include <iostream>
 #include <sstream>
+#include <tuple>
+#include <vector>
 
 #include "core/report.h"
 #include "core/source.h"
-#include "core/store_bridge.h"
 #include "log/classifier.h"
 #include "log/emitter.h"
 #include "log/parser.h"
@@ -58,16 +60,23 @@ bool ledger_from_store(const char* path) {
   std::cout << "Archived run from " << path << " (seed " << m.seed << ", scale "
             << m.scale << "): " << m.events << " classified failures over "
             << m.disks_total << " disk records.\n\nFirst ten entries of the recovered ledger:\n";
-  const auto dataset = core::dataset_from_shards(shards);
-  core::TextTable table({"detected at (s)", "disk", "failure type", "class"});
-  std::size_t shown = 0;
+  // A store yields events shard by shard and class by class; the ledger
+  // shows the first ten in detection order, (time, disk, type).
+  std::vector<core::EventRow> rows;
   std::array<std::size_t, 4> by_type{};
-  core::Source(dataset).for_each_event([&](const core::EventRow& e) {
+  core::Source(shards).for_each_event([&](const core::EventRow& e) {
     ++by_type[model::index_of(e.type)];
-    if (++shown > 10) return;
+    rows.push_back(e);
+  });
+  std::sort(rows.begin(), rows.end(), [](const core::EventRow& a, const core::EventRow& b) {
+    return std::tie(a.time, a.disk, a.type) < std::tie(b.time, b.disk, b.type);
+  });
+  core::TextTable table({"detected at (s)", "disk", "failure type", "class"});
+  for (std::size_t i = 0; i < std::min<std::size_t>(10, rows.size()); ++i) {
+    const core::EventRow& e = rows[i];
     table.add_row({core::fmt(e.time, 0), std::to_string(e.disk),
                    std::string(model::to_string(e.type)), std::string(model::to_string(e.cls))});
-  });
+  }
   table.print(std::cout);
   core::TextTable tally({"failure type", "events"});
   for (const auto type : model::kAllFailureTypes) {

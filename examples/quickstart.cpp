@@ -33,7 +33,7 @@ int main() {
   const core::CohortCount count = source.count();
   std::cout << "Simulated " << count.systems << " systems / " << count.disk_records
             << " disks over 44 months: "
-            << dataset.events().size() << " storage subsystem failures ("
+            << core::Source(dataset).event_records() << " storage subsystem failures ("
             << sd.pipeline.log_lines_written << " log lines round-tripped)\n\n";
 
   // 3. Annualized failure rates, broken down by failure type and class.

@@ -98,7 +98,7 @@ Dataset dataset_via_logs(const model::Fleet& fleet, const sim::SimResult& result
 
   if (stats != nullptr) *stats = local;
   return Dataset(std::make_shared<log::Inventory>(std::move(snapshot.inventory)),
-                 std::move(classified));
+                 std::move(classified), fleet.initial_disk_count());
 }
 
 TextDataset dataset_from_text(std::string_view log_text, std::string_view snapshot_text,
@@ -137,7 +137,7 @@ Dataset dataset_in_memory(const model::Fleet& fleet, const sim::SimResult& resul
     events.push_back(FailureEvent{f.detect_time, f.disk, f.system, f.type});
   }
   return Dataset(std::make_shared<log::Inventory>(log::inventory_from_fleet(fleet)),
-                 std::move(events));
+                 std::move(events), fleet.initial_disk_count());
 }
 
 std::vector<std::size_t> chunk_bounds(const model::FleetPlan& plan, std::size_t chunks) {
@@ -161,9 +161,9 @@ std::vector<std::size_t> chunk_bounds(const model::FleetPlan& plan, std::size_t 
   return bounds;
 }
 
-ChunkRun run_chunk(const model::FleetConfig& config, const sim::SimParams& params,
-                   std::size_t sys_begin, std::size_t sys_end, std::uint64_t shelf_base,
-                   bool through_text_logs) {
+SimulationDataset run_chunk(const model::FleetConfig& config, const sim::SimParams& params,
+                            std::size_t sys_begin, std::size_t sys_end,
+                            std::uint64_t shelf_base, bool through_text_logs) {
   obs::Span span("pipeline.simulate");
   model::Fleet fleet = model::Fleet::build_chunk(config, sys_begin, sys_end);
   sim::SimIndexBases bases;
@@ -177,100 +177,7 @@ ChunkRun run_chunk(const model::FleetConfig& config, const sim::SimParams& param
   Dataset dataset = through_text_logs ? dataset_via_logs(fleet, result, &pipeline)
                                       : dataset_in_memory(fleet, result);
   pipeline.stage_seconds.simulate = simulate_seconds;
-  return ChunkRun{SimulationDataset{std::move(dataset), result.counters, pipeline},
-                  fleet.initial_disk_count()};
-}
-
-Dataset stitch_chunks(std::span<const DatasetChunk> chunks, double horizon_seconds) {
-  // Global id of each chunk's first record of each kind: prefix sums. A
-  // chunk's replacement disks follow every chunk's initial disks.
-  struct Bases {
-    std::uint32_t system = 0;
-    std::uint32_t shelf = 0;
-    std::uint32_t raid_group = 0;
-    std::uint32_t disk = 0;         ///< the chunk's first initial disk
-    std::uint32_t replacement = 0;  ///< the chunk's first replacement disk
-    std::size_t event = 0;          ///< the chunk's first event slot
-  };
-  std::vector<Bases> bases(chunks.size() + 1);
-  std::uint32_t disks_initial = 0;
-  for (const DatasetChunk& chunk : chunks) {
-    disks_initial += static_cast<std::uint32_t>(chunk.disks_initial);
-  }
-  bases[0].replacement = disks_initial;
-  for (std::size_t c = 0; c < chunks.size(); ++c) {
-    const log::Inventory& local = *chunks[c].inventory;
-    const auto initial = static_cast<std::uint32_t>(chunks[c].disks_initial);
-    bases[c + 1] = bases[c];
-    bases[c + 1].system += static_cast<std::uint32_t>(local.systems.size());
-    bases[c + 1].shelf += static_cast<std::uint32_t>(local.shelves.size());
-    bases[c + 1].raid_group += static_cast<std::uint32_t>(local.raid_groups.size());
-    bases[c + 1].disk += initial;
-    bases[c + 1].replacement += static_cast<std::uint32_t>(local.disks.size()) - initial;
-    bases[c + 1].event += chunks[c].events.size();
-  }
-  const Bases& total = bases.back();
-
-  // Every record lands at its global id (entry i of each local vector has
-  // local id i), so the chunks fill disjoint slots in parallel.
-  log::Inventory inv;
-  inv.horizon_seconds = horizon_seconds;
-  inv.systems.resize(total.system);
-  inv.shelves.resize(total.shelf);
-  inv.raid_groups.resize(total.raid_group);
-  inv.disks.resize(total.replacement);
-  std::vector<FailureEvent> events(total.event);
-  util::parallel_for(chunks.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t c = begin; c < end; ++c) {
-      const Bases& at = bases[c];
-      const log::Inventory& local = *chunks[c].inventory;
-      const auto initial = static_cast<std::uint32_t>(chunks[c].disks_initial);
-      auto system = [&](model::SystemId id) { return model::SystemId(at.system + id.value()); };
-      auto disk = [&](model::DiskId id) {
-        return model::DiskId(id.value() < initial ? at.disk + id.value()
-                                                  : at.replacement + (id.value() - initial));
-      };
-      for (log::InventorySystem s : local.systems) {
-        s.id = system(s.id);
-        inv.systems[s.id.value()] = s;
-      }
-      for (log::InventoryShelf sh : local.shelves) {
-        sh.id = model::ShelfId(at.shelf + sh.id.value());
-        sh.system = system(sh.system);
-        inv.shelves[sh.id.value()] = sh;
-      }
-      for (log::InventoryRaidGroup g : local.raid_groups) {
-        g.id = model::RaidGroupId(at.raid_group + g.id.value());
-        g.system = system(g.system);
-        inv.raid_groups[g.id.value()] = g;
-      }
-      for (log::InventoryDisk d : local.disks) {
-        d.id = disk(d.id);
-        d.system = system(d.system);
-        d.shelf = model::ShelfId(at.shelf + d.shelf.value());
-        if (d.raid_group.valid()) {
-          d.raid_group = model::RaidGroupId(at.raid_group + d.raid_group.value());
-        }
-        inv.disks[d.id.value()] = d;
-      }
-      std::size_t slot = at.event;
-      for (FailureEvent e : chunks[c].events) {
-        e.disk = disk(e.disk);
-        e.system = system(e.system);
-        events[slot++] = e;
-      }
-    }
-  });
-
-  // The classifier's order; global ids make the key the whole fleet's.
-  obs::Span sort_span("pipeline.sort");
-  std::sort(events.begin(), events.end(), [](const FailureEvent& a, const FailureEvent& b) {
-    if (a.time != b.time) return a.time < b.time;
-    if (a.disk != b.disk) return a.disk < b.disk;
-    return static_cast<int>(a.type) < static_cast<int>(b.type);
-  });
-  sort_span.stop();
-  return Dataset(std::make_shared<log::Inventory>(std::move(inv)), std::move(events));
+  return SimulationDataset{std::move(dataset), result.counters, pipeline};
 }
 
 SimulationDataset simulate_and_analyze(const model::FleetConfig& config,
@@ -293,7 +200,7 @@ SimulationDataset simulate_and_analyze(const model::FleetConfig& config,
     for (std::size_t c = 0; c < chunks; ++c) shelf_bases[c] = plan.shelves[bounds[c]];
   }
 
-  std::vector<std::optional<ChunkRun>> runs(chunks);
+  std::vector<std::optional<SimulationDataset>> runs(chunks);
   util::parallel_for(chunks, [&](std::size_t begin, std::size_t end) {
     for (std::size_t c = begin; c < end; ++c) {
       obs::Span span("pipeline.chunk");
@@ -301,24 +208,18 @@ SimulationDataset simulate_and_analyze(const model::FleetConfig& config,
                           through_text_logs);
     }
   });
-  if (chunks == 1) return std::move(runs[0]->run);
+  if (chunks == 1) return std::move(*runs[0]);
 
-  obs::Span span("pipeline.stitch");
   sim::SimCounters counters;
   PipelineStats pipeline;
-  std::vector<DatasetChunk> pieces;
-  pieces.reserve(chunks);
-  for (const std::optional<ChunkRun>& chunk : runs) {
-    counters += chunk->run.counters;
-    accumulate(pipeline, chunk->run.pipeline);
-    pieces.push_back(DatasetChunk{&chunk->run.dataset.inventory(),
-                                  chunk->run.dataset.events(), chunk->disks_initial});
+  std::vector<Dataset> parts;
+  parts.reserve(chunks);
+  for (std::optional<SimulationDataset>& run : runs) {
+    counters += run->counters;
+    accumulate(pipeline, run->pipeline);
+    parts.push_back(std::move(run->dataset));
   }
-  // The chunks' inventories carry the horizon as the snapshot round trip
-  // left it.
-  Dataset dataset = stitch_chunks(pieces, pieces[0].inventory->horizon_seconds);
-  pipeline.stage_seconds.sort = span.stop();
-  return SimulationDataset{std::move(dataset), counters, pipeline};
+  return SimulationDataset{Dataset(std::move(parts)), counters, pipeline};
 }
 
 }  // namespace storsubsim::core

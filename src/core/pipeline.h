@@ -9,11 +9,13 @@
 // Parallelism: `simulate_and_analyze` cuts the fleet into contiguous global
 // system ranges ("chunks"), one per worker, and runs each chunk whole on
 // one worker — fleet build, simulation and text round trip (`run_chunk`,
-// the same runner the sharded store build uses). `stitch_chunks` then
-// rebases the chunk-local ids into the one Dataset the whole fleet gives.
-// Chunk fleets are positioned by RNG fork replay and simulated with
-// substreams keyed by global indices, so the result is bit-identical for
-// any chunk count and thread count.
+// the same runner the sharded store build uses). The chunks' one-part
+// Datasets become the parts of the returned Dataset as they are, in their
+// chunk-local ids: nothing is stitched into a fleet-wide copy, and the
+// readers (core::Source, the store writer) rebase ids part by part. Chunk
+// fleets are positioned by RNG fork replay and simulated with substreams
+// keyed by global indices, so every answer, and every store image, is
+// bit-identical for any chunk count and thread count.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +43,6 @@ struct StageSeconds {
   double emit = 0.0;
   double parse = 0.0;
   double classify = 0.0;
-  double sort = 0.0;      ///< stitch of the chunk outputs (wall, calling thread)
   double snapshot = 0.0;  ///< config-snapshot write + parse
 };
 
@@ -55,7 +56,7 @@ struct PipelineStats {
   StageSeconds stage_seconds;
 };
 
-/// Builds a Dataset from an already-run simulation via the text-log
+/// Builds a one-part Dataset from an already-run simulation via the text-log
 /// round-trip, serially on the calling thread: emit -> parse -> classify,
 /// then write -> parse the config snapshot, and join. Throws if the
 /// snapshot does not parse back.
@@ -79,7 +80,8 @@ struct TextDataset {
 TextDataset dataset_from_text(std::string_view log_text, std::string_view snapshot_text,
                               std::vector<log::LogView>* records = nullptr);
 
-/// Builds a Dataset directly from simulator output (no text round-trip).
+/// Builds a one-part Dataset directly from simulator output (no text
+/// round-trip).
 Dataset dataset_in_memory(const model::Fleet& fleet, const sim::SimResult& result);
 
 /// Chunk boundaries in global system indices: `chunks + 1` cut points,
@@ -96,45 +98,23 @@ struct SimulationDataset {
   PipelineStats pipeline;
 };
 
-/// One chunk's run, in chunk-local dense ids (entry i of each inventory
-/// vector has id i; disks [0, disks_initial) are the chunk's initial disks,
-/// the rest its replacements).
-struct ChunkRun {
-  SimulationDataset run;
-  std::size_t disks_initial = 0;
-};
-
 /// The chunk runner: builds global systems [sys_begin, sys_end) as a chunk
 /// fleet (model::Fleet::build_chunk), simulates it with RNG substreams keyed
 /// by global indices (`shelf_base` = global index of the chunk's first
-/// shelf), and turns it into a dataset through dataset_via_logs, or
-/// dataset_in_memory when `through_text_logs` is false. Serial except for
-/// the simulator's own fan-out, which runs inline on a pool worker.
-ChunkRun run_chunk(const model::FleetConfig& config, const sim::SimParams& params,
-                   std::size_t sys_begin, std::size_t sys_end, std::uint64_t shelf_base,
-                   bool through_text_logs);
-
-/// One chunk of a fleet for stitch_chunks: its inventory and events in
-/// chunk-local ids, and its count of initial disk records.
-struct DatasetChunk {
-  const log::Inventory* inventory = nullptr;
-  std::span<const FailureEvent> events;
-  std::size_t disks_initial = 0;
-};
-
-/// Stitches chunks, given in global system order, into the one Dataset of
-/// the whole fleet. Each chunk's ids are rebased by the preceding chunks'
-/// counts: systems, shelves and RAID groups chunk-major; disks as every
-/// chunk's initial block in chunk order, then every chunk's replacement
-/// block in chunk order (the whole fleet's order, docs/STORE.md). Events
-/// are then sorted into the classifier's (time, disk, type) order, so the
-/// result is bit-identical to the whole fleet's.
-Dataset stitch_chunks(std::span<const DatasetChunk> chunks, double horizon_seconds);
+/// shelf), and turns it into a one-part dataset in chunk-local ids (its
+/// part's ids.disks_initial = the chunk's initial disks) through
+/// dataset_via_logs, or dataset_in_memory when `through_text_logs` is
+/// false. Serial except for the simulator's own fan-out, which runs inline
+/// on a pool worker.
+SimulationDataset run_chunk(const model::FleetConfig& config, const sim::SimParams& params,
+                            std::size_t sys_begin, std::size_t sys_end,
+                            std::uint64_t shelf_base, bool through_text_logs);
 
 /// One-call convenience: build, simulate and analyze the fleet, through
 /// the text logs by default. Runs one chunk per worker (the thread count,
-/// capped at the system count) on the pool and stitches them; one chunk
-/// skips the plan pass and the stitch. Bit-identical for any thread count.
+/// capped at the system count) on the pool; the chunks' datasets are the
+/// returned Dataset's parts, in chunk order. One chunk skips the plan pass.
+/// Bit-identical answers for any thread count.
 SimulationDataset simulate_and_analyze(const model::FleetConfig& config,
                                        const sim::SimParams& params = sim::SimParams::standard(),
                                        bool through_text_logs = true);

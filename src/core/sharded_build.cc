@@ -107,10 +107,11 @@ store::Error build_sharded_store(const std::string& dir, const model::FleetConfi
           const std::size_t sys_begin = bounds[s];
           const std::size_t sys_end = bounds[s + 1];
 
-          const ChunkRun chunk =
+          const SimulationDataset chunk =
               run_chunk(config, options.params, sys_begin, sys_end,
                         plan.shelves[sys_begin], /*through_text_logs=*/true);
-          const log::Inventory& inv = chunk.run.dataset.inventory();
+          const Dataset::Part& part = chunk.dataset.parts()[0];
+          const log::Inventory& inv = *part.inventory;
 
           store::ShardInfo& info = infos[s];
           info.file = shard_file_name(s);
@@ -119,14 +120,14 @@ store::Error build_sharded_store(const std::string& dir, const model::FleetConfi
           info.systems = inv.systems.size();
           info.shelves = inv.shelves.size();
           info.raid_groups = inv.raid_groups.size();
-          info.disks_initial = chunk.disks_initial;
+          info.disks_initial = part.ids.disks_initial;
           info.disks_total = inv.disks.size();
-          info.events = chunk.run.dataset.events().size();
+          info.events = part.events.size();
 
           std::string path = dir;
           path += '/';
           path += info.file;
-          errors[s] = write_store(path, chunk.run, config.seed, config.scale);
+          errors[s] = write_store(path, chunk, config.seed, config.scale);
           seconds[s] = shard_span.stop();
         }
       },

@@ -1,8 +1,8 @@
 // Sharded store builds: mega-fleets in bounded memory.
 //
 // The single-file path (simulate_and_analyze + write_store) runs the same
-// chunks but keeps every chunk's dataset and stitches them into one fleet-
-// wide Dataset and one store image, so its peak RSS grows linearly with
+// chunks but keeps every chunk's dataset, as the parts of one Dataset, and
+// encodes them into one store image, so its peak RSS grows linearly with
 // --scale. build_sharded_store instead writes each chunk out as a
 // standalone STORCOL1 shard as soon as its worker finishes it, so peak
 // memory is bounded by the chunks in flight, not the fleet. Both run each

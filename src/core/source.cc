@@ -16,33 +16,15 @@ bool Filter::selects(const log::InventorySystem& system) const {
   return true;
 }
 
-Source::SystemColumns::SystemColumns(const store::EventStore& shard)
-    : cls(shard.topology(store::ColumnId::kSysClass)->as_u8()),
-      paths(shard.topology(store::ColumnId::kSysPaths)->as_u8()),
-      disk_family(shard.topology(store::ColumnId::kSysDiskFamily)->as_u8()),
-      shelf_model(shard.topology(store::ColumnId::kSysShelfModel)->as_u8()),
-      disk_cap(shard.topology(store::ColumnId::kSysDiskCap)->as_u32()),
-      cohort(shard.topology(store::ColumnId::kSysCohort)->as_u32()),
-      deploy(shard.topology(store::ColumnId::kSysDeploy)->as_f64()) {}
-
-log::InventorySystem Source::SystemColumns::row(std::uint32_t local,
-                                                std::uint32_t global) const {
-  log::InventorySystem sys;
-  sys.id = model::SystemId(global);
-  sys.cls = static_cast<model::SystemClass>(cls[local]);
-  sys.paths = static_cast<model::PathConfig>(paths[local]);
-  sys.disk_model = {static_cast<char>(disk_family[local]), static_cast<int>(disk_cap[local])};
-  sys.shelf_model = {static_cast<char>(shelf_model[local])};
-  sys.deploy_time = deploy[local];
-  sys.cohort = cohort[local];
-  return sys;
-}
-
 Source::Source(const Source& base, const Filter& filter)
     : dataset_(base.dataset_), shards_(base.shards_) {
-  mask_.assign(dataset_ != nullptr ? dataset_->inventory().systems.size()
-                                   : static_cast<std::size_t>(shards_->manifest().systems),
-               0);
+  std::size_t systems = 0;
+  if (dataset_ != nullptr) {
+    for (const Dataset::Part& p : dataset_->parts()) systems += p.inventory->systems.size();
+  } else {
+    systems = static_cast<std::size_t>(shards_->manifest().systems);
+  }
+  mask_.assign(systems, 0);
   std::size_t selected = 0;
   base.for_each_system([&](const log::InventorySystem& sys) {
     if (!filter.selects(sys)) return;
@@ -54,18 +36,22 @@ Source::Source(const Source& base, const Filter& filter)
 }
 
 double Source::horizon_seconds() const noexcept {
-  return dataset_ != nullptr ? dataset_->inventory().horizon_seconds
+  return dataset_ != nullptr ? dataset_->parts()[0].inventory->horizon_seconds
                              : shards_->manifest().horizon_seconds;
 }
 
 std::size_t Source::event_records() const noexcept {
-  return dataset_ != nullptr ? dataset_->events().size()
-                             : static_cast<std::size_t>(shards_->manifest().events);
+  if (dataset_ == nullptr) return static_cast<std::size_t>(shards_->manifest().events);
+  std::size_t n = 0;
+  for (const Dataset::Part& p : dataset_->parts()) n += p.events.size();
+  return n;
 }
 
 std::size_t Source::disk_records() const noexcept {
-  return dataset_ != nullptr ? dataset_->inventory().disks.size()
-                             : static_cast<std::size_t>(shards_->manifest().disks_total);
+  if (dataset_ == nullptr) return static_cast<std::size_t>(shards_->manifest().disks_total);
+  std::size_t n = 0;
+  for (const Dataset::Part& p : dataset_->parts()) n += p.inventory->disks.size();
+  return n;
 }
 
 CohortCount Source::count() const {
@@ -97,9 +83,7 @@ DiskYears Source::disk_years() const {
   });
   const double horizon = horizon_seconds();
   for_each_disk([&](const DiskRow& d) {
-    const double start = std::max(0.0, d.install_time);
-    const double end = std::min(horizon, d.remove_time);
-    const double years = end > start ? model::years(end - start) : 0.0;
+    const double years = model::exposure_years(d.install_time, d.remove_time, horizon);
     out.total += years;
     out.by_class[class_of[d.system]] += years;
   });

@@ -7,15 +7,18 @@
 // has one collection loop whatever the backend. The backends are pinned
 // bit-identical by the Source equivalence suite (tests/core/source_test.cc).
 //
-// Rows carry global ids (a store walk rebases shard-local ids through the
-// manifest's bases). The walks are inlined templates, so an analysis pays
-// only for the row fields it reads:
-//   - for_each_event: cohort failures. Dataset order is (time, disk, type);
-//     a store goes shard by shard and class by class, each class in (time,
-//     disk, type) order, so a shelf's or RAID group's events (one system,
-//     one shard, one class) arrive in time order on either backend.
-//   - for_each_disk: cohort disk records in ascending global id — for a
-//     store, every shard's initial disks, then every shard's replacements.
+// Both backends are a list of pieces in global system order — a Dataset's
+// parts, a store's shards — each in piece-local ids with the store::IdBases
+// that globalize them. Every walk is written once over for_each_piece: a
+// piece yields its rows in local ids (PartRows or ShardRows, the only code
+// that reads either layout), and the walk rebases them. The walks are
+// inlined templates, so an analysis pays only for the row fields it reads:
+//   - for_each_event: cohort failures, piece by piece. A Dataset part yields
+//     (time, disk, type) order; a shard goes class by class, each class in
+//     (time, disk, type) order. So a shelf's or RAID group's events (one
+//     system, one piece, one class) arrive in time order on either backend.
+//   - for_each_disk: cohort disk records in ascending global id — every
+//     piece's initial disks, then every piece's replacements.
 //   - for_each_system / for_each_scope: cohort systems, shelves and RAID
 //     groups in ascending global id.
 //   - disk_years: the cohort's disk-years, summed in disk-id order (the
@@ -28,7 +31,8 @@
 // and every walk tests it; a Source over a whole Dataset or store has no
 // mask. On a store the predicate reads the kSys* topology columns, so
 // Source(store, filter) answers bit for bit as Source(dataset, filter) over
-// the Dataset the store was written from, no Dataset built.
+// the Dataset the store was written from, no Dataset built; how either
+// backend is cut into pieces never shows in an answer.
 //
 // Precondition: a Source over a ShardStore has every shard open. The walks
 // read shard(i) directly and have no error channel. Every in-tree entry
@@ -170,138 +174,205 @@ class Source {
   bool selected(std::uint64_t system) const noexcept {
     return mask_.empty() || mask_[system] != 0;
   }
-  /// One shard's system columns, read as inventory records.
-  struct SystemColumns {
-    explicit SystemColumns(const store::EventStore& shard);
-    log::InventorySystem row(std::uint32_t local, std::uint32_t global) const;
 
-    std::span<const std::uint8_t> cls, paths, disk_family, shelf_model;
-    std::span<const std::uint32_t> disk_cap, cohort;
-    std::span<const double> deploy;
+  // The two layouts, in local ids.
+
+  /// One Dataset part's rows.
+  struct PartRows {
+    const Dataset::Part& part;
+
+    std::size_t disk_count() const noexcept { return part.inventory->disks.size(); }
+
+    /// g(row) for each event whose local system passes keep(system).
+    template <class K, class G>
+    void for_each_event(K&& keep, G&& g) const {
+      const log::Inventory& inv = *part.inventory;
+      for (const FailureEvent& e : part.events) {
+        if (!keep(e.system.value())) continue;
+        const log::InventoryDisk& disk = inv.disks[e.disk.value()];
+        const log::InventorySystem& sys = inv.systems[e.system.value()];
+        g(EventRow{e.time, e.type, e.disk.value(), e.system.value(), disk.shelf.value(),
+                   disk.raid_group.value(), sys.deploy_time, disk.model, sys.shelf_model,
+                   sys.cls, sys.paths});
+      }
+    }
+    template <class G>
+    void for_each_disk(std::size_t first, std::size_t last, G&& g) const {
+      const auto& disks = part.inventory->disks;
+      for (std::size_t i = first; i < last; ++i) {
+        g(DiskRow{disks[i].id.value(), disks[i].system.value(), disks[i].install_time,
+                  disks[i].remove_time});
+      }
+    }
+    template <class G>
+    void for_each_system(G&& g) const {
+      for (const log::InventorySystem& sys : part.inventory->systems) g(sys);
+    }
+    /// g(row, owning system).
+    template <class G>
+    void for_each_scope(Scope scope, G&& g) const {
+      const log::Inventory& inv = *part.inventory;
+      const auto deploy = [&](model::SystemId system) {
+        return inv.systems[system.value()].deploy_time;
+      };
+      if (scope == Scope::kShelf) {
+        for (const auto& sh : inv.shelves) {
+          g(ScopeRow{sh.id.value(), deploy(sh.system), model::RaidType{}}, sh.system.value());
+        }
+      } else {
+        for (const auto& rg : inv.raid_groups) {
+          g(ScopeRow{rg.id.value(), deploy(rg.system), rg.type}, rg.system.value());
+        }
+      }
+    }
   };
+
+  /// One store shard's rows, read from its columns.
+  struct ShardRows {
+    const store::EventStore& shard;
+
+    std::span<const std::uint8_t> u8(store::ColumnId id) const {
+      return shard.topology(id)->as_u8();
+    }
+    std::span<const std::uint32_t> u32(store::ColumnId id) const {
+      return shard.topology(id)->as_u32();
+    }
+    std::span<const double> f64(store::ColumnId id) const {
+      return shard.topology(id)->as_f64();
+    }
+    std::size_t disk_count() const { return u32(store::ColumnId::kDiskSystem).size(); }
+
+    template <class K, class G>
+    void for_each_event(K&& keep, G&& g) const {
+      const auto sys_deploy = f64(store::ColumnId::kSysDeploy);
+      const auto sys_shelf_model = u8(store::ColumnId::kSysShelfModel);
+      const auto sys_paths = u8(store::ColumnId::kSysPaths);
+      const auto disk_family = u8(store::ColumnId::kDiskFamily);
+      const auto disk_cap = u32(store::ColumnId::kDiskCap);
+      for (const auto cls : model::kAllSystemClasses) {
+        const store::EventView& view = shard.events(cls);
+        for (std::size_t i = 0; i < view.size(); ++i) {
+          const std::uint32_t at = view.system[i];
+          if (!keep(at)) continue;
+          const std::uint32_t disk = view.disk[i];
+          g(EventRow{view.time[i], static_cast<model::FailureType>(view.type[i]), disk, at,
+                     view.shelf[i], view.raid_group[i], sys_deploy[at],
+                     {static_cast<char>(disk_family[disk]), static_cast<int>(disk_cap[disk])},
+                     {static_cast<char>(sys_shelf_model[at])}, cls,
+                     static_cast<model::PathConfig>(sys_paths[at])});
+        }
+      }
+    }
+    template <class G>
+    void for_each_disk(std::size_t first, std::size_t last, G&& g) const {
+      const auto system = u32(store::ColumnId::kDiskSystem);
+      const auto install = f64(store::ColumnId::kDiskInstall);
+      const auto remove = f64(store::ColumnId::kDiskRemove);
+      for (std::size_t i = first; i < last; ++i) {
+        g(DiskRow{static_cast<std::uint32_t>(i), system[i], install[i], remove[i]});
+      }
+    }
+    /// Yields each local system as an inventory record.
+    template <class G>
+    void for_each_system(G&& g) const {
+      const auto cls = u8(store::ColumnId::kSysClass);
+      const auto paths = u8(store::ColumnId::kSysPaths);
+      const auto family = u8(store::ColumnId::kSysDiskFamily);
+      const auto cap = u32(store::ColumnId::kSysDiskCap);
+      const auto shelf_model = u8(store::ColumnId::kSysShelfModel);
+      const auto deploy = f64(store::ColumnId::kSysDeploy);
+      const auto cohort = u32(store::ColumnId::kSysCohort);
+      for (std::uint32_t i = 0; i < cls.size(); ++i) {
+        g(log::InventorySystem{model::SystemId(i), static_cast<model::SystemClass>(cls[i]),
+                               static_cast<model::PathConfig>(paths[i]),
+                               {static_cast<char>(family[i]), static_cast<int>(cap[i])},
+                               {static_cast<char>(shelf_model[i])}, deploy[i], cohort[i]});
+      }
+    }
+    template <class G>
+    void for_each_scope(Scope scope, G&& g) const {
+      const bool shelves = scope == Scope::kShelf;
+      const auto owner = u32(shelves ? store::ColumnId::kShelfSystem : store::ColumnId::kRgSystem);
+      const auto deploy = f64(store::ColumnId::kSysDeploy);
+      const auto rg_type = u8(store::ColumnId::kRgType);
+      for (std::size_t i = 0; i < owner.size(); ++i) {
+        g(ScopeRow{static_cast<std::uint32_t>(i), deploy[owner[i]],
+                   shelves ? model::RaidType{} : static_cast<model::RaidType>(rg_type[i])},
+          owner[i]);
+      }
+    }
+  };
+
+  /// Calls f(rows, ids) for every piece of the backend in global system
+  /// order: its rows in local ids, and the bases that globalize them.
+  template <class F>
+  void for_each_piece(F&& f) const {
+    if (dataset_ != nullptr) {
+      for (const Dataset::Part& part : dataset_->parts()) f(PartRows{part}, part.ids);
+      return;
+    }
+    for (std::size_t s = 0; s < shards_->shard_count(); ++s) {
+      f(ShardRows{shards_->shard(s)}, shards_->info(s).ids);
+    }
+  }
 
   const Dataset* dataset_ = nullptr;
   const store::ShardStore* shards_ = nullptr;
   std::vector<std::uint8_t> mask_;  ///< cohort by global system id; empty = all
 };
 
-// --- row walks -------------------------------------------------------------
+// --- row walks ---------------------------------------------------------------
 
 template <class F>
 void Source::for_each_event(F&& f) const {
-  if (dataset_ != nullptr) {
-    const log::Inventory& inv = dataset_->inventory();
-    for (const FailureEvent& e : dataset_->events()) {
-      if (!selected(e.system.value())) continue;
-      const log::InventoryDisk& disk = inv.disks[e.disk.value()];
-      const log::InventorySystem& sys = inv.systems[e.system.value()];
-      f(EventRow{e.time, e.type, e.disk.value(), e.system.value(), disk.shelf.value(),
-                 disk.raid_group.value(), sys.deploy_time, disk.model, sys.shelf_model,
-                 sys.cls, sys.paths});
-    }
-    return;
-  }
-  for (std::size_t s = 0; s < shards_->shard_count(); ++s) {
-    const store::EventStore& shard = shards_->shard(s);
-    const SystemColumns sys(shard);
-    const auto family = shard.topology(store::ColumnId::kDiskFamily)->as_u8();
-    const auto cap = shard.topology(store::ColumnId::kDiskCap)->as_u32();
-    const std::uint64_t base = shards_->info(s).system_base;
-    for (const auto cls : model::kAllSystemClasses) {
-      const store::EventView& view = shard.events(cls);
-      for (std::size_t i = 0; i < view.size(); ++i) {
-        const std::uint32_t at = view.system[i];
-        if (!selected(base + at)) continue;
-        const std::uint32_t disk = view.disk[i];
-        f(EventRow{view.time[i], static_cast<model::FailureType>(view.type[i]),
-                   static_cast<std::uint32_t>(shards_->global_disk(s, disk)),
-                   static_cast<std::uint32_t>(base + at),
-                   static_cast<std::uint32_t>(shards_->global_shelf(s, view.shelf[i])),
-                   static_cast<std::uint32_t>(shards_->global_raid_group(s, view.raid_group[i])),
-                   sys.deploy[at], {static_cast<char>(family[disk]), static_cast<int>(cap[disk])},
-                   {static_cast<char>(sys.shelf_model[at])}, cls,
-                   static_cast<model::PathConfig>(sys.paths[at])});
-      }
-    }
-  }
+  for_each_piece([&](const auto& rows, const store::IdBases& ids) {
+    const auto keep = [&](std::uint32_t system) { return selected(ids.system + system); };
+    rows.for_each_event(keep, [&](EventRow e) {
+      e.system = static_cast<std::uint32_t>(ids.system + e.system);
+      e.disk = static_cast<std::uint32_t>(ids.global_disk(e.disk));
+      e.shelf = static_cast<std::uint32_t>(ids.global_shelf(e.shelf));
+      e.raid_group = static_cast<std::uint32_t>(ids.global_raid_group(e.raid_group));
+      f(e);
+    });
+  });
 }
 
 template <class F>
 void Source::for_each_disk(F&& f) const {
-  if (dataset_ != nullptr) {
-    const log::Inventory& inv = dataset_->inventory();
-    for (const log::InventoryDisk& d : inv.disks) {
-      if (!selected(d.system.value())) continue;
-      f(DiskRow{d.id.value(), d.system.value(), d.install_time, d.remove_time});
-    }
-    return;
-  }
   for (const bool replacements : {false, true}) {
-    for (std::size_t s = 0; s < shards_->shard_count(); ++s) {
-      const store::EventStore& shard = shards_->shard(s);
-      const auto system = shard.topology(store::ColumnId::kDiskSystem)->as_u32();
-      const auto install = shard.topology(store::ColumnId::kDiskInstall)->as_f64();
-      const auto remove = shard.topology(store::ColumnId::kDiskRemove)->as_f64();
-      const std::uint64_t base = shards_->info(s).system_base;
-      const auto initial = static_cast<std::uint32_t>(shards_->info(s).disks_initial);
-      const auto end = replacements ? static_cast<std::uint32_t>(install.size()) : initial;
-      for (std::uint32_t i = replacements ? initial : 0; i < end; ++i) {
-        if (!selected(base + system[i])) continue;
-        f(DiskRow{static_cast<std::uint32_t>(shards_->global_disk(s, i)),
-                  static_cast<std::uint32_t>(base + system[i]), install[i], remove[i]});
-      }
-    }
+    for_each_piece([&](const auto& rows, const store::IdBases& ids) {
+      const std::size_t initial = ids.disks_initial;
+      rows.for_each_disk(replacements ? initial : 0,
+                         replacements ? rows.disk_count() : initial, [&](DiskRow d) {
+                           d.system = static_cast<std::uint32_t>(ids.system + d.system);
+                           if (!selected(d.system)) return;
+                           d.id = static_cast<std::uint32_t>(ids.global_disk(d.id));
+                           f(d);
+                         });
+    });
   }
 }
 
 template <class F>
 void Source::for_each_system(F&& f) const {
-  if (dataset_ != nullptr) {
-    for (const log::InventorySystem& sys : dataset_->inventory().systems) {
+  for_each_piece([&](const auto& rows, const store::IdBases& ids) {
+    rows.for_each_system([&](log::InventorySystem sys) {
+      sys.id = model::SystemId(static_cast<std::uint32_t>(ids.system + sys.id.value()));
       if (selected(sys.id.value())) f(sys);
-    }
-    return;
-  }
-  for (std::size_t s = 0; s < shards_->shard_count(); ++s) {
-    const SystemColumns columns(shards_->shard(s));
-    const auto base = static_cast<std::uint32_t>(shards_->info(s).system_base);
-    for (std::uint32_t i = 0; i < columns.cls.size(); ++i) {
-      if (selected(base + i)) f(columns.row(i, base + i));
-    }
-  }
+    });
+  });
 }
 
 template <class F>
 void Source::for_each_scope(Scope scope, F&& f) const {
-  const bool shelves = scope == Scope::kShelf;
-  if (dataset_ != nullptr) {
-    const log::Inventory& inv = dataset_->inventory();
-    const auto yield = [&](std::uint32_t id, model::SystemId system, model::RaidType type) {
-      if (!selected(system.value())) return;
-      f(ScopeRow{id, inv.systems[system.value()].deploy_time, type});
-    };
-    if (shelves) {
-      for (const auto& sh : inv.shelves) yield(sh.id.value(), sh.system, model::RaidType{});
-    } else {
-      for (const auto& g : inv.raid_groups) yield(g.id.value(), g.system, g.type);
-    }
-    return;
-  }
-  for (std::size_t s = 0; s < shards_->shard_count(); ++s) {
-    const store::EventStore& shard = shards_->shard(s);
-    const store::ShardInfo& info = shards_->info(s);
-    const auto deploy = shard.topology(store::ColumnId::kSysDeploy)->as_f64();
-    const auto owner =
-        shard.topology(shelves ? store::ColumnId::kShelfSystem : store::ColumnId::kRgSystem)
-            ->as_u32();
-    const auto type = shard.topology(store::ColumnId::kRgType)->as_u8();
-    const std::uint64_t id = shelves ? info.shelf_base : info.raid_group_base;
-    for (std::size_t i = 0; i < owner.size(); ++i) {
-      if (!selected(info.system_base + owner[i])) continue;
-      f(ScopeRow{static_cast<std::uint32_t>(id + i), deploy[owner[i]],
-                 shelves ? model::RaidType{} : static_cast<model::RaidType>(type[i])});
-    }
-  }
+  for_each_piece([&](const auto& rows, const store::IdBases& ids) {
+    const std::uint64_t base = scope == Scope::kShelf ? ids.shelf : ids.raid_group;
+    rows.for_each_scope(scope, [&](ScopeRow row, std::uint32_t system) {
+      if (!selected(ids.system + system)) return;
+      row.id = static_cast<std::uint32_t>(base + row.id);
+      f(row);
+    });
+  });
 }
 
 }  // namespace storsubsim::core

@@ -372,12 +372,6 @@ std::string check_snapshot(const Inventory& inv, bool saw_header, bool saw_end) 
 
 }  // namespace
 
-double Inventory::disk_exposure_years(const InventoryDisk& disk) const {
-  const double start = std::max(0.0, disk.install_time);
-  const double end = std::min(horizon_seconds, disk.remove_time);
-  return end > start ? model::years(end - start) : 0.0;
-}
-
 void write_snapshot(LineWriter& out, const model::Fleet& fleet) {
   // Room for the whole section up front, a quarter over the estimate, so
   // rendering never regrows (and recopies) a buffer of tens of MB.

@@ -78,9 +78,6 @@ struct Inventory {
   std::vector<InventoryDisk> disks;
   std::vector<InventoryRaidGroup> raid_groups;
   double horizon_seconds = 0.0;
-
-  /// Exposure of a disk record in years, clipped to [0, horizon].
-  double disk_exposure_years(const InventoryDisk& disk) const;
 };
 
 /// Per-kind record counts, in record order.

@@ -292,15 +292,11 @@ DiskId Fleet::replace_disk(DiskId failed, double remove_time, double install_tim
   return fresh.id;
 }
 
-double Fleet::disk_exposure_years(const DiskRecord& disk) const {
-  const double start = std::max(0.0, disk.install_time);
-  const double end = std::min(config_.horizon_seconds, disk.remove_time);
-  return end > start ? years(end - start) : 0.0;
-}
-
 double Fleet::total_disk_exposure_years() const {
   double total = 0.0;
-  for (const auto& d : disks_) total += disk_exposure_years(d);
+  for (const auto& d : disks_) {
+    total += exposure_years(d.install_time, d.remove_time, config_.horizon_seconds);
+  }
   return total;
 }
 

@@ -99,9 +99,6 @@ class Fleet {
 
   // --- derived quantities ---------------------------------------------------
 
-  /// Exposure of one disk record in years, clipped to [0, horizon].
-  double disk_exposure_years(const DiskRecord& disk) const;
-
   /// Total disk exposure of the whole fleet in disk-years.
   // storsim-lint: allow(unused-export) reason=test oracle: Snapshot.ExposureMatchesFleet checks the inventory's exposure sums
   double total_disk_exposure_years() const;

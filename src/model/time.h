@@ -5,6 +5,8 @@
 // months (through August 2007).
 #pragma once
 
+#include <algorithm>
+
 namespace storsubsim::model {
 
 inline constexpr double kSecondsPerHour = 3600.0;
@@ -22,5 +24,14 @@ inline constexpr double kScrubPeriodSeconds = kSecondsPerHour;
 
 inline constexpr double years(double seconds) { return seconds / kSecondsPerYear; }
 inline constexpr double from_years(double y) { return y * kSecondsPerYear; }
+
+/// Exposure of a disk record installed at `install` and removed at `remove`,
+/// in years, clipped to the study window [0, horizon]: the one rule every
+/// disk-year sum (fleet, exposure table, Source) adds.
+inline double exposure_years(double install, double remove, double horizon) {
+  const double start = std::max(0.0, install);
+  const double end = std::min(horizon, remove);
+  return end > start ? years(end - start) : 0.0;
+}
 
 }  // namespace storsubsim::model

@@ -464,81 +464,4 @@ Error EventStore::load() {
   return Error{};
 }
 
-log::Inventory EventStore::rebuild_inventory() const {
-  auto topo = [&](ColumnId id) -> const ColumnView& {
-    return columns_.at({kTopologyShard, static_cast<std::uint16_t>(id)});
-  };
-  log::Inventory inv;
-  inv.horizon_seconds = header_.horizon_seconds;
-
-  const auto sys_cls = topo(ColumnId::kSysClass).as_u8();
-  const auto sys_paths = topo(ColumnId::kSysPaths).as_u8();
-  const auto sys_family = topo(ColumnId::kSysDiskFamily).as_u8();
-  const auto sys_cap = topo(ColumnId::kSysDiskCap).as_u32();
-  const auto sys_shelf_model = topo(ColumnId::kSysShelfModel).as_u8();
-  const auto sys_deploy = topo(ColumnId::kSysDeploy).as_f64();
-  const auto sys_cohort = topo(ColumnId::kSysCohort).as_u32();
-  inv.systems.reserve(sys_cls.size());
-  for (std::size_t i = 0; i < sys_cls.size(); ++i) {
-    log::InventorySystem sys;
-    sys.id = model::SystemId(static_cast<std::uint32_t>(i));
-    sys.cls = static_cast<model::SystemClass>(sys_cls[i]);
-    sys.paths = static_cast<model::PathConfig>(sys_paths[i]);
-    sys.disk_model = {static_cast<char>(sys_family[i]), static_cast<int>(sys_cap[i])};
-    sys.shelf_model = {static_cast<char>(sys_shelf_model[i])};
-    sys.deploy_time = sys_deploy[i];
-    sys.cohort = sys_cohort[i];
-    inv.systems.push_back(sys);
-  }
-
-  const auto shelf_system = topo(ColumnId::kShelfSystem).as_u32();
-  const auto shelf_model = topo(ColumnId::kShelfModel).as_u8();
-  inv.shelves.reserve(shelf_system.size());
-  for (std::size_t i = 0; i < shelf_system.size(); ++i) {
-    log::InventoryShelf shelf;
-    shelf.id = model::ShelfId(static_cast<std::uint32_t>(i));
-    shelf.system = model::SystemId(shelf_system[i]);
-    shelf.model = {static_cast<char>(shelf_model[i])};
-    inv.shelves.push_back(shelf);
-  }
-
-  const auto disk_family = topo(ColumnId::kDiskFamily).as_u8();
-  const auto disk_cap = topo(ColumnId::kDiskCap).as_u32();
-  const auto disk_system = topo(ColumnId::kDiskSystem).as_u32();
-  const auto disk_shelf = topo(ColumnId::kDiskShelf).as_u32();
-  const auto disk_rg = topo(ColumnId::kDiskRaidGroup).as_u32();
-  const auto disk_slot = topo(ColumnId::kDiskSlot).as_u32();
-  const auto disk_install = topo(ColumnId::kDiskInstall).as_f64();
-  const auto disk_remove = topo(ColumnId::kDiskRemove).as_f64();
-  inv.disks.reserve(disk_family.size());
-  for (std::size_t i = 0; i < disk_family.size(); ++i) {
-    log::InventoryDisk disk;
-    disk.id = model::DiskId(static_cast<std::uint32_t>(i));
-    disk.model = {static_cast<char>(disk_family[i]), static_cast<int>(disk_cap[i])};
-    disk.system = model::SystemId(disk_system[i]);
-    disk.shelf = model::ShelfId(disk_shelf[i]);
-    disk.raid_group = model::RaidGroupId(disk_rg[i]);
-    disk.slot = disk_slot[i];
-    disk.install_time = disk_install[i];
-    disk.remove_time = disk_remove[i];
-    inv.disks.push_back(disk);
-  }
-
-  const auto rg_system = topo(ColumnId::kRgSystem).as_u32();
-  const auto rg_type = topo(ColumnId::kRgType).as_u8();
-  const auto rg_members = topo(ColumnId::kRgMembers).as_u32();
-  const auto rg_span = topo(ColumnId::kRgSpan).as_u32();
-  inv.raid_groups.reserve(rg_system.size());
-  for (std::size_t i = 0; i < rg_system.size(); ++i) {
-    log::InventoryRaidGroup rg;
-    rg.id = model::RaidGroupId(static_cast<std::uint32_t>(i));
-    rg.system = model::SystemId(rg_system[i]);
-    rg.type = static_cast<model::RaidType>(rg_type[i]);
-    rg.member_count = rg_members[i];
-    rg.shelf_span = rg_span[i];
-    inv.raid_groups.push_back(rg);
-  }
-  return inv;
-}
-
 }  // namespace storsubsim::store

@@ -79,16 +79,6 @@ struct BlockEntry {
   double time_max = 0.0;
 };
 
-/// Pre-computed disk-year exposure aggregates (see writer.h for the FP
-/// contract that makes these bit-identical to Dataset sweeps).
-struct ExposureTable {
-  double total_disk_years = 0.0;
-  std::array<double, kClassCount> class_disk_years{};
-  std::array<std::uint64_t, kClassCount> class_system_count{};
-  std::map<char, double> family_disk_years;
-  std::map<std::pair<std::uint8_t, char>, double> class_family_disk_years;
-};
-
 class EventStore {
  public:
   EventStore() = default;
@@ -136,11 +126,6 @@ class EventStore {
                                    static_cast<std::uint16_t>(id)});
     return it == columns_.end() ? nullptr : &it->second;
   }
-
-  /// Reconstructs the full joined inventory from the topology columns.
-  /// Entry i of each vector has dense id i, exactly as parse_snapshot
-  /// produces, so a Dataset built from it matches the pipeline's.
-  log::Inventory rebuild_inventory() const;
 
  private:
   [[nodiscard]] Error load();

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "model/enums.h"
-#include "model/time.h"
 #include "obs/obs.h"
 #include "store/mmap_file.h"
 
@@ -219,6 +218,19 @@ void sum_meta(StoreMeta& into, const StoreMeta& add) {
   std::array<std::uint64_t, 15> sum{};
   for (std::size_t i = 0; i < sum.size(); ++i) sum[i] = a[i] + b[i];
   set_meta_values(into, sum);
+}
+
+/// Fills every shard's `ids` from its counts and returns the totals.
+IdBases derive_ids(std::vector<ShardInfo>& shards) {
+  std::vector<PieceCounts> counts;
+  counts.reserve(shards.size());
+  for (const ShardInfo& s : shards) {
+    counts.push_back(
+        PieceCounts{s.systems, s.shelves, s.raid_groups, s.disks_initial, s.disks_total});
+  }
+  const std::vector<IdBases> bases = id_bases(counts);
+  for (std::size_t i = 0; i < shards.size(); ++i) shards[i].ids = bases[i];
+  return bases.back();
 }
 
 std::string shard_path(const std::string& dir, const std::string& file) {
@@ -500,33 +512,21 @@ Error parse_manifest(std::string_view text, ShardManifest* out) {
     m.shards.push_back(std::move(s));
   }
 
-  // Derive bases and cross-check the totals.
-  std::uint64_t systems = 0;
-  std::uint64_t shelves = 0;
-  std::uint64_t raid_groups = 0;
-  std::uint64_t disks_initial = 0;
-  std::uint64_t replacements = 0;
+  // Cross-check the ranges and the totals, then derive the bases.
+  std::uint64_t sys_begin = 0;
   std::uint64_t events = 0;
-  for (auto& s : m.shards) {
-    s.system_base = systems;
-    s.shelf_base = shelves;
-    s.raid_group_base = raid_groups;
-    s.disk_base = disks_initial;
-    s.replacement_base = replacements;
+  for (const auto& s : m.shards) {
     if (s.disks_total < s.disks_initial || s.sys_end < s.sys_begin ||
-        s.sys_end - s.sys_begin != s.systems || s.sys_begin != systems) {
+        s.sys_end - s.sys_begin != s.systems || s.sys_begin != sys_begin) {
       return make_error(ErrorCode::kBadValue, "MANIFEST: inconsistent shard ranges");
     }
-    systems += s.systems;
-    shelves += s.shelves;
-    raid_groups += s.raid_groups;
-    disks_initial += s.disks_initial;
-    replacements += s.disks_total - s.disks_initial;
+    sys_begin = s.sys_end;
     events += s.events;
   }
-  if (systems != m.systems || shelves != m.shelves || disks_initial != m.disks_initial ||
-      disks_initial + replacements != m.disks_total || raid_groups != m.raid_groups ||
-      events != m.events) {
+  const IdBases total = derive_ids(m.shards);
+  if (total.system != m.systems || total.shelf != m.shelves ||
+      total.disk != m.disks_initial || total.replacement != m.disks_total ||
+      total.raid_group != m.raid_groups || events != m.events) {
     return make_error(ErrorCode::kBadValue, "MANIFEST: shard counts do not sum to totals");
   }
 
@@ -544,26 +544,18 @@ Error merge_shard_tables(const std::string& dir, std::vector<ShardInfo>* shards,
                          StoreMeta* meta) {
   obs::Span span("store.merge_tables");
 
-  ExposureTable exp;
+  ExposureSweep sweep(horizon_seconds);
   StoreMeta merged{};
-
-  /// Replacement rows deferred to the second pass so the accumulation order
-  /// matches the monolithic disk vector (all initial blocks, then all
-  /// replacement blocks, each in shard order).
+  /// Replacement rows deferred to the second pass so the sweep sees the
+  /// monolithic disk order.
   struct Replacement {
+    std::uint64_t system;
     double install;
     double remove;
-    std::uint8_t cls;
-    char family;
   };
   std::vector<Replacement> replacements;
 
-  const auto exposure_years = [horizon_seconds](double install, double remove) {
-    const double start = install > 0.0 ? install : 0.0;
-    const double end = remove < horizon_seconds ? remove : horizon_seconds;
-    return end > start ? model::years(end - start) : 0.0;
-  };
-
+  std::uint64_t system_base = 0;
   for (auto& info : *shards) {
     const std::string path = shard_path(dir, info.file);
     EventStore store;
@@ -577,52 +569,28 @@ Error merge_shard_tables(const std::string& dir, std::vector<ShardInfo>* shards,
     const auto disk_system = store.topology(ColumnId::kDiskSystem)->as_u32();
     const auto disk_install = store.topology(ColumnId::kDiskInstall)->as_f64();
     const auto disk_remove = store.topology(ColumnId::kDiskRemove)->as_f64();
-
-    // Cohort keys come from systems, exactly as the monolithic writer's
-    // family maps do; += on disks below would miss no key (every system
-    // owns at least one disk) but try_emplace keeps the contract explicit.
     for (std::size_t i = 0; i < sys_class.size(); ++i) {
-      const auto cls = static_cast<std::size_t>(
-          model::index_of(static_cast<model::SystemClass>(sys_class[i])));
-      const char family = static_cast<char>(sys_family[i]);
-      ++exp.class_system_count[cls];
-      exp.family_disk_years.try_emplace(family, 0.0);
-      exp.class_family_disk_years.try_emplace(
-          {static_cast<std::uint8_t>(cls), family}, 0.0);
+      sweep.add_system(static_cast<model::SystemClass>(sys_class[i]),
+                       static_cast<char>(sys_family[i]));
     }
-
     if (info.disks_initial > disk_system.size()) {
       return make_error(ErrorCode::kBadValue,
                         std::string("initial disk count exceeds shard rows in ")
                             .append(info.file));
     }
     for (std::size_t i = 0; i < disk_system.size(); ++i) {
-      const std::uint32_t sys = disk_system[i];
-      const auto cls = static_cast<std::size_t>(
-          model::index_of(static_cast<model::SystemClass>(sys_class[sys])));
-      const char family = static_cast<char>(sys_family[sys]);
-      if (i >= info.disks_initial) {
-        replacements.push_back(Replacement{disk_install[i], disk_remove[i],
-                                           static_cast<std::uint8_t>(cls), family});
-        continue;
+      const std::uint64_t system = system_base + disk_system[i];
+      if (i < info.disks_initial) {
+        sweep.add_disk(system, disk_install[i], disk_remove[i]);
+      } else {
+        replacements.push_back(Replacement{system, disk_install[i], disk_remove[i]});
       }
-      const double years = exposure_years(disk_install[i], disk_remove[i]);
-      exp.total_disk_years += years;
-      exp.class_disk_years[cls] += years;
-      exp.family_disk_years[family] += years;
-      exp.class_family_disk_years[{static_cast<std::uint8_t>(cls), family}] += years;
     }
+    system_base += sys_class.size();
   }
+  for (const auto& r : replacements) sweep.add_disk(r.system, r.install, r.remove);
 
-  for (const auto& r : replacements) {
-    const double years = exposure_years(r.install, r.remove);
-    exp.total_disk_years += years;
-    exp.class_disk_years[r.cls] += years;
-    exp.family_disk_years[r.family] += years;
-    exp.class_family_disk_years[{r.cls, r.family}] += years;
-  }
-
-  *exposure = std::move(exp);
+  *exposure = sweep.table();
   *meta = merged;
   return Error{};
 }
@@ -692,6 +660,7 @@ Error ShardStore::open_file(const std::string& path) {
   manifest_.meta = store->meta();
   manifest_.exposure = store->exposure();
   manifest_.shards.push_back(std::move(info));
+  derive_ids(manifest_.shards);
 
   shards_.clear();
   shards_.push_back(std::move(store));

@@ -10,18 +10,10 @@
 // counters — so analyses over the directory reproduce the single-file
 // answers byte for byte without ever materializing the whole fleet.
 //
-// Global id rebasing contract (docs/STORE.md): the monolithic fleet's disk
-// vector is [every shard's initial disks, in shard order] followed by
-// [every shard's replacement disks, in shard order] — replacements are
-// appended after all initial disks, and the serial replacement replay walks
-// shelves in global order, which groups by shard. A shard-local disk id L
-// therefore globalizes as
-//
-//   L <  disks_initial : disk_base + L
-//   L >= disks_initial : total_disks_initial + replacement_base
-//                        + (L - disks_initial)
-//
-// while systems/shelves/raid groups globalize by plain base offsets.
+// Global ids: every piece of a fleet — a shard here, a part of a
+// core::Dataset — rebases through store::IdBases (store/ids.h), the one
+// home of the rule; parse_manifest derives each shard's bases from its
+// MANIFEST counts.
 //
 // A single STORCOL1 file opens as a one-shard ShardStore with every base at
 // zero, so the analyses above the store layer have exactly one store
@@ -35,6 +27,7 @@
 #include <vector>
 
 #include "store/format.h"
+#include "store/ids.h"
 #include "store/reader.h"
 #include "store/writer.h"
 
@@ -44,8 +37,8 @@ inline constexpr std::string_view kManifestMagic = "STORSHARD1";
 inline constexpr std::string_view kManifestFileName = "MANIFEST";
 inline constexpr std::uint32_t kManifestVersion = 1;
 
-/// One shard's MANIFEST entry. The count fields are written to disk; the
-/// base fields are derived prefix sums, filled in by parse_manifest.
+/// One shard's MANIFEST entry. The count fields are written to disk; `ids`
+/// is derived by parse_manifest.
 struct ShardInfo {
   std::string file;  ///< file name relative to the shard directory
   std::uint64_t file_size = 0;
@@ -59,12 +52,7 @@ struct ShardInfo {
   std::uint64_t disks_total = 0;    ///< initial + replacement disk records
   std::uint64_t events = 0;
 
-  // Derived global bases (prefix sums over preceding shards).
-  std::uint64_t system_base = 0;
-  std::uint64_t shelf_base = 0;
-  std::uint64_t raid_group_base = 0;
-  std::uint64_t disk_base = 0;         ///< global id of the first initial disk
-  std::uint64_t replacement_base = 0;  ///< replacement records in earlier shards
+  IdBases ids;  ///< derived: where this shard's local ids land globally
 };
 
 /// The parsed MANIFEST: run provenance, fleet totals, merged pipeline
@@ -100,13 +88,12 @@ std::string render_manifest(const ShardManifest& manifest);
 [[nodiscard]] Error write_manifest_file(const std::string& dir, const ShardManifest& manifest);
 
 /// Sequentially opens each shard (full STORCOL1 validation, one shard in
-/// memory at a time) and accumulates the merged exposure table and summed
-/// meta counters. The accumulation order is the monolithic disk order —
-/// every shard's initial block in shard order, then every shard's
-/// replacement block in shard order — with one accumulator per cohort, so
-/// each cohort's FP addition sequence equals the monolithic writer's
-/// per-cohort sweep and the merged table is bit-identical to a single-file
-/// store of the whole fleet. Fills each shard's file_size/header_crc too.
+/// memory at a time) and fills one ExposureSweep in the monolithic disk
+/// order — every shard's initial block in shard order, then every shard's
+/// replacement block in shard order — the sweep the writer runs over a
+/// Dataset's parts, so the merged table is bit-identical to a single-file
+/// store of the whole fleet. Sums the meta counters and fills each shard's
+/// file_size/header_crc too.
 [[nodiscard]] Error merge_shard_tables(const std::string& dir, std::vector<ShardInfo>* shards,
                          double horizon_seconds, ExposureTable* exposure,
                          StoreMeta* meta);
@@ -130,7 +117,7 @@ StoreShape store_shape(const std::string& path);
 /// For a single file, open() maps and fully validates it once, holds it as
 /// shard 0, and fills a one-entry manifest from its header and footer
 /// (exposure table, meta, counts) with disks_initial = disks_total and every
-/// base at zero — so each global_* is the identity and the analyses'
+/// base at zero — so its IdBases are the identity and the analyses'
 /// replacement-disk passes are empty.
 class ShardStore {
  public:
@@ -177,22 +164,6 @@ class ShardStore {
   void release_shard(std::size_t i) const noexcept { shards_[i].reset(); }
   /// Requires a successful open_shard(i) / open_all().
   const EventStore& shard(std::size_t i) const noexcept { return *shards_[i]; }
-
-  // --- global id rebasing (see header comment) -----------------------------
-  std::uint64_t global_shelf(std::size_t i, std::uint32_t local) const noexcept {
-    return manifest_.shards[i].shelf_base + local;
-  }
-  std::uint64_t global_raid_group(std::size_t i, std::uint32_t local) const noexcept {
-    if (local == kInvalidId) return kInvalidId;
-    return manifest_.shards[i].raid_group_base + local;
-  }
-  std::uint64_t global_disk(std::size_t i, std::uint32_t local) const noexcept {
-    const ShardInfo& s = manifest_.shards[i];
-    if (local < s.disks_initial) return s.disk_base + local;
-    return manifest_.disks_initial + s.replacement_base + (local - s.disks_initial);
-  }
-
-  static constexpr std::uint32_t kInvalidId = 0xffffffffu;
 
  private:
   [[nodiscard]] Error open_directory(const std::string& dir);

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "obs/obs.h"
+#include "model/time.h"
 #include "store/mmap_file.h"
 #include "util/parallel.h"
 
@@ -66,14 +68,22 @@ struct ShardEncoding {
   std::vector<BlockRecord> blocks;
 };
 
-char system_family(const log::Inventory& inv, model::SystemId system) {
-  return inv.systems[system.value()].disk_model.family;
-}
+/// One event as the file stores it: global ids, the owning system's disk
+/// family, and its class (the event shard it goes to).
+struct EventRecord {
+  double time = 0.0;
+  std::uint32_t disk = 0;
+  std::uint32_t system = 0;
+  std::uint32_t shelf = 0;
+  std::uint32_t raid_group = 0;
+  std::uint8_t type = 0;
+  std::uint8_t family = 0;
+  std::uint8_t cls = 0;
+};
 
 /// Encodes the seven event columns of one class shard. Events are already in
 /// canonical (time, disk, type) order.
-ShardEncoding encode_event_shard(const log::Inventory& inv, std::uint8_t shard,
-                                 std::span<const log::ClassifiedFailure> events) {
+ShardEncoding encode_event_shard(std::uint8_t shard, std::span<const EventRecord> events) {
   ShardEncoding out;
   const auto rows = static_cast<std::uint64_t>(events.size());
   // time/varint is ~4 B per row at full scale; the six raw columns are 18 B.
@@ -95,43 +105,37 @@ ShardEncoding encode_event_shard(const log::Inventory& inv, std::uint8_t shard,
 
   pad_to_alignment(out.bytes);
   begin = out.bytes.size();
-  for (const auto& e : events) append_u8(out.bytes, static_cast<std::uint8_t>(e.type));
+  for (const auto& e : events) append_u8(out.bytes, e.type);
   finish_column(out.bytes, begin, shard, ColumnId::kEventType, Encoding::kRaw, rows,
                 out.columns);
 
   pad_to_alignment(out.bytes);
   begin = out.bytes.size();
-  for (const auto& e : events) {
-    append_u8(out.bytes, static_cast<std::uint8_t>(system_family(inv, e.system)));
-  }
+  for (const auto& e : events) append_u8(out.bytes, e.family);
   finish_column(out.bytes, begin, shard, ColumnId::kEventFamily, Encoding::kRaw, rows,
                 out.columns);
 
   pad_to_alignment(out.bytes);
   begin = out.bytes.size();
-  for (const auto& e : events) append_u32(out.bytes, e.disk.value());
+  for (const auto& e : events) append_u32(out.bytes, e.disk);
   finish_column(out.bytes, begin, shard, ColumnId::kEventDisk, Encoding::kRaw, rows,
                 out.columns);
 
   pad_to_alignment(out.bytes);
   begin = out.bytes.size();
-  for (const auto& e : events) append_u32(out.bytes, e.system.value());
+  for (const auto& e : events) append_u32(out.bytes, e.system);
   finish_column(out.bytes, begin, shard, ColumnId::kEventSystem, Encoding::kRaw, rows,
                 out.columns);
 
   pad_to_alignment(out.bytes);
   begin = out.bytes.size();
-  for (const auto& e : events) {
-    append_u32(out.bytes, inv.disks[e.disk.value()].shelf.value());
-  }
+  for (const auto& e : events) append_u32(out.bytes, e.shelf);
   finish_column(out.bytes, begin, shard, ColumnId::kEventShelf, Encoding::kRaw, rows,
                 out.columns);
 
   pad_to_alignment(out.bytes);
   begin = out.bytes.size();
-  for (const auto& e : events) {
-    append_u32(out.bytes, inv.disks[e.disk.value()].raid_group.value());
-  }
+  for (const auto& e : events) append_u32(out.bytes, e.raid_group);
   finish_column(out.bytes, begin, shard, ColumnId::kEventRaidGroup, Encoding::kRaw,
                 rows, out.columns);
   pad_to_alignment(out.bytes);
@@ -149,6 +153,23 @@ ShardEncoding encode_event_shard(const log::Inventory& inv, std::uint8_t shard,
   return out;
 }
 
+/// Calls f(part, row) for every row of one inventory `table` in global id
+/// order: part by part, and disks as every part's initial block, then every
+/// part's replacement block.
+template <typename Row, typename F>
+void for_each_row(std::span<const StorePart> pieces, std::vector<Row> log::Inventory::*table,
+                  F&& f) {
+  for (const bool replacements : {false, true}) {
+    for (const StorePart& p : pieces) {
+      const std::vector<Row>& rows = p.inventory->*table;
+      const std::size_t split =
+          std::is_same_v<Row, log::InventoryDisk> ? p.ids.disks_initial : rows.size();
+      const std::size_t end = replacements ? rows.size() : split;
+      for (std::size_t i = replacements ? split : 0; i < end; ++i) f(p, rows[i]);
+    }
+  }
+}
+
 /// One topology column to encode: `encode` appends its `rows` rows to an
 /// empty buffer.
 struct TopologyColumn {
@@ -156,14 +177,6 @@ struct TopologyColumn {
   std::uint64_t rows = 0;
   std::function<void(std::string&)> encode;
 };
-
-/// A column whose row i is what `append_row(out, i)` appends.
-template <typename AppendFn>
-TopologyColumn column(ColumnId id, std::uint64_t rows, AppendFn append_row) {
-  return {id, rows, [rows, append_row](std::string& out) {
-            for (std::uint64_t i = 0; i < rows; ++i) append_row(out, i);
-          }};
-}
 
 /// An encoded column and its directory entry (offset 0 until assembly).
 struct EncodedColumn {
@@ -174,79 +187,72 @@ struct EncodedColumn {
 /// Encodes and CRCs the topology columns through the shared pool, one buffer
 /// per column, in directory order; assembly appends them in that order, so
 /// the image does not depend on scheduling.
-std::vector<EncodedColumn> encode_topology(const log::Inventory& inv) {
-  const auto& systems = inv.systems;
-  const auto n_sys = static_cast<std::uint64_t>(systems.size());
-  const auto& shelves = inv.shelves;
-  const auto n_shelf = static_cast<std::uint64_t>(shelves.size());
-  const auto& disks = inv.disks;
-  const auto n_disk = static_cast<std::uint64_t>(disks.size());
-  const auto& groups = inv.raid_groups;
-  const auto n_rg = static_cast<std::uint64_t>(groups.size());
+std::vector<EncodedColumn> encode_topology(std::span<const StorePart> pieces) {
+  // A column whose row is what `append_row(out, part, row)` appends.
+  const auto column = [pieces](ColumnId id, auto table, auto append_row) {
+    std::uint64_t rows = 0;
+    for (const StorePart& p : pieces) rows += (p.inventory->*table).size();
+    return TopologyColumn{id, rows, [pieces, table, append_row](std::string& out) {
+                            for_each_row(pieces, table, [&](const StorePart& p, const auto& row) {
+                              append_row(out, p, row);
+                            });
+                          }};
+  };
+  const auto u8 = [](auto v) { return static_cast<std::uint8_t>(v); };
+  const auto u32 = [](auto v) { return static_cast<std::uint32_t>(v); };
+  constexpr auto kSys = &log::Inventory::systems;
+  constexpr auto kShelf = &log::Inventory::shelves;
+  constexpr auto kDisk = &log::Inventory::disks;
+  constexpr auto kRg = &log::Inventory::raid_groups;
+  using S = std::string;
+  using P = const StorePart&;
+  using Sys = log::InventorySystem;
+  using Shelf = log::InventoryShelf;
+  using Disk = log::InventoryDisk;
+  using Rg = log::InventoryRaidGroup;
   const std::vector<TopologyColumn> spec = {
-    column(ColumnId::kSysClass, n_sys, [&](std::string& out, std::uint64_t i) {
-      append_u8(out, static_cast<std::uint8_t>(systems[i].cls));
+    column(ColumnId::kSysClass, kSys, [u8](S& out, P, const Sys& s) { append_u8(out, u8(s.cls)); }),
+    column(ColumnId::kSysPaths, kSys,
+           [u8](S& out, P, const Sys& s) { append_u8(out, u8(s.paths)); }),
+    column(ColumnId::kSysDiskFamily, kSys,
+           [u8](S& out, P, const Sys& s) { append_u8(out, u8(s.disk_model.family)); }),
+    column(ColumnId::kSysDiskCap, kSys,
+           [u32](S& out, P, const Sys& s) { append_u32(out, u32(s.disk_model.capacity_index)); }),
+    column(ColumnId::kSysShelfModel, kSys,
+           [u8](S& out, P, const Sys& s) { append_u8(out, u8(s.shelf_model.letter)); }),
+    column(ColumnId::kSysDeploy, kSys,
+           [](S& out, P, const Sys& s) { append_f64(out, s.deploy_time); }),
+    column(ColumnId::kSysCohort, kSys, [](S& out, P, const Sys& s) { append_u32(out, s.cohort); }),
+    column(ColumnId::kShelfSystem, kShelf, [u32](S& out, P p, const Shelf& sh) {
+      append_u32(out, u32(p.ids.system + sh.system.value()));
     }),
-    column(ColumnId::kSysPaths, n_sys, [&](std::string& out, std::uint64_t i) {
-      append_u8(out, static_cast<std::uint8_t>(systems[i].paths));
+    column(ColumnId::kShelfModel, kShelf,
+           [u8](S& out, P, const Shelf& sh) { append_u8(out, u8(sh.model.letter)); }),
+    column(ColumnId::kDiskFamily, kDisk,
+           [u8](S& out, P, const Disk& d) { append_u8(out, u8(d.model.family)); }),
+    column(ColumnId::kDiskCap, kDisk,
+           [u32](S& out, P, const Disk& d) { append_u32(out, u32(d.model.capacity_index)); }),
+    column(ColumnId::kDiskSystem, kDisk, [u32](S& out, P p, const Disk& d) {
+      append_u32(out, u32(p.ids.system + d.system.value()));
     }),
-    column(ColumnId::kSysDiskFamily, n_sys, [&](std::string& out, std::uint64_t i) {
-      append_u8(out, static_cast<std::uint8_t>(systems[i].disk_model.family));
+    column(ColumnId::kDiskShelf, kDisk, [u32](S& out, P p, const Disk& d) {
+      append_u32(out, u32(p.ids.global_shelf(d.shelf.value())));
     }),
-    column(ColumnId::kSysDiskCap, n_sys, [&](std::string& out, std::uint64_t i) {
-      append_u32(out, static_cast<std::uint32_t>(systems[i].disk_model.capacity_index));
+    column(ColumnId::kDiskRaidGroup, kDisk, [u32](S& out, P p, const Disk& d) {
+      append_u32(out, u32(p.ids.global_raid_group(d.raid_group.value())));
     }),
-    column(ColumnId::kSysShelfModel, n_sys, [&](std::string& out, std::uint64_t i) {
-      append_u8(out, static_cast<std::uint8_t>(systems[i].shelf_model.letter));
+    column(ColumnId::kDiskSlot, kDisk, [](S& out, P, const Disk& d) { append_u32(out, d.slot); }),
+    column(ColumnId::kDiskInstall, kDisk,
+           [](S& out, P, const Disk& d) { append_f64(out, d.install_time); }),
+    column(ColumnId::kDiskRemove, kDisk,
+           [](S& out, P, const Disk& d) { append_f64(out, d.remove_time); }),
+    column(ColumnId::kRgSystem, kRg, [u32](S& out, P p, const Rg& g) {
+      append_u32(out, u32(p.ids.system + g.system.value()));
     }),
-    column(ColumnId::kSysDeploy, n_sys, [&](std::string& out, std::uint64_t i) {
-      append_f64(out, systems[i].deploy_time);
-    }),
-    column(ColumnId::kSysCohort, n_sys, [&](std::string& out, std::uint64_t i) {
-      append_u32(out, systems[i].cohort);
-    }),
-    column(ColumnId::kShelfSystem, n_shelf, [&](std::string& out, std::uint64_t i) {
-      append_u32(out, shelves[i].system.value());
-    }),
-    column(ColumnId::kShelfModel, n_shelf, [&](std::string& out, std::uint64_t i) {
-      append_u8(out, static_cast<std::uint8_t>(shelves[i].model.letter));
-    }),
-    column(ColumnId::kDiskFamily, n_disk, [&](std::string& out, std::uint64_t i) {
-      append_u8(out, static_cast<std::uint8_t>(disks[i].model.family));
-    }),
-    column(ColumnId::kDiskCap, n_disk, [&](std::string& out, std::uint64_t i) {
-      append_u32(out, static_cast<std::uint32_t>(disks[i].model.capacity_index));
-    }),
-    column(ColumnId::kDiskSystem, n_disk, [&](std::string& out, std::uint64_t i) {
-      append_u32(out, disks[i].system.value());
-    }),
-    column(ColumnId::kDiskShelf, n_disk, [&](std::string& out, std::uint64_t i) {
-      append_u32(out, disks[i].shelf.value());
-    }),
-    column(ColumnId::kDiskRaidGroup, n_disk, [&](std::string& out, std::uint64_t i) {
-      append_u32(out, disks[i].raid_group.value());
-    }),
-    column(ColumnId::kDiskSlot, n_disk, [&](std::string& out, std::uint64_t i) {
-      append_u32(out, disks[i].slot);
-    }),
-    column(ColumnId::kDiskInstall, n_disk, [&](std::string& out, std::uint64_t i) {
-      append_f64(out, disks[i].install_time);
-    }),
-    column(ColumnId::kDiskRemove, n_disk, [&](std::string& out, std::uint64_t i) {
-      append_f64(out, disks[i].remove_time);
-    }),
-    column(ColumnId::kRgSystem, n_rg, [&](std::string& out, std::uint64_t i) {
-      append_u32(out, groups[i].system.value());
-    }),
-    column(ColumnId::kRgType, n_rg, [&](std::string& out, std::uint64_t i) {
-      append_u8(out, static_cast<std::uint8_t>(groups[i].type));
-    }),
-    column(ColumnId::kRgMembers, n_rg, [&](std::string& out, std::uint64_t i) {
-      append_u32(out, groups[i].member_count);
-    }),
-    column(ColumnId::kRgSpan, n_rg, [&](std::string& out, std::uint64_t i) {
-      append_u32(out, groups[i].shelf_span);
-    }),
+    column(ColumnId::kRgType, kRg, [u8](S& out, P, const Rg& g) { append_u8(out, u8(g.type)); }),
+    column(ColumnId::kRgMembers, kRg,
+           [](S& out, P, const Rg& g) { append_u32(out, g.member_count); }),
+    column(ColumnId::kRgSpan, kRg, [](S& out, P, const Rg& g) { append_u32(out, g.shelf_span); }),
   };
 
   // Stride the columns across the workers: the eight disk columns hold
@@ -284,53 +290,17 @@ void append_meta(std::string& out, const StoreMeta& meta) {
   append_u64(out, meta.missing_disk_dropped);
 }
 
-/// Exposure table, one sweep over disks in id order with one accumulator
-/// per cohort: each sum sees the same addends in the same order as its own
-/// sweep would — core::Source::disk_years over the matching cohort — so
-/// the FP rounding, and the bytes, are the same.
-void append_exposure(std::string& out, const log::Inventory& inv) {
-  // Family cohorts match Filter::disk_family: the *system's* disk family
-  // selects the cohort, and every disk of a selected system accrues. The
-  // maps hold the accumulators in output order; each system keeps pointers
-  // to its two (map nodes never move).
-  std::map<char, double> families;
-  std::map<std::pair<std::uint8_t, char>, double> class_families;
-  std::array<std::uint64_t, kClassCount> class_systems{};
-  struct Cohorts {
-    std::size_t cls = 0;
-    double* family = nullptr;
-    double* class_family = nullptr;
-  };
-  std::vector<Cohorts> cohorts;
-  cohorts.reserve(inv.systems.size());
-  for (const auto& sys : inv.systems) {
-    const auto cls = static_cast<std::uint8_t>(model::index_of(sys.cls));
-    const char family = sys.disk_model.family;
-    cohorts.push_back({cls, &families[family], &class_families[{cls, family}]});
-    ++class_systems[cls];
-  }
-
-  double total = 0.0;
-  std::array<double, kClassCount> class_years{};
-  for (const auto& d : inv.disks) {
-    const double years = inv.disk_exposure_years(d);
-    const Cohorts& of = cohorts[d.system.value()];
-    total += years;
-    class_years[of.cls] += years;
-    *of.family += years;
-    *of.class_family += years;
-  }
-
-  append_f64(out, total);
-  for (const double years : class_years) append_f64(out, years);
-  for (const std::uint64_t n : class_systems) append_u64(out, n);
-  append_u32(out, static_cast<std::uint32_t>(families.size()));
-  for (const auto& [family, years] : families) {
+void append_exposure(std::string& out, const ExposureTable& table) {
+  append_f64(out, table.total_disk_years);
+  for (const double years : table.class_disk_years) append_f64(out, years);
+  for (const std::uint64_t n : table.class_system_count) append_u64(out, n);
+  append_u32(out, static_cast<std::uint32_t>(table.family_disk_years.size()));
+  for (const auto& [family, years] : table.family_disk_years) {
     append_u8(out, static_cast<std::uint8_t>(family));
     append_f64(out, years);
   }
-  append_u32(out, static_cast<std::uint32_t>(class_families.size()));
-  for (const auto& [key, years] : class_families) {
+  append_u32(out, static_cast<std::uint32_t>(table.class_family_disk_years.size()));
+  for (const auto& [key, years] : table.class_family_disk_years) {
     append_u8(out, key.first);
     append_u8(out, static_cast<std::uint8_t>(key.second));
     append_f64(out, years);
@@ -363,53 +333,103 @@ void append_block_index(std::string& out, const std::vector<BlockRecord>& blocks
 
 }  // namespace
 
+void ExposureSweep::add_system(model::SystemClass cls, char family) {
+  const auto c = static_cast<std::uint8_t>(model::index_of(cls));
+  systems_.push_back(Cohorts{c, &table_.family_disk_years[family],
+                             &table_.class_family_disk_years[{c, family}]});
+  ++table_.class_system_count[c];
+}
+
+void ExposureSweep::add_disk(std::uint64_t system, double install_time, double remove_time) {
+  const double years = model::exposure_years(install_time, remove_time, horizon_);
+  const Cohorts& of = systems_[system];
+  table_.total_disk_years += years;
+  table_.class_disk_years[of.cls] += years;
+  *of.family += years;
+  *of.class_family += years;
+}
+
 Error build_store_image(const StoreContents& contents, std::string* image) {
   obs::Span span("store.build_image");
-  if (contents.inventory == nullptr) {
-    return make_error(ErrorCode::kBadValue, "writer: null inventory");
-  }
-  const log::Inventory& inv = *contents.inventory;
-
-  // Validate references up front so encoding can index without checks.
-  for (const auto& e : contents.events) {
-    if (e.disk.value() >= inv.disks.size()) {
-      return make_error(ErrorCode::kBadValue, "writer: event references unknown disk");
+  if (contents.parts.empty()) return make_error(ErrorCode::kBadValue, "writer: no parts");
+  for (const StorePart& part : contents.parts) {
+    if (part.inventory == nullptr) {
+      return make_error(ErrorCode::kBadValue, "writer: null inventory");
     }
-    if (e.system.value() >= inv.systems.size()) {
-      return make_error(ErrorCode::kBadValue, "writer: event references unknown system");
+    const log::Inventory& inv = *part.inventory;
+    if (part.ids.disks_initial > inv.disks.size()) {
+      return make_error(ErrorCode::kBadValue, "writer: more initial disks than disk records");
+    }
+    // Validate references up front so encoding can index without checks.
+    for (const auto& e : part.events) {
+      if (e.disk.value() >= inv.disks.size()) {
+        return make_error(ErrorCode::kBadValue, "writer: event references unknown disk");
+      }
+      if (e.system.value() >= inv.systems.size()) {
+        return make_error(ErrorCode::kBadValue, "writer: event references unknown system");
+      }
     }
   }
+  const std::span<const StorePart> pieces = contents.parts;
+  const double horizon = pieces[0].inventory->horizon_seconds;
 
-  // Canonical order: the classifier's global (time, disk, type) order. The
-  // writer re-sorts unconditionally so the image is a pure function of the
-  // event *set*, not of the order the caller happened to hold it in.
-  std::vector<log::ClassifiedFailure> sorted(contents.events.begin(),
-                                             contents.events.end());
-  std::sort(sorted.begin(), sorted.end(),
-            [](const log::ClassifiedFailure& a, const log::ClassifiedFailure& b) {
-              if (a.time != b.time) return a.time < b.time;
-              if (a.disk != b.disk) return a.disk < b.disk;
-              return static_cast<int>(a.type) < static_cast<int>(b.type);
-            });
-
-  // Stable partition into one span per system class (partition preserves the
-  // canonical order within each class).
-  std::array<std::vector<log::ClassifiedFailure>, kClassCount> per_class;
-  for (const auto& e : sorted) {
-    per_class[model::index_of(inv.systems[e.system.value()].cls)].push_back(e);
+  // Every event, rebased and looked up through the part that owns it, in
+  // canonical order: by class (the shard it goes to), then the classifier's
+  // global (time, disk, type) order. The writer sorts unconditionally so the
+  // image is a pure function of the event *set*, not of the order or the
+  // parts the caller happened to hold it in.
+  std::vector<EventRecord> sorted;
+  std::size_t n_events = 0;
+  for (const StorePart& part : contents.parts) n_events += part.events.size();
+  sorted.reserve(n_events);
+  for (const StorePart& part : pieces) {
+    const log::Inventory& inv = *part.inventory;
+    const IdBases& ids = part.ids;
+    for (const auto& e : part.events) {
+      const log::InventoryDisk& disk = inv.disks[e.disk.value()];
+      const log::InventorySystem& sys = inv.systems[e.system.value()];
+      sorted.push_back(EventRecord{
+          e.time, static_cast<std::uint32_t>(ids.global_disk(e.disk.value())),
+          static_cast<std::uint32_t>(ids.system + e.system.value()),
+          static_cast<std::uint32_t>(ids.global_shelf(disk.shelf.value())),
+          static_cast<std::uint32_t>(ids.global_raid_group(disk.raid_group.value())),
+          static_cast<std::uint8_t>(e.type), static_cast<std::uint8_t>(sys.disk_model.family),
+          static_cast<std::uint8_t>(model::index_of(sys.cls))});
+    }
   }
+  std::sort(sorted.begin(), sorted.end(), [](const EventRecord& a, const EventRecord& b) {
+    if (a.cls != b.cls) return a.cls < b.cls;
+    if (a.time != b.time) return a.time < b.time;
+    if (a.disk != b.disk) return a.disk < b.disk;
+    return a.type < b.type;
+  });
 
   // Encode the four class shards through the shared pool. Workers touch
   // disjoint slots of `shards`; the merge below walks class order, so the
   // image is independent of scheduling.
+  std::array<std::span<const EventRecord>, kClassCount> per_class;
+  for (std::size_t at = 0; at < sorted.size();) {
+    std::size_t end = at;
+    while (end < sorted.size() && sorted[end].cls == sorted[at].cls) ++end;
+    per_class[sorted[at].cls] = std::span<const EventRecord>(sorted).subspan(at, end - at);
+    at = end;
+  }
   std::array<ShardEncoding, kClassCount> shards;
   util::parallel_for(kClassCount, [&](std::size_t begin, std::size_t end) {
     for (std::size_t s = begin; s < end; ++s) {
-      shards[s] = encode_event_shard(inv, static_cast<std::uint8_t>(s), per_class[s]);
+      shards[s] = encode_event_shard(static_cast<std::uint8_t>(s), per_class[s]);
     }
   });
 
-  const std::vector<EncodedColumn> topology = encode_topology(inv);
+  const std::vector<EncodedColumn> topology = encode_topology(pieces);
+
+  ExposureSweep exposure(horizon);
+  for_each_row(pieces, &log::Inventory::systems, [&](const StorePart&, const auto& sys) {
+    exposure.add_system(sys.cls, sys.disk_model.family);
+  });
+  for_each_row(pieces, &log::Inventory::disks, [&](const StorePart& p, const auto& d) {
+    exposure.add_disk(p.ids.system + d.system.value(), d.install_time, d.remove_time);
+  });
 
   // Size the image once — every column with its worst-case alignment pad,
   // plus a footer allowance — so assembly copies each byte exactly once.
@@ -446,7 +466,7 @@ Error build_store_image(const StoreContents& contents, std::string* image) {
   pad_to_alignment(out);
   const std::uint64_t footer_offset = out.size();
   append_meta(out, contents.meta);
-  append_exposure(out, inv);
+  append_exposure(out, exposure.table());
   append_directory(out, columns);
   append_block_index(out, blocks);
   append_u32(out, crc32(out.data() + footer_offset, out.size() - footer_offset));
@@ -458,12 +478,15 @@ Error build_store_image(const StoreContents& contents, std::string* image) {
   header.footer_size = footer_size;
   header.seed = contents.seed;
   header.scale = contents.scale;
-  header.horizon_seconds = inv.horizon_seconds;
+  header.horizon_seconds = horizon;
   header.event_count = sorted.size();
-  header.system_count = inv.systems.size();
-  header.shelf_count = inv.shelves.size();
-  header.disk_count = inv.disks.size();
-  header.raid_group_count = inv.raid_groups.size();
+  // The last part's bases plus its own rows are the fleet's totals.
+  const StorePart& last = pieces.back();
+  header.system_count = last.ids.system + last.inventory->systems.size();
+  header.shelf_count = last.ids.shelf + last.inventory->shelves.size();
+  header.disk_count =
+      last.ids.replacement + (last.inventory->disks.size() - last.ids.disks_initial);
+  header.raid_group_count = last.ids.raid_group + last.inventory->raid_groups.size();
   std::string head;
   head.reserve(kHeaderSize);
   append_header(head, header);

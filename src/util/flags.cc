@@ -34,4 +34,10 @@ double flag_double(std::string_view name, std::string_view text) {
   return value;
 }
 
+double flag_positive(std::string_view name, std::string_view text) {
+  const double value = flag_double(name, text);
+  if (!(value > 0.0)) exit_bad_value(name);
+  return value;
+}
+
 }  // namespace storsubsim::util

@@ -1,7 +1,7 @@
 // Checked numbers from command-line flag values.
 //
 // The storsubsim CLI and every bench harness read their numeric flags
-// through these two functions, so a value that does not parse gets the same
+// through these functions, so a value that does not parse gets the same
 // message and the same exit status everywhere.
 #pragma once
 
@@ -21,5 +21,9 @@ std::uint64_t flag_count(std::string_view name, std::string_view text,
 /// The value of flag --`name`: all of `text` as a finite number. Anything
 /// else ("", "1x", "nan", "inf", out of range) exits like flag_count.
 double flag_double(std::string_view name, std::string_view text);
+
+/// The value of flag --`name`: all of `text` as a finite number above zero
+/// (a fleet's --scale). Anything else exits like flag_count.
+double flag_positive(std::string_view name, std::string_view text);
 
 }  // namespace storsubsim::util

@@ -238,7 +238,7 @@ TEST(Burstiness, TiedEventsGiveOneAnswerOnEveryBackend) {
     info.sys_end = s + 1;
     info.systems = info.shelves = info.raid_groups = 1;
     info.disks_initial = info.disks_total = 3;
-    info.events = part.events().size();
+    info.events = part.parts()[0].events.size();
     ASSERT_TRUE(
         core::write_store(dir + "/" + info.file, core::SimulationDataset{part, {}, {}}, 1, 1.0)
             .ok());

@@ -165,7 +165,7 @@ struct MapTally {
 
 MapTally map_tally(const core::Dataset& ds, const core::Filter& cohort, core::Scope scope,
                    model::FailureType type, double window) {
-  const auto& inv = ds.inventory();
+  const auto& inv = *ds.parts()[0].inventory;
   const auto selected = [&](model::SystemId sys) {
     return cohort.selects(inv.systems[sys.value()]);
   };
@@ -185,7 +185,7 @@ MapTally map_tally(const core::Dataset& ds, const core::Filter& cohort, core::Sc
     }
   }
   for (const auto w : scope_windows) tally.windows_observed += w;
-  for (const auto& e : ds.events()) {
+  for (const auto& e : ds.parts()[0].events) {
     if (e.type != type) continue;
     const auto& disk = inv.disks[e.disk.value()];
     if (!selected(disk.system)) continue;

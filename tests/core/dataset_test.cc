@@ -93,8 +93,8 @@ TEST(Dataset, EventCountsAndSorting) {
   core::Dataset ds(inv, {event(500.0, 2, model::FailureType::kDisk),
                          event(100.0, 0, model::FailureType::kProtocol),
                          event(300.0, 1, model::FailureType::kDisk)});
-  ASSERT_EQ(ds.events().size(), 3u);
-  EXPECT_DOUBLE_EQ(ds.events()[0].time, 100.0);
+  ASSERT_EQ(ds.parts()[0].events.size(), 3u);
+  EXPECT_DOUBLE_EQ(ds.parts()[0].events[0].time, 100.0);
   EXPECT_EQ(event_count(ds, model::FailureType::kDisk), 2u);
   EXPECT_EQ(event_count(ds, model::FailureType::kProtocol), 1u);
   EXPECT_EQ(event_count(ds, model::FailureType::kPerformance), 0u);
@@ -120,11 +120,11 @@ TEST(Dataset, TiedTimesSortByDiskThenType) {
               {200.0, 2, model::FailureType::kProtocol},
               {200.0, 3, model::FailureType::kDisk},
               {200.0, 3, model::FailureType::kPerformance}};
-  ASSERT_EQ(ds.events().size(), std::size(want));
+  ASSERT_EQ(ds.parts()[0].events.size(), std::size(want));
   for (std::size_t i = 0; i < std::size(want); ++i) {
-    EXPECT_EQ(ds.events()[i].time, want[i].time) << i;
-    EXPECT_EQ(ds.events()[i].disk, model::DiskId(want[i].disk)) << i;
-    EXPECT_EQ(ds.events()[i].type, want[i].type) << i;
+    EXPECT_EQ(ds.parts()[0].events[i].time, want[i].time) << i;
+    EXPECT_EQ(ds.parts()[0].events[i].disk, model::DiskId(want[i].disk)) << i;
+    EXPECT_EQ(ds.parts()[0].events[i].type, want[i].type) << i;
   }
 }
 
@@ -132,19 +132,19 @@ TEST(Dataset, DropsEventsWithUnknownDisks) {
   const auto inv = tiny_inventory();
   core::Dataset ds(inv, {event(1.0, 99, model::FailureType::kDisk),
                          event(2.0, 0, model::FailureType::kDisk)});
-  EXPECT_EQ(ds.events().size(), 1u);
+  EXPECT_EQ(ds.parts()[0].events.size(), 1u);
 }
 
 TEST(Dataset, SystemAttributionFromInventoryNotEvent) {
   const auto inv = tiny_inventory();
   // Event claims system 0, but disk 2 belongs to system 1.
   core::Dataset ds(inv, {event(1.0, 2, model::FailureType::kDisk)});
-  EXPECT_EQ(ds.events()[0].system, model::SystemId(1));
+  EXPECT_EQ(ds.parts()[0].events[0].system, model::SystemId(1));
   const auto rows = events_of(ds);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].system, 1u);
   EXPECT_EQ(rows[0].cls, model::SystemClass::kHighEnd);
-  EXPECT_EQ(ds.events()[0].disk, model::DiskId(2));
+  EXPECT_EQ(ds.parts()[0].events[0].disk, model::DiskId(2));
 }
 
 TEST(Dataset, ExposureAccountsReplacementChains) {
@@ -229,11 +229,11 @@ TEST(Dataset, EndToEndMatchesInMemory) {
   auto fs = sim::run_standard(0.01, 99);
   const auto via_logs = core::dataset_via_logs(fs.fleet, fs.result);
   const auto in_memory = core::dataset_in_memory(fs.fleet, fs.result);
-  ASSERT_EQ(via_logs.events().size(), in_memory.events().size());
-  for (std::size_t i = 0; i < via_logs.events().size(); ++i) {
-    EXPECT_EQ(via_logs.events()[i].disk, in_memory.events()[i].disk);
-    EXPECT_EQ(via_logs.events()[i].type, in_memory.events()[i].type);
-    EXPECT_NEAR(via_logs.events()[i].time, in_memory.events()[i].time, 1e-3);
+  ASSERT_EQ(via_logs.parts()[0].events.size(), in_memory.parts()[0].events.size());
+  for (std::size_t i = 0; i < via_logs.parts()[0].events.size(); ++i) {
+    EXPECT_EQ(via_logs.parts()[0].events[i].disk, in_memory.parts()[0].events[i].disk);
+    EXPECT_EQ(via_logs.parts()[0].events[i].type, in_memory.parts()[0].events[i].type);
+    EXPECT_NEAR(via_logs.parts()[0].events[i].time, in_memory.parts()[0].events[i].time, 1e-3);
   }
   EXPECT_NEAR(core::Source(via_logs).disk_years().total,
               core::Source(in_memory).disk_years().total, 1.0);

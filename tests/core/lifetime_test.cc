@@ -37,7 +37,7 @@ TEST(Lifetime, ObservationAccounting) {
   const auto observations = core::disk_lifetime_observations(ds);
 
   // One observation per disk record with in-window exposure.
-  EXPECT_LE(observations.size(), ds.inventory().disks.size());
+  EXPECT_LE(observations.size(), core::Source(ds).disk_records());
   EXPECT_GT(observations.size(), fs.fleet.initial_disk_count() * 9 / 10);
 
   // Events = disk failures whose removal happened in-window.

@@ -22,7 +22,7 @@ TEST(Pipeline, StatsAreConsistent) {
   // Every written line parsed back; every RAID record classified or deduped.
   EXPECT_GT(sd.pipeline.log_lines_written, 0u);
   EXPECT_EQ(sd.pipeline.log_lines_written, sd.pipeline.log_lines_parsed);
-  EXPECT_EQ(sd.pipeline.failures_classified, sd.dataset.events().size());
+  EXPECT_EQ(sd.pipeline.failures_classified, core::Source(sd.dataset).event_records());
   // The simulator and the pipeline agree on the number of failures (the
   // dedup window may only collapse same-disk duplicates; the simulator
   // never emits them, so counts match exactly).
@@ -33,7 +33,7 @@ TEST(Pipeline, InMemoryPathMatchesCounters) {
   const auto config = model::standard_fleet_config(0.01, 7);
   const auto sd = core::simulate_and_analyze(config, sim::SimParams::standard(),
                                              /*through_text_logs=*/false);
-  EXPECT_EQ(sd.dataset.events().size(), sd.counters.total_events());
+  EXPECT_EQ(core::Source(sd.dataset).event_records(), sd.counters.total_events());
   const auto afr = core::compute_afr(sd.dataset);
   for (const auto type : model::kAllFailureTypes) {
     EXPECT_EQ(afr.events[model::index_of(type)],
@@ -45,7 +45,8 @@ TEST(Pipeline, DeterministicAcrossRuns) {
   const auto config = model::standard_fleet_config(0.005, 13);
   const auto a = core::simulate_and_analyze(config);
   const auto b = core::simulate_and_analyze(config);
-  ASSERT_EQ(a.dataset.events().size(), b.dataset.events().size());
+  ASSERT_EQ(core::Source(a.dataset).event_records(),
+            core::Source(b.dataset).event_records());
   const auto afr_a = core::compute_afr(a.dataset);
   const auto afr_b = core::compute_afr(b.dataset);
   EXPECT_NEAR(afr_a.disk_years, afr_b.disk_years, 1e-6);

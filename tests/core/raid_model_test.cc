@@ -131,7 +131,7 @@ TEST(RaidModel, CorrelatedRealityBeatsTheModel) {
 
   // Feed the model the measured whole-subsystem failure rate per disk.
   const double events_per_disk_year =
-      static_cast<double>(ds.events().size()) / core::Source(ds).disk_years().total;
+      static_cast<double>(core::Source(ds).event_records()) / core::Source(ds).disk_years().total;
   core::RaidGroupModel m;
   m.disks = 8;
   m.disk_afr_fraction = 1.0 - std::exp(-events_per_disk_year);

@@ -40,11 +40,14 @@
 #include "core/source.h"
 #include "core/store_bridge.h"
 #include "model/fleet_config.h"
+#include "model/time.h"
 #include "store/shards.h"
+#include "util/parallel.h"
 
 namespace core = storsubsim::core;
 namespace model = storsubsim::model;
 namespace store = storsubsim::store;
+namespace util = storsubsim::util;
 
 // A cohort borrows its backend, so a temporary backend must not bind.
 static_assert(std::is_constructible_v<core::Source, const core::Dataset&, const core::Filter&>);
@@ -60,12 +63,20 @@ std::string temp_path(const char* name) {
   return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
 }
 
-/// One simulated run plus its serialized store, shared by every test.
+/// One simulated fleet as Datasets of 1, 3 and 4 parts and as a store
+/// file and a 4-shard directory, shared by every test. The one-part run is
+/// the reference.
 class SourceEquivalence : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    run_ = new core::SimulationDataset(core::simulate_and_analyze(
-        model::standard_fleet_config(0.05, 20080226)));
+    // The chunk count of simulate_and_analyze is the thread count.
+    for (const unsigned parts : {1u, 3u, 4u}) {
+      util::set_thread_count(parts);
+      runs_.push_back(new core::SimulationDataset(core::simulate_and_analyze(
+          model::standard_fleet_config(0.05, 20080226))));
+    }
+    util::set_thread_count(0);
+    run_ = runs_[0];
     store_path_ = new std::string(temp_path("source_equivalence.store"));
     ASSERT_TRUE(core::write_store(*store_path_, *run_, 20080226, 0.05).ok());
     store_ = new store::ShardStore;
@@ -94,15 +105,19 @@ class SourceEquivalence : public ::testing::Test {
     std::filesystem::remove_all(*shard_dir_);
     delete shard_dir_;
     shard_dir_ = nullptr;
-    delete run_;
+    for (auto*& run : runs_) delete run;
+    runs_.clear();
     run_ = nullptr;
   }
 
   static const core::Dataset& dataset() { return run_->dataset; }
+  /// The same fleet as Datasets of 1, 3 and 4 parts.
+  static const std::vector<core::SimulationDataset*>& part_runs() { return runs_; }
   static const store::ShardStore& event_store() { return *store_; }
   static const store::ShardStore& shard_dir() { return *shards_; }
 
   static core::SimulationDataset* run_;
+  static std::vector<core::SimulationDataset*> runs_;
   static std::string* store_path_;
   static store::ShardStore* store_;
   static std::string* shard_dir_;
@@ -110,6 +125,7 @@ class SourceEquivalence : public ::testing::Test {
 };
 
 core::SimulationDataset* SourceEquivalence::run_ = nullptr;
+std::vector<core::SimulationDataset*> SourceEquivalence::runs_;
 std::string* SourceEquivalence::store_path_ = nullptr;
 store::ShardStore* SourceEquivalence::store_ = nullptr;
 std::string* SourceEquivalence::shard_dir_ = nullptr;
@@ -242,14 +258,14 @@ bool selects_all(const Filters& filters, const storsubsim::log::InventorySystem&
 /// its disk-years are their exposures summed in disk-id order.
 void expect_rows_match_reference(const core::Source& cohort, const core::Dataset& ds,
                                  const Filters& filters) {
-  const auto& inv = ds.inventory();
+  const auto& inv = *ds.parts()[0].inventory;
   const auto owner_selected = [&](model::SystemId sys) {
     return selects_all(filters, inv.systems[sys.value()]);
   };
 
   using EventKey = std::tuple<double, std::uint32_t, model::FailureType, std::uint32_t>;
   std::vector<EventKey> want_events;
-  for (const core::FailureEvent& e : ds.events()) {
+  for (const core::FailureEvent& e : ds.parts()[0].events) {
     if (owner_selected(inv.disks[e.disk.value()].system)) {
       want_events.emplace_back(e.time, e.disk.value(), e.type, e.system.value());
     }
@@ -267,7 +283,7 @@ void expect_rows_match_reference(const core::Source& cohort, const core::Dataset
   for (const auto& d : inv.disks) {
     if (!owner_selected(d.system)) continue;
     want_disks.push_back({d.id.value(), d.system.value(), d.install_time, d.remove_time});
-    want_years += inv.disk_exposure_years(d);
+    want_years += model::exposure_years(d.install_time, d.remove_time, inv.horizon_seconds);
   }
   std::vector<core::DiskRow> got_disks;
   cohort.for_each_disk([&](const core::DiskRow& d) { got_disks.push_back(d); });
@@ -580,6 +596,32 @@ TEST_F(SourceEquivalence, CohortOfEverySystemIsTheWholeFleet) {
   EXPECT_TRUE(dataset_cohort.whole());
   expect_sources_identical(event_store(), store_cohort);
   expect_sources_identical(dataset(), dataset_cohort);
+}
+
+// How a Dataset is cut into parts never shows: Datasets of 1, 3 and 4 parts
+// over one fleet answer every analysis, whole and per cohort, bit for bit,
+// walk the reference's rows, and encode to the same store image.
+TEST_F(SourceEquivalence, DatasetPartsDoNotShow) {
+  const std::size_t counts[] = {1, 3, 4};
+  std::string reference;
+  ASSERT_TRUE(store::build_store_image(core::store_contents(*run_, 1, 0.05), &reference).ok());
+  for (std::size_t r = 0; r < part_runs().size(); ++r) {
+    const core::Dataset& parts = part_runs()[r]->dataset;
+    SCOPED_TRACE(std::to_string(counts[r]) + " parts");
+    ASSERT_EQ(parts.parts().size(), counts[r]);
+    std::string image;
+    ASSERT_TRUE(
+        store::build_store_image(core::store_contents(*part_runs()[r], 1, 0.05), &image).ok());
+    EXPECT_TRUE(image == reference) << "the store image depends on the part count";
+
+    expect_sources_identical(dataset(), parts);
+    expect_cohort_analyses_identical(dataset(), parts);
+    for (const auto& [name, filter] : cli_cohorts()) {
+      SCOPED_TRACE(name);
+      expect_rows_match_reference(core::Source(parts, filter), dataset(), {filter});
+      expect_sources_identical(core::Source(dataset(), filter), core::Source(parts, filter));
+    }
+  }
 }
 
 TEST_F(SourceEquivalence, SourceAccessorsReportBackend) {

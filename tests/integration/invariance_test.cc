@@ -2,12 +2,17 @@
 // fleet scale, seeds, and parameter sweeps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "core/afr.h"
 #include "core/burstiness.h"
 #include "core/pipeline.h"
+#include "core/source.h"
 #include "core/store_bridge.h"
 #include "log/line_writer.h"
 #include "log/snapshot.h"
@@ -70,6 +75,57 @@ void expect_inventory_identical(const storsubsim::log::Inventory& a,
     EXPECT_EQ(bits(x.install_time), bits(y.install_time)) << "disk " << i;
     EXPECT_EQ(bits(x.remove_time), bits(y.remove_time)) << "disk " << i;
   }
+}
+
+/// The store image of `dataset`, meta block left empty: the bytes every cut
+/// of one fleet into parts must give.
+std::string image_of(const core::Dataset& dataset) {
+  const core::SimulationDataset run{dataset, {}, {}};
+  std::string image;
+  EXPECT_TRUE(storsubsim::store::build_store_image(core::store_contents(run, 11, 1.0), &image)
+                  .ok());
+  return image;
+}
+
+/// Two datasets of one fleet, however each is cut into parts: the same
+/// store image, and the same Source rows — events in (time, disk, type)
+/// order (a Dataset yields them part by part), the rest in global id order.
+void expect_same_fleet(const core::Dataset& want, const core::Dataset& got) {
+  const std::string image = image_of(want);
+  EXPECT_TRUE(image == image_of(got)) << "store images differ";
+  using EventKey = std::tuple<std::uint64_t, std::uint32_t, model::FailureType, std::uint32_t,
+                              std::uint32_t, std::uint32_t, model::SystemClass>;
+  using DiskKey = std::tuple<std::uint32_t, std::uint32_t, std::uint64_t, std::uint64_t>;
+  using ScopeKey = std::tuple<std::uint32_t, std::uint64_t, model::RaidType>;
+  const auto rows = [](const core::Source& source) {
+    std::vector<EventKey> events;
+    source.for_each_event([&](const core::EventRow& e) {
+      events.emplace_back(bits(e.time), e.disk, e.type, e.system, e.shelf, e.raid_group, e.cls);
+    });
+    std::sort(events.begin(), events.end());
+    std::vector<DiskKey> disks;
+    source.for_each_disk([&](const core::DiskRow& d) {
+      disks.emplace_back(d.id, d.system, bits(d.install_time), bits(d.remove_time));
+    });
+    std::vector<ScopeKey> scopes;
+    for (const auto scope : {core::Scope::kShelf, core::Scope::kRaidGroup}) {
+      source.for_each_scope(scope, [&](const core::ScopeRow& r) {
+        scopes.emplace_back(r.id, bits(r.deploy_time), r.raid_type);
+      });
+    }
+    std::vector<std::uint32_t> systems;
+    source.for_each_system([&](const storsubsim::log::InventorySystem& sys) {
+      systems.push_back(sys.id.value());
+    });
+    return std::make_tuple(events, disks, scopes, systems);
+  };
+  const auto a = rows(want);
+  const auto b = rows(got);
+  EXPECT_FALSE(std::get<0>(a).empty());
+  EXPECT_TRUE(std::get<0>(a) == std::get<0>(b)) << "event rows differ";
+  EXPECT_TRUE(std::get<1>(a) == std::get<1>(b)) << "disk rows differ";
+  EXPECT_TRUE(std::get<2>(a) == std::get<2>(b)) << "scope rows differ";
+  EXPECT_TRUE(std::get<3>(a) == std::get<3>(b)) << "system rows differ";
 }
 
 core::AfrBreakdown afr_at_scale(double scale, std::uint64_t seed) {
@@ -177,11 +233,8 @@ TEST_P(ThreadInvariance, PipelineBitIdenticalAcrossThreadCounts) {
     storsubsim::util::set_thread_count(threads);
     const auto parallel = core::simulate_and_analyze(config);
 
-    ASSERT_EQ(serial.dataset.events().size(), parallel.dataset.events().size());
-    for (std::size_t i = 0; i < serial.dataset.events().size(); ++i) {
-      EXPECT_EQ(serial.dataset.events()[i], parallel.dataset.events()[i]) << "event " << i;
-    }
-    expect_inventory_identical(serial.dataset.inventory(), parallel.dataset.inventory());
+    EXPECT_EQ(parallel.dataset.parts().size(), threads);
+    expect_same_fleet(serial.dataset, parallel.dataset);
     EXPECT_EQ(serial.counters.events_by_type, parallel.counters.events_by_type);
     EXPECT_EQ(serial.counters.replacements, parallel.counters.replacements);
     EXPECT_EQ(serial.pipeline.log_lines_written, parallel.pipeline.log_lines_written);
@@ -199,14 +252,9 @@ TEST_P(ThreadInvariance, StoreBytesIdenticalAcrossThreadCounts) {
   storsubsim::util::set_thread_count(1);
   const auto serial = core::simulate_and_analyze(config);
   auto image_of = [](const core::SimulationDataset& run) {
-    storsubsim::store::StoreContents contents;
-    contents.inventory = &run.dataset.inventory();
-    contents.events = run.dataset.events();
-    contents.meta = core::make_store_meta(run.counters, run.pipeline);
-    contents.seed = 11;
-    contents.scale = 1.0;
     std::string image;
-    EXPECT_TRUE(storsubsim::store::build_store_image(contents, &image).ok());
+    EXPECT_TRUE(
+        storsubsim::store::build_store_image(core::store_contents(run, 11, 1.0), &image).ok());
     return image;
   };
   const std::string serial_image = image_of(serial);
@@ -221,13 +269,15 @@ TEST_P(ThreadInvariance, StoreBytesIdenticalAcrossThreadCounts) {
 
 INSTANTIATE_TEST_SUITE_P(Scales, ThreadInvariance, ::testing::Values(0.05, 0.2));
 
-// simulate_and_analyze runs one chunk per worker and stitches the chunks;
-// the reference here shares none of that: the whole fleet simulated at once
-// (sim::simulate_fleet), its failure logs and config snapshot written whole,
-// and both read back through dataset_from_text. Events, inventory, simulator
-// counters and pipeline counts must all match at every thread count, with
-// the standard parameters and with a Hawkes-heavy set — so an RNG stream
-// keyed by a chunk-local index, or an id rebased off by one chunk, fails.
+// simulate_and_analyze runs one chunk per worker and keeps each chunk as a
+// part of its Dataset; the reference here shares none of that: the whole
+// fleet simulated at once (sim::simulate_fleet), its failure logs and config
+// snapshot written whole, and both read back through dataset_from_text as
+// one part. The store image built from the parts and the Source rows,
+// simulator counters and pipeline counts must all match at every thread
+// count, with the standard parameters and with a Hawkes-heavy set — so an
+// RNG stream keyed by a chunk-local index, or an id rebased off by one
+// chunk, fails.
 class ChunkedPipeline : public ::testing::TestWithParam<bool> {
  protected:
   void TearDown() override { storsubsim::util::set_thread_count(0); }
@@ -247,23 +297,15 @@ TEST_P(ChunkedPipeline, MatchesWholeFleetTextRoute) {
   ASSERT_TRUE(text.error.empty()) << text.error;
   ASSERT_TRUE(text.dataset.has_value());
   const core::Dataset& reference = *text.dataset;
-  ASSERT_GT(reference.events().size(), 0u);
+  ASSERT_GT(reference.parts()[0].events.size(), 0u);
 
   for (const unsigned threads : {1u, 3u, 4u}) {
     SCOPED_TRACE(::testing::Message() << threads << " threads");
     storsubsim::util::set_thread_count(threads);
     const auto sd = core::simulate_and_analyze(config, params);
 
-    expect_inventory_identical(reference.inventory(), sd.dataset.inventory());
-    const auto a = reference.events();
-    const auto b = sd.dataset.events();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(bits(a[i].time), bits(b[i].time)) << "event " << i;
-      EXPECT_EQ(a[i].disk, b[i].disk) << "event " << i;
-      EXPECT_EQ(a[i].system, b[i].system) << "event " << i;
-      EXPECT_EQ(a[i].type, b[i].type) << "event " << i;
-    }
+    EXPECT_EQ(sd.dataset.parts().size(), threads);
+    expect_same_fleet(reference, sd.dataset);
 
     const sim::SimCounters& c = fs.result.counters;
     EXPECT_EQ(sd.counters.events_by_type, c.events_by_type);
@@ -281,14 +323,10 @@ TEST_P(ChunkedPipeline, MatchesWholeFleetTextRoute) {
     EXPECT_EQ(sd.pipeline.duplicates_dropped, s.duplicates_dropped);
     EXPECT_EQ(sd.pipeline.missing_disk_dropped, s.missing_disk_dropped);
 
-    // The in-memory route stitches the same way.
+    // The in-memory route keeps its parts the same way.
     const auto memory = core::simulate_and_analyze(config, params, false);
     const auto whole = core::dataset_in_memory(fs.fleet, fs.result);
-    expect_inventory_identical(whole.inventory(), memory.dataset.inventory());
-    ASSERT_EQ(whole.events().size(), memory.dataset.events().size());
-    for (std::size_t i = 0; i < whole.events().size(); ++i) {
-      EXPECT_EQ(whole.events()[i], memory.dataset.events()[i]) << "in-memory event " << i;
-    }
+    expect_same_fleet(whole, memory.dataset);
     EXPECT_EQ(memory.counters.events_by_type, c.events_by_type);
   }
 }
@@ -349,9 +387,9 @@ TEST(Pipeline, DatasetFromTextMatchesDatasetViaLogs) {
     ASSERT_TRUE(text.dataset.has_value());
     const core::Dataset& from_text = *text.dataset;
 
-    expect_inventory_identical(from_text.inventory(), via.inventory());
-    const auto a = from_text.events();
-    const auto b = via.events();
+    expect_inventory_identical(*from_text.parts()[0].inventory, *via.parts()[0].inventory);
+    const auto& a = from_text.parts()[0].events;
+    const auto& b = via.parts()[0].events;
     ASSERT_EQ(a.size(), b.size()) << threads << " threads";
     ASSERT_GT(a.size(), 0u);
     for (std::size_t i = 0; i < a.size(); ++i) {

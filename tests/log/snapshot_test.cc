@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "model/fleet.h"
+#include "model/time.h"
 #include "reference_snapshot_parse.h"
 
 namespace log_ns = storsubsim::log;
@@ -119,7 +120,9 @@ TEST(Snapshot, ExposureMatchesFleet) {
   const auto fleet = test_fleet(9);
   const auto inv = log_ns::inventory_from_fleet(fleet);
   double total = 0.0;
-  for (const auto& d : inv.disks) total += inv.disk_exposure_years(d);
+  for (const auto& d : inv.disks) {
+    total += model::exposure_years(d.install_time, d.remove_time, inv.horizon_seconds);
+  }
   EXPECT_NEAR(total, fleet.total_disk_exposure_years(), 1e-9);
 }
 

@@ -191,7 +191,9 @@ TEST(FleetExposure, ClippedToStudyWindow) {
   const auto disk = shelf.slots[0];
   const double horizon = fleet.horizon_seconds();
   const auto fresh = fleet.replace_disk(disk, horizon - 10.0, horizon + 1000.0);
-  EXPECT_DOUBLE_EQ(fleet.disk_exposure_years(fleet.disk(fresh)), 0.0);
+  const auto& record = fleet.disk(fresh);
+  EXPECT_DOUBLE_EQ(
+      model::exposure_years(record.install_time, record.remove_time, horizon), 0.0);
 }
 
 TEST(FleetBuild, DeployTimesWithinWindow) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/pipeline.h"
+#include "core/source.h"
 #include "model/fleet_config.h"
 #include "obs/json.h"
 #include "obs/obs.h"
@@ -148,7 +149,7 @@ TEST(Determinism, DeterministicSnapshotIdenticalAcrossThreadCounts) {
     reset_obs_state();
     util::set_thread_count(threads);
     const auto sd = core::simulate_and_analyze(config);
-    ASSERT_GT(sd.dataset.events().size(), 0u);
+    ASSERT_GT(core::Source(sd.dataset).event_records(), 0u);
     snapshots.push_back(
         obs::registry().snapshot().to_text(/*deterministic_only=*/true));
   }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "model/time.h"
 #include "sim/scenario.h"
 #include "util/parallel.h"
 
@@ -115,7 +116,8 @@ TEST(Simulator, DualPathMasksHalfOfInterconnect) {
   std::map<model::PathConfig, double> exposure;
   std::map<model::PathConfig, std::size_t> events;
   for (const auto& d : fs.fleet.disks()) {
-    exposure[fs.fleet.system(d.system).paths] += fs.fleet.disk_exposure_years(d);
+    exposure[fs.fleet.system(d.system).paths] += model::exposure_years(
+        d.install_time, d.remove_time, fs.fleet.horizon_seconds());
   }
   for (const auto& f : fs.result.failures) {
     if (f.type == model::FailureType::kPhysicalInterconnect) {

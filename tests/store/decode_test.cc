@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/pipeline.h"
+#include "core/store_bridge.h"
 #include "model/fleet_config.h"
 #include "obs/obs.h"
 #include "sim/params.h"
@@ -129,13 +130,9 @@ class DecodeStore : public ::testing::Test {
   static void SetUpTestSuite() {
     const auto run = core::simulate_and_analyze(
         model::standard_fleet_config(0.05, 20080226), sim::SimParams::standard(), false);
-    store::StoreContents contents;
-    contents.inventory = &run.dataset.inventory();
-    contents.events = run.dataset.events();
-    contents.seed = 20080226;
-    contents.scale = 0.05;
     image_ = new std::string;
-    ASSERT_TRUE(store::build_store_image(contents, image_).ok());
+    ASSERT_TRUE(
+        store::build_store_image(core::store_contents(run, 20080226, 0.05), image_).ok());
   }
   static void TearDownTestSuite() {
     delete image_;

@@ -13,11 +13,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/afr.h"
@@ -158,11 +160,13 @@ store::ShardStore* ShardEquivalence::shards_ = nullptr;
 TEST_F(ShardEquivalence, ManifestTotalsMatchTheRun) {
   const auto& m = shards().manifest();
   EXPECT_EQ(m.shards.size(), 3u);
-  EXPECT_EQ(m.events, dataset().events().size());
-  EXPECT_EQ(m.disks_total, dataset().inventory().disks.size());
-  EXPECT_EQ(m.systems, dataset().inventory().systems.size());
-  EXPECT_EQ(m.shelves, dataset().inventory().shelves.size());
-  EXPECT_EQ(m.raid_groups, dataset().inventory().raid_groups.size());
+  const core::Source fleet(dataset());
+  const core::CohortCount count = fleet.count();
+  EXPECT_EQ(m.events, fleet.event_records());
+  EXPECT_EQ(m.disks_total, fleet.disk_records());
+  EXPECT_EQ(m.systems, count.systems);
+  EXPECT_EQ(m.shelves, count.shelves);
+  EXPECT_EQ(m.raid_groups, count.raid_groups);
   std::uint64_t events = 0;
   for (const auto& info : m.shards) events += info.events;
   EXPECT_EQ(events, m.events);
@@ -271,29 +275,47 @@ TEST_F(ShardEquivalence, QueriesMatchTheSingleFileStore) {
   expect_query_identical(shard_result, mono_result);
 }
 
-// Full rehydration: the Dataset stitched from the shard directory (global
-// id rebasing, two-pass disk order, canonical event re-sort) must equal the
-// Dataset the live pipeline produced.
-TEST_F(ShardEquivalence, DatasetFromShardsEqualsThePipelineDataset) {
-  const core::Dataset rebuilt = core::dataset_from_shards(shards());
-  ASSERT_EQ(rebuilt.events().size(), dataset().events().size());
-  for (std::size_t i = 0; i < rebuilt.events().size(); ++i) {
-    EXPECT_TRUE(rebuilt.events()[i] == dataset().events()[i]) << "event " << i;
+// The shard directory read through Source (global id rebasing, two-pass
+// disk order) yields the rows of the Dataset the live pipeline produced:
+// events as a set, everything else in global id order.
+TEST_F(ShardEquivalence, DirectoryRowsEqualThePipelineDataset) {
+  using EventKey = std::tuple<double, std::uint32_t, model::FailureType, std::uint32_t,
+                              std::uint32_t, std::uint32_t>;
+  const auto events = [](const core::Source& source) {
+    std::vector<EventKey> rows;
+    source.for_each_event([&](const core::EventRow& e) {
+      rows.emplace_back(e.time, e.disk, e.type, e.system, e.shelf, e.raid_group);
+    });
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+  const auto disks = [](const core::Source& source) {
+    std::vector<std::tuple<std::uint32_t, std::uint32_t, double, double>> rows;
+    source.for_each_disk([&](const core::DiskRow& d) {
+      rows.emplace_back(d.id, d.system, d.install_time, d.remove_time);
+    });
+    return rows;
+  };
+  const auto scopes = [](const core::Source& source, core::Scope scope) {
+    std::vector<std::tuple<std::uint32_t, double, model::RaidType>> rows;
+    source.for_each_scope(scope, [&](const core::ScopeRow& r) {
+      rows.emplace_back(r.id, r.deploy_time, r.raid_type);
+    });
+    return rows;
+  };
+  const auto want_events = events(dataset());
+  ASSERT_FALSE(want_events.empty());
+  EXPECT_TRUE(events(shards()) == want_events);
+  EXPECT_TRUE(disks(shards()) == disks(dataset()));
+  for (const auto scope : {core::Scope::kShelf, core::Scope::kRaidGroup}) {
+    EXPECT_TRUE(scopes(shards(), scope) == scopes(dataset(), scope));
   }
-  EXPECT_EQ(rebuilt.inventory().systems.size(), dataset().inventory().systems.size());
-  EXPECT_EQ(rebuilt.inventory().shelves.size(), dataset().inventory().shelves.size());
-  EXPECT_EQ(rebuilt.inventory().disks.size(), dataset().inventory().disks.size());
-  EXPECT_EQ(rebuilt.inventory().raid_groups.size(),
-            dataset().inventory().raid_groups.size());
-
-  // And the analyses over the rebuilt dataset agree with the originals.
-  const auto afr_rebuilt = core::afr_by_class(core::Source(rebuilt));
-  const auto afr_original = core::afr_by_class(core::Source(dataset()));
-  ASSERT_EQ(afr_rebuilt.size(), afr_original.size());
-  for (std::size_t i = 0; i < afr_rebuilt.size(); ++i) {
-    EXPECT_EQ(afr_rebuilt[i].disk_years, afr_original[i].disk_years);
-    EXPECT_EQ(afr_rebuilt[i].events, afr_original[i].events);
-  }
+  const core::CohortCount a = core::Source(shards()).count();
+  const core::CohortCount b = core::Source(dataset()).count();
+  EXPECT_EQ(a.systems, b.systems);
+  EXPECT_EQ(a.shelves, b.shelves);
+  EXPECT_EQ(a.raid_groups, b.raid_groups);
+  EXPECT_EQ(a.disk_records, b.disk_records);
 }
 
 TEST_F(ShardEquivalence, SourceReportsTheShardBackend) {
@@ -330,7 +352,7 @@ TEST_F(ShardEquivalence, OpenShardReleaseShardRoundTrip) {
 
 // ---------------------------------------------------------------------------
 // A single STORCOL1 file opens as a one-shard ShardStore: every base zero,
-// every global_* the identity, the manifest filled from the file's own
+// its IdBases the identity, the manifest filled from the file's own
 // header and footer, and validation done eagerly at open().
 // ---------------------------------------------------------------------------
 
@@ -340,11 +362,12 @@ TEST_F(ShardEquivalence, SingleFileOpensAsOneShardWithZeroBases) {
   ASSERT_EQ(single.shard_count(), 1u);
   EXPECT_TRUE(single.is_open(0));  // validated eagerly, not on first touch
   const store::ShardInfo& info = single.info(0);
-  EXPECT_EQ(info.system_base, 0u);
-  EXPECT_EQ(info.shelf_base, 0u);
-  EXPECT_EQ(info.raid_group_base, 0u);
-  EXPECT_EQ(info.disk_base, 0u);
-  EXPECT_EQ(info.replacement_base, 0u);
+  EXPECT_EQ(info.ids.system, 0u);
+  EXPECT_EQ(info.ids.shelf, 0u);
+  EXPECT_EQ(info.ids.raid_group, 0u);
+  EXPECT_EQ(info.ids.disk, 0u);
+  EXPECT_EQ(info.ids.replacement, info.disks_total);
+  EXPECT_EQ(info.ids.disks_initial, info.disks_total);
   EXPECT_EQ(info.sys_begin, 0u);
   EXPECT_EQ(info.sys_end, info.systems);
   EXPECT_EQ(info.disks_initial, info.disks_total);
@@ -369,21 +392,21 @@ TEST_F(ShardEquivalence, SingleFileGlobalIdsAreTheIdentity) {
   const store::ShardStore& single = mono();
   const store::EventStore& file = single.shard(0);
   const auto& h = file.header();
+  const store::IdBases& ids = single.info(0).ids;
   for (std::uint32_t i = 0; i < h.shelf_count; ++i) {
-    ASSERT_EQ(single.global_shelf(0, i), i);
+    ASSERT_EQ(ids.global_shelf(i), i);
   }
   for (std::uint32_t i = 0; i < h.raid_group_count; ++i) {
-    ASSERT_EQ(single.global_raid_group(0, i), i);
+    ASSERT_EQ(ids.global_raid_group(i), i);
   }
-  EXPECT_EQ(single.global_raid_group(0, store::ShardStore::kInvalidId),
-            store::ShardStore::kInvalidId);
+  EXPECT_EQ(ids.global_raid_group(store::kInvalidId), store::kInvalidId);
   // Replacement records sit after the initial disks; the directory build
   // knows where that boundary is, so make sure ids past it are covered.
   const std::uint64_t initial = shards().manifest().disks_initial;
   ASSERT_LT(initial, h.disk_count);  // the fleet has replacement disks
   std::size_t replacements = 0;
   for (std::uint32_t i = 0; i < h.disk_count; ++i) {
-    ASSERT_EQ(single.global_disk(0, i), i);
+    ASSERT_EQ(ids.global_disk(i), i);
     if (i >= initial) ++replacements;
   }
   EXPECT_GT(replacements, 0u);

@@ -6,9 +6,11 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "core/afr.h"
 #include "core/pipeline.h"
+#include "core/source.h"
 #include "core/store_bridge.h"
 #include "model/fleet_config.h"
 #include "model/time.h"
@@ -31,13 +33,8 @@ class StoreQuery : public ::testing::Test {
   static void SetUpTestSuite() {
     run_ = new core::SimulationDataset(core::simulate_and_analyze(
         model::standard_fleet_config(0.05, 31), sim::SimParams::standard(), false));
-    store::StoreContents contents;
-    contents.inventory = &run_->dataset.inventory();
-    contents.events = run_->dataset.events();
-    contents.seed = 31;
-    contents.scale = 0.05;
     std::string image;
-    ASSERT_TRUE(store::build_store_image(contents, &image).ok());
+    ASSERT_TRUE(store::build_store_image(core::store_contents(*run_, 31, 0.05), &image).ok());
     store_ = new store::EventStore;
     ASSERT_TRUE(store_->open_image(std::move(image)).ok());
   }
@@ -55,14 +52,21 @@ class StoreQuery : public ::testing::Test {
 core::SimulationDataset* StoreQuery::run_ = nullptr;
 store::EventStore* StoreQuery::store_ = nullptr;
 
-/// The system owning an event's disk.
-const storsubsim::log::InventorySystem& system_of(const core::Dataset& dataset,
-                                                  const core::FailureEvent& e) {
-  return dataset.inventory().systems[e.system.value()];
-}
+/// One event of the run, read through Source, with its owning system.
+struct Row {
+  core::EventRow event;
+  storsubsim::log::InventorySystem system;
+};
 
-char family_of(const core::Dataset& dataset, const core::FailureEvent& e) {
-  return system_of(dataset, e).disk_model.family;
+std::vector<Row> rows_of(const core::Dataset& dataset) {
+  const core::Source source(dataset);
+  std::vector<storsubsim::log::InventorySystem> systems;  // by global id
+  source.for_each_system(
+      [&](const storsubsim::log::InventorySystem& sys) { systems.push_back(sys); });
+  std::vector<Row> rows;
+  source.for_each_event(
+      [&](const core::EventRow& e) { rows.push_back(Row{e, systems[e.system]}); });
+  return rows;
 }
 
 }  // namespace
@@ -79,8 +83,8 @@ TEST_F(StoreQuery, UnfilteredAggregateMatchesComputeAfr) {
   }
   EXPECT_EQ(result.groups[0].disk_years, reference.disk_years);
   EXPECT_EQ(result.groups[0].afr_pct, reference.total_afr_pct());
-  EXPECT_EQ(result.stats.rows_scanned, run_->dataset.events().size());
-  EXPECT_EQ(result.stats.rows_matched, run_->dataset.events().size());
+  EXPECT_EQ(result.stats.rows_scanned, core::Source(run_->dataset).event_records());
+  EXPECT_EQ(result.stats.rows_matched, core::Source(run_->dataset).event_records());
   EXPECT_EQ(result.stats.blocks_pruned, 0u);
 }
 
@@ -107,8 +111,8 @@ TEST_F(StoreQuery, ClassFilterSelectsOneShard) {
   const auto result = store::run_query(*store_, query);
   ASSERT_EQ(result.groups.size(), 1u);
   std::uint64_t expected = 0;
-  for (const auto& e : run_->dataset.events()) {
-    if (system_of(run_->dataset, e).cls == model::SystemClass::kNearLine) ++expected;
+  for (const auto& [e, sys] : rows_of(run_->dataset)) {
+    if (sys.cls == model::SystemClass::kNearLine) ++expected;
   }
   EXPECT_EQ(result.groups[0].events, expected);
   // Only the near-line shard was touched.
@@ -123,9 +127,9 @@ TEST_F(StoreQuery, TypeAndFamilyFiltersMatchManualCounts) {
   const auto result = store::run_query(*store_, query);
   ASSERT_EQ(result.groups.size(), 1u);
   std::uint64_t expected = 0;
-  for (const auto& e : run_->dataset.events()) {
+  for (const auto& [e, sys] : rows_of(run_->dataset)) {
     if (e.type == model::FailureType::kPhysicalInterconnect &&
-        family_of(run_->dataset, e) == 'H') {
+        sys.disk_model.family == 'H') {
       ++expected;
     }
   }
@@ -138,7 +142,7 @@ TEST_F(StoreQuery, GroupByFamilyMatchesManualTally) {
   query.group_by = store::Query::GroupBy::kDiskFamily;
   const auto result = store::run_query(*store_, query);
   std::map<char, std::uint64_t> expected;
-  for (const auto& e : run_->dataset.events()) ++expected[family_of(run_->dataset, e)];
+  for (const auto& [e, sys] : rows_of(run_->dataset)) ++expected[sys.disk_model.family];
   std::uint64_t grouped_total = 0;
   for (const auto& g : result.groups) {
     ASSERT_EQ(g.label.size(), 8u) << g.label;  // "family X"
@@ -147,7 +151,7 @@ TEST_F(StoreQuery, GroupByFamilyMatchesManualTally) {
     EXPECT_EQ(g.events, it == expected.end() ? 0u : it->second) << g.label;
     grouped_total += g.events;
   }
-  EXPECT_EQ(grouped_total, run_->dataset.events().size());
+  EXPECT_EQ(grouped_total, core::Source(run_->dataset).event_records());
 }
 
 TEST_F(StoreQuery, GroupByTypeUsesTheSharedCohortDenominator) {
@@ -174,7 +178,7 @@ TEST_F(StoreQuery, TimeWindowMatchesManualCountAndDisablesRates) {
   const auto result = store::run_query(*store_, query);
   ASSERT_EQ(result.groups.size(), 1u);
   std::uint64_t expected = 0;
-  for (const auto& e : run_->dataset.events()) {
+  for (const auto& [e, sys] : rows_of(run_->dataset)) {
     if (e.time >= begin && e.time < end) ++expected;
   }
   ASSERT_GT(expected, 0u);
@@ -260,8 +264,8 @@ TEST_F(StoreQuery, FiltersCompose) {
   const auto result = store::run_query(*store_, query);
   ASSERT_EQ(result.groups.size(), 1u);
   std::uint64_t expected = 0;
-  for (const auto& e : run_->dataset.events()) {
-    if (system_of(run_->dataset, e).cls == model::SystemClass::kMidRange &&
+  for (const auto& [e, sys] : rows_of(run_->dataset)) {
+    if (sys.cls == model::SystemClass::kMidRange &&
         e.type == model::FailureType::kDisk && e.time >= 0.0 &&
         e.time < 600.0 * model::kSecondsPerDay) {
       ++expected;

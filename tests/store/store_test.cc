@@ -8,11 +8,14 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <algorithm>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "core/afr.h"
 #include "core/burstiness.h"
@@ -21,6 +24,7 @@
 #include "core/pipeline.h"
 #include "core/store_bridge.h"
 #include "model/fleet_config.h"
+#include "model/time.h"
 #include "store/format.h"
 #include "store/reader.h"
 #include "store/shards.h"
@@ -31,6 +35,7 @@ namespace core = storsubsim::core;
 namespace log = storsubsim::log;
 namespace model = storsubsim::model;
 namespace store = storsubsim::store;
+namespace util = storsubsim::util;
 
 namespace {
 
@@ -39,20 +44,19 @@ std::string temp_path(const char* name) {
 }
 
 /// One simulated run through the full text-log pipeline, shared by the
-/// round-trip tests (scale 0.05 — the in-ctest fidelity point).
+/// round-trip tests (scale 0.05 — the in-ctest fidelity point). It runs as
+/// one chunk, so its Dataset is one part in the whole fleet's ids: the
+/// reference the store's rows are checked against.
 class StoreRoundTrip : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
+    util::set_thread_count(1);
     run_ = new core::SimulationDataset(core::simulate_and_analyze(
         model::standard_fleet_config(0.05, 20080226)));
+    util::set_thread_count(0);
     image_ = new std::string;
-    store::StoreContents contents;
-    contents.inventory = &run_->dataset.inventory();
-    contents.events = run_->dataset.events();
-    contents.meta = core::make_store_meta(run_->counters, run_->pipeline);
-    contents.seed = 20080226;
-    contents.scale = 0.05;
-    ASSERT_TRUE(store::build_store_image(contents, image_).ok());
+    ASSERT_TRUE(
+        store::build_store_image(core::store_contents(*run_, 20080226, 0.05), image_).ok());
   }
   static void TearDownTestSuite() {
     delete run_;
@@ -72,6 +76,11 @@ class StoreRoundTrip : public ::testing::Test {
     return ok;
   }
 
+  static const log::Inventory& inventory() { return *run_->dataset.parts()[0].inventory; }
+  static const std::vector<log::ClassifiedFailure>& events() {
+    return run_->dataset.parts()[0].events;
+  }
+
   static core::SimulationDataset* run_;
   static std::string* image_;
 };
@@ -84,11 +93,11 @@ std::string* StoreRoundTrip::image_ = nullptr;
 TEST_F(StoreRoundTrip, HeaderDescribesTheRun) {
   store::EventStore es;
   ASSERT_TRUE(es.open_image(*image_).ok());
-  const auto& inv = run_->dataset.inventory();
+  const auto& inv = inventory();
   EXPECT_EQ(es.header().seed, 20080226u);
   EXPECT_DOUBLE_EQ(es.header().scale, 0.05);
   EXPECT_DOUBLE_EQ(es.header().horizon_seconds, inv.horizon_seconds);
-  EXPECT_EQ(es.header().event_count, run_->dataset.events().size());
+  EXPECT_EQ(es.header().event_count, events().size());
   EXPECT_EQ(es.header().system_count, inv.systems.size());
   EXPECT_EQ(es.header().shelf_count, inv.shelves.size());
   EXPECT_EQ(es.header().disk_count, inv.disks.size());
@@ -102,72 +111,116 @@ TEST_F(StoreRoundTrip, MetaRoundTripsClassifierAndSimCounters) {
   store::ShardStore es;
   ASSERT_TRUE(es.open(path).ok());
   ASSERT_TRUE(es.open_all().ok());
-  const auto rerun = core::simulation_dataset_from_shards(es);
+  const store::StoreMeta meta = es.meta();
   std::remove(path.c_str());
   // The ClassifierStats / pipeline counters the original run produced must
   // come back exactly (the "simulate once" provenance).
-  const auto& pipeline = rerun.pipeline;
-  EXPECT_EQ(pipeline.log_lines_written, run_->pipeline.log_lines_written);
-  EXPECT_EQ(pipeline.log_lines_parsed, run_->pipeline.log_lines_parsed);
-  EXPECT_EQ(pipeline.raid_records, run_->pipeline.raid_records);
-  EXPECT_EQ(pipeline.failures_classified, run_->pipeline.failures_classified);
-  EXPECT_EQ(pipeline.duplicates_dropped, run_->pipeline.duplicates_dropped);
-  EXPECT_EQ(pipeline.missing_disk_dropped, run_->pipeline.missing_disk_dropped);
-  const auto& counters = rerun.counters;
-  EXPECT_EQ(counters.events_by_type, run_->counters.events_by_type);
-  EXPECT_EQ(counters.replacements, run_->counters.replacements);
+  EXPECT_EQ(meta.log_lines_written, run_->pipeline.log_lines_written);
+  EXPECT_EQ(meta.log_lines_parsed, run_->pipeline.log_lines_parsed);
+  EXPECT_EQ(meta.raid_records, run_->pipeline.raid_records);
+  EXPECT_EQ(meta.failures_classified, run_->pipeline.failures_classified);
+  EXPECT_EQ(meta.duplicates_dropped, run_->pipeline.duplicates_dropped);
+  EXPECT_EQ(meta.missing_disk_dropped, run_->pipeline.missing_disk_dropped);
+  for (std::size_t t = 0; t < meta.sim_events_by_type.size(); ++t) {
+    EXPECT_EQ(meta.sim_events_by_type[t], run_->counters.events_by_type[t]) << t;
+  }
+  EXPECT_EQ(meta.sim_replacements, run_->counters.replacements);
 }
 
 TEST_F(StoreRoundTrip, EventsComeBackExactlyInCanonicalOrder) {
   store::ShardStore es;
   ASSERT_TRUE(open_mapped(es));
-  const auto dataset = core::dataset_from_shards(es);
-  const auto& original = run_->dataset.events();
-  ASSERT_EQ(dataset.events().size(), original.size());
+  // Each class shard holds its events in canonical (time, disk, type)
+  // order; merged into that order they are the run's events, field for field.
+  std::vector<log::ClassifiedFailure> rows;
+  for (const auto cls : model::kAllSystemClasses) {
+    const store::EventView& view = es.shard(0).events(cls);
+    for (std::size_t i = 0; i < view.size(); ++i) {
+      const log::ClassifiedFailure e{view.time[i], model::DiskId(view.disk[i]),
+                                     model::SystemId(view.system[i]),
+                                     static_cast<model::FailureType>(view.type[i])};
+      if (i > 0) {
+        ASSERT_FALSE(std::tie(e.time, e.disk, e.type) <
+                     std::tie(rows.back().time, rows.back().disk, rows.back().type));
+      }
+      rows.push_back(e);
+    }
+  }
+  std::sort(rows.begin(), rows.end(),
+            [](const log::ClassifiedFailure& a, const log::ClassifiedFailure& b) {
+              return std::tie(a.time, a.disk, a.type) < std::tie(b.time, b.disk, b.type);
+            });
+  const auto& original = events();
+  ASSERT_EQ(rows.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
-    ASSERT_EQ(dataset.events()[i], original[i]) << "event " << i;
+    ASSERT_EQ(rows[i], original[i]) << "event " << i;
   }
 }
 
 TEST_F(StoreRoundTrip, InventoryRebuildsFieldForField) {
+  // Every inventory field comes back from the topology columns.
   store::EventStore es;
   ASSERT_TRUE(es.open_image(*image_).ok());
-  const auto inv = es.rebuild_inventory();
-  const auto& ref = run_->dataset.inventory();
-  EXPECT_DOUBLE_EQ(inv.horizon_seconds, ref.horizon_seconds);
-  ASSERT_EQ(inv.systems.size(), ref.systems.size());
+  const auto u8 = [&](store::ColumnId id) { return es.topology(id)->as_u8(); };
+  const auto u32 = [&](store::ColumnId id) { return es.topology(id)->as_u32(); };
+  const auto f64 = [&](store::ColumnId id) { return es.topology(id)->as_f64(); };
+  const auto& ref = inventory();
+  EXPECT_DOUBLE_EQ(es.header().horizon_seconds, ref.horizon_seconds);
+
+  const auto sys_cls = u8(store::ColumnId::kSysClass);
+  const auto sys_paths = u8(store::ColumnId::kSysPaths);
+  const auto sys_family = u8(store::ColumnId::kSysDiskFamily);
+  const auto sys_cap = u32(store::ColumnId::kSysDiskCap);
+  const auto sys_shelf_model = u8(store::ColumnId::kSysShelfModel);
+  const auto sys_deploy = f64(store::ColumnId::kSysDeploy);
+  const auto sys_cohort = u32(store::ColumnId::kSysCohort);
+  ASSERT_EQ(sys_cls.size(), ref.systems.size());
   for (std::size_t i = 0; i < ref.systems.size(); ++i) {
-    EXPECT_EQ(inv.systems[i].id, ref.systems[i].id);
-    EXPECT_EQ(inv.systems[i].cls, ref.systems[i].cls);
-    EXPECT_EQ(inv.systems[i].paths, ref.systems[i].paths);
-    EXPECT_EQ(inv.systems[i].disk_model.family, ref.systems[i].disk_model.family);
-    EXPECT_EQ(inv.systems[i].disk_model.capacity_index,
-              ref.systems[i].disk_model.capacity_index);
-    EXPECT_EQ(inv.systems[i].shelf_model.letter, ref.systems[i].shelf_model.letter);
-    EXPECT_EQ(inv.systems[i].deploy_time, ref.systems[i].deploy_time);
-    EXPECT_EQ(inv.systems[i].cohort, ref.systems[i].cohort);
+    EXPECT_EQ(ref.systems[i].id.value(), i);
+    EXPECT_EQ(static_cast<model::SystemClass>(sys_cls[i]), ref.systems[i].cls);
+    EXPECT_EQ(static_cast<model::PathConfig>(sys_paths[i]), ref.systems[i].paths);
+    EXPECT_EQ(static_cast<char>(sys_family[i]), ref.systems[i].disk_model.family);
+    EXPECT_EQ(static_cast<int>(sys_cap[i]), ref.systems[i].disk_model.capacity_index);
+    EXPECT_EQ(static_cast<char>(sys_shelf_model[i]), ref.systems[i].shelf_model.letter);
+    EXPECT_EQ(sys_deploy[i], ref.systems[i].deploy_time);
+    EXPECT_EQ(sys_cohort[i], ref.systems[i].cohort);
   }
-  ASSERT_EQ(inv.shelves.size(), ref.shelves.size());
+  const auto shelf_system = u32(store::ColumnId::kShelfSystem);
+  const auto shelf_model = u8(store::ColumnId::kShelfModel);
+  ASSERT_EQ(shelf_system.size(), ref.shelves.size());
   for (std::size_t i = 0; i < ref.shelves.size(); ++i) {
-    EXPECT_EQ(inv.shelves[i].system, ref.shelves[i].system);
-    EXPECT_EQ(inv.shelves[i].model.letter, ref.shelves[i].model.letter);
+    EXPECT_EQ(shelf_system[i], ref.shelves[i].system.value());
+    EXPECT_EQ(static_cast<char>(shelf_model[i]), ref.shelves[i].model.letter);
   }
-  ASSERT_EQ(inv.disks.size(), ref.disks.size());
+  const auto disk_family = u8(store::ColumnId::kDiskFamily);
+  const auto disk_cap = u32(store::ColumnId::kDiskCap);
+  const auto disk_system = u32(store::ColumnId::kDiskSystem);
+  const auto disk_shelf = u32(store::ColumnId::kDiskShelf);
+  const auto disk_rg = u32(store::ColumnId::kDiskRaidGroup);
+  const auto disk_slot = u32(store::ColumnId::kDiskSlot);
+  const auto disk_install = f64(store::ColumnId::kDiskInstall);
+  const auto disk_remove = f64(store::ColumnId::kDiskRemove);
+  ASSERT_EQ(disk_family.size(), ref.disks.size());
   for (std::size_t i = 0; i < ref.disks.size(); ++i) {
-    EXPECT_EQ(inv.disks[i].model.family, ref.disks[i].model.family);
-    EXPECT_EQ(inv.disks[i].system, ref.disks[i].system);
-    EXPECT_EQ(inv.disks[i].shelf, ref.disks[i].shelf);
-    EXPECT_EQ(inv.disks[i].raid_group, ref.disks[i].raid_group);
-    EXPECT_EQ(inv.disks[i].slot, ref.disks[i].slot);
-    EXPECT_EQ(inv.disks[i].install_time, ref.disks[i].install_time);
-    EXPECT_EQ(inv.disks[i].remove_time, ref.disks[i].remove_time);
+    EXPECT_EQ(static_cast<char>(disk_family[i]), ref.disks[i].model.family);
+    EXPECT_EQ(static_cast<int>(disk_cap[i]), ref.disks[i].model.capacity_index);
+    EXPECT_EQ(disk_system[i], ref.disks[i].system.value());
+    EXPECT_EQ(disk_shelf[i], ref.disks[i].shelf.value());
+    EXPECT_EQ(disk_rg[i], ref.disks[i].raid_group.value());
+    EXPECT_EQ(disk_slot[i], ref.disks[i].slot);
+    EXPECT_EQ(disk_install[i], ref.disks[i].install_time);
+    EXPECT_EQ(disk_remove[i], ref.disks[i].remove_time);
   }
-  ASSERT_EQ(inv.raid_groups.size(), ref.raid_groups.size());
+  const auto rg_system = u32(store::ColumnId::kRgSystem);
+  const auto rg_type = u8(store::ColumnId::kRgType);
+  const auto rg_members = u32(store::ColumnId::kRgMembers);
+  const auto rg_span = u32(store::ColumnId::kRgSpan);
+  ASSERT_EQ(rg_system.size(), ref.raid_groups.size());
   for (std::size_t i = 0; i < ref.raid_groups.size(); ++i) {
-    EXPECT_EQ(inv.raid_groups[i].system, ref.raid_groups[i].system);
-    EXPECT_EQ(inv.raid_groups[i].type, ref.raid_groups[i].type);
-    EXPECT_EQ(inv.raid_groups[i].member_count, ref.raid_groups[i].member_count);
-    EXPECT_EQ(inv.raid_groups[i].shelf_span, ref.raid_groups[i].shelf_span);
+    EXPECT_EQ(rg_system[i], ref.raid_groups[i].system.value());
+    EXPECT_EQ(static_cast<model::RaidType>(rg_type[i]), ref.raid_groups[i].type);
+    EXPECT_EQ(rg_members[i], ref.raid_groups[i].member_count);
+    EXPECT_EQ(rg_span[i], ref.raid_groups[i].shelf_span);
   }
 }
 
@@ -196,11 +249,13 @@ TEST_F(StoreRoundTrip, ExposureTableEqualsPerCohortSweeps) {
   store::EventStore es;
   ASSERT_TRUE(es.open_image(*image_).ok());
   const store::ExposureTable& table = es.exposure();
-  const log::Inventory& inv = run_->dataset.inventory();
+  const log::Inventory& inv = inventory();
   auto sweep = [&](auto in_cohort) {
     double years = 0.0;
     for (const auto& d : inv.disks) {
-      if (in_cohort(inv.systems[d.system.value()])) years += inv.disk_exposure_years(d);
+      if (in_cohort(inv.systems[d.system.value()])) {
+        years += model::exposure_years(d.install_time, d.remove_time, inv.horizon_seconds);
+      }
     }
     return years;
   };
@@ -273,7 +328,7 @@ TEST_F(StoreRoundTrip, FileRoundTripThroughMmap) {
   ASSERT_TRUE(core::write_store(path, *run_, 20080226, 0.05).ok());
   store::ShardStore es;
   ASSERT_TRUE(es.open(path).ok());
-  EXPECT_EQ(es.shard(0).event_count(), run_->dataset.events().size());
+  EXPECT_EQ(es.shard(0).event_count(), events().size());
   const auto memory = core::afr_by_class(run_->dataset);
   const auto mapped = core::afr_by_class(es);
   ASSERT_EQ(mapped.size(), memory.size());
@@ -285,14 +340,9 @@ TEST_F(StoreRoundTrip, FileRoundTripThroughMmap) {
 }
 
 TEST_F(StoreRoundTrip, RebuildsAreByteIdentical) {
-  store::StoreContents contents;
-  contents.inventory = &run_->dataset.inventory();
-  contents.events = run_->dataset.events();
-  contents.meta = core::make_store_meta(run_->counters, run_->pipeline);
-  contents.seed = 20080226;
-  contents.scale = 0.05;
   std::string again;
-  ASSERT_TRUE(store::build_store_image(contents, &again).ok());
+  ASSERT_TRUE(
+      store::build_store_image(core::store_contents(*run_, 20080226, 0.05), &again).ok());
   EXPECT_EQ(again, *image_);
 }
 
@@ -321,8 +371,7 @@ TEST(StoreErrors, EventReferencingUnknownDiskIsRejected) {
   events[0].system = model::SystemId(0);
 
   store::StoreContents contents;
-  contents.inventory = &inv;
-  contents.events = events;
+  contents.parts = {store::StorePart{&inv, events, {}}};
   std::string image;
   EXPECT_EQ(store::build_store_image(contents, &image).code,
             store::ErrorCode::kBadValue);
@@ -343,8 +392,7 @@ inline constexpr std::uint32_t kGoldenImageCrc = 3226533097u;
 store::StoreContents golden_contents(const log::Inventory& inv,
                                      std::span<const log::ClassifiedFailure> events) {
   store::StoreContents contents;
-  contents.inventory = &inv;
-  contents.events = events;
+  contents.parts = {store::StorePart{&inv, events, {}}};
   contents.meta.failures_classified = 3;
   contents.meta.log_lines_written = 11;
   contents.meta.log_lines_parsed = 11;

@@ -366,6 +366,11 @@ TEST(CliUsage, BadInvocationsFail) {
       {"store build --out " + out + " --seed -1 --scale 0.01", "seed"},
       {"store build --out " + out + " --seed 18446744073709551616 --scale 0.01", "seed"},
       {"store build --out " + out + " --scale nan", "scale"},
+      // A simulated fleet needs a positive scale.
+      {"store build --out " + out + " --scale 0", "scale"},
+      {"store build --out " + out + " --shards 2 --scale 0", "scale"},
+      {"simulate --logs " + out + " --snapshot " + out + " --scale -1", "scale"},
+      {"replicate --out " + out + " --scale 0", "scale"},
       {"simulate --logs " + out + " --snapshot " + out + " --threads -1", "threads"},
       {"simulate --logs " + out + " --snapshot " + out + " --threads 4x", "threads"},
       {"replicate --out " + out + " --batch abc", "batch"},

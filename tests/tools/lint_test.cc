@@ -582,11 +582,13 @@ TEST(LockDisciplineRule, RaiiGuardsSiblingScopesAndDistinctMutexesAreClean) {
 
 TEST(AnalysisOverloadRule, FlagsEveryConcreteBackendRedeclaration) {
   const auto report =
-      lint_fixture_tree({"analysis_overload/src/core/bad_analysis_overload.cc"});
-  EXPECT_EQ(count_rule(report, lint::Rule::kAnalysisOverload), 4u)
+      lint_fixture_tree({"analysis_overload/src/core/bad_analysis_overload.h"});
+  EXPECT_EQ(count_rule(report, lint::Rule::kAnalysisOverload), 6u)
       << lint::render_json_report(report);
   EXPECT_TRUE(any_finding_contains(report, "per-backend overloads were retired"));
-  EXPECT_TRUE(any_finding_contains(report, "raid_vulnerability"));
+  for (const char* name : {"raid_vulnerability", "afr_by_disk_model", "compare_cohorts"}) {
+    EXPECT_TRUE(any_finding_contains(report, name)) << name;
+  }
   for (const char* backend : {"Dataset", "EventStore", "ShardStore"}) {
     EXPECT_TRUE(any_finding_contains(report, backend)) << backend;
   }
@@ -594,7 +596,8 @@ TEST(AnalysisOverloadRule, FlagsEveryConcreteBackendRedeclaration) {
 
 TEST(AnalysisOverloadRule, SourceOverloadsHelpersAndCallSitesAreClean) {
   const auto report =
-      lint_fixture_tree({"analysis_overload/src/core/clean_analysis_overload.cc"});
+      lint_fixture_tree({"analysis_overload/src/core/clean_analysis_overload.h",
+                         "analysis_overload/src/core/store_bridge.h"});
   EXPECT_TRUE(report.findings.empty()) << lint::render_json_report(report);
 }
 

@@ -14,10 +14,15 @@
 #   - `replicate` (4 fixed replicates at scale 0.25): its report, its
 #     STORREP1 table and the table re-rendered by `analyze --replicates`;
 #   - `predict` over the --precursors logs, for the whole fleet and for the
-#     `--class near-line --exclude-h` cohort,
+#     `--class near-line --exclude-h` cohort;
+#   - the store bytes themselves: the file built at --threads 4 and at
+#     --threads 1 (one Dataset part against four), and each shard file of
+#     the directory (its MANIFEST records the build's peak RSS, so it is
+#     left out),
 # and cmp's each output against the other binary's. Exits 1 at the first
 # difference, naming it; the work directory is kept for a look and its path
-# printed. Both binaries run at --threads 4 where a command takes it.
+# printed. Both binaries run at --threads 4 where a command takes it, but for
+# the --threads 1 store file.
 set -eu
 
 if [ $# -lt 2 ]; then
@@ -38,6 +43,8 @@ run_all() {
   dir=$2
   mkdir -p "$dir"
   "$bin" store build --out "$dir/fleet.store" --scale $scale --seed "$seed" --threads 4 \
+    > /dev/null 2>&1
+  "$bin" store build --out "$dir/fleet.t1.store" --scale $scale --seed "$seed" --threads 1 \
     > /dev/null 2>&1
   "$bin" store build --out "$dir/fleet.shards" --shards 4 --scale $scale --seed "$seed" \
     --threads 4 > /dev/null 2>&1
@@ -75,6 +82,11 @@ run_all() {
     > "$dir/out.predict" 2> /dev/null
   "$bin" predict --logs "$dir/precursors.log" --snapshot "$dir/precursors.snap" \
     --class near-line --exclude-h > "$dir/out.predict-cohort" 2> /dev/null
+  cp "$dir/fleet.store" "$dir/out.store"
+  cp "$dir/fleet.t1.store" "$dir/out.store-t1"
+  for shard in "$dir"/fleet.shards/shard-*.store; do
+    cp "$shard" "$dir/out.shards.$(basename "$shard")"
+  done
 }
 
 run_all "$old" "$work/old"

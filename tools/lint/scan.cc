@@ -387,4 +387,44 @@ void collect_annotations(const Stripped& s, std::string_view path,
   }
 }
 
+bool is_access_specifier(std::string_view word) {
+  return word == "public" || word == "private" || word == "protected";
+}
+
+bool in_hidden_section(std::string_view code, std::size_t offset) {
+  std::size_t open = offset;
+  for (int depth = 0; open > 0;) {
+    const char c = code[--open];
+    if (c == '}') ++depth;
+    if (c == '{' && depth-- == 0) break;
+  }
+  if (open == 0 || code[open] != '{') return false;  // namespace scope
+  std::size_t head = open;
+  while (head > 0 && code[head - 1] != ';' && code[head - 1] != '{' &&
+         code[head - 1] != '}') {
+    --head;
+  }
+  // The class-key is the last `class`/`struct` before the brace
+  // (`template <class T> struct X {` is a struct).
+  std::string_view key;
+  std::size_t key_at = 0;
+  for_each_identifier(code.substr(head, open - head), [&](const Token& tok) {
+    if (tok.text == "class" || tok.text == "struct") {
+      key = tok.text;
+      key_at = head + tok.begin;
+    }
+  });
+  if (key.empty()) return false;  // namespace or function body
+  bool hidden = key == "class";
+  int depth = 0;
+  for (std::size_t i = open + 1; i < offset; ++i) {
+    if (code[i] == '{') ++depth;
+    if (code[i] == '}') --depth;
+    if (depth != 0 || code[i] != ':' || code[i + 1] == ':' || code[i - 1] == ':') continue;
+    const std::string_view word = ident_before(code, i).text;
+    if (is_access_specifier(word)) hidden = word != "public";
+  }
+  return hidden || in_hidden_section(code, key_at);
+}
+
 }  // namespace storsubsim::lint

@@ -99,6 +99,13 @@ bool parse_var_chain(std::string_view expr, std::string* last_ident);
 /// make the chain unresolvable and return npos.
 std::size_t chain_start(std::string_view code, const Token& tok);
 
+/// `public`, `private` or `protected`.
+bool is_access_specifier(std::string_view word);
+
+/// True when the declaration at `offset` sits in a private or protected
+/// section of a class body, or of a class that itself does.
+bool in_hidden_section(std::string_view code, std::size_t offset);
+
 // --- inline suppression annotations -----------------------------------------
 
 struct Annotation {

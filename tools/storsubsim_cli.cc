@@ -102,6 +102,12 @@ struct Args {
     const auto it = options.find(name);
     return it == options.end() ? fallback : util::flag_double(name, it->second);
   }
+  /// The --scale of a command that simulates a fleet: above zero, or the
+  /// process ends as in get_double.
+  double get_scale(double fallback) const {
+    const auto it = options.find("scale");
+    return it == options.end() ? fallback : util::flag_positive("scale", it->second);
+  }
   /// A non-negative integer that fits T (decimal digits only); anything
   /// else ends the process (util::flag_count).
   template <typename T>
@@ -176,7 +182,7 @@ int cmd_simulate(const Args& args) {
   const std::string log_path = args.get("logs");
   const std::string snap_path = args.get("snapshot");
   if (log_path.empty() || snap_path.empty()) return usage();
-  const double scale = args.get_double("scale", 0.1);
+  const double scale = args.get_scale(0.1);
   const auto seed = args.get_count<std::uint64_t>("seed", 20080226);
 
   std::cerr << "simulating the standard fleet at scale " << scale << " (seed " << seed
@@ -347,8 +353,8 @@ int cmd_inspect(const Args& args) {
     std::cerr << "snapshot error: " << snapshot.error << "\n";
     return 1;
   }
-  const core::Dataset dataset(
-      std::make_shared<log::Inventory>(std::move(snapshot.inventory)), {});
+  const auto inventory = std::make_shared<log::Inventory>(std::move(snapshot.inventory));
+  const core::Dataset dataset(inventory, {});
 
   core::TextTable table({"class", "systems", "shelves", "RAID groups", "disk records",
                          "disk-years", "dual-path systems"});
@@ -370,10 +376,10 @@ int cmd_inspect(const Args& args) {
 
   core::TextTable models({"disk model", "systems", "disk records"});
   std::map<std::string, std::pair<std::size_t, std::size_t>> by_model;
-  for (const auto& sys : dataset.inventory().systems) {
+  for (const auto& sys : inventory->systems) {
     ++by_model[model::to_string(sys.disk_model)].first;
   }
-  for (const auto& d : dataset.inventory().disks) {
+  for (const auto& d : inventory->disks) {
     ++by_model[model::to_string(d.model)].second;
   }
   for (const auto& [name, counts] : by_model) {
@@ -457,7 +463,7 @@ int publish_build_manifest(const std::string& manifest_path, const std::string& 
 /// analyses are byte-identical to the monolithic store (docs/STORE.md).
 int cmd_store_build_sharded(const Args& args, const std::string& out) {
   const auto seed = args.get_count<std::uint64_t>("seed", 20080226);
-  const double scale = args.get_double("scale", 0.1);
+  const double scale = args.get_scale(0.1);
 
   core::ShardedBuildOptions options;
   options.shards = args.get_count<std::size_t>("shards", 0);
@@ -501,7 +507,9 @@ int cmd_store_build(const Args& args) {
   // Provenance recorded in the header; unknown (0) when converting foreign
   // log/snapshot artifacts unless given explicitly.
   const auto seed = args.get_count<std::uint64_t>("seed", from_logs ? 0 : 20080226);
-  const double scale = args.get_double("scale", from_logs ? 0.0 : 0.1);
+  // A fleet to simulate needs a positive scale; converted artifacts take any
+  // provenance value.
+  const double scale = from_logs ? args.get_double("scale", 0.0) : args.get_scale(0.1);
 
   std::optional<core::SimulationDataset> run;
   if (from_logs) {
@@ -520,12 +528,12 @@ int cmd_store_build(const Args& args) {
     std::cerr << "cannot write store " << out << ": " << err.describe() << "\n";
     return 1;
   }
-  std::cerr << "wrote " << run->dataset.events().size() << "-event store ("
-            << run->dataset.inventory().disks.size() << " disk records) to " << out << "\n";
+  const core::Source fleet(run->dataset);
+  std::cerr << "wrote " << fleet.event_records() << "-event store (" << fleet.disk_records()
+            << " disk records) to " << out << "\n";
 
   return publish_build_manifest(out + ".manifest.json", out, from_logs ? "logs" : "simulate",
-                                seed, scale, run->dataset.events().size(),
-                                run->dataset.inventory().disks.size(), 0,
+                                seed, scale, fleet.event_records(), fleet.disk_records(), 0,
                                 util::peak_rss_bytes());
 }
 
@@ -668,7 +676,7 @@ int cmd_replicate(const Args& args) {
   if (out.empty()) return usage();
 
   replicate::ReplicateOptions options;
-  options.scale = args.get_double("scale", options.scale);
+  options.scale = args.get_scale(options.scale);
   options.seed = args.get_count<std::uint64_t>("seed", 20080226);
   options.max_replicates = args.get_count("max-replicates", options.max_replicates);
   options.min_replicates = args.get_count("min-replicates", options.min_replicates);
